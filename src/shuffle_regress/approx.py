@@ -8,15 +8,18 @@ small family of candidate response assignments, each candidate contributes a
 weighted least-squares center, and an axis-aligned grid around each center is
 scanned with the exact one-dimensional matcher.
 
-Cost model: with ``k`` the covariate rank, the candidate family has size
-``n**m`` for ``m <= 4k`` distinct sampled rows and every grid has
-``O((sqrt(k)/eps)**k)`` points, so the overall work is ``(n/eps)**O(k)``.  A
-budget cap (default 50 million candidate evaluations) turns runaway instances
-into a hard error instead of an open-ended computation.
+Cost model: with ``k`` the covariate rank, the candidate family holds the
+``n!/(n-m)!`` injective assignments of responses to the ``m <= 4k`` distinct
+sampled rows (the planted correspondence is a bijection, so it gives distinct
+rows distinct responses) and every grid has ``O((sqrt(k)/eps)**k)`` points, so
+the overall work is ``(n/eps)**O(k)``.  Candidates are generated chunk by
+chunk from their rank, so the first pass keeps one float per candidate plus
+chunk-sized buffers.  A budget cap (default 50 million candidate evaluations)
+turns runaway instances into a hard error instead of an open-ended
+computation.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -94,20 +97,40 @@ def sampled_columns(s: SamplingMatrix) -> list:
     return sorted({entry[0] for entry in s.rows if entry is not None})
 
 
+def _assignments(ranks, n: int, m: int) -> np.ndarray:
+    """Injective maps ``range(m) -> range(n)`` at the given lexicographic ranks.
+
+    Row ``t`` lists the images of positions ``0..m-1`` of the map of rank
+    ``ranks[t]`` among all ``n!/(n-m)!`` injective maps in lexicographic order.
+    """
+    rest = np.asarray(ranks, dtype=np.int64)
+    out = np.empty((rest.shape[0], m), dtype=np.intp)
+    for j in range(m):
+        out[:, j], rest = np.divmod(rest, math.perm(n - j - 1, m - j - 1))
+    # Digit j indexes the values left unused by positions < j; lift the
+    # digits to values right to left (Lehmer-code decoding).
+    for j in range(m - 2, -1, -1):
+        tail = out[:, j + 1 :]
+        tail += tail >= out[:, j : j + 1]
+    return out
+
+
 def candidate_targets(s: SamplingMatrix, y) -> Iterator[np.ndarray]:
     """Enumerate candidate right-hand sides for the sampled least squares.
 
-    Coordinates the sample never touches are forced to zero; each remaining
-    coordinate ranges over all observed responses.  Vectors come out in
-    lexicographic order of the (column-sorted) nonzero coordinates, ``n**m`` of
-    them for ``m`` distinct sampled columns.
+    Coordinates the sample never touches are forced to zero; the remaining
+    coordinates receive pairwise distinct responses (distinct indices into
+    ``y``).  Vectors come out in lexicographic order of the response indices
+    given to the (column-sorted) nonzero coordinates, ``n!/(n-m)!`` of them for
+    ``m`` distinct sampled columns.  This is the family ``fptas_solve`` scans.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     cols = sampled_columns(s)
-    for choice in itertools.product(range(n), repeat=len(cols)):
+    m = len(cols)
+    for choice in _assignments(np.arange(math.perm(n, m)), n, m):
         b = np.zeros(n)
-        b[cols] = y[list(choice)]
+        b[cols] = y[choice]
         yield b
 
 
@@ -149,10 +172,14 @@ def build_net(w_center, r_b: float, eps: float, c: float) -> np.ndarray:
     return _grid(w_center, half, spacing)
 
 
-def _min_perm_costs(a_cols: np.ndarray, y_sorted: np.ndarray) -> np.ndarray:
-    """Best-permutation cost of every column of ``a_cols`` against ``y``."""
-    diff = np.sort(a_cols, axis=0) - y_sorted[:, None]
-    return np.einsum("ij,ij->j", diff, diff)
+def _min_perm_costs(a_rows: np.ndarray, y_sorted: np.ndarray) -> np.ndarray:
+    """Best-permutation cost of every row of ``a_rows`` against ``y``.
+
+    Sorts ``a_rows`` in place along its contiguous axis and overwrites it.
+    """
+    a_rows.sort(axis=1)
+    a_rows -= y_sorted
+    return np.einsum("ij,ij->i", a_rows, a_rows)
 
 
 def fptas_solve(
@@ -166,11 +193,17 @@ def fptas_solve(
 
     Guarantees ``cost <= (1 + eps) * optimum``.  Deterministic: among
     equal-cost candidates the winner is the one met earliest in enumeration
-    order (candidate vector first, then row-major grid position), independent
-    of internal batching.
+    order (candidate vector first, in the lexicographic order of
+    :func:`candidate_targets`, then row-major grid position).
 
-    Raises :class:`BudgetExceededError` if the enumeration would touch more
-    than ``budget`` candidate weight vectors; pass ``budget=None`` to disable.
+    The candidate family has ``n!/(n-m)!`` members for ``m`` distinct sampled
+    rows.  The first pass keeps one float per candidate plus buffers of
+    ``chunk`` candidates; the second pass works on batches of about ``chunk``
+    grid points.
+
+    Raises :class:`BudgetExceededError` if the candidate family or the
+    enumeration would touch more than ``budget`` candidate weight vectors;
+    pass ``budget=None`` to disable.
     """
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
@@ -191,7 +224,7 @@ def fptas_solve(
     m = len(cols)
     y_sorted = np.sort(y)
 
-    n_cand = n**m
+    n_cand = math.perm(n, m)
     if budget is not None and n_cand > budget:
         raise BudgetExceededError(
             "candidate family has %d members, budget is %d" % (n_cand, budget)
@@ -207,17 +240,14 @@ def fptas_solve(
     for row_idx, (col, wt) in enumerate(entries):
         gmap[pos[col]] += wt * pin[:, row_idx]
 
-    # Pass 1: center cost r_b for every candidate assignment b.
-    idx_grid = np.stack(
-        np.meshgrid(*([np.arange(n, dtype=np.int32)] * m), indexing="ij"), axis=-1
-    ).reshape(-1, m)
+    def centers(ranks) -> np.ndarray:
+        return y[_assignments(ranks, n, m)] @ gmap
+
+    # Pass 1: center cost r_b for every candidate assignment b, by rank.
     r_all = np.empty(n_cand)
-    w_all = np.empty((n_cand, k))
     for lo in range(0, n_cand, chunk):
         hi = min(lo + chunk, n_cand)
-        w_chunk = y[idx_grid[lo:hi]] @ gmap
-        r_all[lo:hi] = _min_perm_costs(u @ w_chunk.T, y_sorted)
-        w_all[lo:hi] = w_chunk
+        r_all[lo:hi] = _min_perm_costs(centers(np.arange(lo, hi)) @ u.T, y_sorted)
 
     r_min = float(r_all.min())
     b_min = int(r_all.argmin())
@@ -247,19 +277,28 @@ def fptas_solve(
             % (total_evals, budget)
         )
 
+    surv_w = np.empty((survivors.size, k))
+    for lo in range(0, survivors.size, chunk):
+        surv_w[lo : lo + chunk] = centers(survivors[lo : lo + chunk])
+
     # Incumbent: center of the cheapest candidate (a grid point of its own
     # net, sitting at the middle row-major index).
     at_min = int(np.searchsorted(survivors, b_min))
     best_cost = r_min
     best_key = (b_min, (int(grid_sizes[at_min]) - 1) // 2)
-    best_w = w_all[b_min].copy()
+    best_w = surv_w[at_min].copy()
 
     # Pass 2: scan surviving grids, batched by half-width so each batch shares
-    # one offset pattern.  Points are pruned by the Lipschitz lower bound
-    # |sqrt(cost(v)) - sqrt(r_b)| <= ||v - center|| (columns of u are
-    # orthonormal); dropped points are strictly worse than the incumbent, so
-    # the lexicographic minimum over (cost, candidate, grid position) is
-    # unaffected and the result does not depend on batch boundaries.
+    # one offset pattern.  sqrt(cost) is 1-Lipschitz in v (columns of u are
+    # orthonormal and sorting is a contraction), so
+    # sqrt(cost(v)) >= sqrt(r_b) - ||v - center||: a point dropped because
+    # that inner bound exceeds the incumbent is strictly worse than it.  The
+    # predicate below also drops points where ||v - center|| - sqrt(r_b)
+    # exceeds sqrt(best).  That outer half is NOT a lower bound on
+    # sqrt(cost(v)), because the sorted match can pair values differently from
+    # the identity; it can drop a point cheaper than the incumbent, and which
+    # points it drops depends on the incumbent when a batch is scanned (see
+    # ROADMAP "Known defects").
     by_half: dict[int, list[int]] = {}
     for s_pos, h in enumerate(halves.tolist()):
         by_half.setdefault(h, []).append(s_pos)
@@ -279,8 +318,8 @@ def fptas_solve(
             keep_b, keep_p = np.nonzero(lb * lb <= best_cost * (1.0 + 1e-12) + 1e-300)
             if keep_b.size == 0:
                 continue
-            pts = w_all[b_idx[keep_b]] + sp[keep_b, None] * base[keep_p]
-            costs = _min_perm_costs(u @ pts.T, y_sorted)
+            pts = surv_w[mem[keep_b]] + sp[keep_b, None] * base[keep_p]
+            costs = _min_perm_costs(pts @ u.T, y_sorted)
             j = int(costs.argmin())  # first minimum: smallest (candidate, point)
             cand = float(costs[j])
             key = (int(b_idx[keep_b[j]]), int(keep_p[j]))

@@ -483,7 +483,9 @@ def recover(
     measurement including the anchor.
 
     ``beta`` defaults to :func:`default_beta` of the internally computed (or
-    overridden) margin.  Returns ``None`` if no anchor verifies.
+    overridden) margin.  Returns ``None`` if no anchor verifies.  A guess whose
+    remaining covariates lack full column rank counts as a failed guess;
+    :class:`RankDeficiencyError` is raised only when every guess does.
     """
     n = inst.n
     d = inst.d
@@ -503,6 +505,7 @@ def recover(
             eps_hat = epsilon_bound(n, d, delta, w_norm_lower_bound(inst.y))
         beta = default_beta(n, eps_hat, half_exponent=half_exponent)
 
+    rank_deficient = 0
     for a in range(n + 1):
         rows = list(xs_all)
         rows[0], rows[a] = rows[a], rows[0]
@@ -512,6 +515,12 @@ def recover(
         try:
             pi_hat = find_permutation(sub, delta, beta, eps_override=eps_override)
         except DegenerateInstanceError:
+            continue
+        except RankDeficiencyError:
+            # this guess left rank-deficient covariates; another may not
+            rank_deficient += 1
+            if rank_deficient == n + 1:
+                raise
             continue
         if pi_hat is None:
             continue

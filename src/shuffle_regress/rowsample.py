@@ -115,6 +115,37 @@ def upper_barrier(x, delta: float, b_diag, u: float) -> float:
     return val
 
 
+def _first_admissible(z2_all, lam, ell, delta_l, b_diag, ub, delta):
+    """First row ``i`` whose potentials are finite with upper <= lower.
+
+    Evaluates ``upper_barrier(e_i, delta, b_diag, ub)`` and
+    ``_lower_from_eig(z2_all[:, i], lam, delta_l, ell)`` for every row ``i`` at
+    once through their closed forms, and returns ``(i, upper, lower)``, or
+    ``None`` when no row is admissible.  A row for which either function would
+    raise :class:`NumericalBarrierError` is inadmissible.  The caller has
+    checked ``b_diag < ub`` and ``lam > ell``; the remaining causes of those
+    errors, other than overflow, are shared by all rows.
+    """
+    upr = ub + delta
+    shift = ell + delta_l
+    if np.any(lam == shift):
+        return None
+    den_u = float(np.sum(1.0 / (ub - b_diag)) - np.sum(1.0 / (upr - b_diag)))
+    den_l = float(np.sum(1.0 / (lam - shift)) - np.sum(1.0 / (lam - ell)))
+    if abs(den_u) < _DENOM_GUARD or abs(den_l) < _DENOM_GUARD:
+        return None
+    gap_u = b_diag - upr
+    gap_l = (lam - shift)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper = 1.0 / gap_u**2 / den_u - 1.0 / gap_u
+        lower = np.sum(z2_all / gap_l**2, axis=0) / den_l - np.sum(z2_all / gap_l, axis=0)
+    ok = np.flatnonzero(np.isfinite(upper) & np.isfinite(lower) & (upper <= lower))
+    if ok.size == 0:
+        return None
+    i = int(ok[0])
+    return i, float(upper[i]), float(lower[i])
+
+
 def row_sample(u_mat, r: Optional[int] = None) -> SamplingMatrix:
     """Select ``r`` weighted rows of an orthonormal-column matrix.
 
@@ -163,18 +194,7 @@ def row_sample(u_mat, r: Optional[int] = None) -> SamplingMatrix:
                 "upper barrier unsound at step %d: max diag=%g >= u=%g" % (tau, b_diag.max(), ub)
             )
         z2_all = (q.T @ u.T) ** 2  # k x n: squared eigen-coordinates of every row
-        chosen = None
-        for i in range(n):
-            e_i = np.zeros(n)
-            e_i[i] = 1.0
-            try:
-                upper = upper_barrier(e_i, delta, b_diag, ub)
-                lower = _lower_from_eig(z2_all[:, i], lam, delta_l, ell)
-            except NumericalBarrierError:
-                continue
-            if math.isfinite(upper) and math.isfinite(lower) and upper <= lower:
-                chosen = (i, upper, lower)
-                break
+        chosen = _first_admissible(z2_all, lam, ell, delta_l, b_diag, ub, delta)
         if chosen is None:
             raise InternalInvariantError("no admissible row at step %d" % tau)
         i, upper, lower = chosen

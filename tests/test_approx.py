@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -60,14 +61,49 @@ class TestCandidateTargets:
         assert len(cands) == 1
         assert np.array_equal(cands[0], np.zeros(2))
 
-    def test_count_n_to_the_m(self):
+    def test_count_falling_factorial(self):
         s = SamplingMatrix(n=3, rows=((0, 1.0), (2, 1.0)))
         cands = list(candidate_targets(s, np.array([1.0, 2.0, 3.0])))
-        assert len(cands) == 9
-        # lexicographic in the sorted nonzero coordinates
-        assert np.array_equal(cands[0], np.array([1.0, 0.0, 1.0]))
-        assert np.array_equal(cands[1], np.array([1.0, 0.0, 2.0]))
-        assert np.array_equal(cands[-1], np.array([3.0, 0.0, 3.0]))
+        assert len(cands) == 6  # 3! / (3 - 2)!
+        # lexicographic in the response indices of the sorted nonzero
+        # coordinates, which never share a response index
+        assert np.array_equal(cands[0], np.array([1.0, 0.0, 2.0]))
+        assert np.array_equal(cands[1], np.array([1.0, 0.0, 3.0]))
+        assert np.array_equal(cands[-1], np.array([3.0, 0.0, 2.0]))
+
+    def test_order_is_lexicographic(self):
+        s = SamplingMatrix(n=4, rows=((3, 1.0), (1, 1.0), (2, 1.0), (1, 0.5)))
+        y = np.array([10.0, 20.0, 30.0, 40.0])
+        got = [tuple(c[[1, 2, 3]]) for c in candidate_targets(s, y)]
+        want = [tuple(y[list(p)]) for p in itertools.permutations(range(4), 3)]
+        assert got == want
+
+    def test_all_columns_sampled_gives_permutations(self):
+        s = SamplingMatrix(n=3, rows=((2, 1.0), (0, 1.0), (1, 1.0), (0, 2.0)))
+        cands = [tuple(c) for c in candidate_targets(s, np.array([1.0, 2.0, 3.0]))]
+        assert cands == list(itertools.permutations([1.0, 2.0, 3.0]))
+
+    def test_duplicate_responses_keep_index_family(self):
+        # injectivity is over response indices, so equal values may repeat
+        s = SamplingMatrix(n=3, rows=((0, 1.0), (1, 1.0)))
+        cands = list(candidate_targets(s, np.array([1.0, 1.0, 2.0])))
+        assert [tuple(c[:2]) for c in cands] == [
+            (1.0, 1.0), (1.0, 2.0), (1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (2.0, 1.0)
+        ]
+        assert all(c[2] == 0.0 for c in cands)
+
+    def test_planted_assignment_in_family(self):
+        # the certificate gives each sampled covariate row the response the
+        # planted permutation pairs it with; those indices are distinct
+        for seed in range(4):
+            inst, truth = gen_gaussian_noisy(np.array([0.9, -0.4]), 6, 0.2, seed)
+            samp = row_sample(orthonormalize(inst.x).u)
+            inv = np.empty(inst.n, dtype=int)
+            inv[list(truth.pi_bar.map)] = np.arange(inst.n)
+            cols = sampled_columns(samp)
+            planted = np.zeros(inst.n)
+            planted[cols] = inst.y[inv[cols]]
+            assert any(np.array_equal(b, planted) for b in candidate_targets(samp, inst.y))
 
     def test_sampled_columns_sorted_distinct(self):
         s = SamplingMatrix(n=5, rows=((3, 1.0), (0, 1.0), (3, 2.0)))
@@ -168,6 +204,20 @@ class TestFptasSolve:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 fptas_solve(inst, bad)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_ratio_versus_brute_d3(self, n):
+        for seed in range(6):
+            inst, _ = gen_gaussian_noisy(np.ones(3) / math.sqrt(3), n, 0.5, seed)
+            approx = fptas_solve(inst, 0.5)
+            exact = brute_force(inst)
+            assert approx.cost <= 1.5 * exact.cost + 1e-9
+
+    def test_budget_counts_injective_family(self):
+        inst, _ = gen_gaussian_noisy(np.array([0.3, 0.8]), 6, 0.5, 1)
+        m = len(sampled_columns(row_sample(orthonormalize(inst.x).u)))
+        with pytest.raises(BudgetExceededError, match="has %d members" % math.perm(6, m)):
+            fptas_solve(inst, 0.5, budget=math.perm(6, m) - 1)
 
     def test_budget_refusal(self):
         inst, _ = gen_gaussian_noisy(np.array([1.0, 1.0]) / math.sqrt(2), 7, 0.5, 2)

@@ -446,6 +446,24 @@ class TestRecover:
         with pytest.raises(RankDeficiencyError):
             recover(q, F(1, 10))
 
+    def test_rank_deficient_guess_is_a_failed_guess(self):
+        # guess 0 leaves the collinear rows (1,0), (2,0) and raises inside
+        # build_sources; guess 1 has full rank, so recover must go on
+        q = QuantizedAnchoredInstance(
+            x0=(F(0), F(1)),
+            y0=F(1),
+            x=((F(1), F(0)), (F(2), F(0))),
+            y=(F(1), F(2)),
+        )
+        with pytest.raises(RankDeficiencyError):
+            build_sources(q.x0, q.x, q.y, q.y0)
+        res = recover(q, F(1, 10))
+        if res is not None:
+            xs = [q.x0, *q.x]
+            ys = [q.y0, *q.y]
+            for i in range(3):
+                assert ys[i] == sum(w * v for w, v in zip(res.w, xs[res.perm(i)]))
+
     def test_n_below_d_refused(self):
         q = QuantizedAnchoredInstance(
             x0=(F(1), F(0)), y0=F(1), x=((F(0), F(1)),), y=(F(1),)

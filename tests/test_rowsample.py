@@ -11,6 +11,7 @@ from shuffle_regress import (
     solve_weighted_ls,
     upper_barrier,
 )
+from shuffle_regress.rowsample import _lower_from_eig
 
 
 def orthonormal(n, k, seed):
@@ -154,3 +155,49 @@ class TestSolveWeightedLs:
         s = SamplingMatrix(n=2, rows=((0, 1.0),))
         with pytest.raises(ValueError):
             solve_weighted_ls(s, np.ones((3, 1)), np.ones(3))
+
+
+def _row_sample_per_row(u, r):
+    """The row-by-row admissibility scan, kept as the reference for row_sample."""
+    n, k = u.shape
+    delta = (1.0 + n / r) / (1.0 - math.sqrt(k / r))
+    a = np.zeros((k, k))
+    b_diag = np.zeros(n)
+    weight_num = math.sqrt((1.0 - math.sqrt(k / r)) / r)
+    rows = []
+    for tau in range(r):
+        ell = tau - math.sqrt(r * k)
+        ub = delta * (tau + math.sqrt(n * r))
+        lam, q = np.linalg.eigh(a)
+        z2_all = (q.T @ u.T) ** 2
+        for i in range(n):
+            e_i = np.zeros(n)
+            e_i[i] = 1.0
+            try:
+                upper = upper_barrier(e_i, delta, b_diag, ub)
+                lower = _lower_from_eig(z2_all[:, i], lam, 1.0, ell)
+            except NumericalBarrierError:
+                continue
+            if math.isfinite(upper) and math.isfinite(lower) and upper <= lower:
+                break
+        else:
+            raise AssertionError("no admissible row at step %d" % tau)
+        t = 2.0 / (upper + lower)
+        a = a + t * np.outer(u[i], u[i])
+        b_diag[i] += t
+        rows.append((i, weight_num / math.sqrt(t)))
+    return rows
+
+
+class TestRowSampleVersusPerRowScan:
+    @pytest.mark.parametrize(
+        "n,k,r", [(1, 1, 4), (3, 1, 4), (6, 2, 8), (9, 2, 11), (8, 3, 12), (40, 3, 12), (25, 4, 20)]
+    )
+    def test_same_rows_and_weights(self, n, k, r):
+        for seed in range(5):
+            u = orthonormal(n, k, 100 * n + seed)
+            got = row_sample(u, r).rows
+            want = _row_sample_per_row(u, r)
+            assert [e[0] for e in got] == [e[0] for e in want]
+            for (_, wg), (_, ww) in zip(got, want):
+                assert wg == pytest.approx(ww, rel=1e-12, abs=0.0)
