@@ -7,17 +7,7 @@ instance generators, a 3-partition hardness reduction and a Monte-Carlo
 sweep harness.  See the ``shuffle-regress`` command line tool for the file
 formats.
 """
-from .approx import (
-    DEFAULT_BUDGET,
-    OrthonormalReduction,
-    Solution,
-    approx_factor,
-    build_net,
-    candidate_targets,
-    fptas_solve,
-    orthonormalize,
-    sampled_columns,
-)
+from .approx import Solution, fptas_solve
 from .errors import (
     BudgetExceededError,
     CapExceededError,
@@ -32,124 +22,66 @@ from .hardness import (
     PlsInstance,
     ThreePartitionInstance,
     check_3partition_brute,
-    gen_yes_instance,
     pls_feasible_brute,
     reduce_3partition,
 )
-from .lattice import (
-    LatticeBasis,
-    RecoveryResult,
-    SubsetSearchResult,
-    SubsetSumInstance,
-    build_sources,
-    default_beta,
-    epsilon_bound,
-    find_permutation,
-    lagarias_odlyzko,
-    lll_reduce,
-    recover,
-    subset_sum_basis,
-    w_norm_lower_bound,
-)
+from .lattice import LatticeBasis, RecoveryResult, lll_reduce, recover
 from .model import (
     AnchoredInstance,
     GroundTruth,
     Instance,
-    InstanceRecord,
     Permutation,
     QuantizationConfig,
     QuantizedAnchoredInstance,
-    QuantizedInstance,
     gen_gaussian_noisy,
     gen_noiseless_anchored,
     gen_uniform_noisy,
-    quantize,
     quantize_noiseless,
-    quantize_value,
-    random_unit_vector,
-    read_instance,
-    read_instance_record,
-    responses,
-    write_instance,
 )
-from .oracle import brute_force, ols_given_perm, perm_match_brute, subset_sum_brute
+from .oracle import brute_force, perm_match_brute, subset_sum_brute
 from .perm1d import MatchResult, sort_match, wasserstein2_sq
-from .rowsample import (
-    SamplingMatrix,
-    lower_barrier,
-    row_sample,
-    solve_weighted_ls,
-    upper_barrier,
-)
+from .rowsample import SamplingMatrix, row_sample
 
 __version__ = "0.1.0"
 
+# The README's surface: its functions, the types they take or return, and the
+# error classes.  Everything else is imported from its submodule.
 __all__ = [
     "AnchoredInstance",
     "BudgetExceededError",
     "CapExceededError",
-    "DEFAULT_BUDGET",
     "DegenerateInstanceError",
     "GroundTruth",
     "Instance",
-    "InstanceRecord",
     "InternalInvariantError",
     "LatticeBasis",
     "MatchResult",
     "NumericalBarrierError",
-    "OrthonormalReduction",
     "ParseError",
     "Permutation",
     "PlsInstance",
     "QuantizationConfig",
     "QuantizedAnchoredInstance",
-    "QuantizedInstance",
     "RankDeficiencyError",
     "RecoveryResult",
     "SamplingMatrix",
     "SchemaError",
     "Solution",
-    "SubsetSearchResult",
-    "SubsetSumInstance",
     "ThreePartitionInstance",
-    "approx_factor",
     "brute_force",
-    "build_net",
-    "build_sources",
-    "candidate_targets",
     "check_3partition_brute",
-    "default_beta",
-    "epsilon_bound",
-    "find_permutation",
     "fptas_solve",
     "gen_gaussian_noisy",
     "gen_noiseless_anchored",
     "gen_uniform_noisy",
-    "gen_yes_instance",
-    "lagarias_odlyzko",
     "lll_reduce",
-    "lower_barrier",
-    "ols_given_perm",
-    "orthonormalize",
     "perm_match_brute",
     "pls_feasible_brute",
-    "quantize",
     "quantize_noiseless",
-    "quantize_value",
-    "random_unit_vector",
-    "read_instance",
-    "read_instance_record",
     "recover",
     "reduce_3partition",
-    "responses",
     "row_sample",
-    "sampled_columns",
-    "solve_weighted_ls",
     "sort_match",
-    "subset_sum_basis",
     "subset_sum_brute",
-    "upper_barrier",
-    "w_norm_lower_bound",
     "wasserstein2_sq",
-    "write_instance",
 ]

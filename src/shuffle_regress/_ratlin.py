@@ -60,10 +60,6 @@ def _echelon(a: Matrix) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
-def rank(a: Matrix) -> int:
-    return len(_echelon(mat(a))[1])
-
-
 def det(a: Matrix) -> Fraction:
     m = mat(a)
     n = len(m)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,8 +35,6 @@ __all__ = [
     "Solution",
     "OrthonormalReduction",
     "orthonormalize",
-    "candidate_targets",
-    "build_net",
     "approx_factor",
     "fptas_solve",
 ]
@@ -78,8 +76,11 @@ class OrthonormalReduction:
 def orthonormalize(x) -> OrthonormalReduction:
     """Reduce covariates to an orthonormal basis of their column space.
 
-    Singular values below ``1e-9 * max`` are treated as zero, so ``k`` is the
-    numerical rank; duplicated or dependent columns collapse.
+    Singular values at or below ``1e-15 * max`` are treated as zero, the
+    cutoff ``numpy.linalg.pinv`` (and so ``oracle.brute_force``) applies, so
+    ``k`` is the numerical rank; duplicated or dependent columns collapse.  A
+    larger cutoff would drop small but exact directions, such as a column
+    scaled by ``1e-9``, that the optimum needs.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -88,7 +89,7 @@ def orthonormalize(x) -> OrthonormalReduction:
     if s.size == 0 or s[0] == 0.0:
         k = 0
     else:
-        k = int(np.sum(s > 1e-9 * s[0]))
+        k = int(np.sum(s > 1e-15 * s[0]))
     return OrthonormalReduction(u=u[:, :k], sigma=s[:k].copy(), v=vt[:k].T.copy())
 
 
@@ -115,61 +116,37 @@ def _assignments(ranks, n: int, m: int) -> np.ndarray:
     return out
 
 
-def candidate_targets(s: SamplingMatrix, y) -> Iterator[np.ndarray]:
-    """Enumerate candidate right-hand sides for the sampled least squares.
-
-    Coordinates the sample never touches are forced to zero; the remaining
-    coordinates receive pairwise distinct responses (distinct indices into
-    ``y``).  Vectors come out in lexicographic order of the response indices
-    given to the (column-sorted) nonzero coordinates, ``n!/(n-m)!`` of them for
-    ``m`` distinct sampled columns.  This is the family ``fptas_solve`` scans.
-    """
-    y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    cols = sampled_columns(s)
-    m = len(cols)
-    for choice in _assignments(np.arange(math.perm(n, m)), n, m):
-        b = np.zeros(n)
-        b[cols] = y[choice]
-        yield b
-
-
 def approx_factor(n: int, k: int) -> float:
     """Approximation constant ``c = 1 + 4 (1 + sqrt(n / (4k)))**2`` of the sample."""
     return 1.0 + 4.0 * (1.0 + math.sqrt(n / (4.0 * k))) ** 2
 
 
-def _grid(center: np.ndarray, half_steps: int, spacing: float) -> np.ndarray:
-    """Axis-aligned grid, ``2*half_steps + 1`` points per axis, center included,
-    rows in row-major order over the offset box."""
-    k = center.shape[0]
-    offs = (np.arange(2 * half_steps + 1) - half_steps) * spacing
-    pts = np.stack(np.meshgrid(*([offs] * k), indexing="ij"), axis=-1).reshape(-1, k)
-    return pts + center
+def _offsets(h: int, k: int) -> np.ndarray:
+    """Integer offsets of a ``k``-dimensional grid with ``2*h + 1`` points per
+    axis, as floats, rows in row-major order; row ``((2*h + 1)**k - 1) // 2``
+    is the origin."""
+    offs = np.arange(-h, h + 1, dtype=float)
+    return np.stack(np.meshgrid(*([offs] * k), indexing="ij"), axis=-1).reshape(-1, k)
 
 
-def build_net(w_center, r_b: float, eps: float, c: float) -> np.ndarray:
-    """Grid of weight candidates covering the ball where an optimum can hide.
+def _net_steps(r: np.ndarray, reach: float, eps: float, c: float, k: int):
+    """Spacing and half-width of the net around centers of cost ``r``.
 
-    The ball has radius ``sqrt(c * r_b)`` in the infinity norm around
-    ``w_center`` and the grid spacing is ``2 * sqrt(eps * r_b / c) / sqrt(k)``,
-    which leaves every point of the ball within ``sqrt(eps * r_b / c)`` of some
-    grid point.  ``r_b = 0`` yields the single point ``w_center``.  The center
-    is itself a grid point.  Rows come out in row-major offset order.
+    The net around a center ``w`` of cost ``r_b`` is
+    ``w + spacing * _offsets(half, k)``.  The spacing
+    ``2 * sqrt(eps * r_b / c) / sqrt(k)`` leaves every point of the cube the
+    net spans within ``sqrt(eps * r_b / c)`` of a grid point, and
+    ``half = ceil(reach / spacing)`` makes that cube cover the ball of radius
+    ``reach`` around ``w``.  A zero-cost center, or ``reach = 0``, gets the
+    center alone (``half = 0``).
     """
-    w_center = np.asarray(w_center, dtype=float)
-    if w_center.ndim != 1:
-        raise ValueError("w_center must be a vector")
-    k = w_center.shape[0]
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0, 1)")
-    if r_b < 0 or not math.isfinite(r_b):
-        raise ValueError("r_b must be finite and >= 0")
-    if r_b == 0.0 or k == 0:
-        return w_center.reshape(1, -1).copy()
-    spacing = 2.0 * math.sqrt(eps * r_b / c) / math.sqrt(k)
-    half = math.ceil(math.sqrt(c * r_b) / spacing)
-    return _grid(w_center, half, spacing)
+    unit = 2.0 * math.sqrt(eps / c) / math.sqrt(k)
+    spacing = unit * np.sqrt(r)
+    halves = np.zeros(r.shape, dtype=np.int64)
+    pos = r > 0.0
+    if reach > 0.0:
+        halves[pos] = np.ceil(reach / spacing[pos]).astype(np.int64)
+    return spacing, halves
 
 
 def _min_perm_costs(a_rows: np.ndarray, y_sorted: np.ndarray) -> np.ndarray:
@@ -194,7 +171,7 @@ def fptas_solve(
     Guarantees ``cost <= (1 + eps) * optimum``.  Deterministic: among
     equal-cost candidates the winner is the one met earliest in enumeration
     order (candidate vector first, in the lexicographic order of
-    :func:`candidate_targets`, then row-major grid position).
+    :func:`_assignments`, then row-major grid position).
 
     The candidate family has ``n!/(n-m)!`` members for ``m`` distinct sampled
     rows.  The first pass keeps one float per candidate plus buffers of
@@ -261,14 +238,8 @@ def fptas_solve(
     # Likewise the optimum lies within sqrt((c-1) * optimum) of the certificate
     # center, so grids only need radius sqrt((c-1) * r_min), not sqrt(c * r_b).
     reach = math.sqrt((c - 1.0) * r_min) * (1.0 + 1e-9)
-    spacing_unit = 2.0 * math.sqrt(eps / c) / math.sqrt(k)  # times sqrt(r_b)
-
     surv_r = r_all[survivors]
-    surv_sp = spacing_unit * np.sqrt(surv_r)
-    halves = np.zeros(survivors.size, dtype=np.int64)
-    pos_r = surv_r > 0.0
-    if reach > 0.0:
-        halves[pos_r] = np.ceil(reach / surv_sp[pos_r]).astype(np.int64)
+    surv_sp, halves = _net_steps(surv_r, reach, eps, c, k)
     grid_sizes = (2 * halves + 1) ** k
     total_evals = int(grid_sizes.sum())
     if budget is not None and total_evals > budget:
@@ -305,7 +276,7 @@ def fptas_solve(
 
     for h in sorted(by_half):
         members = np.asarray(by_half[h], dtype=np.int64)
-        base = _grid(np.zeros(k), h, 1.0)  # integer offsets, row-major
+        base = _offsets(h, k)
         base_norm = np.linalg.norm(base, axis=1)
         npts = base.shape[0]
         group = max(1, chunk // npts)

@@ -59,7 +59,6 @@ from .model import (
     gen_gaussian_noisy,
     gen_noiseless_anchored,
     gen_uniform_noisy,
-    quantize,
     quantize_noiseless,
     quantize_value,
     random_unit_vector,
@@ -150,10 +149,9 @@ def cmd_gen(args) -> int:
                 w_bar=np.array(_exact_floats(w_q)), pi_bar=truth.pi_bar, sigma=0.0
             )
         else:
-            q = quantize(inst, cfg)
             inst = Instance(
-                x=np.array([_exact_floats(r) for r in q.x]),
-                y=np.array(_exact_floats(q.y)),
+                x=np.array([_exact_floats(quantize_value(v, cfg.p) for v in r) for r in inst.x]),
+                y=np.array(_exact_floats(quantize_value(v, cfg.p) for v in inst.y)),
             )
 
     write_instance(args.output, inst, truth=None if args.no_truth else truth, p=args.p)

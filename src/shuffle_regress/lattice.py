@@ -45,14 +45,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Integer basis given as columns, plus the denominator cleared to build it.
+    """Lattice basis given as integer columns, all of one ambient dimension.
 
-    ``scale`` records the factor applied to the (originally rational) bottom
-    row during integerization; the reduction itself only ever sees integers.
+    Builders clear rational entries to integers before constructing it
+    (:func:`subset_sum_basis` scales its bottom row by the common
+    denominator), so the reduction only ever sees integers.
     """
 
     columns: tuple[tuple[int, ...], ...]
-    scale: int = 1
 
     def __post_init__(self):
         if not self.columns:
@@ -62,8 +62,6 @@ class LatticeBasis:
             raise ValueError("ragged columns")
         if len(self.columns) > dim:
             raise ValueError("more columns than ambient dimension")
-        if self.scale < 1:
-            raise ValueError("scale must be >= 1")
         object.__setattr__(
             self, "columns", tuple(tuple(int(v) for v in c) for c in self.columns)
         )
@@ -108,7 +106,7 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
     if m == 1:
         if not any(cols[0]):
             raise ValueError("columns not linearly independent")
-        return LatticeBasis(columns=(tuple(cols[0]),), scale=basis.scale)
+        return LatticeBasis(columns=(tuple(cols[0]),))
 
     dvec = [0] * (m + 1)
     dvec[0] = 1
@@ -160,7 +158,7 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
                 red(k, l)
             k += 1
 
-    return LatticeBasis(columns=tuple(tuple(c) for c in cols), scale=basis.scale)
+    return LatticeBasis(columns=tuple(tuple(c) for c in cols))
 
 
 @dataclass(frozen=True)
@@ -191,14 +189,9 @@ class SubsetSumInstance:
 
 @dataclass(frozen=True)
 class SubsetSearchResult:
-    """Outcome of the lattice search: a verified key subset or ``None``.
-
-    ``from_fallback`` is True when the pattern was found on a reduced basis
-    vector other than the first.
-    """
+    """Outcome of the lattice search: a verified key subset or ``None``."""
 
     subset: Optional[tuple]
-    from_fallback: bool = False
 
 
 def subset_sum_basis(ssi: SubsetSumInstance) -> tuple[LatticeBasis, list]:
@@ -224,7 +217,7 @@ def subset_sum_basis(ssi: SubsetSumInstance) -> tuple[LatticeBasis, list]:
         col[j] = 1
         col[-1] = int(bt * scale) if j == 0 else -int(bcs[j - 1] * scale)
         columns.append(tuple(col))
-    return LatticeBasis(columns=tuple(columns), scale=scale), keys
+    return LatticeBasis(columns=tuple(columns)), keys
 
 
 def _indicator_subset(col: Sequence[int], keys: list) -> Optional[tuple]:
@@ -250,7 +243,7 @@ def lagarias_odlyzko(
     Reduces the embedding basis and looks for a column of the pattern
     ``z * (1, indicator, 0)`` with ``z != 0`` and an exactly zero last
     coordinate.  The first basis vector is checked first; failing that, the
-    remaining reduced vectors are scanned (``from_fallback`` marks that case).
+    remaining reduced vectors are scanned in order.
     Every candidate subset is re-verified by exact summation before being
     returned.  Heuristic: succeeds with high probability when the sources have
     many more bits than ``n^2`` (low density), which is what a large ``beta``
@@ -258,11 +251,11 @@ def lagarias_odlyzko(
     """
     basis, keys = subset_sum_basis(ssi)
     red = lll_reduce(basis, delta)
-    for idx, col in enumerate(red.columns):
+    for col in red.columns:
         subset = _indicator_subset(col, keys)
         if subset is not None:
             if sum((ssi.sources[k] for k in subset), Fraction(0)) == ssi.target:
-                return SubsetSearchResult(subset=subset, from_fallback=idx > 0)
+                return SubsetSearchResult(subset=subset)
     return SubsetSearchResult(subset=None)
 
 
@@ -321,22 +314,19 @@ def epsilon_bound(
     d: int,
     delta: Union[float, Fraction],
     w_norm_lb: Union[float, Fraction],
-    *,
-    zr_coeff: int = 1,
 ) -> Fraction:
     """Separation margin guaranteed for wrong-subset sums, as an exact rational.
 
     Evaluates
 
         (pi / 4) * sqrt((d - 1) / n)
-            * (delta / (6 * 2**(zr_coeff * n**4)))**(2 + 1/(d - 1))
+            * (delta / (6 * 2**(n**4)))**(2 + 1/(d - 1))
             / (sqrt(n) + sqrt(d) + sqrt(2 ln(2 / delta)))**2
             * w_norm_lb
 
     in outward-rounded interval arithmetic and returns the lower endpoint, so
-    the result is a true lower bound of the real value.  The ``2**(zr_coeff *
-    n**4)`` term over-approximates the count of sign patterns realizable by
-    the data; ``zr_coeff`` scales its exponent.
+    the result is a true lower bound of the real value.  The ``2**(n**4)``
+    term over-approximates the count of sign patterns realizable by the data.
 
     ``d = 1`` is refused: the exponent ``1/(d - 1)`` is undefined there, so
     callers must supply their own margin instead.
@@ -345,8 +335,6 @@ def epsilon_bound(
         raise ValueError("d must be >= 2 (margin exponent undefined at d = 1)")
     if n < d:
         raise ValueError("need n >= d")
-    if zr_coeff < 1:
-        raise ValueError("zr_coeff must be >= 1")
     delta = Fraction(delta)
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
@@ -364,7 +352,7 @@ def epsilon_bound(
 
         dl = as_iv(delta)
         expo = as_iv(Fraction(2) + Fraction(1, d - 1))
-        base = dl / (6 * iv.mpf(2) ** (zr_coeff * n**4))
+        base = dl / (6 * iv.mpf(2) ** (n**4))
         numer = (iv.pi / 4) * iv.sqrt(iv.mpf(d - 1) / n) * base**expo * as_iv(wlb)
         denom = (iv.sqrt(iv.mpf(n)) + iv.sqrt(iv.mpf(d)) + iv.sqrt(2 * iv.log(2 / dl))) ** 2
         lo = (numer / denom)._mpi_[0]
@@ -469,7 +457,6 @@ def recover(
     inst: QuantizedAnchoredInstance,
     delta: Union[float, Fraction],
     *,
-    beta: Optional[Union[int, Fraction]] = None,
     half_exponent: bool = False,
     eps_override: Optional[Union[float, Fraction]] = None,
 ) -> Optional[RecoveryResult]:
@@ -482,9 +469,13 @@ def recover(
     wins; its result satisfies ``y_i = <w, x_{perm(i)}>`` exactly for every
     measurement including the anchor.
 
-    ``beta`` defaults to :func:`default_beta` of the internally computed (or
-    overridden) margin.  Returns ``None`` if no anchor verifies.  A guess whose
-    remaining covariates lack full column rank counts as a failed guess;
+    The margin ``eps_hat`` is :func:`epsilon_bound` of the unanchored
+    responses, or ``eps_override``.  Every guess sees the same responses, so
+    the margin is computed once, and every guess embeds its subset sum with
+    ``beta = default_beta(n, eps_hat, half_exponent=half_exponent)``.
+
+    Returns ``None`` if no anchor verifies.  A guess whose remaining
+    covariates lack full column rank counts as a failed guess;
     :class:`RankDeficiencyError` is raised only when every guess does.
     """
     n = inst.n
@@ -496,14 +487,13 @@ def recover(
         raise DegenerateInstanceError("all responses zero")
     xs_all = [tuple(inst.x0), *(tuple(row) for row in inst.x)]
 
-    if beta is None:
-        if eps_override is not None:
-            eps_hat = Fraction(eps_override)
-            if eps_hat <= 0:
-                raise ValueError("eps_override must be positive")
-        else:
-            eps_hat = epsilon_bound(n, d, delta, w_norm_lower_bound(inst.y))
-        beta = default_beta(n, eps_hat, half_exponent=half_exponent)
+    if eps_override is not None:
+        eps_hat = Fraction(eps_override)
+        if eps_hat <= 0:
+            raise ValueError("eps_override must be positive")
+    else:
+        eps_hat = epsilon_bound(n, d, delta, w_norm_lower_bound(inst.y))
+    beta = default_beta(n, eps_hat, half_exponent=half_exponent)
 
     rank_deficient = 0
     for a in range(n + 1):
@@ -513,7 +503,7 @@ def recover(
             x0=rows[0], y0=Fraction(inst.y0), x=tuple(rows[1:]), y=tuple(inst.y)
         )
         try:
-            pi_hat = find_permutation(sub, delta, beta, eps_override=eps_override)
+            pi_hat = find_permutation(sub, delta, beta, eps_override=eps_hat)
         except DegenerateInstanceError:
             continue
         except RankDeficiencyError:

@@ -32,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "Instance",
     "AnchoredInstance",
     "QuantizationConfig",
-    "QuantizedInstance",
     "QuantizedAnchoredInstance",
     "InstanceRecord",
     "gen_gaussian_noisy",
@@ -53,10 +52,8 @@ __all__ = [
     "random_unit_vector",
     "responses",
     "quantize_value",
-    "quantize",
     "quantize_noiseless",
     "write_instance",
-    "read_instance",
     "read_instance_record",
 ]
 
@@ -86,26 +83,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.map[i]
-
-    @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls(tuple(range(m)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.map)
-        for i, j in enumerate(self.map):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def gather(self, values) -> np.ndarray:
-        """Reorder ``values`` so position ``i`` holds ``values[map[i]]``."""
-        return np.asarray(values)[np.asarray(self.map, dtype=np.intp)]
-
-    def matrix(self) -> np.ndarray:
-        m = len(self.map)
-        P = np.zeros((m, m))
-        P[np.arange(m), np.asarray(self.map)] = 1.0
-        return P
 
 
 @dataclass(frozen=True)
@@ -206,22 +183,6 @@ class QuantizationConfig:
     def __post_init__(self):
         if not isinstance(self.p, int) or self.p < 1:
             raise ValueError("p must be an integer >= 1")
-
-
-@dataclass(frozen=True)
-class QuantizedInstance:
-    """Exact-rational counterpart of :class:`Instance`."""
-
-    x: tuple[tuple[Fraction, ...], ...]
-    y: tuple[Fraction, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-    @property
-    def d(self) -> int:
-        return len(self.x[0])
 
 
 @dataclass(frozen=True)
@@ -336,33 +297,6 @@ def quantize_value(v: Union[float, int, Fraction], p: int) -> Fraction:
     """Nearest multiple of ``2**-p`` with ties rounded half-to-even. Exact."""
     scaled = Fraction(v) * (1 << p)
     return Fraction(round(scaled), 1 << p)
-
-
-def quantize(inst, cfg: QuantizationConfig):
-    """Round every entry of an instance to the ``2**-p`` grid, exactly.
-
-    Idempotent: re-quantizing at the same ``p`` is the identity.  Accepts plain
-    or already-quantized instances, anchored or not, and returns the matching
-    quantized type.
-    """
-    p = cfg.p
-
-    def qv(v):
-        return quantize_value(v, p)
-
-    def qm(rows):
-        return tuple(tuple(qv(v) for v in row) for row in rows)
-
-    if isinstance(inst, (Instance, QuantizedInstance)):
-        return QuantizedInstance(x=qm(inst.x), y=tuple(qv(v) for v in inst.y))
-    if isinstance(inst, (AnchoredInstance, QuantizedAnchoredInstance)):
-        return QuantizedAnchoredInstance(
-            x0=tuple(qv(v) for v in inst.x0),
-            y0=qv(inst.y0),
-            x=qm(inst.x),
-            y=tuple(qv(v) for v in inst.y),
-        )
-    raise TypeError("expected an instance, got %r" % type(inst).__name__)
 
 
 def quantize_noiseless(
@@ -503,8 +437,3 @@ def read_instance_record(path) -> InstanceRecord:
         p = q["p"]
 
     return InstanceRecord(instance=inst, truth=truth, p=p)
-
-
-def read_instance(path) -> Union[Instance, AnchoredInstance]:
-    """Parse an instance file and return just the instance."""
-    return read_instance_record(path).instance

@@ -18,9 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InternalInvariantError, NumericalBarrierError
+from .errors import InternalInvariantError
 
-__all__ = ["SamplingMatrix", "lower_barrier", "upper_barrier", "row_sample", "solve_weighted_ls"]
+__all__ = ["SamplingMatrix", "row_sample", "solve_weighted_ls"]
 
 _DENOM_GUARD = 1e-14
 
@@ -57,74 +57,17 @@ class SamplingMatrix:
         return np.array([e[1] * v[e[0]] if e is not None else 0.0 for e in self.rows])
 
 
-def _lower_from_eig(z2: np.ndarray, lam: np.ndarray, delta_l: float, ell: float) -> float:
-    shift = ell + delta_l
-    if np.any(lam == shift) or np.any(lam == ell):
-        raise NumericalBarrierError("eigenvalue coincides with barrier shift")
-    denom = float(np.sum(1.0 / (lam - shift)) - np.sum(1.0 / (lam - ell)))
-    if abs(denom) < _DENOM_GUARD:
-        raise NumericalBarrierError("lower potential difference below %g" % _DENOM_GUARD)
-    val = float(np.sum(z2 / (lam - shift) ** 2) / denom - np.sum(z2 / (lam - shift)))
-    if not math.isfinite(val):
-        raise NumericalBarrierError("lower barrier overflow")
-    return val
-
-
-def lower_barrier(x, delta_l: float, a, ell: float) -> float:
-    """Lower-barrier potential of direction ``x`` against matrix ``a``.
-
-    With ``l' = ell + delta_l`` and ``phi(l, a) = sum_i 1 / (lambda_i(a) - l)``::
-
-        L = x^T (a - l' I)^{-2} x / (phi(l', a) - phi(l, a)) - x^T (a - l' I)^{-1} x
-
-    ``l'`` is not required to sit below the spectrum; the value may be
-    negative.  Raises :class:`NumericalBarrierError` on a singular shift or
-    when the potential difference falls below ``1e-14``.
-    """
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    lam, q = np.linalg.eigh(a)
-    z = q.T @ x
-    return _lower_from_eig(z * z, lam, float(delta_l), float(ell))
-
-
-def upper_barrier(x, delta: float, b_diag, u: float) -> float:
-    """Upper-barrier potential of ``x`` against the diagonal matrix ``b_diag``.
-
-    With ``u' = u + delta`` and ``phi'(u, b) = sum_{i=1}^{n} 1 / (u - b_ii)``
-    (the sum runs over all ``n`` diagonal entries)::
-
-        U = x^T (b - u' I)^{-2} x / (phi'(u, b) - phi'(u', b)) - x^T (b - u' I)^{-1} x
-
-    Requires ``u'`` to exceed every diagonal entry; positive for ``x != 0``.
-    """
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(b_diag, dtype=float)
-    upr = u + delta
-    if not upr > lam.max():
-        raise NumericalBarrierError("u + delta does not clear the diagonal")
-    if np.any(lam == u):
-        raise NumericalBarrierError("eigenvalue coincides with barrier shift")
-    denom = float(np.sum(1.0 / (u - lam)) - np.sum(1.0 / (upr - lam)))
-    if abs(denom) < _DENOM_GUARD:
-        raise NumericalBarrierError("upper potential difference below %g" % _DENOM_GUARD)
-    x2 = x * x
-    val = float(np.sum(x2 / (lam - upr) ** 2) / denom - np.sum(x2 / (lam - upr)))
-    if not math.isfinite(val):
-        raise NumericalBarrierError("upper barrier overflow")
-    return val
-
-
 def _first_admissible(z2_all, lam, ell, delta_l, b_diag, ub, delta):
     """First row ``i`` whose potentials are finite with upper <= lower.
 
-    Evaluates ``upper_barrier(e_i, delta, b_diag, ub)`` and
-    ``_lower_from_eig(z2_all[:, i], lam, delta_l, ell)`` for every row ``i`` at
+    Evaluates the upper potential of ``e_i`` against ``b_diag`` and the lower
+    potential of row ``i`` against the spectrum ``lam`` for every row ``i`` at
     once through their closed forms, and returns ``(i, upper, lower)``, or
-    ``None`` when no row is admissible.  A row for which either function would
-    raise :class:`NumericalBarrierError` is inadmissible.  The caller has
-    checked ``b_diag < ub`` and ``lam > ell``; the remaining causes of those
-    errors, other than overflow, are shared by all rows.
+    ``None`` when no row is admissible.  A row at which either potential is
+    singular or overflows is inadmissible.  The caller has checked
+    ``b_diag < ub`` and ``lam > ell``; the remaining singular cases, unlike
+    overflow, are shared by all rows.  ``tests/test_rowsample.py`` keeps the
+    per-row potentials as the reference.
     """
     upr = ub + delta
     shift = ell + delta_l

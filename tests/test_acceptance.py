@@ -13,35 +13,37 @@ import pytest
 from shuffle_regress import (
     QuantizationConfig,
     ThreePartitionInstance,
-    approx_factor,
     brute_force,
-    build_sources,
     check_3partition_brute,
-    default_beta,
-    epsilon_bound,
     fptas_solve,
     gen_gaussian_noisy,
     gen_noiseless_anchored,
     gen_uniform_noisy,
-    gen_yes_instance,
-    lagarias_odlyzko,
     lll_reduce,
-    ols_given_perm,
     perm_match_brute,
     pls_feasible_brute,
     quantize_noiseless,
-    random_unit_vector,
     recover,
     reduce_3partition,
     row_sample,
-    solve_weighted_ls,
     sort_match,
-    subset_sum_basis,
     subset_sum_brute,
-    w_norm_lower_bound,
     LatticeBasis,
-    SubsetSumInstance,
 )
+from shuffle_regress.approx import approx_factor
+from shuffle_regress.hardness import gen_yes_instance
+from shuffle_regress.lattice import (
+    SubsetSumInstance,
+    build_sources,
+    default_beta,
+    epsilon_bound,
+    lagarias_odlyzko,
+    subset_sum_basis,
+    w_norm_lower_bound,
+)
+from shuffle_regress.model import random_unit_vector
+from shuffle_regress.oracle import ols_given_perm
+from shuffle_regress.rowsample import solve_weighted_ls
 from shuffle_regress.cli import order_stats_report, w2_report
 
 F = Fraction

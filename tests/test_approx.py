@@ -3,22 +3,84 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shuffle_regress import (
     BudgetExceededError,
     Instance,
     SamplingMatrix,
-    approx_factor,
     brute_force,
-    build_net,
-    candidate_targets,
     fptas_solve,
     gen_gaussian_noisy,
-    orthonormalize,
     row_sample,
     sort_match,
 )
-from shuffle_regress.approx import sampled_columns
+from shuffle_regress.approx import (
+    _assignments,
+    _net_steps,
+    _offsets,
+    approx_factor,
+    orthonormalize,
+    sampled_columns,
+)
+
+
+def candidate_targets(s, y):
+    """Right-hand sides of the family fptas_solve scans, in its order: the
+    sampled columns get the responses of one injective assignment, the
+    others zero."""
+    cols = sampled_columns(s)
+    n, m = y.shape[0], len(cols)
+    ranks = np.arange(math.perm(n, m))
+    out = np.zeros((ranks.size, n))
+    out[:, cols] = y[_assignments(ranks, n, m)]
+    return out
+
+
+def build_net(center, r_b, eps, c):
+    """The net fptas_solve scans around a center of cost r_b, with the
+    reach sqrt(c * r_b) of the ball where an optimum can hide."""
+    k = center.shape[0]
+    spacing, halves = _net_steps(np.array([r_b]), math.sqrt(c * r_b), eps, c, k)
+    return center + spacing[0] * _offsets(int(halves[0]), k)
+
+
+_ENTRY = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hostile_instances(draw):
+    """Small instances with duplicate responses, zero or duplicated columns,
+    constant responses, x or y scaled by 1e+-100, or a zero-cost plant."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    d = draw(st.integers(min_value=1, max_value=2))
+    x = np.array(draw(st.lists(_ENTRY, min_size=n * d, max_size=n * d))).reshape(n, d)
+    if d == 2:
+        columns = draw(st.sampled_from(["distinct", "zero", "duplicate"]))
+        if columns == "zero":
+            x[:, 1] = 0.0
+        elif columns == "duplicate":
+            x[:, 1] = x[:, 0]
+    responses = draw(st.sampled_from(["free", "constant", "duplicates", "planted"]))
+    if responses == "planted":
+        w = np.array(draw(st.lists(_ENTRY, min_size=d, max_size=d)))
+        y = (x @ w)[draw(st.permutations(range(n)))]
+    elif responses == "constant":
+        y = np.full(n, draw(_ENTRY))
+    elif responses == "duplicates":
+        pool = draw(st.lists(_ENTRY, min_size=1, max_size=2))
+        y = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    else:
+        y = np.array(draw(st.lists(_ENTRY, min_size=n, max_size=n)))
+    scaled = draw(st.sampled_from(["none", "x", "y"]))
+    if scaled != "none":
+        factor = draw(st.sampled_from([1e-100, 1e100]))
+        if scaled == "x":
+            x = x * factor
+        else:
+            y = y * factor
+    return Instance(x=x, y=y)
 
 
 class TestOrthonormalize:
@@ -43,6 +105,14 @@ class TestOrthonormalize:
 
     def test_zero_matrix_rank_zero(self):
         assert orthonormalize(np.zeros((4, 2))).k == 0
+
+    def test_small_exact_column_kept(self):
+        # a column scaled by 1e-9 is still a direction the optimum needs:
+        # w = (1e9, 1) fits y exactly
+        x = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1e-9, 0.0]])
+        assert orthonormalize(x).k == 2
+        inst = Instance(x=x, y=np.array([0.0, 0.0, 1.0, 1.0]))
+        assert fptas_solve(inst, 0.25).cost <= 1e-20
 
 
 class TestCandidateTargets:
@@ -145,12 +215,6 @@ class TestBuildNet:
         )
         assert (dmin <= cover + 1e-12).all()
 
-    def test_eps_validation(self):
-        with pytest.raises(ValueError):
-            build_net(np.array([0.0]), 1.0, 0.0, 2.0)
-        with pytest.raises(ValueError):
-            build_net(np.array([0.0]), 1.0, 1.0, 2.0)
-
 
 class TestApproxFactor:
     def test_value(self):
@@ -231,6 +295,15 @@ class TestFptasSolve:
         assert a.cost == b.cost
         assert a.perm.map == b.perm.map
         assert np.array_equal(a.w, b.w)
+
+    @given(inst=hostile_instances(), eps=st.sampled_from([0.25, 0.5, 0.9]))
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_ratio_versus_brute_hostile(self, inst, eps):
+        # rounding slack relative to ||y||^2, so the check means the same at
+        # every scale
+        approx = fptas_solve(inst, eps)
+        exact = brute_force(inst)
+        assert approx.cost <= (1.0 + eps) * exact.cost + 1e-9 * float(inst.y @ inst.y)
 
     def test_cost_at_most_best_center(self):
         # the returned cost never exceeds any candidate center's cost, in

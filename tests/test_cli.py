@@ -1,5 +1,6 @@
 import csv
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from shuffle_regress.cli import (
     run_sweep,
     w2_report,
 )
+from shuffle_regress.model import quantize_value
 
 
 def run(capsys, *argv):
@@ -57,6 +59,21 @@ class TestGen:
         doc = json.loads(out.read_text())
         assert doc["quantization"]["p"] == 16
         assert "anchor" in doc
+
+    @pytest.mark.parametrize("model", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("p", [2, 8, 30])
+    def test_noisy_quantized_is_quantize_value(self, tmp_path, capsys, model, p):
+        # --p snaps every entry of the same-seed instance to the 2^-p grid
+        raw, snapped = tmp_path / "raw.json", tmp_path / "q.json"
+        argv = ("gen", "--model", model, "--n", "5", "--d", "2", "--snr", "4", "--seed", "3")
+        assert run(capsys, *argv, "-o", str(raw))[0] == 0
+        assert run(capsys, *argv, "--p", str(p), "-o", str(snapped))[0] == 0
+        a, b = json.loads(raw.read_text()), json.loads(snapped.read_text())
+        assert b["quantization"] == {"p": p}
+        assert b["truth"] == a["truth"]
+        for row_a, row_b in zip(a["x"], b["x"]):
+            assert [Fraction(v) for v in row_b] == [quantize_value(v, p) for v in row_a]
+        assert [Fraction(v) for v in b["y"]] == [quantize_value(v, p) for v in a["y"]]
 
     def test_no_truth_flag(self, tmp_path, capsys):
         out = tmp_path / "nt.json"

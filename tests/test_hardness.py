@@ -5,10 +5,10 @@ from shuffle_regress import (
     PlsInstance,
     ThreePartitionInstance,
     check_3partition_brute,
-    gen_yes_instance,
     pls_feasible_brute,
     reduce_3partition,
 )
+from shuffle_regress.hardness import gen_yes_instance
 
 
 class TestThreePartitionInstance:

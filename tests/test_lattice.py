@@ -11,21 +11,24 @@ from shuffle_regress import (
     QuantizationConfig,
     QuantizedAnchoredInstance,
     RankDeficiencyError,
+    gen_noiseless_anchored,
+    lll_reduce,
+    quantize_noiseless,
+    recover,
+    subset_sum_brute,
+)
+from shuffle_regress.lattice import (
     SubsetSumInstance,
     build_sources,
     default_beta,
     epsilon_bound,
     find_permutation,
-    gen_noiseless_anchored,
     lagarias_odlyzko,
-    lll_reduce,
-    quantize_noiseless,
-    recover,
     subset_sum_basis,
-    subset_sum_brute,
     w_norm_lower_bound,
 )
 from shuffle_regress import _ratlin as rl
+from shuffle_regress import lattice
 
 F = Fraction
 
@@ -126,10 +129,6 @@ class TestLllReduce:
             lll_reduce(b, delta=F(999, 1000))
         lll_reduce(b, delta=F(99, 100))  # boundary allowed
 
-    def test_preserves_scale(self):
-        b = LatticeBasis(columns=((1, 3), (0, 5)), scale=7)
-        assert lll_reduce(b).scale == 7
-
 
 class TestSubsetSumBasis:
     def test_shape_and_pattern(self):
@@ -147,7 +146,6 @@ class TestSubsetSumBasis:
         )
         basis, _ = subset_sum_basis(ssi)
         # lcm of denominators of (5/3, 2/3, 1) is 3
-        assert basis.scale == 3
         assert basis.columns[0][-1] == 5
         assert basis.columns[1][-1] == -2
         assert basis.columns[2][-1] == -3
@@ -326,11 +324,6 @@ class TestEpsilonBound:
         with pytest.raises(ValueError):
             epsilon_bound(2, 3, F(1, 10), F(1))
 
-    def test_zr_coeff_shrinks(self):
-        base = epsilon_bound(3, 2, F(1, 10), F(1))
-        harder = epsilon_bound(3, 2, F(1, 10), F(1), zr_coeff=2)
-        assert harder < base
-
 
 class TestDefaultBeta:
     def test_power_of_two_and_minimal(self):
@@ -463,6 +456,44 @@ class TestRecover:
             ys = [q.y0, *q.y]
             for i in range(3):
                 assert ys[i] == sum(w * v for w, v in zip(res.w, xs[res.perm(i)]))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="guess 1 has zero-valued sources, so Lagarias-Odlyzko finds "
+        "the shorter non-permutation subset {(1, 1)} "
+        "(ROADMAP Known defects, item 3(b))",
+    )
+    def test_zero_source_column_guess_recovers(self):
+        # guess 0 is rank-deficient; with guess 1 (y0 paired with x_1),
+        # w = (1, 1) fits all three equations
+        q = QuantizedAnchoredInstance(
+            x0=(F(0), F(1)),
+            y0=F(1),
+            x=((F(1), F(0)), (F(2), F(0))),
+            y=(F(1), F(2)),
+        )
+        res = recover(q, F(1, 10))
+        assert res is not None
+        xs = [q.x0, *q.x]
+        ys = [q.y0, *q.y]
+        for i in range(3):
+            assert ys[i] == sum(w * v for w, v in zip(res.w, xs[res.perm(i)]))
+
+    def test_margin_computed_once(self, monkeypatch):
+        # every anchor guess shares the unanchored responses, so one margin
+        # serves them all
+        calls = []
+        real = lattice.epsilon_bound
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lattice, "epsilon_bound", counted)
+        q, truth, _ = self.run_case(2, 4, 6, anchored=False)
+        res = recover(q, F(1, 10))
+        assert res is not None and res.anchor == truth.pi_bar(0) > 0
+        assert len(calls) == 1
 
     def test_n_below_d_refused(self):
         q = QuantizedAnchoredInstance(

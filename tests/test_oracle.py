@@ -10,10 +10,10 @@ from shuffle_regress import (
     Permutation,
     brute_force,
     gen_gaussian_noisy,
-    ols_given_perm,
     perm_match_brute,
     subset_sum_brute,
 )
+from shuffle_regress.oracle import ols_given_perm
 
 
 class TestOlsGivenPerm:

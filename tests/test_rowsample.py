@@ -3,15 +3,69 @@ import math
 import numpy as np
 import pytest
 
-from shuffle_regress import (
-    NumericalBarrierError,
-    SamplingMatrix,
-    lower_barrier,
-    row_sample,
-    solve_weighted_ls,
-    upper_barrier,
-)
-from shuffle_regress.rowsample import _lower_from_eig
+from shuffle_regress import NumericalBarrierError, SamplingMatrix, row_sample
+from shuffle_regress.rowsample import _DENOM_GUARD, solve_weighted_ls
+
+# The barrier potentials one row at a time: the reference that
+# TestRowSampleVersusPerRowScan holds the vectorised row_sample to.
+
+
+def _lower_from_eig(z2: np.ndarray, lam: np.ndarray, delta_l: float, ell: float) -> float:
+    shift = ell + delta_l
+    if np.any(lam == shift) or np.any(lam == ell):
+        raise NumericalBarrierError("eigenvalue coincides with barrier shift")
+    denom = float(np.sum(1.0 / (lam - shift)) - np.sum(1.0 / (lam - ell)))
+    if abs(denom) < _DENOM_GUARD:
+        raise NumericalBarrierError("lower potential difference below %g" % _DENOM_GUARD)
+    val = float(np.sum(z2 / (lam - shift) ** 2) / denom - np.sum(z2 / (lam - shift)))
+    if not math.isfinite(val):
+        raise NumericalBarrierError("lower barrier overflow")
+    return val
+
+
+def lower_barrier(x, delta_l: float, a, ell: float) -> float:
+    """Lower-barrier potential of direction ``x`` against matrix ``a``.
+
+    With ``l' = ell + delta_l`` and ``phi(l, a) = sum_i 1 / (lambda_i(a) - l)``::
+
+        L = x^T (a - l' I)^{-2} x / (phi(l', a) - phi(l, a)) - x^T (a - l' I)^{-1} x
+
+    ``l'`` is not required to sit below the spectrum; the value may be
+    negative.  Raises :class:`NumericalBarrierError` on a singular shift or
+    when the potential difference falls below ``1e-14``.
+    """
+    a = np.asarray(a, dtype=float)
+    x = np.asarray(x, dtype=float)
+    lam, q = np.linalg.eigh(a)
+    z = q.T @ x
+    return _lower_from_eig(z * z, lam, float(delta_l), float(ell))
+
+
+def upper_barrier(x, delta: float, b_diag, u: float) -> float:
+    """Upper-barrier potential of ``x`` against the diagonal matrix ``b_diag``.
+
+    With ``u' = u + delta`` and ``phi'(u, b) = sum_{i=1}^{n} 1 / (u - b_ii)``
+    (the sum runs over all ``n`` diagonal entries)::
+
+        U = x^T (b - u' I)^{-2} x / (phi'(u, b) - phi'(u', b)) - x^T (b - u' I)^{-1} x
+
+    Requires ``u'`` to exceed every diagonal entry; positive for ``x != 0``.
+    """
+    x = np.asarray(x, dtype=float)
+    lam = np.asarray(b_diag, dtype=float)
+    upr = u + delta
+    if not upr > lam.max():
+        raise NumericalBarrierError("u + delta does not clear the diagonal")
+    if np.any(lam == u):
+        raise NumericalBarrierError("eigenvalue coincides with barrier shift")
+    denom = float(np.sum(1.0 / (u - lam)) - np.sum(1.0 / (upr - lam)))
+    if abs(denom) < _DENOM_GUARD:
+        raise NumericalBarrierError("upper potential difference below %g" % _DENOM_GUARD)
+    x2 = x * x
+    val = float(np.sum(x2 / (lam - upr) ** 2) / denom - np.sum(x2 / (lam - upr)))
+    if not math.isfinite(val):
+        raise NumericalBarrierError("upper barrier overflow")
+    return val
 
 
 def orthonormal(n, k, seed):
