@@ -13,7 +13,6 @@ from .errors import (
     CapExceededError,
     DegenerateInstanceError,
     InternalInvariantError,
-    NumericalBarrierError,
     ParseError,
     RankDeficiencyError,
     SchemaError,
@@ -56,7 +55,6 @@ __all__ = [
     "InternalInvariantError",
     "LatticeBasis",
     "MatchResult",
-    "NumericalBarrierError",
     "ParseError",
     "Permutation",
     "PlsInstance",

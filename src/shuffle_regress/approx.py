@@ -12,11 +12,11 @@ Cost model: with ``k`` the covariate rank, the candidate family holds the
 ``n!/(n-m)!`` injective assignments of responses to the ``m <= 4k`` distinct
 sampled rows (the planted correspondence is a bijection, so it gives distinct
 rows distinct responses) and every grid has ``O((sqrt(k)/eps)**k)`` points, so
-the overall work is ``(n/eps)**O(k)``.  Candidates are generated chunk by
-chunk from their rank, so the first pass keeps one float per candidate plus
-chunk-sized buffers.  A budget cap (default 50 million candidate evaluations)
-turns runaway instances into a hard error instead of an open-ended
-computation.
+the overall work is ``(n/eps)**O(k)``.  Candidates are generated from their
+rank in batches of a fixed size (``_CHUNK``), so the first pass keeps one
+float per candidate plus buffers of that size.  A budget cap (default 50
+million candidate evaluations) turns runaway instances into a hard error
+instead of an open-ended computation.
 """
 from __future__ import annotations
 
@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 50_000_000
+
+# Candidates per pass-1 buffer, and about the grid points per pass-2 batch.
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,6 @@ def fptas_solve(
     eps: float,
     *,
     budget: Optional[int] = DEFAULT_BUDGET,
-    chunk: int = 8192,
 ) -> Solution:
     """Approximate ``min_{w, pi} sum_i (dot(w, x[pi(i)]) - y_i)^2``.
 
@@ -174,13 +176,13 @@ def fptas_solve(
     :func:`_assignments`, then row-major grid position).
 
     The candidate family has ``n!/(n-m)!`` members for ``m`` distinct sampled
-    rows.  The first pass keeps one float per candidate plus buffers of
-    ``chunk`` candidates; the second pass works on batches of about ``chunk``
-    grid points.
+    rows.  The first pass keeps one float per candidate plus buffers of 8192
+    candidates; the second pass works on batches of about 8192 grid points.
 
     Raises :class:`BudgetExceededError` if the candidate family or the
     enumeration would touch more than ``budget`` candidate weight vectors;
-    pass ``budget=None`` to disable.
+    pass ``budget=None`` to disable.  Raises ``ValueError`` if ``eps`` lies
+    outside ``(0, 1)`` or the optimal weights overflow float64.
     """
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
@@ -222,8 +224,8 @@ def fptas_solve(
 
     # Pass 1: center cost r_b for every candidate assignment b, by rank.
     r_all = np.empty(n_cand)
-    for lo in range(0, n_cand, chunk):
-        hi = min(lo + chunk, n_cand)
+    for lo in range(0, n_cand, _CHUNK):
+        hi = min(lo + _CHUNK, n_cand)
         r_all[lo:hi] = _min_perm_costs(centers(np.arange(lo, hi)) @ u.T, y_sorted)
 
     r_min = float(r_all.min())
@@ -249,8 +251,8 @@ def fptas_solve(
         )
 
     surv_w = np.empty((survivors.size, k))
-    for lo in range(0, survivors.size, chunk):
-        surv_w[lo : lo + chunk] = centers(survivors[lo : lo + chunk])
+    for lo in range(0, survivors.size, _CHUNK):
+        surv_w[lo : lo + _CHUNK] = centers(survivors[lo : lo + _CHUNK])
 
     # Incumbent: center of the cheapest candidate (a grid point of its own
     # net, sitting at the middle row-major index).
@@ -279,7 +281,7 @@ def fptas_solve(
         base = _offsets(h, k)
         base_norm = np.linalg.norm(base, axis=1)
         npts = base.shape[0]
-        group = max(1, chunk // npts)
+        group = max(1, _CHUNK // npts)
         for lo in range(0, members.size, group):
             mem = members[lo : lo + group]
             b_idx = survivors[mem]
@@ -299,6 +301,10 @@ def fptas_solve(
                 best_key = key
                 best_w = pts[j].copy()
 
-    w_orig = red.to_original(best_w)
+    # A tiny singular value can put the optimum beyond the largest double.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_orig = red.to_original(best_w)
+    if not np.isfinite(w_orig).all():
+        raise ValueError("the optimal weights overflow float64")
     matched = sort_match(x @ w_orig, y)
     return Solution(w=w_orig, perm=matched.perm, cost=matched.cost)

@@ -16,7 +16,7 @@ invariant breach.
 
 Determinism: every command is seeded and byte-reproducible, with one
 exception: the ``wall_time_s`` column of ``sweep-snr`` measures real elapsed
-time.  ``--jobs`` parallelism changes timings only, never row contents or
+time.  ``--jobs`` (default 1) changes timings only, never row contents or
 order.  Per-trial entropy is ``SeedSequence([seed, snr_index, trial_index])``;
 spawn children 0-2 feed the instance generators (covariates, permutation,
 noise) and child 3 draws the weight vector.
@@ -27,13 +27,11 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -44,7 +42,6 @@ from .errors import (
     CapExceededError,
     DegenerateInstanceError,
     InternalInvariantError,
-    NumericalBarrierError,
     ParseError,
     RankDeficiencyError,
     SchemaError,
@@ -182,8 +179,6 @@ def cmd_solve(args) -> int:
         if isinstance(inst, AnchoredInstance):
             raise ValueError("solver %r expects an unanchored instance" % args.solver)
         if args.solver == "fptas":
-            if args.eps <= 0:
-                raise ValueError("--eps must be > 0")
             sol = fptas_solve(inst, args.eps, budget=args.budget)
             out = {"solver": "fptas", "eps": args.eps}
         else:
@@ -203,12 +198,7 @@ def cmd_solve(args) -> int:
     if p is None:
         raise ValueError("lattice solver needs --p or a quantization block in the file")
     q = _exact_anchored(inst, p)
-    res = lattice.recover(
-        q,
-        args.delta,
-        half_exponent=(args.beta_exponent == "half"),
-        eps_override=args.eps_override,
-    )
+    res = lattice.recover(q, args.delta, eps_override=args.eps_override)
     if res is None:
         print(json.dumps({"solver": "lattice", "failure": "no anchor hypothesis verified"}))
         print("failure: no anchor hypothesis verified", file=sys.stderr)
@@ -318,18 +308,6 @@ def run_sweep(cfg: SweepConfig) -> list:
     return [_sweep_cell(*t) for t in tasks]
 
 
-def _default_jobs(arg: Optional[int]) -> int:
-    if arg is not None:
-        return arg
-    env = os.environ.get("SHUFFLE_REGRESS_JOBS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as e:
-            raise ValueError("SHUFFLE_REGRESS_JOBS must be an integer") from e
-    return 1
-
-
 def cmd_sweep(args) -> int:
     cfg = SweepConfig(
         model=args.model,
@@ -342,7 +320,7 @@ def cmd_sweep(args) -> int:
         delta=args.delta,
         p=args.p,
         seed=args.seed,
-        jobs=_default_jobs(args.jobs),
+        jobs=args.jobs,
         budget=args.budget,
     )
     rows = run_sweep(cfg)
@@ -530,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cap", type=int, default=_BRUTE_CAP, help="brute-force size cap (default %d)" % _BRUTE_CAP)
     s.add_argument("--delta", type=float, default=0.1, help="lattice failure probability budget (default 0.1)")
     s.add_argument("--p", type=int, help="lattice grid exponent (defaults to the file's quantization block)")
-    s.add_argument("--beta-exponent", choices=("full", "half"), default="full", help="lattice scaling exponent policy")
     s.add_argument("--eps-override", type=float, help="explicit separation margin for the lattice solver")
     s.set_defaults(func=cmd_solve)
 
@@ -546,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--p", type=int, default=16)
     w.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     w.add_argument("--seed", type=int, required=True)
-    w.add_argument("--jobs", type=int, help="parallel cells (default: SHUFFLE_REGRESS_JOBS or 1)")
+    w.add_argument("--jobs", type=int, default=1, help="parallel cells (default 1)")
     w.add_argument("--output", "-o", required=True)
     w.set_defaults(func=cmd_sweep)
 
@@ -591,7 +568,7 @@ def main(argv=None) -> int:
     ) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except (InternalInvariantError, NumericalBarrierError) as e:
+    except InternalInvariantError as e:
         print("internal error: %s" % e, file=sys.stderr)
         return 4
 

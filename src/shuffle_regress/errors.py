@@ -22,10 +22,6 @@ class BudgetExceededError(RuntimeError):
     """Candidate enumeration would exceed the configured evaluation budget."""
 
 
-class NumericalBarrierError(ArithmeticError):
-    """A barrier evaluation hit a singular shift or a vanishing denominator."""
-
-
 class InternalInvariantError(RuntimeError):
     """An internal soundness invariant failed; indicates a bug, not bad input."""
 

@@ -364,59 +364,41 @@ def epsilon_bound(
     return out
 
 
-def default_beta(n: int, eps_hat: Fraction, *, half_exponent: bool = False) -> Fraction:
-    """Smallest power of two at least ``2**a / eps_hat``.
+def default_beta(n: int, eps_hat: Fraction) -> Fraction:
+    """Smallest power of two at least ``2**(n^2) / eps_hat``.
 
-    The guarantee only needs ``a = ceil(n^2 / 2)`` bits of separation
-    (``half_exponent=True``); the default takes the conservative ``a = n^2``.
+    The guarantee needs ``beta >= 2**(n^2/2) / eps_hat``.  The exponent
+    ``n^2`` in place of ``n^2/2`` costs under 1 % of the bits of ``beta``,
+    because the ``2**(n^4)`` term of :func:`epsilon_bound` dominates them.
     """
     eps_hat = Fraction(eps_hat)
     if eps_hat <= 0:
         raise ValueError("eps_hat must be positive")
-    a = math.ceil(n * n / 2) if half_exponent else n * n
-    target = Fraction(2) ** a / eps_hat
+    target = Fraction(2) ** (n * n) / eps_hat
     e = target.numerator.bit_length() - target.denominator.bit_length() - 1
     while Fraction(2) ** e < target:
         e += 1
     return Fraction(2) ** e
 
 
-def find_permutation(
-    inst: QuantizedAnchoredInstance,
-    delta: Union[float, Fraction],
-    beta: Union[int, Fraction],
-    *,
-    eps_override: Optional[Union[float, Fraction]] = None,
-) -> Optional[Permutation]:
+def find_permutation(inst: QuantizedAnchoredInstance, eps_hat: Fraction) -> Optional[Permutation]:
     """Correspondence for the ``n`` unanchored measurements, assuming the anchor
     pairing ``(x0, y0)`` is genuine.
 
-    Runs the lattice subset-sum search over the ``n^2`` sources; succeeds only
-    if the returned subset is exactly a permutation support (each response and
-    each covariate appearing once).  The returned map sends response index to
-    covariate index, both 0-based over the unanchored block.
+    Runs the lattice subset-sum search over the ``n^2`` sources, embedded with
+    ``beta = default_beta(n, eps_hat)`` for the separation margin ``eps_hat``;
+    succeeds only if the returned subset is exactly a permutation support
+    (each response and each covariate appearing once).  The returned map sends
+    response index to covariate index, both 0-based over the unanchored block.
 
-    ``beta`` must satisfy ``beta >= 2**(n^2/2) / eps_hat`` where ``eps_hat``
-    comes from :func:`epsilon_bound` (or ``eps_override``); smaller values are
-    rejected.  Returns ``None`` on failure.  Raises
-    :class:`DegenerateInstanceError` when every unanchored response is zero
-    (the margin bound is vacuous there).
+    Returns ``None`` on failure.  Raises :class:`DegenerateInstanceError` when
+    every unanchored response is zero (the margin bound is vacuous there), and
+    ``ValueError`` when ``eps_hat`` is not positive.
     """
     n = inst.n
-    d = inst.d
     if all(v == 0 for v in inst.y):
         raise DegenerateInstanceError("unanchored responses all zero")
-    if eps_override is not None:
-        eps_hat = Fraction(eps_override)
-        if eps_hat <= 0:
-            raise ValueError("eps_override must be positive")
-    else:
-        eps_hat = epsilon_bound(n, d, delta, w_norm_lower_bound(inst.y))
-    beta = Fraction(beta)
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if beta**2 * eps_hat**2 < Fraction(2) ** (n * n):
-        raise ValueError("beta below 2**(n^2/2) / eps_hat")
+    beta = default_beta(n, eps_hat)
 
     ssi = build_sources(inst.x0, inst.x, inst.y, inst.y0)
     if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
@@ -457,7 +439,6 @@ def recover(
     inst: QuantizedAnchoredInstance,
     delta: Union[float, Fraction],
     *,
-    half_exponent: bool = False,
     eps_override: Optional[Union[float, Fraction]] = None,
 ) -> Optional[RecoveryResult]:
     """Exact weights and correspondence from ``n + 1`` noiseless measurements.
@@ -471,8 +452,8 @@ def recover(
 
     The margin ``eps_hat`` is :func:`epsilon_bound` of the unanchored
     responses, or ``eps_override``.  Every guess sees the same responses, so
-    the margin is computed once, and every guess embeds its subset sum with
-    ``beta = default_beta(n, eps_hat, half_exponent=half_exponent)``.
+    the margin is computed once and every guess embeds its subset sum with
+    the same ``beta`` (see :func:`find_permutation`).
 
     Returns ``None`` if no anchor verifies.  A guess whose remaining
     covariates lack full column rank counts as a failed guess;
@@ -493,7 +474,6 @@ def recover(
             raise ValueError("eps_override must be positive")
     else:
         eps_hat = epsilon_bound(n, d, delta, w_norm_lower_bound(inst.y))
-    beta = default_beta(n, eps_hat, half_exponent=half_exponent)
 
     rank_deficient = 0
     for a in range(n + 1):
@@ -503,7 +483,7 @@ def recover(
             x0=rows[0], y0=Fraction(inst.y0), x=tuple(rows[1:]), y=tuple(inst.y)
         )
         try:
-            pi_hat = find_permutation(sub, delta, beta, eps_override=eps_hat)
+            pi_hat = find_permutation(sub, eps_hat)
         except DegenerateInstanceError:
             continue
         except RankDeficiencyError:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from shuffle_regress import (
     row_sample,
     sort_match,
 )
+from shuffle_regress import approx
 from shuffle_regress.approx import (
     _assignments,
     _net_steps,
@@ -288,13 +290,22 @@ class TestFptasSolve:
         with pytest.raises(BudgetExceededError):
             fptas_solve(inst, 0.25, budget=100)
 
-    def test_chunk_independence(self):
+    def test_chunk_independence(self, monkeypatch):
         inst, _ = gen_gaussian_noisy(np.array([0.5, -0.9]), 5, 0.6, 4)
-        a = fptas_solve(inst, 0.5, chunk=8192)
-        b = fptas_solve(inst, 0.5, chunk=7)
+        a = fptas_solve(inst, 0.5)
+        monkeypatch.setattr(approx, "_CHUNK", 7)
+        b = fptas_solve(inst, 0.5)
         assert a.cost == b.cost
         assert a.perm.map == b.perm.map
         assert np.array_equal(a.w, b.w)
+
+    def test_weight_overflow_refused(self):
+        # the optimal weight 4 / 2.2e-308 is beyond the largest double
+        inst = Instance(x=np.array([[0.0], [2.2250738585072014e-308]]), y=np.array([0.0, 4.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="optimal weights overflow float64"):
+                fptas_solve(inst, 0.5)
 
     @given(inst=hostile_instances(), eps=st.sampled_from([0.25, 0.5, 0.9]))
     @settings(max_examples=500, deadline=None, derandomize=True)

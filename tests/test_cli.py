@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,52 @@ class TestSolve:
         truth = json.loads(out.read_text())["truth"]
         assert doc["perm"] == truth["pi_bar"]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lattice_d_one_needs_eps_override(self, tmp_path, capsys, seed):
+        # The margin bound is undefined at d = 1, so only an explicit margin
+        # lets the lattice solver run there.
+        out = tmp_path / "d1.json"
+        run(
+            capsys,
+            "gen", "--model", "noiseless", "--n", "2", "--d", "1",
+            "--p", "8", "--seed", str(seed), "-o", str(out),
+        )
+        code, _, err = run(capsys, "solve", "--instance", str(out), "--solver", "lattice")
+        assert code == 2
+        assert "d = 1" in err
+        code, stdout, _ = run(
+            capsys, "solve", "--instance", str(out), "--solver", "lattice",
+            "--eps-override", "0.00390625",
+        )
+        assert code == 0
+        doc = json.loads(stdout)
+        rec = json.loads(out.read_text())
+        assert doc["perm"] == rec["truth"]["pi_bar"]
+        rows = [rec["anchor"]["x0"], *rec["x"]]
+        ys = [rec["anchor"]["y0"], *rec["y"]]
+        w = [Fraction(v) for v in doc["w"]]
+        for i, j in enumerate(doc["perm"]):
+            assert Fraction(ys[i]) == sum(wv * Fraction(xv) for wv, xv in zip(w, rows[j]))
+
+    def test_fptas_eps_out_of_range(self, tmp_path, capsys):
+        inst = self.gen_instance(capsys, tmp_path)
+        for eps in ("0", "-0.5", "1"):
+            code, _, err = run(
+                capsys, "solve", "--instance", str(inst), "--solver", "fptas", "--eps", eps,
+            )
+            assert code == 2
+            assert "eps must lie in (0, 1)" in err
+
+    def test_fptas_weight_overflow_refused(self, tmp_path, capsys):
+        out = tmp_path / "tiny.json"
+        out.write_text(json.dumps({"n": 2, "d": 1, "x": [[0.0], [2.2250738585072014e-308]], "y": [0.0, 4.0]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "solve", "--instance", str(out), "--solver", "fptas")
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: the optimal weights overflow float64\n"
+
     def test_lattice_on_noisy_declared_failure(self, tmp_path, capsys):
         out = tmp_path / "noisy.json"
         run(
@@ -271,17 +318,6 @@ class TestSweep:
             return [[v for i, v in enumerate(r) if i != wt] for r in rows]
 
         assert drop(serial) == drop(parallel)
-
-    def test_jobs_env_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SHUFFLE_REGRESS_JOBS", "2")
-        out = tmp_path / "env.csv"
-        code, _, _ = run(
-            capsys,
-            "sweep-snr", "--model", "gaussian", "--n", "4", "--d", "1",
-            "--snr-grid", "1", "--trials", "2", "--solver", "fptas",
-            "--seed", "1", "-o", str(out),
-        )
-        assert code == 0
 
     def test_brute_cap_refused_with_cells(self, tmp_path, capsys):
         code, _, err = run(

@@ -335,10 +335,6 @@ class TestDefaultBeta:
         assert b >= F(2) ** 9 / eps
         assert b / 2 < F(2) ** 9 / eps
 
-    def test_half_exponent_smaller(self):
-        eps = F(1, 7)
-        assert default_beta(4, eps, half_exponent=True) <= default_beta(4, eps)
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             default_beta(3, F(0))
@@ -354,8 +350,7 @@ class TestFindPermutation:
     def test_recovers_planted_map(self):
         q, truth, _ = self.make_quantized(2, 3, 5)
         eps_hat = epsilon_bound(3, 2, F(1, 10), w_norm_lower_bound(q.y))
-        beta = default_beta(3, eps_hat)
-        pi = find_permutation(q, F(1, 10), beta)
+        pi = find_permutation(q, eps_hat)
         assert pi is not None
         want = tuple(truth.pi_bar(i + 1) - 1 for i in range(3))
         assert pi.map == want
@@ -365,17 +360,32 @@ class TestFindPermutation:
             x0=(F(1),), y0=F(1), x=((F(1),), (F(2),)), y=(F(0), F(0))
         )
         with pytest.raises(DegenerateInstanceError):
-            find_permutation(q, F(1, 10), F(2) ** 64)
-
-    def test_beta_too_small_rejected(self):
-        q, _, _ = self.make_quantized(2, 3, 5)
-        with pytest.raises(ValueError):
-            find_permutation(q, F(1, 10), F(2), eps_override=F(1, 2**8))
+            find_permutation(q, F(1, 2**8))
 
     def test_eps_override_validation(self):
         q, _, _ = self.make_quantized(2, 3, 5)
         with pytest.raises(ValueError):
-            find_permutation(q, F(1, 10), F(2) ** 64, eps_override=F(0))
+            find_permutation(q, F(0))
+
+    def test_beta_derived_from_margin(self, monkeypatch):
+        # beta comes from the margin alone, so it always meets the floor
+        # beta >= 2**(n^2/2) / eps_hat that the lattice guarantee needs.
+        q, _, _ = self.make_quantized(2, 3, 5)
+        seen = []
+        real = lattice.subset_sum_basis
+
+        def spy(ssi):
+            seen.append(ssi)
+            return real(ssi)
+
+        monkeypatch.setattr(lattice, "subset_sum_basis", spy)
+        eps_hat = epsilon_bound(3, 2, F(1, 10), w_norm_lower_bound(q.y))
+        find_permutation(q, eps_hat)
+        assert len(seen) == 1
+        assert seen[0].beta == default_beta(3, eps_hat)
+        assert seen[0].beta**2 * eps_hat**2 >= F(2) ** 9
+        with pytest.raises(ValueError):
+            find_permutation(q, F(-1, 2**8))
 
 
 class TestRecover:

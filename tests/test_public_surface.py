@@ -1,9 +1,14 @@
-"""The package's public surface: the README examples run as written, and
-``shuffle_regress.__all__`` holds exactly the documented names."""
+"""The package's public surface: the README examples run as written,
+``shuffle_regress.__all__`` holds exactly the documented names, and the
+settings a caller can pass (CLI options, function parameters) are pinned, so
+one joins or leaves only with an edit here."""
+import argparse
+import inspect
 import re
 from pathlib import Path
 
 import shuffle_regress
+from shuffle_regress.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,7 +24,6 @@ SURFACE = {
     "InternalInvariantError",
     "LatticeBasis",
     "MatchResult",
-    "NumericalBarrierError",
     "ParseError",
     "Permutation",
     "PlsInstance",
@@ -50,6 +54,45 @@ SURFACE = {
 }
 
 
+OPTIONS = {
+    "gen": {
+        "--d", "--help", "--model", "--n", "--no-truth", "--output", "--p",
+        "--seed", "--sigma", "--snr", "--unanchored", "--w-norm", "-h", "-o",
+    },
+    "solve": {
+        "--budget", "--cap", "--delta", "--eps", "--eps-override", "--help",
+        "--instance", "--p", "--solver", "-h",
+    },
+    "sweep-snr": {
+        "--budget", "--d", "--delta", "--eps", "--help", "--jobs", "--model",
+        "--n", "--output", "--p", "--seed", "--snr-grid", "--solver",
+        "--trials", "-h", "-o",
+    },
+    "check-order-stats": {"--help", "--n", "--output", "--seed", "--tol", "--trials", "-h", "-o"},
+    "check-w2": {"--d", "--help", "--n-grid", "--output", "--seed", "--trials", "-h", "-o"},
+    "reduce": {"--help", "--k", "--output", "--z", "-h", "-o"},
+}
+
+PARAMETERS = {
+    "brute_force": ("inst", "cap"),
+    "check_3partition_brute": ("tp", "cap"),
+    "fptas_solve": ("inst", "eps", "budget"),
+    "gen_gaussian_noisy": ("w_bar", "n", "sigma", "seed"),
+    "gen_noiseless_anchored": ("w_bar", "n", "seed", "anchored"),
+    "gen_uniform_noisy": ("w_bar", "n", "sigma", "seed"),
+    "lll_reduce": ("basis", "delta"),
+    "perm_match_brute": ("a", "b", "cap"),
+    "pls_feasible_brute": ("pls", "cap"),
+    "quantize_noiseless": ("inst", "truth", "cfg"),
+    "recover": ("inst", "delta", "eps_override"),
+    "reduce_3partition": ("tp",),
+    "row_sample": ("u_mat", "r"),
+    "sort_match": ("a", "b"),
+    "subset_sum_brute": ("values", "target", "cap"),
+    "wasserstein2_sq": ("a", "b"),
+}
+
+
 def _python_blocks():
     return re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
 
@@ -76,3 +119,22 @@ def test_readme_names_every_function():
     for name in SURFACE:
         if name[0].islower():
             assert re.search(r"\b%s\b" % name, text), name
+
+
+def test_cli_options_pinned():
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {opt for action in parser._actions for opt in action.option_strings}
+        for name, parser in sub.choices.items()
+    }
+    assert got == OPTIONS
+
+
+def test_function_parameters_pinned():
+    got = {
+        name: tuple(inspect.signature(getattr(shuffle_regress, name)).parameters)
+        for name in SURFACE
+        if name[0].islower()
+    }
+    assert got == PARAMETERS

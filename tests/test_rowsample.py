@@ -3,23 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from shuffle_regress import NumericalBarrierError, SamplingMatrix, row_sample
+from shuffle_regress import SamplingMatrix, row_sample
 from shuffle_regress.rowsample import _DENOM_GUARD, solve_weighted_ls
 
 # The barrier potentials one row at a time: the reference that
 # TestRowSampleVersusPerRowScan holds the vectorised row_sample to.
 
 
+class BarrierError(ArithmeticError):
+    """A barrier evaluation hit a singular shift or a vanishing denominator."""
+
+
 def _lower_from_eig(z2: np.ndarray, lam: np.ndarray, delta_l: float, ell: float) -> float:
     shift = ell + delta_l
     if np.any(lam == shift) or np.any(lam == ell):
-        raise NumericalBarrierError("eigenvalue coincides with barrier shift")
+        raise BarrierError("eigenvalue coincides with barrier shift")
     denom = float(np.sum(1.0 / (lam - shift)) - np.sum(1.0 / (lam - ell)))
     if abs(denom) < _DENOM_GUARD:
-        raise NumericalBarrierError("lower potential difference below %g" % _DENOM_GUARD)
+        raise BarrierError("lower potential difference below %g" % _DENOM_GUARD)
     val = float(np.sum(z2 / (lam - shift) ** 2) / denom - np.sum(z2 / (lam - shift)))
     if not math.isfinite(val):
-        raise NumericalBarrierError("lower barrier overflow")
+        raise BarrierError("lower barrier overflow")
     return val
 
 
@@ -31,7 +35,7 @@ def lower_barrier(x, delta_l: float, a, ell: float) -> float:
         L = x^T (a - l' I)^{-2} x / (phi(l', a) - phi(l, a)) - x^T (a - l' I)^{-1} x
 
     ``l'`` is not required to sit below the spectrum; the value may be
-    negative.  Raises :class:`NumericalBarrierError` on a singular shift or
+    negative.  Raises :class:`BarrierError` on a singular shift or
     when the potential difference falls below ``1e-14``.
     """
     a = np.asarray(a, dtype=float)
@@ -55,16 +59,16 @@ def upper_barrier(x, delta: float, b_diag, u: float) -> float:
     lam = np.asarray(b_diag, dtype=float)
     upr = u + delta
     if not upr > lam.max():
-        raise NumericalBarrierError("u + delta does not clear the diagonal")
+        raise BarrierError("u + delta does not clear the diagonal")
     if np.any(lam == u):
-        raise NumericalBarrierError("eigenvalue coincides with barrier shift")
+        raise BarrierError("eigenvalue coincides with barrier shift")
     denom = float(np.sum(1.0 / (u - lam)) - np.sum(1.0 / (upr - lam)))
     if abs(denom) < _DENOM_GUARD:
-        raise NumericalBarrierError("upper potential difference below %g" % _DENOM_GUARD)
+        raise BarrierError("upper potential difference below %g" % _DENOM_GUARD)
     x2 = x * x
     val = float(np.sum(x2 / (lam - upr) ** 2) / denom - np.sum(x2 / (lam - upr)))
     if not math.isfinite(val):
-        raise NumericalBarrierError("upper barrier overflow")
+        raise BarrierError("upper barrier overflow")
     return val
 
 
@@ -113,11 +117,11 @@ class TestBarriers:
         assert upper_barrier([1.0, 0.0], 1.0, [0.0, 0.0], 2.0) == pytest.approx(2.0 / 3.0)
 
     def test_upper_requires_clearance(self):
-        with pytest.raises(NumericalBarrierError):
+        with pytest.raises(BarrierError):
             upper_barrier([1.0], 0.5, [2.0], 1.0)
 
     def test_lower_singular_shift(self):
-        with pytest.raises(NumericalBarrierError):
+        with pytest.raises(BarrierError):
             lower_barrier([1.0], 1.0, [[1.0]], 0.0)
 
 
@@ -230,7 +234,7 @@ def _row_sample_per_row(u, r):
             try:
                 upper = upper_barrier(e_i, delta, b_diag, ub)
                 lower = _lower_from_eig(z2_all[:, i], lam, 1.0, ell)
-            except NumericalBarrierError:
+            except BarrierError:
                 continue
             if math.isfinite(upper) and math.isfinite(lower) and upper <= lower:
                 break
