@@ -1,7 +1,10 @@
 """Exact linear algebra over Fraction, sized for desk-scale systems.
 
-Matrices are lists of row lists.  Nothing here is performance-tuned beyond
-what exhaustive verification at n <= 10 or so requires.
+Matrices are lists of row lists.  ``solve`` and ``left_nullspace_int`` both
+read the one echelon form ``_echelon``; ``solve`` serves full-column-rank
+systems only and refuses dependent columns rather than pick one of many
+solutions.  Nothing here is performance-tuned beyond what exhaustive
+verification at n <= 10 or so requires.
 """
 from __future__ import annotations
 
@@ -18,17 +21,8 @@ def mat(rows) -> Matrix:
     return [[Fraction(v) for v in row] for row in rows]
 
 
-def identity(k: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-
-
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def matvec(a: Matrix, v: Sequence) -> list:
@@ -84,39 +78,23 @@ def det(a: Matrix) -> Fraction:
 
 
 def solve(a: Matrix, b: Sequence) -> Optional[list]:
-    """One exact solution of ``a x = b``, or ``None`` if inconsistent.
+    """The solution of ``a x = b`` for ``a`` with independent columns.
 
-    Free variables (if any) are set to zero.
+    Raises :class:`RankDeficiencyError` when the columns of ``a`` are
+    dependent, whatever ``b`` is.  Returns ``None`` when ``a`` has full column
+    rank but the system is inconsistent (possible only for more rows than
+    columns).
     """
     aug = [row[:] + [Fraction(v)] for row, v in zip(mat(a), b)]
     red, pivots = _echelon(aug)
     ncols = len(a[0])
+    # the rank test comes first: a dependent column followed by a pivot in
+    # the augmented column is rank deficiency, not inconsistency
+    if pivots[:ncols] != list(range(ncols)):
+        raise RankDeficiencyError("matrix columns are linearly dependent")
     if ncols in pivots:
         return None  # pivot in the augmented column: inconsistent
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][-1]
-    return x
-
-
-def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    aug = [row[:] + ident_row for row, ident_row in zip(mat(a), identity(n))]
-    red, pivots = _echelon(aug)
-    if pivots != list(range(n)):
-        raise RankDeficiencyError("matrix is singular")
-    return [row[n:] for row in red]
-
-
-def pinv_full_col_rank(x: Matrix) -> Matrix:
-    """``(x^T x)^{-1} x^T`` for a full-column-rank ``x``; raises otherwise."""
-    xt = transpose(mat(x))
-    gram = matmul(xt, transpose(xt))
-    try:
-        gram_inv = inverse(gram)
-    except RankDeficiencyError:
-        raise RankDeficiencyError("covariates do not have full column rank") from None
-    return matmul(gram_inv, xt)
+    return [red[c][-1] for c in range(ncols)]
 
 
 def left_nullspace_int(a: Matrix) -> list[list[int]]:

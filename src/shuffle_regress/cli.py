@@ -37,15 +37,7 @@ import numpy as np
 
 from . import lattice
 from .approx import DEFAULT_BUDGET, fptas_solve
-from .errors import (
-    BudgetExceededError,
-    CapExceededError,
-    DegenerateInstanceError,
-    InternalInvariantError,
-    ParseError,
-    RankDeficiencyError,
-    SchemaError,
-)
+from .errors import BudgetExceededError, CapExceededError, InternalInvariantError
 from .hardness import ThreePartitionInstance, reduce_3partition
 from .model import (
     AnchoredInstance,
@@ -102,8 +94,6 @@ def _exact_floats(vals) -> list:
 
 
 def cmd_gen(args) -> int:
-    if args.w_norm <= 0 or not math.isfinite(args.w_norm):
-        raise ValueError("--w-norm must be finite and > 0")
     if args.model == "noiseless":
         if args.snr is not None or args.sigma is not None:
             raise ValueError("--snr/--sigma do not apply to the noiseless model")
@@ -116,13 +106,13 @@ def cmd_gen(args) -> int:
         if args.snr is not None:
             if args.snr <= 0:
                 raise ValueError("--snr must be > 0")
-            sigma = args.w_norm / math.sqrt(args.snr)
+            sigma = 1 / math.sqrt(args.snr)
         else:
             if args.sigma < 0 or not math.isfinite(args.sigma):
                 raise ValueError("--sigma must be finite and >= 0")
             sigma = args.sigma
 
-    w_bar = random_unit_vector(args.d, _w_rng(args.seed)) * args.w_norm
+    w_bar = random_unit_vector(args.d, _w_rng(args.seed))
 
     if args.model == "gaussian":
         inst, truth = gen_gaussian_noisy(w_bar, args.n, sigma, args.seed)
@@ -492,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--d", type=int, required=True, help="number of covariates")
     g.add_argument("--snr", type=float, help="signal-to-noise ratio ||w||^2 / sigma^2")
     g.add_argument("--sigma", type=float, help="noise standard deviation (alternative to --snr)")
-    g.add_argument("--w-norm", type=float, default=1.0, help="norm of the hidden weights (default 1)")
     g.add_argument("--p", type=int, help="store values on the 2^-p grid and record the exponent")
     g.add_argument("--unanchored", action="store_true", help="noiseless only: shuffle the anchor row too")
     g.add_argument("--seed", type=int, required=True)
@@ -556,16 +545,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return int(args.func(args) or 0)
-    except (
-        ParseError,
-        SchemaError,
-        CapExceededError,
-        BudgetExceededError,
-        RankDeficiencyError,
-        DegenerateInstanceError,
-        ValueError,
-        OSError,
-    ) as e:
+    except (BudgetExceededError, ValueError, OSError) as e:
+        # ParseError, SchemaError, CapExceededError, RankDeficiencyError and
+        # DegenerateInstanceError are ValueErrors
         print("error: %s" % e, file=sys.stderr)
         return 2
     except InternalInvariantError as e:

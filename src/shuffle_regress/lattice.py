@@ -2,7 +2,7 @@
 
 The pipeline turns "which response belongs to which covariate" into a subset-sum
 problem: with one anchored measurement ``(x0, y0)`` and exact arithmetic,
-``y0 = sum over matched pairs (i, j) of y_i * <pinv(x) e_j, x0>``, so the
+``y0 = sum over matched pairs (i, j) of y_i * x_j^T (x^T x)^{-1} x0``, so the
 correct correspondence is a subset of the ``n^2`` source values summing exactly
 to ``y0``.  Low-density subset sums of this kind are solved by lattice basis
 reduction: embed the instance in an integer lattice scaled by a large ``beta``
@@ -70,10 +70,6 @@ class LatticeBasis:
     def dim(self) -> int:
         return len(self.columns[0])
 
-    @property
-    def ncols(self) -> int:
-        return len(self.columns)
-
 
 def _round_div(a: int, b: int) -> int:
     # nearest integer to a / b for b > 0 (half rounds toward +inf)
@@ -91,7 +87,8 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
     spans the same lattice (the change of basis is unimodular).
 
     ``delta`` is configurable in ``(1/4, 99/100]``.  Raises ``ValueError`` on
-    dependent columns.
+    dependent columns.  One code path serves every basis size: a single column
+    skips the main loop and comes back unchanged (or is refused if zero).
     """
     delta = Fraction(delta)
     if not (Fraction(1, 4) < delta <= Fraction(99, 100)):
@@ -102,11 +99,6 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
 
     def dot(u, v):
         return sum(a * b for a, b in zip(u, v))
-
-    if m == 1:
-        if not any(cols[0]):
-            raise ValueError("columns not linearly independent")
-        return LatticeBasis(columns=(tuple(cols[0]),))
 
     dvec = [0] * (m + 1)
     dvec[0] = 1
@@ -263,9 +255,10 @@ def build_sources(x0, x, y, y0) -> SubsetSumInstance:
     """Subset-sum sources whose correct-match subset sums to the anchor response.
 
     For exact data ``y_i = <w, x_{pi(i)}>`` with full-column-rank ``x``, the
-    value ``c[(i, j)] = y_i * <pinv(x) e_j, x0>`` summed over the matched pairs
-    ``(i, pi(i))`` equals ``y0 = <w, x0>``.  Keys are 0-based ``(response,
-    covariate)`` pairs; ``beta`` is left unset.
+    value ``c[(i, j)] = y_i * x_j^T (x^T x)^{-1} x0`` summed over the matched
+    pairs ``(i, pi(i))`` equals ``y0 = <w, x0>``.  One exact ``d x d`` solve
+    gives ``z = (x^T x)^{-1} x0``; the sources are then ``y_i * <x_j, z>``.
+    Keys are 0-based ``(response, covariate)`` pairs; ``beta`` is left unset.
 
     Raises :class:`RankDeficiencyError` when ``x`` lacks full column rank.
     """
@@ -278,8 +271,12 @@ def build_sources(x0, x, y, y0) -> SubsetSumInstance:
     y = [Fraction(v) for v in y]
     if len(x0) != d or len(y) != n:
         raise ValueError("shape mismatch")
-    pinv = _ratlin.pinv_full_col_rank(xm)  # d x n
-    proj = [sum(pinv[r][j] * x0[r] for r in range(d)) for j in range(n)]
+    xt = _ratlin.transpose(xm)
+    try:
+        z = _ratlin.solve([_ratlin.matvec(xt, col) for col in xt], x0)  # x^T x z = x0
+    except RankDeficiencyError:
+        raise RankDeficiencyError("covariates do not have full column rank") from None
+    proj = _ratlin.matvec(xm, z)
     sources = {(i, j): y[i] * proj[j] for i in range(n) for j in range(n)}
     return SubsetSumInstance(sources=sources, target=Fraction(y0), beta=None)
 
@@ -387,9 +384,11 @@ def find_permutation(inst: QuantizedAnchoredInstance, eps_hat: Fraction) -> Opti
 
     Runs the lattice subset-sum search over the ``n^2`` sources, embedded with
     ``beta = default_beta(n, eps_hat)`` for the separation margin ``eps_hat``;
-    succeeds only if the returned subset is exactly a permutation support
-    (each response and each covariate appearing once).  The returned map sends
-    response index to covariate index, both 0-based over the unanchored block.
+    succeeds only if the returned subset is exactly a permutation support.
+    The subset's keys come sorted, so its responses must read ``0..n-1`` in
+    order, and :class:`Permutation` refuses a covariate picked twice.  The
+    returned map sends response index to covariate index, both 0-based over
+    the unanchored block.
 
     Returns ``None`` on failure.  Raises :class:`DegenerateInstanceError` when
     every unanchored response is zero (the margin bound is vacuous there), and
@@ -404,18 +403,12 @@ def find_permutation(inst: QuantizedAnchoredInstance, eps_hat: Fraction) -> Opti
     if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
         raise DegenerateInstanceError("zero target with all-zero sources")
     res = lagarias_odlyzko(ssi.with_beta(beta))
-    if res.subset is None:
+    if res.subset is None or [i for i, _ in res.subset] != list(range(n)):
         return None
-    hits_resp = [0] * n
-    hits_cov = [0] * n
-    mapping = [0] * n
-    for i, j in res.subset:
-        hits_resp[i] += 1
-        hits_cov[j] += 1
-        mapping[i] = j
-    if any(v != 1 for v in hits_resp) or any(v != 1 for v in hits_cov):
+    try:
+        return Permutation(tuple(j for _, j in res.subset))
+    except ValueError:  # some covariate matched twice
         return None
-    return Permutation(tuple(mapping))
 
 
 @dataclass(frozen=True)
@@ -477,10 +470,13 @@ def recover(
 
     rank_deficient = 0
     for a in range(n + 1):
-        rows = list(xs_all)
-        rows[0], rows[a] = rows[a], rows[0]
+        order = list(range(n + 1))  # slot s holds covariate order[s]
+        order[0], order[a] = a, 0  # guess a swaps into the anchor slot
         sub = QuantizedAnchoredInstance(
-            x0=rows[0], y0=Fraction(inst.y0), x=tuple(rows[1:]), y=tuple(inst.y)
+            x0=xs_all[a],
+            y0=Fraction(inst.y0),
+            x=tuple(xs_all[g] for g in order[1:]),
+            y=tuple(inst.y),
         )
         try:
             pi_hat = find_permutation(sub, eps_hat)
@@ -494,15 +490,10 @@ def recover(
             continue
         if pi_hat is None:
             continue
-        system = [rows[1 + pi_hat(i)] for i in range(n)]
-        w = _ratlin.solve(_ratlin.mat(system), list(inst.y))
+        gmap = [a, *(order[1 + pi_hat(i)] for i in range(n))]
+        w = _ratlin.solve([xs_all[g] for g in gmap[1:]], list(inst.y))
         if w is None:
             continue
-        # translate slot indices back to original covariate indices
-        gmap = [a]
-        for i in range(n):
-            slot = 1 + pi_hat(i)
-            gmap.append(0 if slot == a else slot)
         ok = all(
             ys_all[i] == sum(wv * xv for wv, xv in zip(w, xs_all[gmap[i]]))
             for i in range(n + 1)

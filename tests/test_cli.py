@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from shuffle_regress import cli, errors
 from shuffle_regress.cli import (
     SWEEP_COLUMNS,
     SweepConfig,
@@ -461,3 +462,24 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "exc, code",
+        [
+            (errors.ParseError, 2),
+            (errors.SchemaError, 2),
+            (errors.CapExceededError, 2),
+            (errors.BudgetExceededError, 2),
+            (errors.RankDeficiencyError, 2),
+            (errors.DegenerateInstanceError, 2),
+            (errors.InternalInvariantError, 4),
+        ],
+    )
+    def test_package_error_exit_code(self, monkeypatch, tmp_path, capsys, exc, code):
+        def fail(args):
+            raise exc("planted failure")
+
+        monkeypatch.setattr(cli, "cmd_reduce", fail)
+        got, _, err = run(capsys, "reduce", "--z", "1,1,2", "--k", "1", "-o", str(tmp_path / "x.json"))
+        assert got == code
+        assert "planted failure" in err

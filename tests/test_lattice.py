@@ -135,7 +135,7 @@ class TestSubsetSumBasis:
         ssi = SubsetSumInstance(sources={"a": F(3), "b": F(5)}, target=F(8), beta=F(4))
         basis, keys = subset_sum_basis(ssi)
         assert keys == ["a", "b"]
-        assert basis.ncols == 3 and basis.dim == 4
+        assert len(basis.columns) == 3 and basis.dim == 4
         assert basis.columns[0] == (1, 0, 0, 32)  # beta * t = 32
         assert basis.columns[1] == (0, 1, 0, -12)
         assert basis.columns[2] == (0, 0, 1, -20)
@@ -256,6 +256,27 @@ class TestBuildSources:
                 y0=F(1),
             )
 
+    def test_rank_deficient_x0_in_span_raises(self):
+        # x0 = (1, 2) lies in the span of x^T x, so the Gram system is
+        # consistent; the dependent columns alone must refuse it
+        with pytest.raises(RankDeficiencyError):
+            build_sources(
+                x0=[F(1), F(2)],
+                x=[[F(1), F(2)], [F(2), F(4)], [F(3), F(6)]],
+                y=[F(1), F(2), F(3)],
+                y0=F(1),
+            )
+
+    @pytest.mark.parametrize("d, n, seed", [(2, 3, 0), (2, 5, 1), (3, 4, 2), (3, 6, 3)])
+    def test_projection_property(self, d, n, seed):
+        # with all responses 1, source (0, j) is proj_j = <x_j, (x^T x)^{-1} x0>
+        inst, truth = gen_noiseless_anchored(np.linspace(1, 2, d), n, seed)
+        q, _ = quantize_noiseless(inst, truth, QuantizationConfig(p=10))
+        ssi = build_sources(q.x0, q.x, [F(1)] * n, q.y0)
+        proj = [ssi.sources[(0, j)] for j in range(n)]
+        assert rl.matvec(rl.transpose(rl.mat(q.x)), proj) == list(q.x0)
+        assert rl.solve(q.x, proj) is not None  # proj lies in the column space
+
     def test_count_is_n_squared(self):
         ssi = build_sources(
             x0=[F(1), F(0)],
@@ -366,6 +387,26 @@ class TestFindPermutation:
         q, _, _ = self.make_quantized(2, 3, 5)
         with pytest.raises(ValueError):
             find_permutation(q, F(0))
+
+    @pytest.mark.parametrize(
+        "subset, want",
+        [
+            (((0, 1), (1, 2), (2, 0)), (1, 2, 0)),
+            (((0, 0), (1, 0), (2, 2)), None),  # covariate 0 matched twice
+            (((0, 0), (2, 1)), None),  # response 1 unmatched
+            (((0, 0), (0, 1), (2, 2)), None),  # response 0 twice, covariates a bijection
+            (((0, 0), (0, 1), (1, 1), (2, 2)), None),  # response 0 matched twice
+            (((0, 0), (1, 1), (2, 2), (3, 3)), None),  # response outside the block
+            ((), None),
+        ],
+    )
+    def test_subset_must_be_permutation_support(self, monkeypatch, subset, want):
+        q, _, _ = self.make_quantized(2, 3, 5)
+        monkeypatch.setattr(
+            lattice, "lagarias_odlyzko", lambda ssi: lattice.SubsetSearchResult(subset=subset)
+        )
+        pi = find_permutation(q, F(1, 2**8))
+        assert (pi.map if pi is not None else None) == want
 
     def test_beta_derived_from_margin(self, monkeypatch):
         # beta comes from the margin alone, so it always meets the floor

@@ -57,7 +57,7 @@ SURFACE = {
 OPTIONS = {
     "gen": {
         "--d", "--help", "--model", "--n", "--no-truth", "--output", "--p",
-        "--seed", "--sigma", "--snr", "--unanchored", "--w-norm", "-h", "-o",
+        "--seed", "--sigma", "--snr", "--unanchored", "-h", "-o",
     },
     "solve": {
         "--budget", "--cap", "--delta", "--eps", "--eps-override", "--help",

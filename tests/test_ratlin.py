@@ -10,10 +10,6 @@ F = Fraction
 
 
 class TestBasics:
-    def test_matmul_identity(self):
-        a = [[F(1), F(2)], [F(3), F(4)]]
-        assert rl.matmul(a, rl.identity(2)) == [list(r) for r in a]
-
     def test_matvec(self):
         a = [[F(1), F(2)], [F(0), F(3)]]
         assert rl.matvec(a, [F(1), F(1, 2)]) == [F(2), F(3, 2)]
@@ -24,8 +20,8 @@ class TestBasics:
 
 
 class TestRankDet:
-    # the rank is the pivot count of the echelon form that solve, inverse
-    # and left_nullspace_int build on
+    # the rank is the pivot count of the echelon form that solve and
+    # left_nullspace_int build on
     def test_rank_full(self):
         assert len(rl._echelon(rl.mat([[F(1), F(0)], [F(0), F(1)]]))[1]) == 2
 
@@ -49,8 +45,21 @@ class TestSolve:
         assert rl.matvec(a, x) == b
 
     def test_inconsistent_none(self):
+        # a singular matrix raises before consistency is looked at; the
+        # None return is left to full-rank systems (see the overdetermined
+        # inconsistent case below)
         a = [[F(1), F(1)], [F(1), F(1)]]
-        assert rl.solve(a, [F(1), F(2)]) is None
+        with pytest.raises(RankDeficiencyError):
+            rl.solve(a, [F(1), F(2)])
+
+    def test_dependent_columns_raise_when_consistent(self):
+        a = [[F(1), F(2)], [F(2), F(4)], [F(3), F(6)]]
+        with pytest.raises(RankDeficiencyError):
+            rl.solve(a, [F(1), F(2), F(3)])
+
+    def test_wide_matrix_raises(self):
+        with pytest.raises(RankDeficiencyError):
+            rl.solve([[F(1), F(0), F(1)], [F(0), F(1), F(1)]], [F(1), F(1)])
 
     def test_overdetermined_consistent(self):
         a = [[F(1)], [F(2)], [F(3)]]
@@ -60,34 +69,6 @@ class TestSolve:
     def test_overdetermined_inconsistent(self):
         a = [[F(1)], [F(2)]]
         assert rl.solve(a, [F(1), F(3)]) is None
-
-
-class TestInverse:
-    def test_round_trip(self):
-        a = [[F(1), F(2)], [F(3), F(5)]]
-        inv = rl.inverse(a)
-        assert rl.matmul(a, inv) == rl.identity(2)
-
-    def test_singular_raises(self):
-        with pytest.raises(RankDeficiencyError):
-            rl.inverse([[F(1), F(2)], [F(2), F(4)]])
-
-
-class TestPinv:
-    def test_left_inverse_property(self):
-        # pinv of a full-column-rank matrix is a left inverse
-        a = [[F(1), F(0)], [F(1), F(1)], [F(0), F(2)]]
-        p = rl.pinv_full_col_rank(a)
-        assert rl.matmul(p, a) == rl.identity(2)
-
-    def test_rank_deficient_raises(self):
-        a = [[F(1), F(2)], [F(2), F(4)], [F(3), F(6)]]
-        with pytest.raises(RankDeficiencyError):
-            rl.pinv_full_col_rank(a)
-
-    def test_square_matches_inverse(self):
-        a = [[F(2), F(1)], [F(1), F(1)]]
-        assert rl.pinv_full_col_rank(a) == rl.inverse(a)
 
 
 class TestLeftNullspace:
