@@ -188,7 +188,7 @@ def cmd_solve(args) -> int:
     if p is None:
         raise ValueError("lattice solver needs --p or a quantization block in the file")
     q = _exact_anchored(inst, p)
-    res = lattice.recover(q, args.delta, eps_override=args.eps_override)
+    res = lattice.recover(q)
     if res is None:
         print(json.dumps({"solver": "lattice", "failure": "no anchor hypothesis verified"}))
         print("failure: no anchor hypothesis verified", file=sys.stderr)
@@ -210,7 +210,6 @@ class SweepConfig:
     trials: int
     solver: str
     eps: float = 0.5
-    delta: float = 0.1
     p: int = 16
     seed: int = 0
     jobs: int = 1
@@ -228,7 +227,7 @@ def _sweep_cell(cfg: SweepConfig, snr_index: int, snr: float) -> list:
         if cfg.solver == "lattice":
             inst, truth = gen_noiseless_anchored(w_bar, cfg.n, ent, anchored=False)
             q, w_q = quantize_noiseless(inst, truth, QuantizationConfig(cfg.p))
-            res = lattice.recover(q, cfg.delta)
+            res = lattice.recover(q)
             wq = np.array([float(v) for v in w_q])
             if res is not None:
                 errs.append(float(np.linalg.norm(np.array([float(v) for v in res.w]) - wq)))
@@ -307,7 +306,6 @@ def cmd_sweep(args) -> int:
         trials=args.trials,
         solver=args.solver,
         eps=args.eps,
-        delta=args.delta,
         p=args.p,
         seed=args.seed,
         jobs=args.jobs,
@@ -495,9 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eps", type=float, default=0.5, help="fptas accuracy (default 0.5)")
     s.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="fptas evaluation budget")
     s.add_argument("--cap", type=int, default=_BRUTE_CAP, help="brute-force size cap (default %d)" % _BRUTE_CAP)
-    s.add_argument("--delta", type=float, default=0.1, help="lattice failure probability budget (default 0.1)")
     s.add_argument("--p", type=int, help="lattice grid exponent (defaults to the file's quantization block)")
-    s.add_argument("--eps-override", type=float, help="explicit separation margin for the lattice solver")
     s.set_defaults(func=cmd_solve)
 
     w = sub.add_parser("sweep-snr", help="Monte-Carlo sweep over an SNR grid, CSV output")
@@ -508,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--trials", type=int, default=50)
     w.add_argument("--solver", choices=("fptas", "brute", "lattice"), required=True)
     w.add_argument("--eps", type=float, default=0.5)
-    w.add_argument("--delta", type=float, default=0.1)
     w.add_argument("--p", type=int, default=16)
     w.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     w.add_argument("--seed", type=int, required=True)

@@ -5,8 +5,11 @@ problem: with one anchored measurement ``(x0, y0)`` and exact arithmetic,
 ``y0 = sum over matched pairs (i, j) of y_i * x_j^T (x^T x)^{-1} x0``, so the
 correct correspondence is a subset of the ``n^2`` source values summing exactly
 to ``y0``.  Low-density subset sums of this kind are solved by lattice basis
-reduction: embed the instance in an integer lattice scaled by a large ``beta``
-and look for a reduced vector of the pattern ``z * (1, indicator, 0)``.
+reduction: embed the instance in an integer lattice whose target row is scaled
+by ``beta`` and look for a reduced vector of the pattern
+``z * (1, indicator, 0)``.  All sums are rationals over one common denominator
+``D``, so a wrong subset misses the target by at least ``1 / D``; ``beta`` is
+derived from that exact margin.
 
 All arithmetic on this path is exact: rationals in the setup, arbitrary-size
 integers inside the reduction.  Floating point would void the recovered
@@ -18,9 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
-
-import mpmath
+from typing import Optional, Sequence
 
 from . import _ratlin
 from .errors import DegenerateInstanceError, RankDeficiencyError
@@ -35,7 +36,6 @@ __all__ = [
     "subset_sum_basis",
     "lagarias_odlyzko",
     "build_sources",
-    "w_norm_lower_bound",
     "epsilon_bound",
     "default_beta",
     "find_permutation",
@@ -238,8 +238,8 @@ def lagarias_odlyzko(
     remaining reduced vectors are scanned in order.
     Every candidate subset is re-verified by exact summation before being
     returned.  Heuristic: succeeds with high probability when the sources have
-    many more bits than ``n^2`` (low density), which is what a large ``beta``
-    buys in the recovery pipeline.
+    many more bits than ``n^2`` (low density).  ``beta`` scales every source
+    by the same factor, so it cannot change the density; only the data can.
     """
     basis, keys = subset_sum_basis(ssi)
     red = lll_reduce(basis, delta)
@@ -281,92 +281,25 @@ def build_sources(x0, x, y, y0) -> SubsetSumInstance:
     return SubsetSumInstance(sources=sources, target=Fraction(y0), beta=None)
 
 
-def w_norm_lower_bound(y) -> float:
-    """Data-driven lower estimate ``sqrt(sum(y^2) / (2 n))`` of ``||w||_2``.
+def epsilon_bound(ssi: SubsetSumInstance) -> Fraction:
+    """Exact separation margin ``1 / D`` for wrong-subset sums.
 
-    For responses generated as ``<w, x>`` with standard normal covariates, the
-    sum concentrates around ``n ||w||^2``, so this sits below ``||w||`` with
-    overwhelming probability once ``n`` is moderate.
+    ``D`` is the least common denominator of the target and every source, so
+    every subset sum lies on the ``1 / D`` grid and one that misses the target
+    misses it by at least ``1 / D`` (Lagarias and Odlyzko, 1985).
     """
-    ys = [float(v) for v in y]
-    if not ys:
-        raise ValueError("empty response vector")
-    return math.sqrt(sum(v * v for v in ys) / (2 * len(ys)))
-
-
-def _mpf_to_fraction(t) -> Fraction:
-    # raw libmp tuple (sign, mantissa, exponent, bitcount); specials have
-    # mantissa 0 with a nonzero exponent marker
-    sign, man, exp, _ = t
-    if man == 0 and exp != 0:
-        raise ArithmeticError("non-finite interval endpoint")
-    if man == 0:
-        return Fraction(0)
-    num = -int(man) if sign else int(man)
-    return Fraction(num) * Fraction(2) ** int(exp)
-
-
-def epsilon_bound(
-    n: int,
-    d: int,
-    delta: Union[float, Fraction],
-    w_norm_lb: Union[float, Fraction],
-) -> Fraction:
-    """Separation margin guaranteed for wrong-subset sums, as an exact rational.
-
-    Evaluates
-
-        (pi / 4) * sqrt((d - 1) / n)
-            * (delta / (6 * 2**(n**4)))**(2 + 1/(d - 1))
-            / (sqrt(n) + sqrt(d) + sqrt(2 ln(2 / delta)))**2
-            * w_norm_lb
-
-    in outward-rounded interval arithmetic and returns the lower endpoint, so
-    the result is a true lower bound of the real value.  The ``2**(n**4)``
-    term over-approximates the count of sign patterns realizable by the data.
-
-    ``d = 1`` is refused: the exponent ``1/(d - 1)`` is undefined there, so
-    callers must supply their own margin instead.
-    """
-    if d < 2:
-        raise ValueError("d must be >= 2 (margin exponent undefined at d = 1)")
-    if n < d:
-        raise ValueError("need n >= d")
-    delta = Fraction(delta)
-    if not (0 < delta < 1):
-        raise ValueError("delta must lie in (0, 1)")
-    wlb = Fraction(w_norm_lb)
-    if wlb <= 0:
-        raise ValueError("w_norm_lb must be positive")
-
-    iv = mpmath.iv
-    saved = iv.prec
-    try:
-        iv.prec = 96
-
-        def as_iv(fr: Fraction):
-            return iv.mpf(fr.numerator) / iv.mpf(fr.denominator)
-
-        dl = as_iv(delta)
-        expo = as_iv(Fraction(2) + Fraction(1, d - 1))
-        base = dl / (6 * iv.mpf(2) ** (n**4))
-        numer = (iv.pi / 4) * iv.sqrt(iv.mpf(d - 1) / n) * base**expo * as_iv(wlb)
-        denom = (iv.sqrt(iv.mpf(n)) + iv.sqrt(iv.mpf(d)) + iv.sqrt(2 * iv.log(2 / dl))) ** 2
-        lo = (numer / denom)._mpi_[0]
-    finally:
-        iv.prec = saved
-    out = _mpf_to_fraction(lo)
-    if out <= 0:
-        raise ArithmeticError("interval lower bound collapsed to zero")
-    return out
+    return Fraction(
+        1, math.lcm(ssi.target.denominator, *(v.denominator for v in ssi.sources.values()))
+    )
 
 
 def default_beta(n: int, eps_hat: Fraction) -> Fraction:
     """Smallest power of two at least ``2**(n^2) / eps_hat``.
 
-    The guarantee needs ``beta >= 2**(n^2/2) / eps_hat``.  The exponent
-    ``n^2`` in place of ``n^2/2`` costs under 1 % of the bits of ``beta``,
-    because the ``2**(n^4)`` term of :func:`epsilon_bound` dominates them.
+    The guarantee needs ``beta >= 2**(n^2/2) / eps_hat``.  With the exact
+    margin of :func:`epsilon_bound`, the exponent ``n^2`` puts every lattice
+    vector that misses the target at length ``2**(n^2)`` or more, above the
+    LLL bound ``2**(n^2/2) * sqrt(n + 1)`` on the first reduced vector.
     """
     eps_hat = Fraction(eps_hat)
     if eps_hat <= 0:
@@ -378,31 +311,29 @@ def default_beta(n: int, eps_hat: Fraction) -> Fraction:
     return Fraction(2) ** e
 
 
-def find_permutation(inst: QuantizedAnchoredInstance, eps_hat: Fraction) -> Optional[Permutation]:
+def find_permutation(inst: QuantizedAnchoredInstance) -> Optional[Permutation]:
     """Correspondence for the ``n`` unanchored measurements, assuming the anchor
     pairing ``(x0, y0)`` is genuine.
 
     Runs the lattice subset-sum search over the ``n^2`` sources, embedded with
-    ``beta = default_beta(n, eps_hat)`` for the separation margin ``eps_hat``;
-    succeeds only if the returned subset is exactly a permutation support.
+    ``beta = default_beta(n, epsilon_bound(sources))``; succeeds only if the
+    returned subset is exactly a permutation support.
     The subset's keys come sorted, so its responses must read ``0..n-1`` in
     order, and :class:`Permutation` refuses a covariate picked twice.  The
     returned map sends response index to covariate index, both 0-based over
     the unanchored block.
 
     Returns ``None`` on failure.  Raises :class:`DegenerateInstanceError` when
-    every unanchored response is zero (the margin bound is vacuous there), and
-    ``ValueError`` when ``eps_hat`` is not positive.
+    every unanchored response is zero (every source is then zero, so no
+    subset can single out a permutation).
     """
     n = inst.n
     if all(v == 0 for v in inst.y):
         raise DegenerateInstanceError("unanchored responses all zero")
-    beta = default_beta(n, eps_hat)
-
     ssi = build_sources(inst.x0, inst.x, inst.y, inst.y0)
     if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
         raise DegenerateInstanceError("zero target with all-zero sources")
-    res = lagarias_odlyzko(ssi.with_beta(beta))
+    res = lagarias_odlyzko(ssi.with_beta(default_beta(n, epsilon_bound(ssi))))
     if res.subset is None or [i for i, _ in res.subset] != list(range(n)):
         return None
     try:
@@ -428,12 +359,7 @@ class RecoveryResult:
         }
 
 
-def recover(
-    inst: QuantizedAnchoredInstance,
-    delta: Union[float, Fraction],
-    *,
-    eps_override: Optional[Union[float, Fraction]] = None,
-) -> Optional[RecoveryResult]:
+def recover(inst: QuantizedAnchoredInstance) -> Optional[RecoveryResult]:
     """Exact weights and correspondence from ``n + 1`` noiseless measurements.
 
     Tries every anchor guess in ascending order: covariate ``a`` is swapped
@@ -443,30 +369,20 @@ def recover(
     wins; its result satisfies ``y_i = <w, x_{perm(i)}>`` exactly for every
     measurement including the anchor.
 
-    The margin ``eps_hat`` is :func:`epsilon_bound` of the unanchored
-    responses, or ``eps_override``.  Every guess sees the same responses, so
-    the margin is computed once and every guess embeds its subset sum with
-    the same ``beta`` (see :func:`find_permutation`).
+    Each guess embeds its subset sum with the ``beta`` that its own exact
+    margin needs (see :func:`find_permutation`), so any ``d >= 1`` works.
 
     Returns ``None`` if no anchor verifies.  A guess whose remaining
     covariates lack full column rank counts as a failed guess;
     :class:`RankDeficiencyError` is raised only when every guess does.
     """
     n = inst.n
-    d = inst.d
-    if n < d:
+    if n < inst.d:
         raise ValueError("need n >= d")
     ys_all = [inst.y0, *inst.y]
     if all(v == 0 for v in ys_all):
         raise DegenerateInstanceError("all responses zero")
     xs_all = [tuple(inst.x0), *(tuple(row) for row in inst.x)]
-
-    if eps_override is not None:
-        eps_hat = Fraction(eps_override)
-        if eps_hat <= 0:
-            raise ValueError("eps_override must be positive")
-    else:
-        eps_hat = epsilon_bound(n, d, delta, w_norm_lower_bound(inst.y))
 
     rank_deficient = 0
     for a in range(n + 1):
@@ -479,7 +395,7 @@ def recover(
             y=tuple(inst.y),
         )
         try:
-            pi_hat = find_permutation(sub, eps_hat)
+            pi_hat = find_permutation(sub)
         except DegenerateInstanceError:
             continue
         except RankDeficiencyError:

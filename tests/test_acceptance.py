@@ -39,7 +39,6 @@ from shuffle_regress.lattice import (
     epsilon_bound,
     lagarias_odlyzko,
     subset_sum_basis,
-    w_norm_lower_bound,
 )
 from shuffle_regress.model import random_unit_vector
 from shuffle_regress.oracle import ols_given_perm
@@ -268,7 +267,7 @@ def recovery_runs():
                 w_bar, n, [61, cell_idx, trial], anchored=anchored
             )
             q, w_q = quantize_noiseless(inst, truth, QuantizationConfig(p=16))
-            res = recover(q, F(1, 10))
+            res = recover(q)
             runs.append(
                 {"cell": (d, n), "q": q, "truth": truth, "w_q": w_q, "res": res}
             )
@@ -309,7 +308,7 @@ def test_criterion_07_planted_vector_membership(capsys, recovery_runs):
         a_star = truth.pi_bar(0)
         rows = [tuple(q.x0), *(tuple(row) for row in q.x)]
         rows[0], rows[a_star] = rows[a_star], rows[0]
-        eps_hat = epsilon_bound(n, d, F(1, 10), w_norm_lower_bound(q.y))
+        eps_hat = epsilon_bound(build_sources(rows[0], rows[1:], q.y, q.y0))
         beta = default_beta(n, eps_hat)
         ssi = build_sources(rows[0], rows[1:], q.y, q.y0)
         basis, keys = subset_sum_basis(ssi.with_beta(beta))

@@ -177,22 +177,15 @@ class TestSolve:
         assert doc["perm"] == truth["pi_bar"]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_lattice_d_one_needs_eps_override(self, tmp_path, capsys, seed):
-        # The margin bound is undefined at d = 1, so only an explicit margin
-        # lets the lattice solver run there.
+    def test_lattice_d_one(self, tmp_path, capsys, seed):
+        # the margin comes from the grid, so d = 1 needs no option
         out = tmp_path / "d1.json"
         run(
             capsys,
             "gen", "--model", "noiseless", "--n", "2", "--d", "1",
             "--p", "8", "--seed", str(seed), "-o", str(out),
         )
-        code, _, err = run(capsys, "solve", "--instance", str(out), "--solver", "lattice")
-        assert code == 2
-        assert "d = 1" in err
-        code, stdout, _ = run(
-            capsys, "solve", "--instance", str(out), "--solver", "lattice",
-            "--eps-override", "0.00390625",
-        )
+        code, stdout, _ = run(capsys, "solve", "--instance", str(out), "--solver", "lattice")
         assert code == 0
         doc = json.loads(stdout)
         rec = json.loads(out.read_text())
@@ -301,6 +294,19 @@ class TestSweep:
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 1
         assert rows[0]["snr"] == "inf"
+        assert float(rows[0]["success_rate"]) == 1.0
+
+    def test_lattice_sweep_d_one(self, tmp_path, capsys):
+        out = tmp_path / "lat1.csv"
+        code, _, _ = run(
+            capsys,
+            "sweep-snr", "--model", "noiseless", "--n", "3", "--d", "1",
+            "--trials", "3", "--solver", "lattice", "--seed", "2",
+            "-o", str(out),
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 1
         assert float(rows[0]["success_rate"]) == 1.0
 
     def test_serial_parallel_identical(self, tmp_path):

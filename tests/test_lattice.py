@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -25,7 +26,6 @@ from shuffle_regress.lattice import (
     find_permutation,
     lagarias_odlyzko,
     subset_sum_basis,
-    w_norm_lower_bound,
 )
 from shuffle_regress import _ratlin as rl
 from shuffle_regress import lattice
@@ -288,62 +288,42 @@ class TestBuildSources:
         assert set(ssi.sources) == {(i, j) for i in range(3) for j in range(3)}
 
 
-class TestWNormLowerBound:
-    def test_zero_vector(self):
-        assert w_norm_lower_bound([0.0, 0.0]) == 0.0
-
-    def test_pinned_value(self):
-        assert w_norm_lower_bound([math.sqrt(2), math.sqrt(2)]) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-    def test_usually_below_true_norm(self):
-        rng = np.random.default_rng(31)
-        ok = 0
-        for _ in range(200):
-            w = rng.normal(size=3)
-            x = rng.normal(size=(50, 3))
-            y = x @ w
-            if w_norm_lower_bound(y) <= np.linalg.norm(w):
-                ok += 1
-        assert ok >= 190
-
-    def test_empty_refused(self):
-        with pytest.raises(ValueError):
-            w_norm_lower_bound([])
-
-
 class TestEpsilonBound:
-    def test_positive_and_below_wlb(self):
-        eps = epsilon_bound(3, 2, F(1, 10), F(1))
-        assert isinstance(eps, Fraction)
-        assert 0 < eps < 1
+    @pytest.mark.parametrize("target, want", [(F(1, 6), F(1, 6)), (F(1, 4), F(1, 12))])
+    def test_hand_value(self, target, want):
+        # the subset sums 0, 1/2, 1/3, 5/6 miss 1/6 by 1/6 at best and 1/4 by
+        # 1/12 at best: the margin is attained, and the target's denominator
+        # counts
+        ssi = SubsetSumInstance(sources={0: F(1, 2), 1: F(1, 3)}, target=target)
+        assert epsilon_bound(ssi) == want
 
-    def test_decreasing_in_delta(self):
-        big = epsilon_bound(3, 2, F(2, 10), F(1))
-        small = epsilon_bound(3, 2, F(1, 10), F(1))
-        assert small < big
-
-    def test_decreasing_in_n(self):
-        assert epsilon_bound(4, 2, F(1, 10), F(1)) < epsilon_bound(3, 2, F(1, 10), F(1))
-
-    def test_linear_in_wlb(self):
-        one = epsilon_bound(3, 2, F(1, 10), F(1))
-        two = epsilon_bound(3, 2, F(1, 10), F(2))
-        # interval arithmetic may slightly shrink, never grow past exact scaling
-        assert one < two <= 2 * one
-
-    def test_d_one_refused(self):
-        with pytest.raises(ValueError):
-            epsilon_bound(3, 1, F(1, 10), F(1))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            epsilon_bound(3, 2, F(0), F(1))
-        with pytest.raises(ValueError):
-            epsilon_bound(3, 2, F(1, 10), F(0))
-        with pytest.raises(ValueError):
-            epsilon_bound(2, 3, F(1, 10), F(1))
+    def test_wrong_sums_miss_by_at_least_the_margin(self):
+        # brute force over every subset of small grid instances: a subset sum
+        # that is not the target is at least the margin away from it
+        checked = 0
+        for d in (1, 2, 3):
+            for n in range(d, 4):
+                for p in (4, 8, 16):
+                    for seed in range(3):
+                        w = np.ones(d) / math.sqrt(d)
+                        inst, truth = gen_noiseless_anchored(w, n, seed)
+                        q, _ = quantize_noiseless(inst, truth, QuantizationConfig(p=p))
+                        try:
+                            ssi = build_sources(q.x0, q.x, q.y, q.y0)
+                        except RankDeficiencyError:
+                            continue
+                        vals = list(ssi.sources.values())
+                        if not any(vals):
+                            continue
+                        eps = epsilon_bound(ssi)
+                        misses = [
+                            abs(sum(v for v, bit in zip(vals, bits) if bit) - ssi.target)
+                            for bits in itertools.product((0, 1), repeat=len(vals))
+                        ]
+                        assert all((m / eps).denominator == 1 for m in misses)
+                        assert min(m for m in misses if m != 0) >= eps
+                        checked += 1
+        assert checked >= 50
 
 
 class TestDefaultBeta:
@@ -370,8 +350,7 @@ class TestFindPermutation:
 
     def test_recovers_planted_map(self):
         q, truth, _ = self.make_quantized(2, 3, 5)
-        eps_hat = epsilon_bound(3, 2, F(1, 10), w_norm_lower_bound(q.y))
-        pi = find_permutation(q, eps_hat)
+        pi = find_permutation(q)
         assert pi is not None
         want = tuple(truth.pi_bar(i + 1) - 1 for i in range(3))
         assert pi.map == want
@@ -381,12 +360,7 @@ class TestFindPermutation:
             x0=(F(1),), y0=F(1), x=((F(1),), (F(2),)), y=(F(0), F(0))
         )
         with pytest.raises(DegenerateInstanceError):
-            find_permutation(q, F(1, 2**8))
-
-    def test_eps_override_validation(self):
-        q, _, _ = self.make_quantized(2, 3, 5)
-        with pytest.raises(ValueError):
-            find_permutation(q, F(0))
+            find_permutation(q)
 
     @pytest.mark.parametrize(
         "subset, want",
@@ -405,28 +379,29 @@ class TestFindPermutation:
         monkeypatch.setattr(
             lattice, "lagarias_odlyzko", lambda ssi: lattice.SubsetSearchResult(subset=subset)
         )
-        pi = find_permutation(q, F(1, 2**8))
+        pi = find_permutation(q)
         assert (pi.map if pi is not None else None) == want
 
     def test_beta_derived_from_margin(self, monkeypatch):
-        # beta comes from the margin alone, so it always meets the floor
-        # beta >= 2**(n^2/2) / eps_hat that the lattice guarantee needs.
-        q, _, _ = self.make_quantized(2, 3, 5)
+        # beta comes from the exact margin of the instance it embeds.  Every
+        # entry of the last row is then a multiple of at least 2**(n^2), so a
+        # vector that misses the target is longer than the LLL bound
+        # 2**(N/2) * sqrt(n + 1) on the first reduced vector (N = n^2).
+        n = 3
+        q, _, _ = self.make_quantized(2, n, 5)
         seen = []
         real = lattice.subset_sum_basis
 
         def spy(ssi):
-            seen.append(ssi)
-            return real(ssi)
+            seen.append((ssi, real(ssi)))
+            return seen[-1][1]
 
         monkeypatch.setattr(lattice, "subset_sum_basis", spy)
-        eps_hat = epsilon_bound(3, 2, F(1, 10), w_norm_lower_bound(q.y))
-        find_permutation(q, eps_hat)
+        find_permutation(q)
         assert len(seen) == 1
-        assert seen[0].beta == default_beta(3, eps_hat)
-        assert seen[0].beta**2 * eps_hat**2 >= F(2) ** 9
-        with pytest.raises(ValueError):
-            find_permutation(q, F(-1, 2**8))
+        ssi, (basis, _) = seen[0]
+        assert ssi.beta == default_beta(n, epsilon_bound(ssi))
+        assert math.gcd(*(col[-1] for col in basis.columns)) >= 2 ** (n * n)
 
 
 class TestRecover:
@@ -438,14 +413,14 @@ class TestRecover:
 
     def test_exact_recovery_small(self):
         q, truth, w_q = self.run_case(2, 3, 7)
-        res = recover(q, F(1, 10))
+        res = recover(q)
         assert res is not None
         assert res.perm.map == truth.pi_bar.map
         assert res.w == w_q
 
     def test_exact_recovery_unanchored(self):
         q, truth, w_q = self.run_case(2, 3, 9, anchored=False)
-        res = recover(q, F(1, 10))
+        res = recover(q)
         assert res is not None
         assert res.perm.map == truth.pi_bar.map
         assert res.w == w_q
@@ -453,7 +428,7 @@ class TestRecover:
 
     def test_result_satisfies_every_equation(self):
         q, _, _ = self.run_case(3, 4, 3)
-        res = recover(q, F(1, 10))
+        res = recover(q)
         assert res is not None
         xs = [q.x0, *q.x]
         ys = [q.y0, *q.y]
@@ -468,7 +443,7 @@ class TestRecover:
         bad = QuantizedAnchoredInstance(
             x0=q.x0, y0=q.y0, x=q.x, y=(q.y[0] + F(1, 3), q.y[1], q.y[2])
         )
-        assert recover(bad, F(1, 10)) is None
+        assert recover(bad) is None
 
     def test_all_zero_degenerate(self):
         q = QuantizedAnchoredInstance(
@@ -478,7 +453,7 @@ class TestRecover:
             y=(F(0), F(0)),
         )
         with pytest.raises(DegenerateInstanceError):
-            recover(q, F(1, 10))
+            recover(q)
 
     def test_rank_deficiency_propagates(self):
         q = QuantizedAnchoredInstance(
@@ -488,7 +463,7 @@ class TestRecover:
             y=(F(1), F(2), F(3)),
         )
         with pytest.raises(RankDeficiencyError):
-            recover(q, F(1, 10))
+            recover(q)
 
     def test_rank_deficient_guess_is_a_failed_guess(self):
         # guess 0 leaves the collinear rows (1,0), (2,0) and raises inside
@@ -501,7 +476,7 @@ class TestRecover:
         )
         with pytest.raises(RankDeficiencyError):
             build_sources(q.x0, q.x, q.y, q.y0)
-        res = recover(q, F(1, 10))
+        res = recover(q)
         if res is not None:
             xs = [q.x0, *q.x]
             ys = [q.y0, *q.y]
@@ -523,39 +498,23 @@ class TestRecover:
             x=((F(1), F(0)), (F(2), F(0))),
             y=(F(1), F(2)),
         )
-        res = recover(q, F(1, 10))
+        res = recover(q)
         assert res is not None
         xs = [q.x0, *q.x]
         ys = [q.y0, *q.y]
         for i in range(3):
             assert ys[i] == sum(w * v for w, v in zip(res.w, xs[res.perm(i)]))
 
-    def test_margin_computed_once(self, monkeypatch):
-        # every anchor guess shares the unanchored responses, so one margin
-        # serves them all
-        calls = []
-        real = lattice.epsilon_bound
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(lattice, "epsilon_bound", counted)
-        q, truth, _ = self.run_case(2, 4, 6, anchored=False)
-        res = recover(q, F(1, 10))
-        assert res is not None and res.anchor == truth.pi_bar(0) > 0
-        assert len(calls) == 1
-
     def test_n_below_d_refused(self):
         q = QuantizedAnchoredInstance(
             x0=(F(1), F(0)), y0=F(1), x=((F(0), F(1)),), y=(F(1),)
         )
         with pytest.raises(ValueError):
-            recover(q, F(1, 10))
+            recover(q)
 
     def test_as_jsonable(self):
         q, _, _ = self.run_case(2, 3, 7)
-        res = recover(q, F(1, 10))
+        res = recover(q)
         doc = res.as_jsonable()
         assert doc["anchor"] == res.anchor
         assert doc["perm"] == list(res.perm.map)
@@ -564,9 +523,8 @@ class TestRecover:
         assert tuple(got) == res.w
 
     def test_scalar_chain(self):
-        # d=1 needs eps_override since the margin formula excludes it
         inst, truth = gen_noiseless_anchored(np.array([0.75]), 1, 2)
         q, w_q = quantize_noiseless(inst, truth, QuantizationConfig(p=8))
-        res = recover(q, F(1, 10), eps_override=F(1, 2**8))
+        res = recover(q)
         assert res is not None
         assert res.w == w_q

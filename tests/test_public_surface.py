@@ -1,10 +1,14 @@
 """The package's public surface: the README examples run as written,
 ``shuffle_regress.__all__`` holds exactly the documented names, and the
 settings a caller can pass (CLI options, function parameters) are pinned, so
-one joins or leaves only with an edit here."""
+one joins or leaves only with an edit here.  Importing the package loads no
+third-party module but numpy."""
 import argparse
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import shuffle_regress
@@ -60,11 +64,11 @@ OPTIONS = {
         "--seed", "--sigma", "--snr", "--unanchored", "-h", "-o",
     },
     "solve": {
-        "--budget", "--cap", "--delta", "--eps", "--eps-override", "--help",
-        "--instance", "--p", "--solver", "-h",
+        "--budget", "--cap", "--eps", "--help", "--instance", "--p", "--solver",
+        "-h",
     },
     "sweep-snr": {
-        "--budget", "--d", "--delta", "--eps", "--help", "--jobs", "--model",
+        "--budget", "--d", "--eps", "--help", "--jobs", "--model",
         "--n", "--output", "--p", "--seed", "--snr-grid", "--solver",
         "--trials", "-h", "-o",
     },
@@ -84,7 +88,7 @@ PARAMETERS = {
     "perm_match_brute": ("a", "b", "cap"),
     "pls_feasible_brute": ("pls", "cap"),
     "quantize_noiseless": ("inst", "truth", "cfg"),
-    "recover": ("inst", "delta", "eps_override"),
+    "recover": ("inst",),
     "reduce_3partition": ("tp",),
     "row_sample": ("u_mat", "r"),
     "sort_match": ("a", "b"),
@@ -138,3 +142,14 @@ def test_function_parameters_pinned():
         if name[0].islower()
     }
     assert got == PARAMETERS
+
+
+def test_import_loads_no_mpmath():
+    # numpy is the only runtime dependency
+    src = str(Path(shuffle_regress.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, shuffle_regress.cli; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
