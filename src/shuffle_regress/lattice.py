@@ -11,6 +11,12 @@ by ``beta`` and look for a reduced vector of the pattern
 ``D``, so a wrong subset misses the target by at least ``1 / D``; ``beta`` is
 derived from that exact margin.
 
+The wanted subset is a permutation support, so its indicator has every row sum
+and every column sum equal to 1.  :func:`find_permutation` therefore reduces
+only the sublattice of the embedding in which those ``2n - 1`` independent
+sums equal coordinate 0: rank ``(n - 1)^2 + 1`` instead of ``n^2 + 1``, in the
+same coordinates, so the scan, the margin and ``beta`` carry over unchanged.
+
 All arithmetic on this path is exact: rationals in the setup, arbitrary-size
 integers inside the reduction.  Floating point would void the recovered
 certificate, which is checked by exact re-substitution before anything is
@@ -227,6 +233,17 @@ def _indicator_subset(col: Sequence[int], keys: list) -> Optional[tuple]:
     return tuple(picked)
 
 
+def _scan(columns, keys: list, ssi: SubsetSumInstance) -> Optional[tuple]:
+    """First reduced column of the pattern ``z * (1, indicator, 0)`` whose
+    subset re-sums exactly to the target, in column order; ``None`` if none."""
+    for col in columns:
+        subset = _indicator_subset(col, keys)
+        if subset is not None:
+            if sum((ssi.sources[k] for k in subset), Fraction(0)) == ssi.target:
+                return subset
+    return None
+
+
 def lagarias_odlyzko(
     ssi: SubsetSumInstance, delta: Fraction = Fraction(3, 4)
 ) -> SubsetSearchResult:
@@ -242,13 +259,47 @@ def lagarias_odlyzko(
     by the same factor, so it cannot change the density; only the data can.
     """
     basis, keys = subset_sum_basis(ssi)
-    red = lll_reduce(basis, delta)
-    for col in red.columns:
-        subset = _indicator_subset(col, keys)
-        if subset is not None:
-            if sum((ssi.sources[k] for k in subset), Fraction(0)) == ssi.target:
-                return SubsetSearchResult(subset=subset)
-    return SubsetSearchResult(subset=None)
+    return SubsetSearchResult(subset=_scan(lll_reduce(basis, delta).columns, keys, ssi))
+
+
+def _permutation_sublattice(basis: LatticeBasis, keys: list, n: int) -> LatticeBasis:
+    """Sublattice of the ``n^2`` embedding whose indicator block has every row
+    sum and every column sum equal to coordinate 0.
+
+    ``basis`` and ``keys`` come from :func:`subset_sum_basis` over the keys
+    ``(i, j)`` of :func:`build_sources`; ``b[i, j]`` is the column of key
+    ``(i, j)`` and ``b_0`` the target column.  Entries ``(i, j)`` with
+    ``i, j >= 1`` are free; row 0 and column 0 are implied by the sums but stay
+    coordinates, so every vector is still a vector of the full embedding, with
+    the same coordinates.  The columns are
+
+    - the target column ``b_0 + sum_{i>=1} b[i, 0] + sum_{j>=1} b[0, j]
+      + (2 - n) b[0, 0]`` (``z = 1``, every free entry 0), and
+    - ``b[i, j] - b[i, 0] - b[0, j] + b[0, 0]`` for each free ``(i, j)``,
+
+    stably sorted by the magnitude of their last entry.  The rank is
+    ``(n - 1)^2 + 1`` in ambient dimension ``n^2 + 2``.  A permutation support
+    is the target column plus the free columns of its pairs outside row 0 and
+    column 0.
+    """
+    cols = basis.columns
+    at = {key: 1 + idx for idx, key in enumerate(keys)}
+
+    def combine(terms):
+        return tuple(
+            sum(c * cols[k][r] for k, c in terms) for r in range(basis.dim)
+        )
+
+    target = [(0, 1), (at[0, 0], 2 - n)]
+    target += [(at[i, 0], 1) for i in range(1, n)]
+    target += [(at[0, j], 1) for j in range(1, n)]
+    out = [combine(target)]
+    for i in range(1, n):
+        for j in range(1, n):
+            out.append(combine(
+                [(at[i, j], 1), (at[i, 0], -1), (at[0, j], -1), (at[0, 0], 1)]
+            ))
+    return LatticeBasis(columns=tuple(sorted(out, key=lambda c: abs(c[-1]))))
 
 
 def build_sources(x0, x, y, y0) -> SubsetSumInstance:
@@ -315,13 +366,16 @@ def find_permutation(inst: QuantizedAnchoredInstance) -> Optional[Permutation]:
     """Correspondence for the ``n`` unanchored measurements, assuming the anchor
     pairing ``(x0, y0)`` is genuine.
 
-    Runs the lattice subset-sum search over the ``n^2`` sources, embedded with
-    ``beta = default_beta(n, epsilon_bound(sources))``; succeeds only if the
-    returned subset is exactly a permutation support.
-    The subset's keys come sorted, so its responses must read ``0..n-1`` in
-    order, and :class:`Permutation` refuses a covariate picked twice.  The
-    returned map sends response index to covariate index, both 0-based over
-    the unanchored block.
+    Embeds the ``n^2`` sources with ``beta = default_beta(n,
+    epsilon_bound(sources))``, reduces the permutation sublattice of that
+    embedding (every row and column sum of the indicator block equals
+    coordinate 0, see :func:`_permutation_sublattice`), which has rank
+    ``(n - 1)^2 + 1`` instead of ``n^2 + 1``, and scans the reduced columns as
+    :func:`lagarias_odlyzko` does.  It succeeds only if the subset found is
+    exactly a permutation support.  The subset's keys come sorted, so its
+    responses must read ``0..n-1`` in order, and :class:`Permutation` refuses
+    a covariate picked twice.  The returned map sends response index to
+    covariate index, both 0-based over the unanchored block.
 
     Returns ``None`` on failure.  Raises :class:`DegenerateInstanceError` when
     every unanchored response is zero (every source is then zero, so no
@@ -333,11 +387,13 @@ def find_permutation(inst: QuantizedAnchoredInstance) -> Optional[Permutation]:
     ssi = build_sources(inst.x0, inst.x, inst.y, inst.y0)
     if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
         raise DegenerateInstanceError("zero target with all-zero sources")
-    res = lagarias_odlyzko(ssi.with_beta(default_beta(n, epsilon_bound(ssi))))
-    if res.subset is None or [i for i, _ in res.subset] != list(range(n)):
+    ssi = ssi.with_beta(default_beta(n, epsilon_bound(ssi)))
+    basis, keys = subset_sum_basis(ssi)
+    subset = _scan(lll_reduce(_permutation_sublattice(basis, keys, n)).columns, keys, ssi)
+    if subset is None or [i for i, _ in subset] != list(range(n)):
         return None
     try:
-        return Permutation(tuple(j for _, j in res.subset))
+        return Permutation(tuple(j for _, j in subset))
     except ValueError:  # some covariate matched twice
         return None
 

@@ -341,6 +341,76 @@ class TestDefaultBeta:
             default_beta(3, F(0))
 
 
+def embedded(d, n, seed):
+    """Seeded anchored p = 16 instance, its truth, the n^2 embedding with the
+    beta find_permutation uses, the keys and the permutation sublattice."""
+    w = np.ones(d) / math.sqrt(d)
+    inst, truth = gen_noiseless_anchored(w, n, seed)
+    q, _ = quantize_noiseless(inst, truth, QuantizationConfig(p=16))
+    ssi = build_sources(q.x0, q.x, q.y, q.y0)
+    basis, keys = subset_sum_basis(ssi.with_beta(default_beta(n, epsilon_bound(ssi))))
+    return truth, basis, keys, lattice._permutation_sublattice(basis, keys, n)
+
+
+class TestPermutationSublattice:
+    CASES = [(1, 1, 0), (2, 2, 1), (2, 3, 2), (2, 4, 3), (3, 4, 4), (2, 5, 5)]
+
+    @pytest.mark.parametrize("d, n, seed", CASES)
+    def test_rank_and_dimension(self, d, n, seed):
+        _, basis, _, sub = embedded(d, n, seed)
+        assert sub.dim == basis.dim == n * n + 2
+        assert len(sub.columns) == (n - 1) ** 2 + 1
+        gram = [[sum(a * b for a, b in zip(u, v)) for v in sub.columns] for u in sub.columns]
+        assert rl.det(gram) != 0  # independent columns: full rank (n - 1)^2 + 1
+
+    @pytest.mark.parametrize("d, n, seed", CASES)
+    def test_row_and_column_sums_equal_coordinate_zero(self, d, n, seed):
+        _, _, keys, sub = embedded(d, n, seed)
+        at = {key: 1 + idx for idx, key in enumerate(keys)}
+        for col in sub.columns:
+            z = col[0]
+            for a in range(n):
+                assert sum(col[at[a, j]] for j in range(n)) == z
+                assert sum(col[at[i, a]] for i in range(n)) == z
+
+    @pytest.mark.parametrize("d, n, seed", CASES)
+    def test_sorted_by_last_entry(self, d, n, seed):
+        _, _, _, sub = embedded(d, n, seed)
+        last = [abs(col[-1]) for col in sub.columns]
+        assert last == sorted(last)
+
+    @pytest.mark.parametrize("d, n, seed", CASES)
+    def test_planted_vector_from_target_and_free_columns(self, d, n, seed):
+        truth, basis, keys, sub = embedded(d, n, seed)
+        at = {key: 1 + idx for idx, key in enumerate(keys)}
+        (target,) = [col for col in sub.columns if col[0] != 0]
+        assert target[0] == 1
+        free = {}
+        for col in sub.columns:
+            if col[0] == 0:
+                (hot,) = [
+                    (i, j) for i in range(1, n) for j in range(1, n) if col[at[i, j]] != 0
+                ]
+                assert col[at[hot]] == 1
+                free[hot] = col
+        assert len(free) == (n - 1) ** 2
+        pi = [truth.pi_bar(i + 1) - 1 for i in range(n)]  # anchored: unanchored block
+        v = list(target)
+        for i in range(1, n):
+            if pi[i] != 0:
+                v = [a + b for a, b in zip(v, free[i, pi[i]])]
+        want = [0] * basis.dim
+        want[0] = 1
+        for i in range(n):
+            want[at[i, pi[i]]] = 1
+        assert v == want
+        assert v[-1] == 0 and norm_sq(v) == n + 1
+
+    def test_single_measurement_is_one_column(self):
+        _, _, _, sub = embedded(1, 1, 0)
+        assert sub.columns == ((1, 1, 0),)
+
+
 class TestFindPermutation:
     def make_quantized(self, d, n, seed, p=16):
         w = np.ones(d) / math.sqrt(d)
@@ -376,9 +446,7 @@ class TestFindPermutation:
     )
     def test_subset_must_be_permutation_support(self, monkeypatch, subset, want):
         q, _, _ = self.make_quantized(2, 3, 5)
-        monkeypatch.setattr(
-            lattice, "lagarias_odlyzko", lambda ssi: lattice.SubsetSearchResult(subset=subset)
-        )
+        monkeypatch.setattr(lattice, "_scan", lambda columns, keys, ssi: subset)
         pi = find_permutation(q)
         assert (pi.map if pi is not None else None) == want
 
@@ -483,15 +551,11 @@ class TestRecover:
             for i in range(3):
                 assert ys[i] == sum(w * v for w, v in zip(res.w, xs[res.perm(i)]))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="guess 1 has zero-valued sources, so Lagarias-Odlyzko finds "
-        "the shorter non-permutation subset {(1, 1)} "
-        "(ROADMAP Known defects, item 3(b))",
-    )
     def test_zero_source_column_guess_recovers(self):
         # guess 0 is rank-deficient; with guess 1 (y0 paired with x_1),
-        # w = (1, 1) fits all three equations
+        # w = (1, 1) fits all three equations.  Guess 1 has zero-valued
+        # sources, and the shorter non-permutation subset {(1, 1)} also sums
+        # to the target; it is not a vector of the permutation sublattice.
         q = QuantizedAnchoredInstance(
             x0=(F(0), F(1)),
             y0=F(1),
@@ -528,3 +592,57 @@ class TestRecover:
         res = recover(q)
         assert res is not None
         assert res.w == w_q
+
+
+def _full_rank_find_permutation(inst):
+    """The full-rank search find_permutation ran before the permutation
+    sublattice, kept as the reference: the same sources, beta and
+    permutation check, over the n^2 embedding (subset_sum_basis, lll_reduce
+    and the scan, inside lagarias_odlyzko)."""
+    n = inst.n
+    if all(v == 0 for v in inst.y):
+        raise DegenerateInstanceError("unanchored responses all zero")
+    ssi = build_sources(inst.x0, inst.x, inst.y, inst.y0)
+    if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
+        raise DegenerateInstanceError("zero target with all-zero sources")
+    subset = lagarias_odlyzko(ssi.with_beta(default_beta(n, epsilon_bound(ssi)))).subset
+    if subset is None or [i for i, _ in subset] != list(range(n)):
+        return None
+    try:
+        return Permutation(tuple(j for _, j in subset))
+    except ValueError:
+        return None
+
+
+class TestFullRankReference:
+    def test_recovers_wherever_the_full_rank_search_does(self, monkeypatch):
+        # 288 seeded instances, d <= 3, n <= 5, p in {2, 4, 8, 16}, anchored
+        # and unanchored: the sublattice search returns the planted truth on
+        # every one where the full-rank search does
+        ref_hits = 0
+        lost = []
+        for d in (1, 2, 3):
+            for n in range(d, 6):
+                for p in (2, 4, 8, 16):
+                    for anchored in (True, False):
+                        for seed in range(3):
+                            w = np.ones(d) / math.sqrt(d)
+                            inst, truth = gen_noiseless_anchored(w, n, seed, anchored=anchored)
+                            q, w_q = quantize_noiseless(inst, truth, QuantizationConfig(p=p))
+
+                            def planted(res):
+                                return (
+                                    res is not None
+                                    and res.perm.map == truth.pi_bar.map
+                                    and res.w == w_q
+                                )
+
+                            with monkeypatch.context() as m:
+                                m.setattr(lattice, "find_permutation", _full_rank_find_permutation)
+                                ref = recover(q)
+                            if planted(ref):
+                                ref_hits += 1
+                                if not planted(recover(q)):
+                                    lost.append((d, n, p, anchored, seed))
+        assert lost == []
+        assert ref_hits >= 200

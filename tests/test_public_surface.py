@@ -2,19 +2,25 @@
 ``shuffle_regress.__all__`` holds exactly the documented names, and the
 settings a caller can pass (CLI options, function parameters) are pinned, so
 one joins or leaves only with an edit here.  Importing the package loads no
-third-party module but numpy."""
+third-party module but numpy, and every function the benchmark's tracer wraps
+still exists under the name it looks up."""
 import argparse
+import importlib
 import inspect
 import os
 import re
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 import shuffle_regress
+from shuffle_regress import lattice
 from shuffle_regress.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+TRACING = README.parent / "perfbench" / "tracing.py"
 
 # The functions the README names, the types they take or return, and the
 # error classes.  A name joins only together with its README entry.
@@ -153,3 +159,23 @@ def test_import_loads_no_mpmath():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def _load_tracing():
+    # compiled from source, so nothing is written next to it
+    mod = types.ModuleType("perfbench_tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), mod.__dict__)
+    return mod
+
+
+def test_traced_functions_resolve():
+    # the benchmark's tracer wraps package functions by (module, attribute);
+    # a rename or restructure in the package would silently drop a span
+    tracing = _load_tracing()
+    for mod, attr, *_ in tracing.WRAP_TABLE:
+        fn = getattr(importlib.import_module("shuffle_regress." + mod), attr, None)
+        assert callable(fn), (mod, attr)
+    first = next(iter(inspect.signature(lattice.lll_reduce).parameters))
+    assert typing.get_type_hints(lattice.lll_reduce)[first] is shuffle_regress.LatticeBasis
+    basis = shuffle_regress.LatticeBasis(columns=((1, 0, 5), (0, 1, -9)))
+    assert tracing._lll_input((basis,), {}) == {"dim": 3, "input_bits": 4}
