@@ -14,9 +14,14 @@ sampled rows (the planted correspondence is a bijection, so it gives distinct
 rows distinct responses) and every grid has ``O((sqrt(k)/eps)**k)`` points, so
 the overall work is ``(n/eps)**O(k)``.  Candidates are generated from their
 rank in batches of a fixed size (``_CHUNK``), so the first pass keeps one
-float per candidate plus buffers of that size.  A budget cap (default 50
-million candidate evaluations) turns runaway instances into a hard error
-instead of an open-ended computation.
+float per candidate plus buffers of that size.  The second pass does not
+visit every grid point: it scans boxes of grid points coarse to fine and
+drops a box once the 1-Lipschitz bound on ``sqrt(cost)`` shows that none of
+its points can beat the incumbent, which only evaluated grid points become.
+It returns the minimum over the grids, ties going to the smallest (candidate
+rank, row-major grid index).  A budget cap (default 50 million) on the
+candidates and on the unpruned grid points turns runaway instances into a
+hard error instead of an open-ended computation.
 """
 from __future__ import annotations
 
@@ -41,7 +46,8 @@ __all__ = [
 
 DEFAULT_BUDGET = 50_000_000
 
-# Candidates per pass-1 buffer, and about the grid points per pass-2 batch.
+# Candidates per pass-1 buffer; pass 2 evaluates `_CHUNK >> k` boxes a step,
+# whose children number at most `_CHUNK`.
 _CHUNK = 8192
 
 
@@ -124,19 +130,11 @@ def approx_factor(n: int, k: int) -> float:
     return 1.0 + 4.0 * (1.0 + math.sqrt(n / (4.0 * k))) ** 2
 
 
-def _offsets(h: int, k: int) -> np.ndarray:
-    """Integer offsets of a ``k``-dimensional grid with ``2*h + 1`` points per
-    axis, as floats, rows in row-major order; row ``((2*h + 1)**k - 1) // 2``
-    is the origin."""
-    offs = np.arange(-h, h + 1, dtype=float)
-    return np.stack(np.meshgrid(*([offs] * k), indexing="ij"), axis=-1).reshape(-1, k)
-
-
 def _net_steps(r: np.ndarray, reach: float, eps: float, c: float, k: int):
     """Spacing and half-width of the net around centers of cost ``r``.
 
-    The net around a center ``w`` of cost ``r_b`` is
-    ``w + spacing * _offsets(half, k)``.  The spacing
+    The net around a center ``w`` of cost ``r_b`` is ``w + spacing * g`` for
+    the integer offsets ``g`` in ``-half..half`` per axis.  The spacing
     ``2 * sqrt(eps * r_b / c) / sqrt(k)`` leaves every point of the cube the
     net spans within ``sqrt(eps * r_b / c)`` of a grid point, and
     ``half = ceil(reach / spacing)`` makes that cube cover the ball of radius
@@ -162,6 +160,130 @@ def _min_perm_costs(a_rows: np.ndarray, y_sorted: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a_rows, a_rows)
 
 
+def _rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, each row rounded the same whatever the number of rows.
+
+    BLAS rounds a one-row product (a vector-matrix call) differently from a
+    row of a larger one, so a single row goes through as two.
+    """
+    if a.shape[0] == 1:
+        return (np.repeat(a, 2, axis=0) @ b)[:1]
+    return a @ b
+
+
+def _scan_nets(ut, y_sorted, ranks, wt, spacing, halves, best):
+    """Cheapest point of the nets ``wt[:, i] + spacing[i] * g``, ``g`` in
+    ``-halves[i]..halves[i]`` per axis, by a coarse-to-fine box scan.
+
+    ``best`` is the incumbent ``(cost, key, point)``, ``key`` being ``(rank,
+    row-major index)``; the updated incumbent is returned.  A box is a product
+    of per-axis offset ranges ``lo..hi`` of one net, and its middle
+    ``g = (lo + hi) // 2`` is evaluated.  ``sqrt(cost)`` is 1-Lipschitz in the
+    point (the columns of ``u`` are orthonormal and sorting is a contraction),
+    so no point of the box costs less than
+    ``(sqrt(cost(g)) - spacing * ||hi - g||)**2``.  When that exceeds the
+    incumbent, with a relative slack of 1e-12 for rounding, the box is
+    dropped; otherwise every axis with more than one offset is split into
+    ``lo..g`` and ``g+1..hi``.  A net's root box is centered on the candidate
+    center, whose cost ``r_b`` pass 1 knows, and is wider than the reach, so
+    the scan starts from its halves.  Only evaluated grid points become the
+    incumbent, and ties keep the smallest key, so the result is the net
+    minimum whatever the order of the scan or ``_CHUNK``.
+
+    Boxes wait on one stack of ``(net, lo, hi)`` columns, and each step pops
+    ``_CHUNK >> k`` of them from the top.  Nets enter in their given order,
+    that many at a time whenever the stack runs empty.  Children go on top in
+    their parents' order, so depth never falls going up the stack and each
+    depth holds at most one step's children, at most ``_CHUNK``.  The stack
+    starts with room for two steps' children and doubles when full, so it
+    never holds more than ``1 + halves.max().bit_length()`` steps' worth.
+    """
+    best_cost, best_key, best_w = best
+    todo = np.flatnonzero(halves)
+    if todo.size == 0:
+        return best
+    k = ut.shape[0]
+    fan = 1 << k
+    group = max(1, _CHUNK >> k)
+    axis = np.arange(k, dtype=np.int32)[:, None]
+    pattern = np.tile(np.arange(fan, dtype=np.int32), group)
+    idx = np.int32 if 2 * int(halves.max()) < 2**31 else np.int64
+    stack = np.empty((1 + 2 * k, 2 * group * fan), dtype=idx)
+    # Masks go into fixed buffers: numpy caches freed arrays under 1 KiB, a
+    # few per byte size, and fresh masks of every length would fill that
+    # cache (about 0.5 MB more resident over a thousand small solves).
+    keep = np.empty(group, dtype=bool)
+    kid_mask = np.empty(fan * group, dtype=bool)
+    axis_mask = np.empty((k, fan * group), dtype=bool)
+    top = fed = 0
+    bound = math.sqrt(best_cost * (1.0 + 1e-12) + 1e-300)
+    while top or fed < todo.size:
+        if top == 0:
+            # Split the root boxes of the next nets around their centers.
+            net = todo[fed : fed + group].astype(idx)
+            fed += net.size
+            hi = np.tile(halves[net].astype(idx), (k, 1))
+            lo, g = -hi, np.zeros_like(hi)
+        else:
+            p = min(top, group)
+            top -= p
+            box = stack[:, top : top + p]
+            net, lo, hi = box[0], box[1 : k + 1], box[k + 1 :]
+            g = lo + hi
+            g >>= 1
+            sp = spacing[net]
+            pts = wt.take(net, axis=1)
+            pts += sp * g
+            pts = pts.T
+            costs = _min_perm_costs(_rows_matmul(pts, ut), y_sorted)
+
+            j = int(costs.argmin())
+            if costs[j] <= best_cost:
+                for t in np.flatnonzero(costs == costs[j]).tolist():
+                    h = int(halves[net[t]])
+                    index = np.ravel_multi_index(g[:, t] + h, (2 * h + 1,) * k)
+                    key = (int(ranks[net[t]]), int(index))
+                    if costs[t] < best_cost or key < best_key:
+                        best_cost, best_key, best_w = float(costs[t]), key, pts[t].copy()
+                bound = math.sqrt(best_cost * (1.0 + 1e-12) + 1e-300)
+
+            # A one-point box is kept only when it ties the incumbent, and it
+            # has no children.
+            far = hi - g  # per axis, the offset to the farthest point of the box
+            radius = np.sqrt(np.einsum("ij,ij->j", far, far, dtype=float))
+            radius *= sp
+            np.sqrt(costs, out=costs)
+            costs -= radius
+            split = np.less_equal(costs, bound, out=keep[:p])
+            if not split.any():
+                continue
+            box, g = np.compress(split, box, axis=1), np.compress(split, g, axis=1)
+            net, lo, hi = box[0], box[1 : k + 1], box[k + 1 :]
+
+        # Child t of a box takes the upper half g+1..hi on the axes of bit t.
+        # That half is empty on an axis with one offset, and the child of
+        # lower halves only is {g} itself when no axis has more than two.
+        q = net.size
+        thin = (np.equal(hi, lo, out=axis_mask[:, :q]) << axis).sum(axis=0, dtype=np.int32)
+        kid = np.equal(np.repeat(thin, fan) & pattern[: fan * q], 0, out=kid_mask[: fan * q])
+        np.greater((hi - lo).max(axis=0), 1, out=kid[::fan])
+        kid = np.flatnonzero(kid)
+        parent = kid >> k
+        upper = np.not_equal(pattern[kid] & (1 << axis), 0, out=axis_mask[:, : kid.size])
+        if top + kid.size > stack.shape[1]:
+            stack = np.concatenate((stack[:, :top], np.empty_like(stack)), axis=1)
+        out = stack[:, top : top + kid.size]
+        np.take(net, parent, out=out[0])
+        np.take(lo, parent, axis=1, out=out[1 : k + 1])
+        g = g.take(parent, axis=1)
+        out[k + 1 :] = g
+        np.copyto(out[k + 1 :], hi.take(parent, axis=1), where=upper)
+        g += 1
+        np.copyto(out[1 : k + 1], g, where=upper)
+        top += kid.size
+    return best_cost, best_key, best_w
+
+
 def fptas_solve(
     inst: Instance,
     eps: float,
@@ -170,19 +292,23 @@ def fptas_solve(
 ) -> Solution:
     """Approximate ``min_{w, pi} sum_i (dot(w, x[pi(i)]) - y_i)^2``.
 
-    Guarantees ``cost <= (1 + eps) * optimum``.  Deterministic: among
-    equal-cost candidates the winner is the one met earliest in enumeration
-    order (candidate vector first, in the lexicographic order of
-    :func:`_assignments`, then row-major grid position).
+    Guarantees ``cost <= (1 + eps) * optimum``.  The weights are the
+    cheapest point of the grids scanned around the candidates' centers; among
+    equal-cost points the winner is the one met earliest in enumeration order
+    (candidate vector first, in the lexicographic order of
+    :func:`_assignments`, then row-major grid position), whatever order the
+    scan visits them in.
 
     The candidate family has ``n!/(n-m)!`` members for ``m`` distinct sampled
     rows.  The first pass keeps one float per candidate plus buffers of 8192
-    candidates; the second pass works on batches of about 8192 grid points.
+    candidates.  The second pass is a coarse-to-fine box scan of the grids
+    (see :func:`_scan_nets`) that evaluates ``8192 >> k`` grid points at a
+    time and skips the boxes that cannot hold a cheaper point.
 
-    Raises :class:`BudgetExceededError` if the candidate family or the
-    enumeration would touch more than ``budget`` candidate weight vectors;
-    pass ``budget=None`` to disable.  Raises ``ValueError`` if ``eps`` lies
-    outside ``(0, 1)`` or the optimal weights overflow float64.
+    Raises :class:`BudgetExceededError` if the candidate family, or the grids
+    before any box is skipped, hold more than ``budget`` candidate weight
+    vectors; pass ``budget=None`` to disable.  Raises ``ValueError`` if
+    ``eps`` lies outside ``(0, 1)`` or the optimal weights overflow float64.
     """
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
@@ -220,86 +346,47 @@ def fptas_solve(
         gmap[pos[col]] += wt * pin[:, row_idx]
 
     def centers(ranks) -> np.ndarray:
-        return y[_assignments(ranks, n, m)] @ gmap
+        return _rows_matmul(y[_assignments(ranks, n, m)], gmap)
 
     # Pass 1: center cost r_b for every candidate assignment b, by rank.
+    ut = u.T
     r_all = np.empty(n_cand)
     for lo in range(0, n_cand, _CHUNK):
         hi = min(lo + _CHUNK, n_cand)
-        r_all[lo:hi] = _min_perm_costs(centers(np.arange(lo, hi)) @ u.T, y_sorted)
+        r_all[lo:hi] = _min_perm_costs(_rows_matmul(centers(np.arange(lo, hi)), ut), y_sorted)
 
     r_min = float(r_all.min())
-    b_min = int(r_all.argmin())
 
     # A candidate whose center cost exceeds c * min_b r_b cannot be the
     # certificate: the certificate's own center cost is at most c * optimum
     # <= c * r_min.  Skipping those grids keeps the (1+eps) guarantee intact.
+    # Survivors are scanned in ascending r_b (ties by rank), so the first is
+    # the cheapest center, the one of smallest rank among equals.
     keep_thr = c * r_min * (1.0 + 1e-9) + 1e-300
     survivors = np.flatnonzero(r_all <= keep_thr)
+    survivors = survivors[np.argsort(r_all[survivors], kind="stable")]
+    surv_r = r_all[survivors]
 
     # Likewise the optimum lies within sqrt((c-1) * optimum) of the certificate
     # center, so grids only need radius sqrt((c-1) * r_min), not sqrt(c * r_b).
     reach = math.sqrt((c - 1.0) * r_min) * (1.0 + 1e-9)
-    surv_r = r_all[survivors]
     surv_sp, halves = _net_steps(surv_r, reach, eps, c, k)
-    grid_sizes = (2 * halves + 1) ** k
-    total_evals = int(grid_sizes.sum())
+    total_evals = int(((2 * halves + 1) ** k).sum())
     if budget is not None and total_evals > budget:
         raise BudgetExceededError(
             "net enumeration needs %d weight evaluations, budget is %d"
             % (total_evals, budget)
         )
 
-    surv_w = np.empty((survivors.size, k))
+    surv_wt = np.empty((k, survivors.size))
     for lo in range(0, survivors.size, _CHUNK):
-        surv_w[lo : lo + _CHUNK] = centers(survivors[lo : lo + _CHUNK])
+        surv_wt[:, lo : lo + _CHUNK] = centers(survivors[lo : lo + _CHUNK]).T
 
-    # Incumbent: center of the cheapest candidate (a grid point of its own
-    # net, sitting at the middle row-major index).
-    at_min = int(np.searchsorted(survivors, b_min))
-    best_cost = r_min
-    best_key = (b_min, (int(grid_sizes[at_min]) - 1) // 2)
-    best_w = surv_w[at_min].copy()
-
-    # Pass 2: scan surviving grids, batched by half-width so each batch shares
-    # one offset pattern.  sqrt(cost) is 1-Lipschitz in v (columns of u are
-    # orthonormal and sorting is a contraction), so
-    # sqrt(cost(v)) >= sqrt(r_b) - ||v - center||: a point dropped because
-    # that inner bound exceeds the incumbent is strictly worse than it.  The
-    # predicate below also drops points where ||v - center|| - sqrt(r_b)
-    # exceeds sqrt(best).  That outer half is NOT a lower bound on
-    # sqrt(cost(v)), because the sorted match can pair values differently from
-    # the identity; it can drop a point cheaper than the incumbent, and which
-    # points it drops depends on the incumbent when a batch is scanned (see
-    # ROADMAP "Known defects").
-    by_half: dict[int, list[int]] = {}
-    for s_pos, h in enumerate(halves.tolist()):
-        by_half.setdefault(h, []).append(s_pos)
-
-    for h in sorted(by_half):
-        members = np.asarray(by_half[h], dtype=np.int64)
-        base = _offsets(h, k)
-        base_norm = np.linalg.norm(base, axis=1)
-        npts = base.shape[0]
-        group = max(1, _CHUNK // npts)
-        for lo in range(0, members.size, group):
-            mem = members[lo : lo + group]
-            b_idx = survivors[mem]
-            sp = surv_sp[mem]
-            rt = np.sqrt(surv_r[mem])
-            lb = np.abs(sp[:, None] * base_norm[None, :] - rt[:, None])
-            keep_b, keep_p = np.nonzero(lb * lb <= best_cost * (1.0 + 1e-12) + 1e-300)
-            if keep_b.size == 0:
-                continue
-            pts = surv_w[mem[keep_b]] + sp[keep_b, None] * base[keep_p]
-            costs = _min_perm_costs(pts @ u.T, y_sorted)
-            j = int(costs.argmin())  # first minimum: smallest (candidate, point)
-            cand = float(costs[j])
-            key = (int(b_idx[keep_b[j]]), int(keep_p[j]))
-            if cand < best_cost or (cand == best_cost and key < best_key):
-                best_cost = cand
-                best_key = key
-                best_w = pts[j].copy()
+    # Incumbent: center of the cheapest candidate, a grid point of its own net
+    # at the middle row-major index.
+    h0 = int(halves[0])
+    best = (r_min, (int(survivors[0]), ((2 * h0 + 1) ** k - 1) // 2), surv_wt[:, 0].copy())
+    best_cost, _, best_w = _scan_nets(ut, y_sorted, survivors, surv_wt, surv_sp, halves, best)
 
     # A tiny singular value can put the optimum beyond the largest double.
     with np.errstate(over="ignore", invalid="ignore"):

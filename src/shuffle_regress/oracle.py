@@ -11,7 +11,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .approx import Solution
+from .approx import Solution, orthonormalize
 from .errors import CapExceededError
 from .model import Instance, Permutation
 from .perm1d import MatchResult
@@ -42,7 +42,10 @@ def _perm_rows(n: int) -> np.ndarray:
 def brute_force(inst: Instance, cap: int = 8) -> Solution:
     """Exact minimizer over all ``n!`` permutations, each with its own OLS fit.
 
-    Ties break toward the lexicographically smallest permutation map.  Refuses
+    Ties break toward the lexicographically smallest permutation map.  The
+    fits go through :func:`~shuffle_regress.approx.orthonormalize` (singular
+    values at or below ``1e-15 * max`` count as zero), and the reported cost
+    is that of the returned ``w`` and permutation, recomputed.  Refuses
     ``n > cap`` (default 8) with :class:`CapExceededError`.
     """
     if inst.n > cap:
@@ -50,15 +53,16 @@ def brute_force(inst: Instance, cap: int = 8) -> Solution:
     x, y = inst.x, np.asarray(inst.y, dtype=float)
     n = inst.n
     perms = _perm_rows(n)
-    pin = np.linalg.pinv(x)
-    resid_map = x @ pin - np.eye(n)
+    red = orthonormalize(x)
+    resid_map = red.u @ red.u.T - np.eye(n)
     # row p of rhs is the permuted response vector for perms[p]
     rhs = y[np.argsort(perms, axis=1)]
     resid = rhs @ resid_map.T
     costs = np.einsum("ij,ij->i", resid, resid)
     best = int(costs.argmin())  # first minimum = lexicographically smallest map
-    w = pin @ rhs[best]
-    return Solution(w=w, perm=Permutation(tuple(int(v) for v in perms[best])), cost=float(costs[best]))
+    w = red.to_original(red.u.T @ rhs[best])
+    miss = x @ w - rhs[best]
+    return Solution(w=w, perm=Permutation(tuple(int(v) for v in perms[best])), cost=float(miss @ miss))
 
 
 def perm_match_brute(a, b, cap: int = 8) -> MatchResult:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,15 +18,15 @@ from shuffle_regress import (
     row_sample,
     sort_match,
 )
-from shuffle_regress import approx
+from shuffle_regress import approx, cli
 from shuffle_regress.approx import (
     _assignments,
     _net_steps,
-    _offsets,
     approx_factor,
     orthonormalize,
     sampled_columns,
 )
+from shuffle_regress.model import read_instance_record
 
 
 def candidate_targets(s, y):
@@ -38,6 +39,14 @@ def candidate_targets(s, y):
     out = np.zeros((ranks.size, n))
     out[:, cols] = y[_assignments(ranks, n, m)]
     return out
+
+
+def _offsets(h: int, k: int) -> np.ndarray:
+    """Integer offsets of a ``k``-dimensional grid with ``2*h + 1`` points per
+    axis, as floats, rows in row-major order; row ``((2*h + 1)**k - 1) // 2``
+    is the origin."""
+    offs = np.arange(-h, h + 1, dtype=float)
+    return np.stack(np.meshgrid(*([offs] * k), indexing="ij"), axis=-1).reshape(-1, k)
 
 
 def build_net(center, r_b, eps, c):
@@ -291,13 +300,16 @@ class TestFptasSolve:
             fptas_solve(inst, 0.25, budget=100)
 
     def test_chunk_independence(self, monkeypatch):
-        inst, _ = gen_gaussian_noisy(np.array([0.5, -0.9]), 5, 0.6, 4)
-        a = fptas_solve(inst, 0.5)
-        monkeypatch.setattr(approx, "_CHUNK", 7)
-        b = fptas_solve(inst, 0.5)
-        assert a.cost == b.cost
-        assert a.perm.map == b.perm.map
-        assert np.array_equal(a.w, b.w)
+        for w_bar, seed in (((0.5, -0.9), 4), ((0.6, -0.3, 0.8), 1)):
+            inst, _ = gen_gaussian_noisy(np.array(w_bar), 5, 0.6, seed)
+            ref = fptas_solve(inst, 0.5)
+            for chunk in (1, 7, 8192):
+                with monkeypatch.context() as m:
+                    m.setattr(approx, "_CHUNK", chunk)
+                    got = fptas_solve(inst, 0.5)
+                assert got.cost == ref.cost
+                assert got.perm.map == ref.perm.map
+                assert np.array_equal(got.w, ref.w)
 
     def test_weight_overflow_refused(self):
         # the optimal weight 4 / 2.2e-308 is beyond the largest double
@@ -330,3 +342,110 @@ class TestFptasSolve:
             best_center = min(best_center, sort_match(red.u @ w_r, inst.y).cost)
         sol = fptas_solve(inst, 0.5)
         assert sol.cost <= best_center * (1 + 1e-12) + 1e-12
+
+
+def _flat_scan_nets(ut, y_sorted, ranks, wt, spacing, halves, best):
+    """Reference pass 2: every point of every net, in row-major order, with
+    the box scan's incumbent and tie rule (smallest cost, then smallest
+    (rank, row-major index))."""
+    best_cost, best_key, best_w = best
+    k = ut.shape[0]
+    for i in range(ranks.size):
+        pts = wt[:, i] + spacing[i] * _offsets(int(halves[i]), k)
+        costs = approx._min_perm_costs(pts @ ut, y_sorted)
+        j = int(costs.argmin())  # first minimum: smallest row-major index
+        key = (int(ranks[i]), j)
+        if costs[j] < best_cost or (costs[j] == best_cost and key < best_key):
+            best_cost, best_key, best_w = float(costs[j]), key, pts[j].copy()
+    return best_cost, best_key, best_w
+
+
+def _grid_instance(n, d, seed):
+    """Entries in -2..2, so rows, responses and costs tie often."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-2, 3, size=(n, d)).astype(float)
+    return Instance(x=x, y=rng.integers(-2, 3, size=n).astype(float))
+
+
+def _fptas_large(tmp_path, d, n, seed):
+    """An instance of the benchmark's fptas-large family, written by ``gen``."""
+    path = tmp_path / ("d%d-n%d-s%d.json" % (d, n, seed))
+    argv = ["gen", "--model", "gaussian", "--snr", "4", "--n", str(n), "--d", str(d)]
+    assert cli.main(argv + ["--seed", str(seed), "-o", str(path)]) == 0
+    return read_instance_record(path).instance
+
+
+class TestNetScan:
+    """Pass 2 of fptas_solve, the coarse-to-fine box scan, against the flat
+    scan of every net point."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["gaussian", "grid"])
+    def test_matches_flat_scan(self, monkeypatch, d, kind):
+        for n in range(3, 8):
+            for seed in range(10 if d < 3 else 4):
+                if kind == "grid":
+                    inst = _grid_instance(n, d, seed)
+                else:
+                    inst, _ = gen_gaussian_noisy(np.ones(d) / math.sqrt(d), n, 0.5, seed)
+                got = fptas_solve(inst, 0.5)
+                with monkeypatch.context() as m:
+                    m.setattr(approx, "_scan_nets", _flat_scan_nets)
+                    want = fptas_solve(inst, 0.5)
+                slack = 1e-12 * max(1.0, float(inst.y @ inst.y))
+                assert abs(got.cost - want.cost) <= slack, (n, seed)
+                if got.cost == want.cost:  # the same tie rule picks the same point
+                    assert np.array_equal(got.w, want.w), (n, seed)
+
+    @pytest.mark.parametrize(
+        "d, n, seed, want",
+        # the net minima; the per-point ring prune returned 0.182533,
+        # 0.0196552 and 0.130999
+        [(3, 8, 0, 0.182303), (3, 8, 1, 0.0195505), (3, 9, 2, 0.130261)],
+    )
+    def test_fptas_large_net_minimum(self, capsys, tmp_path, d, n, seed, want):
+        inst = _fptas_large(tmp_path, d, n, seed)
+        capsys.readouterr()
+        assert fptas_solve(inst, 0.5).cost == pytest.approx(want, rel=5e-6)
+
+    def test_evaluates_a_fraction_of_the_nets(self, monkeypatch):
+        # rows costed after the nets are sized belong to pass 2
+        inst, _ = gen_gaussian_noisy(np.ones(3) / math.sqrt(3), 7, 0.5, 0)
+        seen = {}
+
+        def net_steps(*args):
+            spacing, halves = _net_steps(*args)
+            seen["net_points"] = int(((2 * halves + 1) ** 3).sum())
+            return spacing, halves
+
+        def min_perm_costs(a_rows, y_sorted):
+            if "net_points" in seen:
+                seen["evals"] += a_rows.shape[0]
+            return costs(a_rows, y_sorted)
+
+        costs = approx._min_perm_costs
+        monkeypatch.setattr(approx, "_net_steps", net_steps)
+        monkeypatch.setattr(approx, "_min_perm_costs", min_perm_costs)
+        counts = []
+        for _ in range(2):
+            seen.clear()
+            seen["evals"] = 0
+            fptas_solve(inst, 0.5)
+            counts.append((seen["evals"], seen["net_points"]))
+        assert counts[0] == counts[1]
+        evals, net_points = counts[0]
+        assert 0 < evals <= net_points / 4
+
+    def test_peak_memory_bounded_by_batch(self):
+        # the nets hold about 4x the points at eps = 0.25; peak memory follows
+        # the fixed batch size, not the net size
+        inst, _ = gen_gaussian_noisy(np.array([1.0, 1.0]) / math.sqrt(2), 7, 0.5, 1)
+        peaks = []
+        for eps in (0.5, 0.25):
+            tracemalloc.start()
+            try:
+                fptas_solve(inst, eps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -82,6 +83,24 @@ class TestBruteForce:
         inst = Instance(x=np.array([[3.0]]), y=np.array([6.0]))
         sol = brute_force(inst)
         assert sol.cost <= 1e-18 and sol.w[0] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            # ill-conditioned: the projection residual is 9.8e-64, while the
+            # pinv weights miss by about 1e-2
+            (((3.0, 1.0), (0.0, 1e-14)), (1.0, 1.0)),
+            # subnormal singular value: pinv overflows and the cost was NaN
+            (((0.0,), (2.22507386e-313,)), (0.0, 0.0)),
+        ],
+    )
+    def test_reported_cost_is_attained(self, x, y):
+        inst = Instance(x=np.array(x), y=np.array(y))
+        sol = brute_force(inst)
+        pred = inst.x @ sol.w
+        direct = float(((pred[list(sol.perm.map)] - inst.y) ** 2).sum())
+        assert math.isfinite(sol.cost)
+        assert abs(sol.cost - direct) <= 1e-12 * max(1.0, float(inst.y @ inst.y))
 
 
 class TestPermMatchBrute:
