@@ -79,7 +79,13 @@ class OrthonormalReduction:
         return self.sigma.shape[0]
 
     def to_original(self, w_r) -> np.ndarray:
-        return self.v @ (np.asarray(w_r, dtype=float) / self.sigma)
+        """``v @ (w_r / sigma)``.  Raises ``ValueError`` when a tiny singular
+        value puts the weights beyond the largest double."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = self.v @ (np.asarray(w_r, dtype=float) / self.sigma)
+        if not np.isfinite(w).all():
+            raise ValueError("the optimal weights overflow float64")
+        return w
 
 
 def orthonormalize(x) -> OrthonormalReduction:
@@ -388,10 +394,6 @@ def fptas_solve(
     best = (r_min, (int(survivors[0]), ((2 * h0 + 1) ** k - 1) // 2), surv_wt[:, 0].copy())
     best_cost, _, best_w = _scan_nets(ut, y_sorted, survivors, surv_wt, surv_sp, halves, best)
 
-    # A tiny singular value can put the optimum beyond the largest double.
-    with np.errstate(over="ignore", invalid="ignore"):
-        w_orig = red.to_original(best_w)
-    if not np.isfinite(w_orig).all():
-        raise ValueError("the optimal weights overflow float64")
+    w_orig = red.to_original(best_w)
     matched = sort_match(x @ w_orig, y)
     return Solution(w=w_orig, perm=matched.perm, cost=matched.cost)

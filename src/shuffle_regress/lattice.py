@@ -17,6 +17,11 @@ only the sublattice of the embedding in which those ``2n - 1`` independent
 sums equal coordinate 0: rank ``(n - 1)^2 + 1`` instead of ``n^2 + 1``, in the
 same coordinates, so the scan, the margin and ``beta`` carry over unchanged.
 
+The sources have rank one, ``y_i * proj_j``, so by the rearrangement inequality
+every permutation sum lies between the sum of the sorted factors paired in
+opposite orders and the sum paired in the same order.  An anchor guess whose
+target falls outside that range is refused before any lattice is built.
+
 All arithmetic on this path is exact: rationals in the setup, arbitrary-size
 integers inside the reduction.  Floating point would void the recovered
 certificate, which is checked by exact re-substitution before anything is
@@ -25,6 +30,7 @@ returned.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -55,7 +61,8 @@ class LatticeBasis:
 
     Builders clear rational entries to integers before constructing it
     (:func:`subset_sum_basis` scales its bottom row by the common
-    denominator), so the reduction only ever sees integers.
+    denominator), so the reduction only ever sees integers.  An entry that is
+    not an integer (``operator.index`` refuses it) raises ``ValueError``.
     """
 
     columns: tuple[tuple[int, ...], ...]
@@ -68,9 +75,11 @@ class LatticeBasis:
             raise ValueError("ragged columns")
         if len(self.columns) > dim:
             raise ValueError("more columns than ambient dimension")
-        object.__setattr__(
-            self, "columns", tuple(tuple(int(v) for v in c) for c in self.columns)
-        )
+        try:
+            columns = tuple(tuple(operator.index(v) for v in c) for c in self.columns)
+        except TypeError:
+            raise ValueError("basis entries must be integers") from None
+        object.__setattr__(self, "columns", columns)
 
     @property
     def dim(self) -> int:
@@ -332,6 +341,17 @@ def build_sources(x0, x, y, y0) -> SubsetSumInstance:
     return SubsetSumInstance(sources=sources, target=Fraction(y0), beta=None)
 
 
+def _permutation_sum_range(y: list, proj: list) -> tuple[Fraction, Fraction]:
+    """Least and greatest ``sum_i y_i * proj[pi(i)]`` over all permutations
+    ``pi``.  By the rearrangement inequality the greatest pairs both factors
+    in ascending order and the least pairs them in opposite orders; both
+    bounds are attained."""
+    ys, ps = sorted(y), sorted(proj)
+    lo = sum((a * b for a, b in zip(ys, reversed(ps))), Fraction(0))
+    hi = sum((a * b for a, b in zip(ys, ps)), Fraction(0))
+    return lo, hi
+
+
 def epsilon_bound(ssi: SubsetSumInstance) -> Fraction:
     """Exact separation margin ``1 / D`` for wrong-subset sums.
 
@@ -347,10 +367,13 @@ def epsilon_bound(ssi: SubsetSumInstance) -> Fraction:
 def default_beta(n: int, eps_hat: Fraction) -> Fraction:
     """Smallest power of two at least ``2**(n^2) / eps_hat``.
 
-    The guarantee needs ``beta >= 2**(n^2/2) / eps_hat``.  With the exact
-    margin of :func:`epsilon_bound`, the exponent ``n^2`` puts every lattice
-    vector that misses the target at length ``2**(n^2)`` or more, above the
-    LLL bound ``2**(n^2/2) * sqrt(n + 1)`` on the first reduced vector.
+    :func:`find_permutation` reduces a lattice of rank ``r = (n - 1)^2 + 1``
+    whose planted vector has length ``sqrt(n + 1)``, so LLL's first reduced
+    vector is at most ``2**((r - 1)/2) * sqrt(n + 1) = 2**((n - 1)^2/2) *
+    sqrt(n + 1)`` long.  A vector whose subset misses the target misses it by
+    at least the exact margin ``eps_hat`` of :func:`epsilon_bound`, so its
+    last coordinate is at least ``beta * eps_hat >= 2**(n^2)``, more than
+    that bound for every ``n >= 1``.
     """
     eps_hat = Fraction(eps_hat)
     if eps_hat <= 0:
@@ -366,7 +389,13 @@ def find_permutation(inst: QuantizedAnchoredInstance) -> Optional[Permutation]:
     """Correspondence for the ``n`` unanchored measurements, assuming the anchor
     pairing ``(x0, y0)`` is genuine.
 
-    Embeds the ``n^2`` sources with ``beta = default_beta(n,
+    The sources of :func:`build_sources` are ``y_i * proj_j``, rank one, so
+    every permutation sum lies between the two rearrangement bounds of
+    :func:`_permutation_sum_range`.  A target outside them cannot be met by
+    any permutation, and the guess returns ``None`` before its margin, basis
+    or reduction is computed.
+
+    Otherwise it embeds the ``n^2`` sources with ``beta = default_beta(n,
     epsilon_bound(sources))``, reduces the permutation sublattice of that
     embedding (every row and column sum of the indicator block equals
     coordinate 0, see :func:`_permutation_sublattice`), which has rank
@@ -379,7 +408,8 @@ def find_permutation(inst: QuantizedAnchoredInstance) -> Optional[Permutation]:
 
     Returns ``None`` on failure.  Raises :class:`DegenerateInstanceError` when
     every unanchored response is zero (every source is then zero, so no
-    subset can single out a permutation).
+    subset can single out a permutation), or when the target and every source
+    are zero.
     """
     n = inst.n
     if all(v == 0 for v in inst.y):
@@ -387,6 +417,12 @@ def find_permutation(inst: QuantizedAnchoredInstance) -> Optional[Permutation]:
     ssi = build_sources(inst.x0, inst.x, inst.y, inst.y0)
     if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
         raise DegenerateInstanceError("zero target with all-zero sources")
+    y = [Fraction(v) for v in inst.y]
+    i0 = next(i for i, v in enumerate(y) if v != 0)
+    proj = [ssi.sources[i0, j] / y[i0] for j in range(n)]  # row i0 is y_i0 * proj
+    lo, hi = _permutation_sum_range(y, proj)
+    if not lo <= ssi.target <= hi:
+        return None
     ssi = ssi.with_beta(default_beta(n, epsilon_bound(ssi)))
     basis, keys = subset_sum_basis(ssi)
     subset = _scan(lll_reduce(_permutation_sublattice(basis, keys, n)).columns, keys, ssi)

@@ -46,7 +46,8 @@ def brute_force(inst: Instance, cap: int = 8) -> Solution:
     fits go through :func:`~shuffle_regress.approx.orthonormalize` (singular
     values at or below ``1e-15 * max`` count as zero), and the reported cost
     is that of the returned ``w`` and permutation, recomputed.  Refuses
-    ``n > cap`` (default 8) with :class:`CapExceededError`.
+    ``n > cap`` (default 8) with :class:`CapExceededError`, and raises
+    ``ValueError`` when the optimal weights overflow float64.
     """
     if inst.n > cap:
         raise CapExceededError("brute_force capped at n <= %d, got n = %d" % (cap, inst.n))

@@ -62,6 +62,18 @@ def gso_fractions(columns):
     return star, mu
 
 
+class TestLatticeBasis:
+    def test_integer_like_entries_become_ints(self):
+        b = LatticeBasis(columns=((np.int64(2), True), (0, -3)))
+        assert b.columns == ((2, 1), (0, -3))
+        assert all(type(v) is int for c in b.columns for v in c)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, F(1, 2), F(2), "1"])
+    def test_non_integral_entry_refused(self, bad):
+        with pytest.raises(ValueError, match="integers"):
+            LatticeBasis(columns=((1, 0), (0, bad)))
+
+
 class TestLllReduce:
     def test_identity_unchanged(self):
         b = LatticeBasis(columns=((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -454,7 +466,8 @@ class TestFindPermutation:
         # beta comes from the exact margin of the instance it embeds.  Every
         # entry of the last row is then a multiple of at least 2**(n^2), so a
         # vector that misses the target is longer than the LLL bound
-        # 2**(N/2) * sqrt(n + 1) on the first reduced vector (N = n^2).
+        # 2**((n - 1)^2 / 2) * sqrt(n + 1) on the first reduced vector of the
+        # rank-((n - 1)^2 + 1) sublattice.
         n = 3
         q, _, _ = self.make_quantized(2, n, 5)
         seen = []
@@ -594,6 +607,16 @@ class TestRecover:
         assert res.w == w_q
 
 
+def _as_permutation(subset, n):
+    """find_permutation's check: the subset is exactly a permutation support."""
+    if subset is None or [i for i, _ in subset] != list(range(n)):
+        return None
+    try:
+        return Permutation(tuple(j for _, j in subset))
+    except ValueError:
+        return None
+
+
 def _full_rank_find_permutation(inst):
     """The full-rank search find_permutation ran before the permutation
     sublattice, kept as the reference: the same sources, beta and
@@ -606,12 +629,7 @@ def _full_rank_find_permutation(inst):
     if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
         raise DegenerateInstanceError("zero target with all-zero sources")
     subset = lagarias_odlyzko(ssi.with_beta(default_beta(n, epsilon_bound(ssi)))).subset
-    if subset is None or [i for i, _ in subset] != list(range(n)):
-        return None
-    try:
-        return Permutation(tuple(j for _, j in subset))
-    except ValueError:
-        return None
+    return _as_permutation(subset, n)
 
 
 class TestFullRankReference:
@@ -646,3 +664,145 @@ class TestFullRankReference:
                                     lost.append((d, n, p, anchored, seed))
         assert lost == []
         assert ref_hits >= 200
+
+
+def anchor_guesses(q):
+    """``(a, sub)`` for every anchor guess ``a``, with ``sub`` built as
+    ``recover`` builds it: covariate ``a`` swapped into the anchor slot."""
+    n = q.n
+    xs = [tuple(q.x0), *(tuple(row) for row in q.x)]
+    for a in range(n + 1):
+        order = list(range(n + 1))
+        order[0], order[a] = a, 0
+        yield a, QuantizedAnchoredInstance(
+            x0=xs[a], y0=F(q.y0), x=tuple(xs[g] for g in order[1:]), y=tuple(q.y)
+        )
+
+
+def _unpruned_find_permutation(inst):
+    """find_permutation without the range test: the same sources, beta,
+    sublattice reduction, scan and permutation check."""
+    n = inst.n
+    ssi = build_sources(inst.x0, inst.x, inst.y, inst.y0)
+    ssi = ssi.with_beta(default_beta(n, epsilon_bound(ssi)))
+    basis, keys = subset_sum_basis(ssi)
+    subset = lattice._scan(
+        lll_reduce(lattice._permutation_sublattice(basis, keys, n)).columns, keys, ssi
+    )
+    return _as_permutation(subset, n)
+
+
+def _brute_sum_range(y, proj):
+    """Least and greatest sum_i y_i * proj[pi(i)] over every permutation pi."""
+    sums = [
+        sum((a * proj[j] for a, j in zip(y, pi)), F(0))
+        for pi in itertools.permutations(range(len(y)))
+    ]
+    return min(sums), max(sums)
+
+
+class TestPermutationSumPrune:
+    @pytest.mark.parametrize(
+        "y, proj",
+        [
+            ([F(3)], [F(-2)]),
+            ([F(1), F(2)], [F(5), F(-1)]),
+            ([F(-1), F(0), F(2)], [F(1, 2), F(-3), F(0)]),
+            ([F(2), F(-1), F(2), F(1, 3)], [F(1), F(1), F(-7, 5), F(4)]),
+        ],
+    )
+    def test_range_is_attained_by_hand(self, y, proj):
+        assert lattice._permutation_sum_range(y, proj) == _brute_sum_range(y, proj)
+
+    def test_range_is_attained_on_grid_instances(self):
+        # the bounds are the least and greatest permutation sums exactly, so
+        # a narrower range would refuse a reachable target
+        checked = 0
+        for d in (1, 2, 3):
+            for n in range(d, 6):
+                for p in (2, 16):
+                    for seed in range(2):
+                        w = np.ones(d) / math.sqrt(d)
+                        inst, truth = gen_noiseless_anchored(w, n, seed, anchored=False)
+                        q, _ = quantize_noiseless(inst, truth, QuantizationConfig(p=p))
+                        for _, sub in anchor_guesses(q):
+                            try:
+                                ones = build_sources(sub.x0, sub.x, [F(1)] * n, sub.y0)
+                            except RankDeficiencyError:
+                                continue
+                            y = list(sub.y)
+                            proj = [ones.sources[0, j] for j in range(n)]
+                            got = lattice._permutation_sum_range(y, proj)
+                            assert got == _brute_sum_range(y, proj)
+                            checked += 1
+        assert checked >= 200
+
+    def test_prune_is_sound(self, monkeypatch):
+        # seeded instances, d <= 3, n <= 7, p in {2, 16}, anchored and
+        # unanchored: find_permutation never refuses the true anchor guess
+        # before building its lattice, and on every guess it refuses that way
+        # the unpruned search finds no permutation either.  A guess that
+        # reaches the lattice stops there: only the refused ones matter.
+        class Built(Exception):
+            pass
+
+        def built(ssi):
+            raise Built
+
+        monkeypatch.setattr(lattice, "subset_sum_basis", built)
+        instances = true_kept = pruned = 0
+        for d in (1, 2, 3):
+            for n in range(d, 8):
+                for p in (2, 16):
+                    for anchored in (True, False):
+                        for seed in range(2):
+                            w = np.ones(d) / math.sqrt(d)
+                            inst, truth = gen_noiseless_anchored(w, n, seed, anchored=anchored)
+                            q, _ = quantize_noiseless(inst, truth, QuantizationConfig(p=p))
+                            if not any(q.y):
+                                continue  # every guess is degenerate
+                            instances += 1
+                            for a, sub in anchor_guesses(q):
+                                try:
+                                    pi = find_permutation(sub)
+                                except RankDeficiencyError:
+                                    continue
+                                except Built:
+                                    true_kept += a == truth.pi_bar(0)
+                                    continue
+                                assert a != truth.pi_bar(0)
+                                assert pi is None
+                                assert _unpruned_find_permutation(sub) is None
+                                pruned += 1
+        assert instances >= 140
+        assert true_kept == instances
+        assert pruned >= 250
+
+    def test_lll_call_count(self, monkeypatch):
+        # unanchored p = 16 recoveries, d <= 3, n in {4, 5}: 38 anchor guesses,
+        # of which 11 are refused before any lattice is built (38 LLL calls
+        # without the range test).  The counts repeat exactly.
+        def counted(m, name):
+            real = getattr(lattice, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            m.setattr(lattice, name, wrapper)
+
+        runs = []
+        for _ in range(2):
+            calls = {"find_permutation": 0, "lll_reduce": 0}
+            with monkeypatch.context() as m:
+                counted(m, "find_permutation")
+                counted(m, "lll_reduce")
+                for d, n in ((1, 4), (2, 4), (2, 5), (3, 5)):
+                    for seed in range(3):
+                        w = np.ones(d) / math.sqrt(d)
+                        inst, truth = gen_noiseless_anchored(w, n, seed, anchored=False)
+                        q, w_q = quantize_noiseless(inst, truth, QuantizationConfig(p=16))
+                        res = recover(q)
+                        assert res.perm.map == truth.pi_bar.map and res.w == w_q
+            runs.append(calls)
+        assert runs[0] == runs[1] == {"find_permutation": 38, "lll_reduce": 27}

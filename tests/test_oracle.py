@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +102,15 @@ class TestBruteForce:
         direct = float(((pred[list(sol.perm.map)] - inst.y) ** 2).sum())
         assert math.isfinite(sol.cost)
         assert abs(sol.cost - direct) <= 1e-12 * max(1.0, float(inst.y @ inst.y))
+
+    def test_weight_overflow_refused(self):
+        # the optimal weight 4 / 2.2e-308 is beyond the largest double; the
+        # same refusal as fptas_solve's, with no numpy warning on the way
+        inst = Instance(x=np.array([[0.0], [2.2250738585072014e-308]]), y=np.array([0.0, 4.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="optimal weights overflow float64"):
+                brute_force(inst)
 
 
 class TestPermMatchBrute:
