@@ -1,10 +1,13 @@
 """Exact linear algebra over Fraction, sized for desk-scale systems.
 
-Matrices are lists of row lists.  ``solve`` and ``left_nullspace_int`` both
-read the one echelon form ``_echelon``; ``solve`` serves full-column-rank
-systems only and refuses dependent columns rather than pick one of many
-solutions.  Nothing here is performance-tuned beyond what exhaustive
-verification at n <= 10 or so requires.
+It holds what the exact paths call: ``lattice.build_sources`` solves its
+Gram system and ``lattice.recover`` its candidate weights with ``solve``, and
+``hardness.pls_feasible_brute`` reads ``left_nullspace_int``.  Matrices are
+lists of row lists.  ``solve`` and ``left_nullspace_int`` both read the one
+echelon form ``_echelon``; ``solve`` serves full-column-rank systems only and
+refuses dependent columns rather than pick one of many solutions.  Nothing
+here is performance-tuned beyond what exhaustive verification at n <= 10 or
+so requires.
 """
 from __future__ import annotations
 
@@ -52,29 +55,6 @@ def _echelon(a: Matrix) -> tuple[Matrix, list[int]]:
         if r == rows:
             break
     return m, pivots
-
-
-def det(a: Matrix) -> Fraction:
-    m = mat(a)
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("det needs a square matrix")
-    sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        out *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[c])]
-    return sign * out
 
 
 def solve(a: Matrix, b: Sequence) -> Optional[list]:

@@ -110,7 +110,7 @@ def orthonormalize(x) -> OrthonormalReduction:
 
 def sampled_columns(s: SamplingMatrix) -> list:
     """Distinct coordinate indices hit by the sample, ascending."""
-    return sorted({entry[0] for entry in s.rows if entry is not None})
+    return sorted({col for col, _ in s.rows})
 
 
 def _assignments(ranks, n: int, m: int) -> np.ndarray:
@@ -329,7 +329,7 @@ def fptas_solve(
         return Solution(w=np.zeros(inst.d), perm=m0.perm, cost=m0.cost)
 
     u = red.u
-    samp = row_sample(u, 4 * k)
+    samp = row_sample(u)
     c = approx_factor(n, k)
     cols = sampled_columns(samp)
     m = len(cols)
@@ -343,12 +343,11 @@ def fptas_solve(
 
     # Center of candidate b depends linearly on the m chosen response values:
     # w_center(b) = pinv(S u) (S b) = vals @ gmap with gmap (m, k).
-    entries = [e for e in samp.rows if e is not None]
-    su = np.array([wt * u[col] for col, wt in entries])
+    su = np.array([wt * u[col] for col, wt in samp.rows])
     pin = np.linalg.pinv(su)
     gmap = np.zeros((m, k))
     pos = {col: idx for idx, col in enumerate(cols)}
-    for row_idx, (col, wt) in enumerate(entries):
+    for row_idx, (col, wt) in enumerate(samp.rows):
         gmap[pos[col]] += wt * pin[:, row_idx]
 
     def centers(ranks) -> np.ndarray:

@@ -9,6 +9,10 @@ Subcommands:
 * ``check-w2``           sorted-projection distance decay check (CSV)
 * ``reduce``             3-partition instance -> permuted-linear-system file
 
+``solve --solver lattice`` reads the file's floats as exact rationals; the
+separation margin comes from their denominators, so no grid exponent is
+needed and a ``quantization`` block, if present, is not consulted.
+
 Exit codes: 0 success; 2 usage or validation error (bad flags, malformed
 files, refused caps or budgets); 3 declared solver failure (exact recovery
 verified nothing, or a check command's assertion failed); 4 internal
@@ -150,20 +154,19 @@ def cmd_gen(args) -> int:
 # solve
 
 
-def _exact_anchored(inst: AnchoredInstance, p: int) -> QuantizedAnchoredInstance:
-    """Exact-rational view for the lattice solver: covariates snapped to the
-    2^-p grid, responses taken verbatim (floats are already exact rationals)."""
+def _exact_anchored(inst: AnchoredInstance) -> QuantizedAnchoredInstance:
+    """Exact-rational view for the lattice solver: every float is already an
+    exact rational, so each value is taken verbatim."""
     return QuantizedAnchoredInstance(
-        x0=tuple(quantize_value(float(v), p) for v in inst.x0),
+        x0=tuple(Fraction(float(v)) for v in inst.x0),
         y0=Fraction(float(inst.y0)),
-        x=tuple(tuple(quantize_value(float(v), p) for v in row) for row in inst.x),
+        x=tuple(tuple(Fraction(float(v)) for v in row) for row in inst.x),
         y=tuple(Fraction(float(v)) for v in inst.y),
     )
 
 
 def cmd_solve(args) -> int:
-    rec = read_instance_record(args.instance)
-    inst = rec.instance
+    inst = read_instance_record(args.instance).instance
 
     if args.solver in ("fptas", "brute"):
         if isinstance(inst, AnchoredInstance):
@@ -172,7 +175,7 @@ def cmd_solve(args) -> int:
             sol = fptas_solve(inst, args.eps, budget=args.budget)
             out = {"solver": "fptas", "eps": args.eps}
         else:
-            sol = brute_force(inst, cap=args.cap)
+            sol = brute_force(inst, cap=_BRUTE_CAP)
             out = {"solver": "brute"}
         out.update(
             cost=sol.cost,
@@ -184,11 +187,7 @@ def cmd_solve(args) -> int:
 
     if not isinstance(inst, AnchoredInstance):
         raise ValueError("solver lattice expects an anchored instance")
-    p = args.p if args.p is not None else rec.p
-    if p is None:
-        raise ValueError("lattice solver needs --p or a quantization block in the file")
-    q = _exact_anchored(inst, p)
-    res = lattice.recover(q)
+    res = lattice.recover(_exact_anchored(inst))
     if res is None:
         print(json.dumps({"solver": "lattice", "failure": "no anchor hypothesis verified"}))
         print("failure: no anchor hypothesis verified", file=sys.stderr)
@@ -492,8 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--solver", choices=("fptas", "brute", "lattice"), required=True)
     s.add_argument("--eps", type=float, default=0.5, help="fptas accuracy (default 0.5)")
     s.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="fptas evaluation budget")
-    s.add_argument("--cap", type=int, default=_BRUTE_CAP, help="brute-force size cap (default %d)" % _BRUTE_CAP)
-    s.add_argument("--p", type=int, help="lattice grid exponent (defaults to the file's quantization block)")
     s.set_defaults(func=cmd_solve)
 
     w = sub.add_parser("sweep-snr", help="Monte-Carlo sweep over an SNR grid, CSV output")

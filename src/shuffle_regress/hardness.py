@@ -11,8 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _ratlin
 from .errors import CapExceededError
 
@@ -22,7 +20,6 @@ __all__ = [
     "reduce_3partition",
     "check_3partition_brute",
     "pls_feasible_brute",
-    "gen_yes_instance",
 ]
 
 
@@ -129,28 +126,3 @@ def pls_feasible_brute(pls: PlsInstance, cap: int = 8) -> bool:
             return True
     return False
 
-
-def gen_yes_instance(k: int, c: int, seed: int) -> ThreePartitionInstance:
-    """Test utility: plant ``k`` triples each summing to ``c``, then shuffle.
-
-    Values are drawn uniformly from the admissible open interval
-    ``(c/4, c/2)``; raises if ``c`` leaves that interval too tight to plant.
-    """
-    lo = c // 4 + 1
-    hi = (c - 1) // 2
-    if hi < lo:
-        raise ValueError("no admissible values for c = %d" % c)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    vals: list[int] = []
-    for _ in range(k):
-        for _attempt in range(10000):
-            a = int(rng.integers(lo, hi + 1))
-            b = int(rng.integers(lo, hi + 1))
-            rem = c - a - b
-            if lo <= rem <= hi:
-                vals.extend((a, b, rem))
-                break
-        else:
-            raise ValueError("could not plant a triple for c = %d" % c)
-    order = rng.permutation(3 * k)
-    return ThreePartitionInstance(z=tuple(vals[i] for i in order), k=k, c=c)

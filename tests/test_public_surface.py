@@ -2,9 +2,11 @@
 ``shuffle_regress.__all__`` holds exactly the documented names, and the
 settings a caller can pass (CLI options, function parameters) are pinned, so
 one joins or leaves only with an edit here.  Importing the package loads no
-third-party module but numpy, and every function the benchmark's tracer wraps
-still exists under the name it looks up."""
+third-party module but numpy, every function the benchmark's tracer wraps
+still exists under the name it looks up, and no function or class of the
+package is there for the tests alone."""
 import argparse
+import ast
 import importlib
 import inspect
 import os
@@ -20,7 +22,9 @@ from shuffle_regress import lattice
 from shuffle_regress.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-TRACING = README.parent / "perfbench" / "tracing.py"
+PACKAGE = README.parent / "src" / "shuffle_regress"
+PERFBENCH = README.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 # The functions the README names, the types they take or return, and the
 # error classes.  A name joins only together with its README entry.
@@ -70,8 +74,7 @@ OPTIONS = {
         "--seed", "--sigma", "--snr", "--unanchored", "-h", "-o",
     },
     "solve": {
-        "--budget", "--cap", "--eps", "--help", "--instance", "--p", "--solver",
-        "-h",
+        "--budget", "--eps", "--help", "--instance", "--solver", "-h",
     },
     "sweep-snr": {
         "--budget", "--d", "--eps", "--help", "--jobs", "--model",
@@ -90,13 +93,13 @@ PARAMETERS = {
     "gen_gaussian_noisy": ("w_bar", "n", "sigma", "seed"),
     "gen_noiseless_anchored": ("w_bar", "n", "seed", "anchored"),
     "gen_uniform_noisy": ("w_bar", "n", "sigma", "seed"),
-    "lll_reduce": ("basis", "delta"),
+    "lll_reduce": ("basis",),
     "perm_match_brute": ("a", "b", "cap"),
     "pls_feasible_brute": ("pls", "cap"),
     "quantize_noiseless": ("inst", "truth", "cfg"),
     "recover": ("inst",),
     "reduce_3partition": ("tp",),
-    "row_sample": ("u_mat", "r"),
+    "row_sample": ("u_mat",),
     "sort_match": ("a", "b"),
     "subset_sum_brute": ("values", "target", "cap"),
     "wasserstein2_sq": ("a", "b"),
@@ -179,3 +182,45 @@ def test_traced_functions_resolve():
     assert typing.get_type_hints(lattice.lll_reduce)[first] is shuffle_regress.LatticeBasis
     basis = shuffle_regress.LatticeBasis(columns=((1, 0, 5), (0, 1, -9)))
     assert tracing._lll_input((basis,), {}) == {"dim": 3, "input_bits": 4}
+
+
+def _loaded_names(paths):
+    """Every name a ``Name`` or ``Attribute`` node loads, or an import binds."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def _definitions():
+    """``(qualified name, name)`` of every top-level function and class of
+    the package and every method of those classes; dunder methods are called
+    by Python itself, so they are left out."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield "%s.%s" % (path.stem, node.name), node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        yield "%s.%s.%s" % (path.stem, node.name, item.name), item.name
+
+
+def test_nothing_defined_for_the_tests_alone():
+    # a helper only tests call belongs in tests/reference.py; the package
+    # keeps what it runs itself, what the benchmark calls and what README
+    # documents
+    loaded = _loaded_names([*PACKAGE.glob("*.py"), *PERFBENCH.glob("*.py")])
+    text = README.read_text()
+    unused = [
+        qual
+        for qual, name in _definitions()
+        if name not in loaded and not re.search(r"\b%s\b" % re.escape(name), text)
+    ]
+    assert unused == []

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from shuffle_regress import SamplingMatrix, row_sample
-from shuffle_regress.rowsample import _DENOM_GUARD, solve_weighted_ls
+from shuffle_regress.rowsample import _DENOM_GUARD
+
+from reference import apply, dense, solve_weighted_ls
 
 # The barrier potentials one row at a time: the reference that
 # TestRowSampleVersusPerRowScan holds the vectorised row_sample to.
@@ -127,12 +129,12 @@ class TestBarriers:
 
 class TestSamplingMatrix:
     def test_dense_and_apply(self):
-        s = SamplingMatrix(n=3, rows=((1, 2.0), None, (0, -1.0)))
-        d = s.dense()
-        assert d.shape == (3, 3)
+        s = SamplingMatrix(n=3, rows=((1, 2.0), (0, -1.0)))
+        d = dense(s)
+        assert d.shape == (2, 3)
         v = np.array([5.0, 7.0, 9.0])
-        assert np.array_equal(s.apply(v), d @ v)
-        assert list(s.apply(v)) == [14.0, 0.0, -5.0]
+        assert np.array_equal(apply(s, v), d @ v)
+        assert list(apply(s, v)) == [14.0, -5.0]
 
     def test_column_bounds(self):
         with pytest.raises(ValueError):
@@ -143,32 +145,23 @@ class TestRowSample:
     def test_minimal_case_shape(self):
         s = row_sample(np.array([[1.0]]))
         assert s.r == 4 and s.n == 1
-        assert all(e is not None and e[0] == 0 for e in s.rows)
+        assert all(col == 0 for col, _ in s.rows)
 
     def test_row_budget_and_sparsity(self):
         for seed, (n, k) in enumerate([(8, 1), (12, 2), (16, 3), (20, 4)]):
             u = orthonormal(n, k, seed)
             s = row_sample(u)
             assert s.r == 4 * k
-            dense = s.dense()
-            assert (np.count_nonzero(dense, axis=1) <= 1).all()
-            assert np.linalg.matrix_rank(dense @ u) == k
-
-    def test_explicit_r(self):
-        u = orthonormal(6, 2, 3)
-        s = row_sample(u, r=10)
-        assert s.r == 10
-
-    def test_r_below_minimum(self):
-        with pytest.raises(ValueError):
-            row_sample(orthonormal(6, 2, 0), r=7)
+            d = dense(s)
+            assert (np.count_nonzero(d, axis=1) <= 1).all()
+            assert np.linalg.matrix_rank(d @ u) == k
 
     def test_repetition_allows_r_above_n(self):
         # more sampled rows than source rows is fine: rows repeat
         u = orthonormal(2, 2, 1)
         s = row_sample(u)
         assert s.r == 8
-        cols = [e[0] for e in s.rows if e is not None]
+        cols = [col for col, _ in s.rows]
         assert len(set(cols)) <= 2
 
     def test_non_orthonormal_rejected(self):
@@ -203,11 +196,6 @@ class TestSolveWeightedLs:
         w0 = np.array([1.5, -0.25])
         w = solve_weighted_ls(s, u, u @ w0)
         assert np.allclose(w, w0, atol=1e-10)
-
-    def test_all_zero_rows_gives_zero(self):
-        s = SamplingMatrix(n=3, rows=(None, None))
-        w = solve_weighted_ls(s, np.ones((3, 2)), np.ones(3))
-        assert np.array_equal(w, np.zeros(2))
 
     def test_shape_validation(self):
         s = SamplingMatrix(n=2, rows=((0, 1.0),))
@@ -249,12 +237,13 @@ def _row_sample_per_row(u, r):
 
 class TestRowSampleVersusPerRowScan:
     @pytest.mark.parametrize(
-        "n,k,r", [(1, 1, 4), (3, 1, 4), (6, 2, 8), (9, 2, 11), (8, 3, 12), (40, 3, 12), (25, 4, 20)]
+        "n,k,r", [(1, 1, 4), (3, 1, 4), (6, 2, 8), (9, 2, 8), (8, 3, 12), (40, 3, 12), (25, 4, 16)]
     )
     def test_same_rows_and_weights(self, n, k, r):
+        # row_sample picks r = 4k rows
         for seed in range(5):
             u = orthonormal(n, k, 100 * n + seed)
-            got = row_sample(u, r).rows
+            got = row_sample(u).rows
             want = _row_sample_per_row(u, r)
             assert [e[0] for e in got] == [e[0] for e in want]
             for (_, wg), (_, ww) in zip(got, want):
