@@ -75,6 +75,7 @@ SWEEP_COLUMNS = (
 )
 
 _BRUTE_CAP = 8
+_SWEEP_P = 16  # the lattice sweep quantizes its draws on the 2^-16 grid
 
 
 def _w_rng(entropy) -> np.random.Generator:
@@ -209,7 +210,6 @@ class SweepConfig:
     trials: int
     solver: str
     eps: float = 0.5
-    p: int = 16
     seed: int = 0
     jobs: int = 1
     budget: int = DEFAULT_BUDGET
@@ -225,7 +225,7 @@ def _sweep_cell(cfg: SweepConfig, snr_index: int, snr: float) -> list:
         w_bar = random_unit_vector(cfg.d, _w_rng(ent))
         if cfg.solver == "lattice":
             inst, truth = gen_noiseless_anchored(w_bar, cfg.n, ent, anchored=False)
-            q, w_q = quantize_noiseless(inst, truth, QuantizationConfig(cfg.p))
+            q, w_q = quantize_noiseless(inst, truth, QuantizationConfig(_SWEEP_P))
             res = lattice.recover(q)
             wq = np.array([float(v) for v in w_q])
             if res is not None:
@@ -305,7 +305,6 @@ def cmd_sweep(args) -> int:
         trials=args.trials,
         solver=args.solver,
         eps=args.eps,
-        p=args.p,
         seed=args.seed,
         jobs=args.jobs,
         budget=args.budget,
@@ -501,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--trials", type=int, default=50)
     w.add_argument("--solver", choices=("fptas", "brute", "lattice"), required=True)
     w.add_argument("--eps", type=float, default=0.5)
-    w.add_argument("--p", type=int, default=16)
     w.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     w.add_argument("--seed", type=int, required=True)
     w.add_argument("--jobs", type=int, default=1, help="parallel cells (default 1)")

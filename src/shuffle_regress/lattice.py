@@ -22,6 +22,15 @@ every permutation sum lies between the sum of the sorted factors paired in
 opposite orders and the sum paired in the same order.  An anchor guess whose
 target falls outside that range is refused before any lattice is built.
 
+Noiseless responses are the values ``<w, x_j>`` in some order, so whatever the
+permutation, ``sum_i y_i = <w, sum_j x_j>`` and ``sum_i y_i^2 = w^T G w`` with
+``G = x^T x`` (the power-sum identity of Tsakiris et al., "An
+algebraic-geometric approach for linear regression without
+correspondences", 2020).  An anchor guess for which no ``w`` meets these two
+equations and the anchor equation ``<w, x0> = y0`` cannot verify, and is
+refused before any lattice is built too; the test is a closed form in the
+``2 x 2`` matrix ``A G^-1 A^T`` of the two linear rows.
+
 All arithmetic on this path is exact: rationals in the setup, arbitrary-size
 integers inside the reduction.  Floating point would void the recovered
 certificate, which is checked by exact re-substitution before anything is
@@ -320,6 +329,48 @@ def _permutation_sum_range(y: list, proj: list) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _power_sums_admit(x, y: list, y0: Fraction, proj: list) -> bool:
+    """Whether some ``w`` has ``<w, x0> = y0``, ``<w, s> = sum_i y_i`` and
+    ``w^T G w = sum_i y_i^2``, where ``s = sum_j x_j`` and ``G = x^T x``.
+
+    Noiseless data ``y_i = <w, x_{pi(i)}>`` meet all three for every ``pi``:
+    the multiset of responses is the multiset ``{<w, x_j>}``, so its first two
+    power sums are those of the ``<w, x_j>``.  ``G`` is positive definite, so
+    the least ``w^T G w`` on the affine set of the two linear equations is
+    ``b^T (A G^-1 A^T)^-1 b`` over its independent rows ``A``; when those rows
+    pin ``w`` down that least value must equal ``sum y_i^2``, and otherwise
+    (the quadratic then grows without bound) it must not exceed it.
+
+    ``proj = x G^-1 x0`` is the factor :func:`build_sources` formed, so
+    ``x0^T G^-1 x0 = sum_j proj_j^2`` and ``s^T G^-1 x0 = sum_j proj_j``; only
+    ``s^T G^-1 s`` takes one more exact ``d x d`` solve.
+    """
+    xt = _ratlin.transpose(_ratlin.mat(x))
+    s = [sum(col) for col in xt]
+    u = _ratlin.solve([_ratlin.matvec(xt, col) for col in xt], s)  # G u = s
+    a = sum(p * p for p in proj)
+    c = sum(proj)
+    e = sum(si * ui for si, ui in zip(s, u))
+    t1 = sum(y)
+    t2 = sum(v * v for v in y)
+    det = a * e - c * c
+    if det != 0:  # x0 and s independent
+        rank, least = 2, (e * y0 * y0 - 2 * c * y0 * t1 + a * t1 * t1) / det
+    elif a != 0:  # s = (c / a) x0
+        if a * t1 != c * y0:
+            return False
+        rank, least = 1, y0 * y0 / a
+    elif e != 0:  # x0 = 0
+        if y0 != 0:
+            return False
+        rank, least = 1, t1 * t1 / e
+    else:  # x0 = s = 0
+        if y0 != 0 or t1 != 0:
+            return False
+        rank, least = 0, Fraction(0)
+    return least == t2 if rank == len(xt) else least <= t2
+
+
 def epsilon_bound(ssi: SubsetSumInstance) -> Fraction:
     """Exact separation margin ``1 / D`` for wrong-subset sums.
 
@@ -361,7 +412,10 @@ def find_permutation(inst: QuantizedAnchoredInstance) -> Optional[Permutation]:
     every permutation sum lies between the two rearrangement bounds of
     :func:`_permutation_sum_range`.  A target outside them cannot be met by
     any permutation, and the guess returns ``None`` before its margin, basis
-    or reduction is computed.
+    or reduction is computed.  So does a guess for which no ``w`` meets the
+    anchor equation and the first two power sums of the responses
+    (:func:`_power_sums_admit`): a guess that verifies has such a ``w``, so
+    this refuses only guesses :func:`recover` would reject anyway.
 
     Otherwise it embeds the ``n^2`` sources with ``beta = default_beta(n,
     epsilon_bound(sources))``, reduces the permutation sublattice of that
@@ -391,6 +445,8 @@ def find_permutation(inst: QuantizedAnchoredInstance) -> Optional[Permutation]:
     proj = [ssi.sources[i0, j] / y[i0] for j in range(n)]  # row i0 is y_i0 * proj
     lo, hi = _permutation_sum_range(y, proj)
     if not lo <= ssi.target <= hi:
+        return None
+    if not _power_sums_admit(inst.x, y, ssi.target, proj):
         return None
     basis, keys = subset_sum_basis(ssi, default_beta(n, epsilon_bound(ssi)))
     subset = _scan(lll_reduce(_permutation_sublattice(basis, keys, n)).columns, keys, ssi)

@@ -40,10 +40,6 @@ class SamplingMatrix:
             if not (0 <= col < self.n):
                 raise ValueError("row column index out of range")
 
-    @property
-    def r(self) -> int:
-        return len(self.rows)
-
 
 def _first_admissible(z2_all, lam, ell, delta_l, b_diag, ub, delta):
     """First row ``i`` whose potentials are finite with upper <= lower.

@@ -49,7 +49,7 @@ def lagarias_odlyzko(ssi: SubsetSumInstance, beta) -> SubsetSearchResult:
 
 def dense(s: SamplingMatrix) -> np.ndarray:
     """The ``r x n`` matrix ``s`` encodes."""
-    out = np.zeros((s.r, s.n))
+    out = np.zeros((len(s.rows), s.n))
     for tau, (col, wt) in enumerate(s.rows):
         out[tau, col] = wt
     return out

@@ -131,7 +131,7 @@ def test_criterion_03_row_sampling(capsys):
         got = float(((u @ w_hat - b) ** 2).sum())
         total += 1
         if (
-            s.r == 4 * k
+            len(s.rows) == 4 * k
             and (np.count_nonzero(s_mat, axis=1) <= 1).all()
             and np.linalg.matrix_rank(s_mat @ u) == k
             and got <= c * opt + 1e-9

@@ -196,6 +196,22 @@ class TestSolve:
         for i, j in enumerate(doc["perm"]):
             assert Fraction(ys[i]) == sum(wv * Fraction(xv) for wv, xv in zip(w, rows[j]))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lattice_unanchored_n_eight(self, tmp_path, capsys, seed):
+        # exact recovery above n = 4: the planted weights and correspondence
+        out = tmp_path / "n8.json"
+        run(
+            capsys,
+            "gen", "--model", "noiseless", "--unanchored", "--p", "16",
+            "--d", "2", "--n", "8", "--seed", str(seed), "-o", str(out),
+        )
+        code, stdout, _ = run(capsys, "solve", "--instance", str(out), "--solver", "lattice")
+        assert code == 0
+        doc = json.loads(stdout)
+        truth = json.loads(out.read_text())["truth"]
+        assert doc["perm"] == truth["pi_bar"]
+        assert [Fraction(v) for v in doc["w"]] == [Fraction(v) for v in truth["w_bar"]]
+
     def test_fptas_eps_out_of_range(self, tmp_path, capsys):
         inst = self.gen_instance(capsys, tmp_path)
         for eps in ("0", "-0.5", "1"):

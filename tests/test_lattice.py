@@ -721,11 +721,12 @@ class TestPermutationSumPrune:
         assert checked >= 200
 
     def test_prune_is_sound(self, monkeypatch):
-        # seeded instances, d <= 3, n <= 7, p in {2, 16}, anchored and
+        # seeded instances, d <= 4, n <= 7, p in {2, 16}, anchored and
         # unanchored: find_permutation never refuses the true anchor guess
-        # before building its lattice, and on every guess it refuses that way
-        # the unpruned search finds no permutation either.  A guess that
-        # reaches the lattice stops there: only the refused ones matter.
+        # before building its lattice (by the range or the power-sum test),
+        # and on every guess it refuses that way the unpruned search finds no
+        # permutation either.  A guess that reaches the lattice stops there:
+        # only the refused ones matter.
         class Built(Exception):
             pass
 
@@ -734,7 +735,7 @@ class TestPermutationSumPrune:
 
         monkeypatch.setattr(lattice, "subset_sum_basis", built)
         instances = true_kept = pruned = 0
-        for d in (1, 2, 3):
+        for d in (1, 2, 3, 4):
             for n in range(d, 8):
                 for p in (2, 16):
                     for anchored in (True, False):
@@ -757,14 +758,15 @@ class TestPermutationSumPrune:
                                 assert pi is None
                                 assert _unpruned_find_permutation(sub) is None
                                 pruned += 1
-        assert instances >= 140
+        assert instances >= 170
         assert true_kept == instances
-        assert pruned >= 250
+        assert pruned >= 500
 
     def test_lll_call_count(self, monkeypatch):
         # unanchored p = 16 recoveries, d <= 3, n in {4, 5}: 38 anchor guesses,
-        # of which 11 are refused before any lattice is built (38 LLL calls
-        # without the range test).  The counts repeat exactly.
+        # of which 23 are refused before any lattice is built, so only 3 wrong
+        # guesses beside the 12 true ones are reduced (27 LLL calls with the
+        # range test alone, 38 with neither test).  The counts repeat exactly.
         def counted(m, name):
             real = getattr(lattice, name)
 
@@ -788,4 +790,104 @@ class TestPermutationSumPrune:
                         res = recover(q)
                         assert res.perm.map == truth.pi_bar.map and res.w == w_q
             runs.append(calls)
-        assert runs[0] == runs[1] == {"find_permutation": 38, "lll_reduce": 27}
+        assert runs[0] == runs[1] == {"find_permutation": 38, "lll_reduce": 15}
+
+
+def _admit(x0, x, y, y0):
+    """_power_sums_admit on hand data, with proj = x G^-1 x0 read from the
+    sources of unit responses."""
+    ones = build_sources(x0, x, [F(1)] * len(x), y0)
+    proj = [ones.sources[0, j] for j in range(len(x))]
+    return lattice._power_sums_admit(x, [F(v) for v in y], F(y0), proj)
+
+
+class TestPowerSums:
+    @pytest.mark.parametrize(
+        "y, want",
+        [
+            ((1, 2), True),  # w = 1
+            ((1, 3), False),  # sum y = 4, but w = y0 = 1 gives 1 + 2
+            ((3, 0), False),  # sum y = 3 as for w = 1, but sum y^2 = 9, not 5
+        ],
+    )
+    def test_one_dimension_first_moment(self, y, want):
+        assert _admit((1,), ((1,), (2,)), y, 1) is want
+
+    @pytest.mark.parametrize(
+        "y, want",
+        [
+            ((1, 1), True),  # w = (1, 1)
+            ((2, 0), False),  # the one w = (1, 1) has w^T G w = 2, not 4
+            ((F(3, 2), F(1, 2)), False),  # 5/2, not 2
+        ],
+    )
+    def test_pinned_point_must_meet_second_moment(self, y, want):
+        # x0 and s = (1, 1) are independent in d = 2, so they fix w
+        assert _admit((1, 0), ((1, 0), (0, 1)), y, 1) is want
+
+    @pytest.mark.parametrize(
+        "y, want",
+        [
+            ((1, 2, 3), True),  # w = (1, 2, 3): sum y^2 = 14
+            ((0, 0, 6), True),  # 36 is above the least value 1 + 25/2
+            ((1, F(5, 2), F(5, 2)), True),  # 13.5 is the least value itself
+            ((2, 2, 2), False),  # 12 is below it
+        ],
+    )
+    def test_free_direction_makes_an_inequality(self, y, want):
+        # d = 3 with two rows: w_1 = 1 and w_1 + w_2 + w_3 = 6 leave a line,
+        # on which |w|^2 takes every value from 1 + 25/2 up
+        x = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert _admit((1, 0, 0), x, y, 1) is want
+
+    @pytest.mark.parametrize(
+        "x0, x, y, y0, want",
+        [
+            ((1, 1), ((1, 0), (0, 1)), (1, 1), 2, True),  # least y0^2 / 2 = 2
+            ((1, 1), ((1, 0), (0, 1)), (3, -1), 2, True),  # 10 is above it
+            ((1, 1), ((1, 0), (0, 1)), (2, 1), 2, False),  # sum y must be y0
+            ((2, 2), ((1, 0), (0, 1)), (1, 1), 4, True),  # s = x0 / 2
+            ((2, 2), ((1, 0), (0, 1)), (1, 1), 2, False),  # sum y must be y0 / 2
+            ((1, 1), ((1, 0), (0, 1), (0, 0)), (1, 1, 1), 3, False),  # 3 < 9 / 2
+            ((1, 1), ((1, 0), (0, 1), (0, 0)), (1, 2, 0), 3, True),  # 5 >= 9 / 2
+        ],
+    )
+    def test_anchor_parallel_to_column_sum(self, x0, x, y, y0, want):
+        # one independent row in d = 2, so the second moment is an inequality
+        assert _admit(x0, x, y, y0) is want
+
+    @pytest.mark.parametrize(
+        "x, y, y0, want",
+        [
+            (((1, 0), (0, 1)), (1, 2), 1, False),  # <w, 0> cannot be 1
+            (((1, 0), (0, 1)), (1, 2), 0, True),
+            (((1,), (-1,)), (2, -2), 0, True),  # x0 = s = 0
+            (((1,), (-1,)), (2, -2), 1, False),
+            (((1,), (-1,)), (2, -1), 0, False),  # sum y must be <w, s> = 0
+        ],
+    )
+    def test_zero_anchor(self, x, y, y0, want):
+        assert _admit((0,) * len(x[0]), x, y, y0) is want
+
+    def test_recover_unchanged_without_the_test(self, monkeypatch):
+        # seeded cells, d <= 3, n <= 5, p in {2, 16}, anchored and unanchored:
+        # recover gives the same result when every guess is admitted, since a
+        # guess that verifies has a w meeting both power sums
+        results = []
+        for d in (1, 2, 3):
+            for n in range(d, 6):
+                for p in (2, 16):
+                    for anchored in (True, False):
+                        for seed in range(2):
+                            w = np.ones(d) / math.sqrt(d)
+                            inst, truth = gen_noiseless_anchored(w, n, seed, anchored=anchored)
+                            q, _ = quantize_noiseless(inst, truth, QuantizationConfig(p=p))
+                            if not any(q.y):
+                                continue
+                            with monkeypatch.context() as m:
+                                m.setattr(lattice, "_power_sums_admit", lambda *args: True)
+                                without = recover(q)
+                            results.append(recover(q))
+                            assert results[-1] == without
+        assert len(results) >= 90
+        assert sum(r is not None for r in results) >= 90

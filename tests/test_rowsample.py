@@ -144,14 +144,14 @@ class TestSamplingMatrix:
 class TestRowSample:
     def test_minimal_case_shape(self):
         s = row_sample(np.array([[1.0]]))
-        assert s.r == 4 and s.n == 1
+        assert len(s.rows) == 4 and s.n == 1
         assert all(col == 0 for col, _ in s.rows)
 
     def test_row_budget_and_sparsity(self):
         for seed, (n, k) in enumerate([(8, 1), (12, 2), (16, 3), (20, 4)]):
             u = orthonormal(n, k, seed)
             s = row_sample(u)
-            assert s.r == 4 * k
+            assert len(s.rows) == 4 * k
             d = dense(s)
             assert (np.count_nonzero(d, axis=1) <= 1).all()
             assert np.linalg.matrix_rank(d @ u) == k
@@ -160,7 +160,7 @@ class TestRowSample:
         # more sampled rows than source rows is fine: rows repeat
         u = orthonormal(2, 2, 1)
         s = row_sample(u)
-        assert s.r == 8
+        assert len(s.rows) == 8
         cols = [col for col, _ in s.rows]
         assert len(set(cols)) <= 2
 
