@@ -30,7 +30,6 @@ from .model import (
     GroundTruth,
     Instance,
     Permutation,
-    QuantizationConfig,
     QuantizedAnchoredInstance,
     gen_gaussian_noisy,
     gen_noiseless_anchored,
@@ -58,7 +57,6 @@ __all__ = [
     "ParseError",
     "Permutation",
     "PlsInstance",
-    "QuantizationConfig",
     "QuantizedAnchoredInstance",
     "RankDeficiencyError",
     "RecoveryResult",

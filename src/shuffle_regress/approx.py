@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .model import Instance, Permutation
+from .model import Instance, Permutation, _is_int
 from .perm1d import sort_match
 from .rowsample import SamplingMatrix, row_sample
 
@@ -294,7 +293,7 @@ def fptas_solve(
     inst: Instance,
     eps: float,
     *,
-    budget: Optional[int] = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> Solution:
     """Approximate ``min_{w, pi} sum_i (dot(w, x[pi(i)]) - y_i)^2``.
 
@@ -313,11 +312,14 @@ def fptas_solve(
 
     Raises :class:`BudgetExceededError` if the candidate family, or the grids
     before any box is skipped, hold more than ``budget`` candidate weight
-    vectors; pass ``budget=None`` to disable.  Raises ``ValueError`` if
-    ``eps`` lies outside ``(0, 1)`` or the optimal weights overflow float64.
+    vectors.  Raises ``ValueError`` if ``eps`` lies outside ``(0, 1)``,
+    ``budget`` is not an integer ``>= 1`` or the optimal weights overflow
+    float64.
     """
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
+    if not _is_int(budget) or budget < 1:
+        raise ValueError("budget must be an integer >= 1 (there is no unlimited budget), got %r" % (budget,))
     x = inst.x
     y = np.asarray(inst.y, dtype=float)
     n = inst.n
@@ -336,7 +338,7 @@ def fptas_solve(
     y_sorted = np.sort(y)
 
     n_cand = math.perm(n, m)
-    if budget is not None and n_cand > budget:
+    if n_cand > budget:
         raise BudgetExceededError(
             "candidate family has %d members, budget is %d" % (n_cand, budget)
         )
@@ -377,7 +379,7 @@ def fptas_solve(
     reach = math.sqrt((c - 1.0) * r_min) * (1.0 + 1e-9)
     surv_sp, halves = _net_steps(surv_r, reach, eps, c, k)
     total_evals = int(((2 * halves + 1) ** k).sum())
-    if budget is not None and total_evals > budget:
+    if total_evals > budget:
         raise BudgetExceededError(
             "net enumeration needs %d weight evaluations, budget is %d"
             % (total_evals, budget)

@@ -47,7 +47,6 @@ from .model import (
     AnchoredInstance,
     GroundTruth,
     Instance,
-    QuantizationConfig,
     QuantizedAnchoredInstance,
     gen_gaussian_noisy,
     gen_noiseless_anchored,
@@ -58,7 +57,7 @@ from .model import (
     read_instance_record,
     write_instance,
 )
-from .oracle import brute_force, ols_given_perm
+from .oracle import BRUTE_CAP, brute_force, ols_given_perm
 from .perm1d import sort_match
 
 __all__ = ["main", "run_sweep", "SweepConfig", "order_stats_report", "w2_report"]
@@ -74,7 +73,6 @@ SWEEP_COLUMNS = (
     "wall_time_s",
 )
 
-_BRUTE_CAP = 8
 _SWEEP_P = 16  # the lattice sweep quantizes its draws on the 2^-16 grid
 
 
@@ -127,10 +125,11 @@ def cmd_gen(args) -> int:
         inst, truth = gen_noiseless_anchored(w_bar, args.n, args.seed, anchored=not args.unanchored)
 
     if args.p is not None:
-        cfg = QuantizationConfig(p=args.p)
+        if args.p < 1:
+            raise ValueError("--p must be >= 1")
         if args.model == "noiseless":
             # regenerate on the grid so the exact identity survives quantization
-            q, w_q = quantize_noiseless(inst, truth, cfg)
+            q, w_q = quantize_noiseless(inst, truth, args.p)
             inst = AnchoredInstance(
                 x0=np.array(_exact_floats(q.x0)),
                 y0=_exact_floats([q.y0])[0],
@@ -142,8 +141,8 @@ def cmd_gen(args) -> int:
             )
         else:
             inst = Instance(
-                x=np.array([_exact_floats(quantize_value(v, cfg.p) for v in r) for r in inst.x]),
-                y=np.array(_exact_floats(quantize_value(v, cfg.p) for v in inst.y)),
+                x=np.array([_exact_floats(quantize_value(v, args.p) for v in r) for r in inst.x]),
+                y=np.array(_exact_floats(quantize_value(v, args.p) for v in inst.y)),
             )
 
     write_instance(args.output, inst, truth=None if args.no_truth else truth, p=args.p)
@@ -176,7 +175,7 @@ def cmd_solve(args) -> int:
             sol = fptas_solve(inst, args.eps, budget=args.budget)
             out = {"solver": "fptas", "eps": args.eps}
         else:
-            sol = brute_force(inst, cap=_BRUTE_CAP)
+            sol = brute_force(inst)
             out = {"solver": "brute"}
         out.update(
             cost=sol.cost,
@@ -209,10 +208,10 @@ class SweepConfig:
     snr_grid: tuple
     trials: int
     solver: str
-    eps: float = 0.5
-    seed: int = 0
-    jobs: int = 1
-    budget: int = DEFAULT_BUDGET
+    eps: float
+    seed: int
+    jobs: int
+    budget: int
 
 
 def _sweep_cell(cfg: SweepConfig, snr_index: int, snr: float) -> list:
@@ -225,7 +224,7 @@ def _sweep_cell(cfg: SweepConfig, snr_index: int, snr: float) -> list:
         w_bar = random_unit_vector(cfg.d, _w_rng(ent))
         if cfg.solver == "lattice":
             inst, truth = gen_noiseless_anchored(w_bar, cfg.n, ent, anchored=False)
-            q, w_q = quantize_noiseless(inst, truth, QuantizationConfig(_SWEEP_P))
+            q, w_q = quantize_noiseless(inst, truth, _SWEEP_P)
             res = lattice.recover(q)
             wq = np.array([float(v) for v in w_q])
             if res is not None:
@@ -243,7 +242,7 @@ def _sweep_cell(cfg: SweepConfig, snr_index: int, snr: float) -> list:
             if cfg.solver == "fptas":
                 sol = fptas_solve(inst, cfg.eps, budget=cfg.budget)
             else:
-                sol = brute_force(inst, cap=_BRUTE_CAP)
+                sol = brute_force(inst)
             errs.append(float(np.linalg.norm(sol.w - w_bar)))
             if sol.perm.map == truth.pi_bar.map:
                 successes += 1
@@ -284,14 +283,16 @@ def run_sweep(cfg: SweepConfig) -> list:
         grid = tuple(float(s) for s in cfg.snr_grid)
         if not grid or any(not s > 0 for s in grid):
             raise ValueError("snr grid values must be > 0")
-    if cfg.solver == "brute" and cfg.n > _BRUTE_CAP:
+    if cfg.solver == "brute" and cfg.n > BRUTE_CAP:
         cells = ", ".join("(snr=%s, n=%d, d=%d)" % (s, cfg.n, cfg.d) for s in grid)
         raise CapExceededError(
-            "brute solver capped at n <= %d; refused cells: %s" % (_BRUTE_CAP, cells)
+            "brute solver capped at n <= %d; refused cells: %s" % (BRUTE_CAP, cells)
         )
     tasks = [(cfg, i, s) for i, s in enumerate(grid)]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
+    # the pool starts every worker at once, so never more than there are cells
+    workers = min(cfg.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(_cell_star, tasks))
     return [_sweep_cell(*t) for t in tasks]
 

@@ -22,6 +22,9 @@ __all__ = [
     "pls_feasible_brute",
 ]
 
+THREE_PARTITION_CAP = 4  # largest k check_3partition_brute accepts
+PLS_CAP = 8  # largest n pls_feasible_brute accepts
+
 
 @dataclass(frozen=True)
 class ThreePartitionInstance:
@@ -87,10 +90,10 @@ def reduce_3partition(tp: ThreePartitionInstance) -> PlsInstance:
     return PlsInstance(a=tuple(rows), b=tuple(tp.z) + (tp.c,) * k)
 
 
-def check_3partition_brute(tp: ThreePartitionInstance, cap: int = 4) -> bool:
-    """Exhaustively decide 3-partition.  Refuses ``k > cap`` (default 4)."""
-    if tp.k > cap:
-        raise CapExceededError("check_3partition_brute capped at k <= %d, got k = %d" % (cap, tp.k))
+def check_3partition_brute(tp: ThreePartitionInstance) -> bool:
+    """Exhaustively decide 3-partition.  Refuses ``k > THREE_PARTITION_CAP`` (4)."""
+    if tp.k > THREE_PARTITION_CAP:
+        raise CapExceededError("check_3partition_brute capped at k <= %d, got k = %d" % (THREE_PARTITION_CAP, tp.k))
 
     def split(avail: tuple[int, ...]) -> bool:
         if not avail:
@@ -107,17 +110,17 @@ def check_3partition_brute(tp: ThreePartitionInstance, cap: int = 4) -> bool:
     return split(tuple(range(3 * tp.k)))
 
 
-def pls_feasible_brute(pls: PlsInstance, cap: int = 8) -> bool:
+def pls_feasible_brute(pls: PlsInstance) -> bool:
     """Exhaustively decide permuted-system feasibility, exactly.
 
     True iff some permutation ``pi`` makes ``a x = (b[pi(0)], ..., b[pi(n-1)])``
     consistent; equivalently the exact rational least-squares residual is zero.
     Decided via an integer basis of the left null space of ``a``, so no
-    tolerance enters.  Refuses ``n > cap`` (default 8).
+    tolerance enters.  Refuses ``n > PLS_CAP`` (8).
     """
     n = pls.n
-    if n > cap:
-        raise CapExceededError("pls_feasible_brute capped at n <= %d, got n = %d" % (cap, n))
+    if n > PLS_CAP:
+        raise CapExceededError("pls_feasible_brute capped at n <= %d, got n = %d" % (PLS_CAP, n))
     null_rows = _ratlin.left_nullspace_int([list(r) for r in pls.a])
     if not null_rows:
         return True

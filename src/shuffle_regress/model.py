@@ -24,13 +24,13 @@ JSON schema (one instance per file)::
 Floats are written with Python's shortest round-trip repr, so a write/read
 cycle reproduces every entry bit-exactly.  NaN and infinity are rejected in
 both directions; ``truth`` stores ``sigma`` rather than an SNR so the noiseless
-case needs no infinity sentinel (the SNR is derived on load).
+case needs no infinity sentinel.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -43,7 +43,6 @@ __all__ = [
     "GroundTruth",
     "Instance",
     "AnchoredInstance",
-    "QuantizationConfig",
     "QuantizedAnchoredInstance",
     "InstanceRecord",
     "gen_gaussian_noisy",
@@ -92,24 +91,16 @@ class Permutation:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Hidden parameters behind a generated instance.
-
-    ``snr`` is derived: ``||w_bar||^2 / sigma^2``, with ``math.inf`` used as the
-    sentinel for the noiseless case ``sigma = 0``.
-    """
+    """Hidden parameters behind a generated instance."""
 
     w_bar: np.ndarray
     pi_bar: Permutation
     sigma: float
-    snr: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "w_bar", _readonly(self.w_bar))
         if self.sigma < 0 or not math.isfinite(self.sigma):
             raise ValueError("sigma must be finite and >= 0")
-        nrm2 = float(self.w_bar @ self.w_bar)
-        snr = math.inf if self.sigma == 0 else nrm2 / self.sigma**2
-        object.__setattr__(self, "snr", snr)
 
 
 def _check_xy(x: np.ndarray, y: np.ndarray):
@@ -177,17 +168,6 @@ class AnchoredInstance:
     @property
     def d(self) -> int:
         return self.x.shape[1]
-
-
-@dataclass(frozen=True)
-class QuantizationConfig:
-    """Grid resolution: values are rounded to integer multiples of ``2**-p``."""
-
-    p: int
-
-    def __post_init__(self):
-        if not _is_int(self.p) or self.p < 1:
-            raise ValueError("p must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -304,10 +284,9 @@ def quantize_value(v: Union[float, int, Fraction], p: int) -> Fraction:
     return Fraction(round(scaled), 1 << p)
 
 
-def quantize_noiseless(
-    inst: AnchoredInstance, truth: GroundTruth, cfg: QuantizationConfig
-):
-    """Quantize covariates and the hidden weights, then recompute responses.
+def quantize_noiseless(inst: AnchoredInstance, truth: GroundTruth, p: int):
+    """Quantize covariates and the hidden weights to the ``2**-p`` grid, then
+    recompute responses.
 
     Rounding ``y`` directly would break the exact identity
     ``y_i = <w_bar, x_{pi_bar(i)}>`` that noiseless recovery relies on, so this
@@ -315,11 +294,13 @@ def quantize_noiseless(
     response as the exact rational inner product (denominators ``2**-2p``).
 
     Returns ``(QuantizedAnchoredInstance, w_q)`` with ``w_q`` the quantized
-    weight vector as a tuple of Fractions.
+    weight vector as a tuple of Fractions.  Raises ``ValueError`` unless ``p``
+    is an integer ``>= 1``.
     """
+    if not _is_int(p) or p < 1:
+        raise ValueError("p must be an integer >= 1")
     if truth.sigma != 0:
         raise ValueError("requires a noiseless ground truth (sigma = 0)")
-    p = cfg.p
     w_q = tuple(quantize_value(v, p) for v in truth.w_bar)
     rows = [tuple(quantize_value(v, p) for v in inst.x0)]
     rows += [tuple(quantize_value(v, p) for v in row) for row in inst.x]
@@ -339,11 +320,10 @@ def quantize_noiseless(
 
 @dataclass(frozen=True)
 class InstanceRecord:
-    """Everything a file may carry: the instance plus optional metadata."""
+    """The instance a file carries and its optional ground truth."""
 
     instance: Union[Instance, AnchoredInstance]
     truth: Optional[GroundTruth]
-    p: Optional[int]
 
 
 def _reject_constant(name):
@@ -434,11 +414,9 @@ def read_instance_record(path) -> InstanceRecord:
         _require(isinstance(sigma, (int, float)) and not isinstance(sigma, bool) and math.isfinite(float(sigma)) and sigma >= 0, "sigma must be a finite number >= 0")
         truth = GroundTruth(w_bar=w_bar, pi_bar=pi, sigma=float(sigma))
 
-    p = None
     if "quantization" in doc:
         q = doc["quantization"]
         _require(isinstance(q, dict) and set(q) == {"p"}, "quantization must hold p")
         _require(_is_int(q["p"]) and q["p"] >= 1, "quantization p must be an integer >= 1")
-        p = q["p"]
 
-    return InstanceRecord(instance=inst, truth=truth, p=p)
+    return InstanceRecord(instance=inst, truth=truth)

@@ -18,6 +18,9 @@ from .perm1d import MatchResult
 
 __all__ = ["ols_given_perm", "brute_force", "perm_match_brute", "subset_sum_brute"]
 
+BRUTE_CAP = 8  # largest n the permutation enumerators accept
+SUBSET_SUM_CAP = 24  # most values subset_sum_brute accepts
+
 
 def ols_given_perm(x, y, perm: Permutation) -> Solution:
     """Least squares with the correspondence fixed to ``perm``.
@@ -39,18 +42,18 @@ def _perm_rows(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
 
 
-def brute_force(inst: Instance, cap: int = 8) -> Solution:
+def brute_force(inst: Instance) -> Solution:
     """Exact minimizer over all ``n!`` permutations, each with its own OLS fit.
 
     Ties break toward the lexicographically smallest permutation map.  The
     fits go through :func:`~shuffle_regress.approx.orthonormalize` (singular
     values at or below ``1e-15 * max`` count as zero), and the reported cost
     is that of the returned ``w`` and permutation, recomputed.  Refuses
-    ``n > cap`` (default 8) with :class:`CapExceededError`, and raises
+    ``n > BRUTE_CAP`` (8) with :class:`CapExceededError`, and raises
     ``ValueError`` when the optimal weights overflow float64.
     """
-    if inst.n > cap:
-        raise CapExceededError("brute_force capped at n <= %d, got n = %d" % (cap, inst.n))
+    if inst.n > BRUTE_CAP:
+        raise CapExceededError("brute_force capped at n <= %d, got n = %d" % (BRUTE_CAP, inst.n))
     x, y = inst.x, np.asarray(inst.y, dtype=float)
     n = inst.n
     perms = _perm_rows(n)
@@ -66,7 +69,7 @@ def brute_force(inst: Instance, cap: int = 8) -> Solution:
     return Solution(w=w, perm=Permutation(tuple(int(v) for v in perms[best])), cost=float(miss @ miss))
 
 
-def perm_match_brute(a, b, cap: int = 8) -> MatchResult:
+def perm_match_brute(a, b) -> MatchResult:
     """Exact minimizer of ``sum_i (a[pi(i)] - b_i)^2`` by full enumeration.
 
     Same tie rule and cap as :func:`brute_force`.
@@ -76,8 +79,8 @@ def perm_match_brute(a, b, cap: int = 8) -> MatchResult:
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError("a and b must be 1-d vectors of equal length")
     n = a.shape[0]
-    if n > cap:
-        raise CapExceededError("perm_match_brute capped at n <= %d, got n = %d" % (cap, n))
+    if n > BRUTE_CAP:
+        raise CapExceededError("perm_match_brute capped at n <= %d, got n = %d" % (BRUTE_CAP, n))
     perms = _perm_rows(n)
     diff = a[perms] - b
     costs = np.einsum("ij,ij->i", diff, diff)
@@ -88,19 +91,18 @@ def perm_match_brute(a, b, cap: int = 8) -> MatchResult:
 def subset_sum_brute(
     values: Sequence[Union[int, Fraction]],
     target: Union[int, Fraction],
-    cap: int = 24,
 ) -> Optional[tuple[int, ...]]:
     """First subset of ``values`` (by ascending bitmask) summing exactly to ``target``.
 
     Arithmetic is exact rational; the empty subset is admissible iff the target
     is zero.  Returns index tuples sorted ascending, or ``None``.  Refuses more
-    than ``cap`` (default 24) values.
+    than ``SUBSET_SUM_CAP`` (24) values.
     """
     vals = [Fraction(v) for v in values]
     target = Fraction(target)
     m = len(vals)
-    if m > cap:
-        raise CapExceededError("subset_sum_brute capped at %d values, got %d" % (cap, m))
+    if m > SUBSET_SUM_CAP:
+        raise CapExceededError("subset_sum_brute capped at %d values, got %d" % (SUBSET_SUM_CAP, m))
     total = 1 << m
     acc = Fraction(0)
     mask = 0

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from shuffle_regress import (
-    QuantizationConfig,
     ThreePartitionInstance,
     brute_force,
     check_3partition_brute,
@@ -264,7 +263,7 @@ def recovery_runs():
             inst, truth = gen_noiseless_anchored(
                 w_bar, n, [61, cell_idx, trial], anchored=anchored
             )
-            q, w_q = quantize_noiseless(inst, truth, QuantizationConfig(p=16))
+            q, w_q = quantize_noiseless(inst, truth, 16)
             res = recover(q)
             runs.append(
                 {"cell": (d, n), "q": q, "truth": truth, "w_q": w_q, "res": res}

@@ -301,6 +301,13 @@ class TestFptasSolve:
         with pytest.raises(BudgetExceededError):
             fptas_solve(inst, 0.25, budget=100)
 
+    @pytest.mark.parametrize("budget", [None, 0, -1, True, 1.5])
+    def test_budget_must_be_a_positive_int(self, budget):
+        # no unlimited budget: None is refused by name, not by a TypeError
+        inst, _ = gen_gaussian_noisy(np.array([0.3, 0.8]), 4, 0.5, 1)
+        with pytest.raises(ValueError, match="budget must be an integer >= 1"):
+            fptas_solve(inst, 0.5, budget=budget)
+
     def test_chunk_independence(self, monkeypatch):
         for w_bar, seed in (((0.5, -0.9), 4), ((0.6, -0.3, 0.8), 1)):
             inst, _ = gen_gaussian_noisy(np.array(w_bar), 5, 0.6, seed)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from shuffle_regress import cli, errors
+from shuffle_regress.approx import DEFAULT_BUDGET
 from shuffle_regress.cli import (
     SWEEP_COLUMNS,
     SweepConfig,
@@ -119,6 +120,20 @@ class TestGen:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("model", ["gaussian", "noiseless"])
+    @pytest.mark.parametrize("p", ["0", "-1"])
+    def test_p_below_one_refused(self, tmp_path, capsys, model, p):
+        noise = ("--snr", "4") if model == "gaussian" else ()
+        out = tmp_path / "x.json"
+        code, _, err = run(
+            capsys,
+            "gen", "--model", model, "--n", "3", "--d", "2", *noise,
+            "--p", p, "--seed", "0", "-o", str(out),
+        )
+        assert code == 2
+        assert err == "error: --p must be >= 1\n"
+        assert not out.exists()
+
 
 class TestSolve:
     def gen_instance(self, capsys, tmp_path, *extra):
@@ -220,6 +235,15 @@ class TestSolve:
             )
             assert code == 2
             assert "eps must lie in (0, 1)" in err
+
+    def test_fptas_budget_below_one(self, tmp_path, capsys):
+        inst = self.gen_instance(capsys, tmp_path)
+        code, stdout, err = run(
+            capsys, "solve", "--instance", str(inst), "--solver", "fptas", "--budget", "0",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "budget must be an integer >= 1" in err
 
     def test_fptas_weight_overflow_refused(self, tmp_path, capsys):
         out = tmp_path / "tiny.json"
@@ -349,12 +373,12 @@ class TestSweep:
     def test_serial_parallel_identical(self, tmp_path):
         cfg = SweepConfig(
             model="gaussian", n=4, d=1, snr_grid=(1.0, 2.0), trials=3,
-            solver="fptas", seed=7,
+            solver="fptas", eps=0.5, seed=7, jobs=1, budget=DEFAULT_BUDGET,
         )
         serial = run_sweep(cfg)
         parallel = run_sweep(SweepConfig(
             model="gaussian", n=4, d=1, snr_grid=(1.0, 2.0), trials=3,
-            solver="fptas", seed=7, jobs=2,
+            solver="fptas", eps=0.5, seed=7, jobs=2, budget=DEFAULT_BUDGET,
         ))
         wt = SWEEP_COLUMNS.index("wall_time_s")
 
@@ -362,6 +386,42 @@ class TestSweep:
             return [[v for i, v in enumerate(r) if i != wt] for r in rows]
 
         assert drop(serial) == drop(parallel)
+
+    @pytest.mark.parametrize(
+        "argv, pools",
+        [
+            # two cells: two workers, however many jobs were asked for
+            (("--model", "gaussian", "--solver", "fptas", "--snr-grid", "1,2"), [2]),
+            # a noiseless sweep has one cell, which runs in-process
+            (("--model", "noiseless", "--solver", "lattice"), []),
+        ],
+    )
+    def test_workers_capped_by_cells(self, tmp_path, capsys, monkeypatch, argv, pools):
+        started = []
+
+        class FakePool:
+            # records the worker count and runs the cells in-process, so no
+            # process is ever started
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        code, _, _ = run(
+            capsys,
+            "sweep-snr", *argv, "--n", "3", "--d", "1", "--trials", "1",
+            "--seed", "0", "--jobs", "64", "-o", str(tmp_path / "x.csv"),
+        )
+        assert code == 0
+        assert started == pools
 
     def test_brute_cap_refused_with_cells(self, tmp_path, capsys):
         code, _, err = run(

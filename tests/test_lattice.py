@@ -9,7 +9,6 @@ from shuffle_regress import (
     DegenerateInstanceError,
     LatticeBasis,
     Permutation,
-    QuantizationConfig,
     QuantizedAnchoredInstance,
     RankDeficiencyError,
     gen_noiseless_anchored,
@@ -235,7 +234,7 @@ class TestBuildSources:
 
     def test_correct_subset_sums_to_anchor(self):
         inst, truth = gen_noiseless_anchored(np.array([0.75, -0.5]), 3, 13)
-        q, _ = quantize_noiseless(inst, truth, QuantizationConfig(p=10))
+        q, _ = quantize_noiseless(inst, truth, 10)
         ssi = build_sources(q.x0, q.x, q.y, q.y0)
         # pi_bar fixes the anchor, so unanchored truth is i -> pi_bar(i+1)-1
         total = sum(
@@ -267,7 +266,7 @@ class TestBuildSources:
     def test_projection_property(self, d, n, seed):
         # with all responses 1, source (0, j) is proj_j = <x_j, (x^T x)^{-1} x0>
         inst, truth = gen_noiseless_anchored(np.linspace(1, 2, d), n, seed)
-        q, _ = quantize_noiseless(inst, truth, QuantizationConfig(p=10))
+        q, _ = quantize_noiseless(inst, truth, 10)
         ssi = build_sources(q.x0, q.x, [F(1)] * n, q.y0)
         proj = [ssi.sources[(0, j)] for j in range(n)]
         assert rl.matvec(rl.transpose(rl.mat(q.x)), proj) == list(q.x0)
@@ -303,7 +302,7 @@ class TestEpsilonBound:
                     for seed in range(3):
                         w = np.ones(d) / math.sqrt(d)
                         inst, truth = gen_noiseless_anchored(w, n, seed)
-                        q, _ = quantize_noiseless(inst, truth, QuantizationConfig(p=p))
+                        q, _ = quantize_noiseless(inst, truth, p)
                         try:
                             ssi = build_sources(q.x0, q.x, q.y, q.y0)
                         except RankDeficiencyError:
@@ -342,7 +341,7 @@ def embedded(d, n, seed):
     beta find_permutation uses, the keys and the permutation sublattice."""
     w = np.ones(d) / math.sqrt(d)
     inst, truth = gen_noiseless_anchored(w, n, seed)
-    q, _ = quantize_noiseless(inst, truth, QuantizationConfig(p=16))
+    q, _ = quantize_noiseless(inst, truth, 16)
     ssi = build_sources(q.x0, q.x, q.y, q.y0)
     basis, keys = subset_sum_basis(ssi, default_beta(n, epsilon_bound(ssi)))
     return truth, basis, keys, lattice._permutation_sublattice(basis, keys, n)
@@ -411,7 +410,7 @@ class TestFindPermutation:
     def make_quantized(self, d, n, seed, p=16):
         w = np.ones(d) / math.sqrt(d)
         inst, truth = gen_noiseless_anchored(w, n, seed)
-        q, w_q = quantize_noiseless(inst, truth, QuantizationConfig(p=p))
+        q, w_q = quantize_noiseless(inst, truth, p)
         return q, truth, w_q
 
     def test_recovers_planted_map(self):
@@ -473,7 +472,7 @@ class TestRecover:
     def run_case(self, d, n, seed, anchored=True):
         w = np.ones(d) / math.sqrt(d)
         inst, truth = gen_noiseless_anchored(w, n, seed, anchored=anchored)
-        q, w_q = quantize_noiseless(inst, truth, QuantizationConfig(p=16))
+        q, w_q = quantize_noiseless(inst, truth, 16)
         return q, truth, w_q
 
     def test_exact_recovery_small(self):
@@ -585,7 +584,7 @@ class TestRecover:
 
     def test_scalar_chain(self):
         inst, truth = gen_noiseless_anchored(np.array([0.75]), 1, 2)
-        q, w_q = quantize_noiseless(inst, truth, QuantizationConfig(p=8))
+        q, w_q = quantize_noiseless(inst, truth, 8)
         res = recover(q)
         assert res is not None
         assert res.w == w_q
@@ -630,7 +629,7 @@ class TestFullRankReference:
                         for seed in range(3):
                             w = np.ones(d) / math.sqrt(d)
                             inst, truth = gen_noiseless_anchored(w, n, seed, anchored=anchored)
-                            q, w_q = quantize_noiseless(inst, truth, QuantizationConfig(p=p))
+                            q, w_q = quantize_noiseless(inst, truth, p)
 
                             def planted(res):
                                 return (
@@ -707,7 +706,7 @@ class TestPermutationSumPrune:
                     for seed in range(2):
                         w = np.ones(d) / math.sqrt(d)
                         inst, truth = gen_noiseless_anchored(w, n, seed, anchored=False)
-                        q, _ = quantize_noiseless(inst, truth, QuantizationConfig(p=p))
+                        q, _ = quantize_noiseless(inst, truth, p)
                         for _, sub in anchor_guesses(q):
                             try:
                                 ones = build_sources(sub.x0, sub.x, [F(1)] * n, sub.y0)
@@ -742,7 +741,7 @@ class TestPermutationSumPrune:
                         for seed in range(2):
                             w = np.ones(d) / math.sqrt(d)
                             inst, truth = gen_noiseless_anchored(w, n, seed, anchored=anchored)
-                            q, _ = quantize_noiseless(inst, truth, QuantizationConfig(p=p))
+                            q, _ = quantize_noiseless(inst, truth, p)
                             if not any(q.y):
                                 continue  # every guess is degenerate
                             instances += 1
@@ -786,7 +785,7 @@ class TestPermutationSumPrune:
                     for seed in range(3):
                         w = np.ones(d) / math.sqrt(d)
                         inst, truth = gen_noiseless_anchored(w, n, seed, anchored=False)
-                        q, w_q = quantize_noiseless(inst, truth, QuantizationConfig(p=16))
+                        q, w_q = quantize_noiseless(inst, truth, 16)
                         res = recover(q)
                         assert res.perm.map == truth.pi_bar.map and res.w == w_q
             runs.append(calls)
@@ -881,7 +880,7 @@ class TestPowerSums:
                         for seed in range(2):
                             w = np.ones(d) / math.sqrt(d)
                             inst, truth = gen_noiseless_anchored(w, n, seed, anchored=anchored)
-                            q, _ = quantize_noiseless(inst, truth, QuantizationConfig(p=p))
+                            q, _ = quantize_noiseless(inst, truth, p)
                             if not any(q.y):
                                 continue
                             with monkeypatch.context() as m:

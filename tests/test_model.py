@@ -13,7 +13,6 @@ from shuffle_regress import (
     Instance,
     ParseError,
     Permutation,
-    QuantizationConfig,
     QuantizedAnchoredInstance,
     SchemaError,
     gen_gaussian_noisy,
@@ -41,16 +40,6 @@ class TestPermutation:
     def test_rejects_non_bijections(self, bad):
         with pytest.raises(ValueError):
             Permutation(bad)
-
-
-class TestGroundTruth:
-    def test_snr_finite(self):
-        t = GroundTruth(w_bar=np.array([3.0, 4.0]), pi_bar=Permutation((0,)), sigma=5.0)
-        assert t.snr == pytest.approx(1.0)
-
-    def test_snr_noiseless_sentinel(self):
-        t = GroundTruth(w_bar=np.array([1.0]), pi_bar=Permutation((0,)), sigma=0.0)
-        assert t.snr == math.inf
 
 
 class TestInstanceValidation:
@@ -205,7 +194,7 @@ class TestQuantize:
 
     def test_quantize_noiseless_keeps_identity(self):
         inst, truth = gen_noiseless_anchored(np.array([0.9, -0.3]), 3, 5)
-        q, w_q = quantize_noiseless(inst, truth, QuantizationConfig(p=8))
+        q, w_q = quantize_noiseless(inst, truth, 8)
         rows = [q.x0, *q.x]
         pi = truth.pi_bar
         ys = [q.y0, *q.y]
@@ -216,12 +205,13 @@ class TestQuantize:
         inst, truth = gen_noiseless_anchored(np.array([1.0]), 2, 1)
         noisy = GroundTruth(w_bar=truth.w_bar, pi_bar=truth.pi_bar, sigma=0.5)
         with pytest.raises(ValueError):
-            quantize_noiseless(inst, noisy, QuantizationConfig(p=4))
+            quantize_noiseless(inst, noisy, 4)
 
     def test_config_validation(self):
+        inst, truth = gen_noiseless_anchored(np.array([1.0]), 2, 1)
         for p in (0, True):
             with pytest.raises(ValueError):
-                QuantizationConfig(p=p)
+                quantize_noiseless(inst, truth, p)
 
 
 class TestSerialization:
@@ -236,7 +226,7 @@ class TestSerialization:
         assert rec.truth.pi_bar.map == truth.pi_bar.map
         assert np.array_equal(rec.truth.w_bar, truth.w_bar)
         assert rec.truth.sigma == truth.sigma
-        assert rec.p == 16
+        assert json.loads(f.read_text())["quantization"] == {"p": 16}
 
     def test_round_trip_anchored(self, tmp_path):
         inst, truth = gen_noiseless_anchored(np.array([1.0, -2.0]), 3, 8)

@@ -75,11 +75,6 @@ class TestBruteForce:
         with pytest.raises(CapExceededError):
             brute_force(inst)
 
-    def test_cap_override(self):
-        inst = Instance(x=np.zeros((9, 1)), y=np.zeros(9))
-        sol = brute_force(inst, cap=9)
-        assert sol.cost == 0.0
-
     def test_n_one(self):
         inst = Instance(x=np.array([[3.0]]), y=np.array([6.0]))
         sol = brute_force(inst)

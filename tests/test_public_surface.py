@@ -1,12 +1,13 @@
 """The package's public surface: the README examples run as written,
 ``shuffle_regress.__all__`` holds exactly the documented names, and the
-settings a caller can pass (CLI options, function parameters) are pinned, so
-one joins or leaves only with an edit here.  Importing the package loads no
-third-party module but numpy, every function the benchmark's tracer wraps
-still exists under the name it looks up, and no function or class of the
-package is there for the tests alone."""
+settings a caller can pass (CLI options, function parameters) and the fields
+of the package's records are pinned, so one joins or leaves only with an edit
+here.  Importing the package loads no third-party module but numpy, every
+function the benchmark's tracer wraps still exists under the name it looks
+up, and no function or class of the package is there for the tests alone."""
 import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -19,7 +20,8 @@ from pathlib import Path
 
 import shuffle_regress
 from shuffle_regress import lattice
-from shuffle_regress.cli import build_parser
+from shuffle_regress.cli import SweepConfig, build_parser
+from shuffle_regress.model import InstanceRecord
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = README.parent / "src" / "shuffle_regress"
@@ -41,7 +43,6 @@ SURFACE = {
     "ParseError",
     "Permutation",
     "PlsInstance",
-    "QuantizationConfig",
     "QuantizedAnchoredInstance",
     "RankDeficiencyError",
     "RecoveryResult",
@@ -87,22 +88,43 @@ OPTIONS = {
 }
 
 PARAMETERS = {
-    "brute_force": ("inst", "cap"),
-    "check_3partition_brute": ("tp", "cap"),
+    "brute_force": ("inst",),
+    "check_3partition_brute": ("tp",),
     "fptas_solve": ("inst", "eps", "budget"),
     "gen_gaussian_noisy": ("w_bar", "n", "sigma", "seed"),
     "gen_noiseless_anchored": ("w_bar", "n", "seed", "anchored"),
     "gen_uniform_noisy": ("w_bar", "n", "sigma", "seed"),
     "lll_reduce": ("basis",),
-    "perm_match_brute": ("a", "b", "cap"),
-    "pls_feasible_brute": ("pls", "cap"),
-    "quantize_noiseless": ("inst", "truth", "cfg"),
+    "perm_match_brute": ("a", "b"),
+    "pls_feasible_brute": ("pls",),
+    "quantize_noiseless": ("inst", "truth", "p"),
     "recover": ("inst",),
     "reduce_3partition": ("tp",),
     "row_sample": ("u_mat",),
     "sort_match": ("a", "b"),
-    "subset_sum_brute": ("values", "target", "cap"),
+    "subset_sum_brute": ("values", "target"),
     "wasserstein2_sq": ("a", "b"),
+}
+
+# The fields of every exported dataclass, of the instance file reader's
+# record and of the sweep configuration.
+FIELDS = {
+    "AnchoredInstance": ("x0", "y0", "x", "y"),
+    "GroundTruth": ("w_bar", "pi_bar", "sigma"),
+    "Instance": ("x", "y"),
+    "InstanceRecord": ("instance", "truth"),
+    "LatticeBasis": ("columns",),
+    "MatchResult": ("perm", "cost"),
+    "Permutation": ("map",),
+    "PlsInstance": ("a", "b"),
+    "QuantizedAnchoredInstance": ("x0", "y0", "x", "y"),
+    "RecoveryResult": ("perm", "w", "anchor"),
+    "SamplingMatrix": ("n", "rows"),
+    "Solution": ("w", "perm", "cost"),
+    "SweepConfig": (
+        "model", "n", "d", "snr_grid", "trials", "solver", "eps", "seed", "jobs", "budget",
+    ),
+    "ThreePartitionInstance": ("z", "k", "c"),
 }
 
 
@@ -151,6 +173,16 @@ def test_function_parameters_pinned():
         if name[0].islower()
     }
     assert got == PARAMETERS
+
+
+def test_dataclass_fields_pinned():
+    classes = [getattr(shuffle_regress, name) for name in SURFACE]
+    classes = [c for c in classes if dataclasses.is_dataclass(c)]
+    got = {
+        c.__name__: tuple(f.name for f in dataclasses.fields(c))
+        for c in (*classes, InstanceRecord, SweepConfig)
+    }
+    assert got == FIELDS
 
 
 def test_import_loads_no_mpmath():
