@@ -165,15 +165,25 @@ def _exact_anchored(inst: AnchoredInstance) -> QuantizedAnchoredInstance:
     )
 
 
+def _fptas_settings(args) -> tuple[float, int]:
+    """``--eps`` and ``--budget`` with their defaults; other solvers refuse both."""
+    for flag, value in (("--eps", args.eps), ("--budget", args.budget)):
+        if value is not None and args.solver != "fptas":
+            raise ValueError("%s applies to --solver fptas only" % flag)
+    eps = 0.5 if args.eps is None else args.eps
+    return eps, DEFAULT_BUDGET if args.budget is None else args.budget
+
+
 def cmd_solve(args) -> int:
+    eps, budget = _fptas_settings(args)
     inst = read_instance_record(args.instance).instance
 
     if args.solver in ("fptas", "brute"):
         if isinstance(inst, AnchoredInstance):
             raise ValueError("solver %r expects an unanchored instance" % args.solver)
         if args.solver == "fptas":
-            sol = fptas_solve(inst, args.eps, budget=args.budget)
-            out = {"solver": "fptas", "eps": args.eps}
+            sol = fptas_solve(inst, eps, budget=budget)
+            out = {"solver": "fptas", "eps": eps}
         else:
             sol = brute_force(inst)
             out = {"solver": "brute"}
@@ -298,6 +308,7 @@ def run_sweep(cfg: SweepConfig) -> list:
 
 
 def cmd_sweep(args) -> int:
+    eps, budget = _fptas_settings(args)
     cfg = SweepConfig(
         model=args.model,
         n=args.n,
@@ -305,10 +316,10 @@ def cmd_sweep(args) -> int:
         snr_grid=tuple(_parse_grid(args.snr_grid, float)),
         trials=args.trials,
         solver=args.solver,
-        eps=args.eps,
+        eps=eps,
         seed=args.seed,
         jobs=args.jobs,
-        budget=args.budget,
+        budget=budget,
     )
     rows = run_sweep(cfg)
     with open(args.output, "w", newline="") as fh:
@@ -489,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve one instance file")
     s.add_argument("--instance", required=True)
     s.add_argument("--solver", choices=("fptas", "brute", "lattice"), required=True)
-    s.add_argument("--eps", type=float, default=0.5, help="fptas accuracy (default 0.5)")
-    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="fptas evaluation budget")
+    s.add_argument("--eps", type=float, help="fptas only: accuracy (default 0.5)")
+    s.add_argument("--budget", type=int, help="fptas only: evaluation budget")
     s.set_defaults(func=cmd_solve)
 
     w = sub.add_parser("sweep-snr", help="Monte-Carlo sweep over an SNR grid, CSV output")
@@ -500,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--snr-grid", default="1,2,4,8", help="comma separated SNR values (ignored for noiseless)")
     w.add_argument("--trials", type=int, default=50)
     w.add_argument("--solver", choices=("fptas", "brute", "lattice"), required=True)
-    w.add_argument("--eps", type=float, default=0.5)
-    w.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    w.add_argument("--eps", type=float, help="fptas only: accuracy (default 0.5)")
+    w.add_argument("--budget", type=int, help="fptas only: evaluation budget")
     w.add_argument("--seed", type=int, required=True)
     w.add_argument("--jobs", type=int, default=1, help="parallel cells (default 1)")
     w.add_argument("--output", "-o", required=True)

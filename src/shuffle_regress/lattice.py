@@ -17,18 +17,13 @@ only the sublattice of the embedding in which those ``2n - 1`` independent
 sums equal coordinate 0: rank ``(n - 1)^2 + 1`` instead of ``n^2 + 1``, in the
 same coordinates, so the scan, the margin and ``beta`` carry over unchanged.
 
-The sources have rank one, ``y_i * proj_j``, so by the rearrangement inequality
-every permutation sum lies between the sum of the sorted factors paired in
-opposite orders and the sum paired in the same order.  An anchor guess whose
-target falls outside that range is refused before any lattice is built.
-
 Noiseless responses are the values ``<w, x_j>`` in some order, so whatever the
 permutation, ``sum_i y_i = <w, sum_j x_j>`` and ``sum_i y_i^2 = w^T G w`` with
 ``G = x^T x`` (the power-sum identity of Tsakiris et al., "An
 algebraic-geometric approach for linear regression without
 correspondences", 2020).  An anchor guess for which no ``w`` meets these two
 equations and the anchor equation ``<w, x0> = y0`` cannot verify, and is
-refused before any lattice is built too; the test is a closed form in the
+refused before any lattice is built; the test is a closed form in the
 ``2 x 2`` matrix ``A G^-1 A^T`` of the two linear rows.
 
 All arithmetic on this path is exact: rationals in the setup, arbitrary-size
@@ -318,18 +313,7 @@ def build_sources(x0, x, y, y0) -> SubsetSumInstance:
     return SubsetSumInstance(sources=sources, target=Fraction(y0))
 
 
-def _permutation_sum_range(y: list, proj: list) -> tuple[Fraction, Fraction]:
-    """Least and greatest ``sum_i y_i * proj[pi(i)]`` over all permutations
-    ``pi``.  By the rearrangement inequality the greatest pairs both factors
-    in ascending order and the least pairs them in opposite orders; both
-    bounds are attained."""
-    ys, ps = sorted(y), sorted(proj)
-    lo = sum((a * b for a, b in zip(ys, reversed(ps))), Fraction(0))
-    hi = sum((a * b for a, b in zip(ys, ps)), Fraction(0))
-    return lo, hi
-
-
-def _power_sums_admit(x, y: list, y0: Fraction, proj: list) -> bool:
+def _power_sums_admit(x0, x, y, y0) -> bool:
     """Whether some ``w`` has ``<w, x0> = y0``, ``<w, s> = sum_i y_i`` and
     ``w^T G w = sum_i y_i^2``, where ``s = sum_j x_j`` and ``G = x^T x``.
 
@@ -341,16 +325,21 @@ def _power_sums_admit(x, y: list, y0: Fraction, proj: list) -> bool:
     pin ``w`` down that least value must equal ``sum y_i^2``, and otherwise
     (the quadratic then grows without bound) it must not exceed it.
 
-    ``proj = x G^-1 x0`` is the factor :func:`build_sources` formed, so
-    ``x0^T G^-1 x0 = sum_j proj_j^2`` and ``s^T G^-1 x0 = sum_j proj_j``; only
-    ``s^T G^-1 s`` takes one more exact ``d x d`` solve.
+    The arguments are those of :func:`build_sources`; ``G`` is built once and
+    solved exactly for ``G^-1 x0`` and ``G^-1 s``.  Raises
+    :class:`RankDeficiencyError` when ``x`` lacks full column rank.
     """
     xt = _ratlin.transpose(_ratlin.mat(x))
+    gram = [_ratlin.matvec(xt, col) for col in xt]
+    x0 = [Fraction(v) for v in x0]
     s = [sum(col) for col in xt]
-    u = _ratlin.solve([_ratlin.matvec(xt, col) for col in xt], s)  # G u = s
-    a = sum(p * p for p in proj)
-    c = sum(proj)
-    e = sum(si * ui for si, ui in zip(s, u))
+    g0 = _ratlin.solve(gram, x0)  # G^-1 x0
+    gs = _ratlin.solve(gram, s)  # G^-1 s
+    a = sum(p * q for p, q in zip(x0, g0))
+    c = sum(p * q for p, q in zip(s, g0))
+    e = sum(p * q for p, q in zip(s, gs))
+    y = [Fraction(v) for v in y]
+    y0 = Fraction(y0)
     t1 = sum(y)
     t2 = sum(v * v for v in y)
     det = a * e - c * c
@@ -384,38 +373,33 @@ def epsilon_bound(ssi: SubsetSumInstance) -> Fraction:
 
 
 def default_beta(n: int, eps_hat: Fraction) -> Fraction:
-    """Smallest power of two at least ``2**(n^2) / eps_hat``.
+    """Exactly ``2**(n^2) / eps_hat``.
 
     :func:`find_permutation` reduces a lattice of rank ``r = (n - 1)^2 + 1``
     whose planted vector has length ``sqrt(n + 1)``, so LLL's first reduced
     vector is at most ``2**((r - 1)/2) * sqrt(n + 1) = 2**((n - 1)^2/2) *
     sqrt(n + 1)`` long.  A vector whose subset misses the target misses it by
     at least the exact margin ``eps_hat`` of :func:`epsilon_bound`, so its
-    last coordinate is at least ``beta * eps_hat >= 2**(n^2)``, more than
-    that bound for every ``n >= 1``.
+    last coordinate is at least ``beta * eps_hat = 2**(n^2)``, more than that
+    bound for every ``n >= 1``.  With ``eps_hat = 1 / D`` this ``beta`` is the
+    integer ``2**(n^2) * D``, and every entry of the embedding's last row is
+    already an integer.
     """
     eps_hat = Fraction(eps_hat)
     if eps_hat <= 0:
         raise ValueError("eps_hat must be positive")
-    target = Fraction(2) ** (n * n) / eps_hat
-    e = target.numerator.bit_length() - target.denominator.bit_length() - 1
-    while Fraction(2) ** e < target:
-        e += 1
-    return Fraction(2) ** e
+    return 2 ** (n * n) / eps_hat
 
 
 def find_permutation(inst: QuantizedAnchoredInstance) -> Optional[Permutation]:
     """Correspondence for the ``n`` unanchored measurements, assuming the anchor
     pairing ``(x0, y0)`` is genuine.
 
-    The sources of :func:`build_sources` are ``y_i * proj_j``, rank one, so
-    every permutation sum lies between the two rearrangement bounds of
-    :func:`_permutation_sum_range`.  A target outside them cannot be met by
-    any permutation, and the guess returns ``None`` before its margin, basis
-    or reduction is computed.  So does a guess for which no ``w`` meets the
-    anchor equation and the first two power sums of the responses
-    (:func:`_power_sums_admit`): a guess that verifies has such a ``w``, so
-    this refuses only guesses :func:`recover` would reject anyway.
+    A guess for which no ``w`` meets the anchor equation and the first two
+    power sums of the responses (:func:`_power_sums_admit`) returns ``None``
+    before its margin, basis or reduction is computed: a guess that verifies
+    has such a ``w``, so this refuses only guesses :func:`recover` would
+    reject anyway.
 
     Otherwise it embeds the ``n^2`` sources with ``beta = default_beta(n,
     epsilon_bound(sources))``, reduces the permutation sublattice of that
@@ -440,13 +424,7 @@ def find_permutation(inst: QuantizedAnchoredInstance) -> Optional[Permutation]:
     ssi = build_sources(inst.x0, inst.x, inst.y, inst.y0)
     if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
         raise DegenerateInstanceError("zero target with all-zero sources")
-    y = [Fraction(v) for v in inst.y]
-    i0 = next(i for i, v in enumerate(y) if v != 0)
-    proj = [ssi.sources[i0, j] / y[i0] for j in range(n)]  # row i0 is y_i0 * proj
-    lo, hi = _permutation_sum_range(y, proj)
-    if not lo <= ssi.target <= hi:
-        return None
-    if not _power_sums_admit(inst.x, y, ssi.target, proj):
+    if not _power_sums_admit(inst.x0, inst.x, inst.y, inst.y0):
         return None
     basis, keys = subset_sum_basis(ssi, default_beta(n, epsilon_bound(ssi)))
     subset = _scan(lll_reduce(_permutation_sublattice(basis, keys, n)).columns, keys, ssi)

@@ -179,6 +179,11 @@ class QuantizedAnchoredInstance:
     x: tuple[tuple[Fraction, ...], ...]
     y: tuple[Fraction, ...]
 
+    def __post_init__(self):
+        d = len(self.x[0]) if self.x else 0
+        if d < 1 or len(self.x0) != d or len(self.y) != len(self.x) or any(len(r) != d for r in self.x):
+            raise ValueError("need n >= 1 rows x of one length d >= 1, with len(x0) == d and len(y) == n")
+
     @property
     def n(self) -> int:
         return len(self.x)

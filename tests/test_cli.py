@@ -245,6 +245,17 @@ class TestSolve:
         assert stdout == ""
         assert "budget must be an integer >= 1" in err
 
+    @pytest.mark.parametrize("solver", ["brute", "lattice"])
+    @pytest.mark.parametrize("flag, value", [("--eps", "0.25"), ("--budget", "0")])
+    def test_fptas_flags_refused_for_other_solvers(self, tmp_path, capsys, solver, flag, value):
+        inst = self.gen_instance(capsys, tmp_path)
+        code, stdout, err = run(
+            capsys, "solve", "--instance", str(inst), "--solver", solver, flag, value,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: %s applies to --solver fptas only\n" % flag
+
     def test_fptas_weight_overflow_refused(self, tmp_path, capsys):
         out = tmp_path / "tiny.json"
         out.write_text(json.dumps({"n": 2, "d": 1, "x": [[0.0], [2.2250738585072014e-308]], "y": [0.0, 4.0]}))
@@ -431,6 +442,25 @@ class TestSweep:
             "--seed", "1", "-o", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--model", "gaussian", "--solver", "brute", "--snr-grid", "1"),
+            ("--model", "noiseless", "--solver", "lattice"),
+        ],
+    )
+    @pytest.mark.parametrize("flag, value", [("--eps", "9"), ("--budget", "0")])
+    def test_fptas_flags_refused_for_other_solvers(self, tmp_path, capsys, argv, flag, value):
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys,
+            "sweep-snr", *argv, "--n", "3", "--d", "1", "--trials", "1",
+            "--seed", "0", flag, value, "-o", str(out),
+        )
+        assert code == 2
+        assert err == "error: %s applies to --solver fptas only\n" % flag
+        assert not out.exists()
 
     def test_lattice_requires_noiseless(self, tmp_path, capsys):
         code, _, _ = run(

@@ -323,13 +323,8 @@ class TestEpsilonBound:
 
 class TestDefaultBeta:
     def test_power_of_two_and_minimal(self):
-        eps = F(1, 1000)
-        b = default_beta(3, eps)
-        assert b.denominator == 1
-        v = b.numerator
-        assert v & (v - 1) == 0
-        assert b >= F(2) ** 9 / eps
-        assert b / 2 < F(2) ** 9 / eps
+        # exactly 2**(n^2) / eps_hat = 2**9 * 1000
+        assert default_beta(3, F(1, 1000)) == 512000
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -463,9 +458,14 @@ class TestFindPermutation:
         monkeypatch.setattr(lattice, "subset_sum_basis", spy)
         find_permutation(q)
         assert len(seen) == 1
-        ssi, beta, (basis, _) = seen[0]
+        ssi, beta, (basis, keys) = seen[0]
         assert beta == default_beta(n, epsilon_bound(ssi))
         assert math.gcd(*(col[-1] for col in basis.columns)) >= 2 ** (n * n)
+        # beta * D is an integer, so the bottom row is beta times the data,
+        # with nothing left to clear
+        assert basis.columns[0][-1] == beta * ssi.target
+        for col, key in zip(basis.columns[1:], keys):
+            assert col[-1] == -beta * ssi.sources[key]
 
 
 class TestRecover:
@@ -663,7 +663,7 @@ def anchor_guesses(q):
 
 
 def _unpruned_find_permutation(inst):
-    """find_permutation without the range test: the same sources, beta,
+    """find_permutation without the power-sum test: the same sources, beta,
     sublattice reduction, scan and permutation check."""
     n = inst.n
     ssi = build_sources(inst.x0, inst.x, inst.y, inst.y0)
@@ -674,58 +674,14 @@ def _unpruned_find_permutation(inst):
     return _as_permutation(subset, n)
 
 
-def _brute_sum_range(y, proj):
-    """Least and greatest sum_i y_i * proj[pi(i)] over every permutation pi."""
-    sums = [
-        sum((a * proj[j] for a, j in zip(y, pi)), F(0))
-        for pi in itertools.permutations(range(len(y)))
-    ]
-    return min(sums), max(sums)
-
-
 class TestPermutationSumPrune:
-    @pytest.mark.parametrize(
-        "y, proj",
-        [
-            ([F(3)], [F(-2)]),
-            ([F(1), F(2)], [F(5), F(-1)]),
-            ([F(-1), F(0), F(2)], [F(1, 2), F(-3), F(0)]),
-            ([F(2), F(-1), F(2), F(1, 3)], [F(1), F(1), F(-7, 5), F(4)]),
-        ],
-    )
-    def test_range_is_attained_by_hand(self, y, proj):
-        assert lattice._permutation_sum_range(y, proj) == _brute_sum_range(y, proj)
-
-    def test_range_is_attained_on_grid_instances(self):
-        # the bounds are the least and greatest permutation sums exactly, so
-        # a narrower range would refuse a reachable target
-        checked = 0
-        for d in (1, 2, 3):
-            for n in range(d, 6):
-                for p in (2, 16):
-                    for seed in range(2):
-                        w = np.ones(d) / math.sqrt(d)
-                        inst, truth = gen_noiseless_anchored(w, n, seed, anchored=False)
-                        q, _ = quantize_noiseless(inst, truth, p)
-                        for _, sub in anchor_guesses(q):
-                            try:
-                                ones = build_sources(sub.x0, sub.x, [F(1)] * n, sub.y0)
-                            except RankDeficiencyError:
-                                continue
-                            y = list(sub.y)
-                            proj = [ones.sources[0, j] for j in range(n)]
-                            got = lattice._permutation_sum_range(y, proj)
-                            assert got == _brute_sum_range(y, proj)
-                            checked += 1
-        assert checked >= 200
-
     def test_prune_is_sound(self, monkeypatch):
         # seeded instances, d <= 4, n <= 7, p in {2, 16}, anchored and
         # unanchored: find_permutation never refuses the true anchor guess
-        # before building its lattice (by the range or the power-sum test),
-        # and on every guess it refuses that way the unpruned search finds no
-        # permutation either.  A guess that reaches the lattice stops there:
-        # only the refused ones matter.
+        # before building its lattice (by the power-sum test), and on every
+        # guess it refuses that way the unpruned search finds no permutation
+        # either.  A guess that reaches the lattice stops there: only the
+        # refused ones matter.
         class Built(Exception):
             pass
 
@@ -763,9 +719,9 @@ class TestPermutationSumPrune:
 
     def test_lll_call_count(self, monkeypatch):
         # unanchored p = 16 recoveries, d <= 3, n in {4, 5}: 38 anchor guesses,
-        # of which 23 are refused before any lattice is built, so only 3 wrong
-        # guesses beside the 12 true ones are reduced (27 LLL calls with the
-        # range test alone, 38 with neither test).  The counts repeat exactly.
+        # of which 23 are refused by the power-sum test before any lattice is
+        # built, so only 3 wrong guesses beside the 12 true ones are reduced
+        # (38 LLL calls without the test).  The counts repeat exactly.
         def counted(m, name):
             real = getattr(lattice, name)
 
@@ -792,14 +748,6 @@ class TestPermutationSumPrune:
         assert runs[0] == runs[1] == {"find_permutation": 38, "lll_reduce": 15}
 
 
-def _admit(x0, x, y, y0):
-    """_power_sums_admit on hand data, with proj = x G^-1 x0 read from the
-    sources of unit responses."""
-    ones = build_sources(x0, x, [F(1)] * len(x), y0)
-    proj = [ones.sources[0, j] for j in range(len(x))]
-    return lattice._power_sums_admit(x, [F(v) for v in y], F(y0), proj)
-
-
 class TestPowerSums:
     @pytest.mark.parametrize(
         "y, want",
@@ -810,7 +758,7 @@ class TestPowerSums:
         ],
     )
     def test_one_dimension_first_moment(self, y, want):
-        assert _admit((1,), ((1,), (2,)), y, 1) is want
+        assert lattice._power_sums_admit((1,), ((1,), (2,)), y, 1) is want
 
     @pytest.mark.parametrize(
         "y, want",
@@ -822,7 +770,7 @@ class TestPowerSums:
     )
     def test_pinned_point_must_meet_second_moment(self, y, want):
         # x0 and s = (1, 1) are independent in d = 2, so they fix w
-        assert _admit((1, 0), ((1, 0), (0, 1)), y, 1) is want
+        assert lattice._power_sums_admit((1, 0), ((1, 0), (0, 1)), y, 1) is want
 
     @pytest.mark.parametrize(
         "y, want",
@@ -837,7 +785,7 @@ class TestPowerSums:
         # d = 3 with two rows: w_1 = 1 and w_1 + w_2 + w_3 = 6 leave a line,
         # on which |w|^2 takes every value from 1 + 25/2 up
         x = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        assert _admit((1, 0, 0), x, y, 1) is want
+        assert lattice._power_sums_admit((1, 0, 0), x, y, 1) is want
 
     @pytest.mark.parametrize(
         "x0, x, y, y0, want",
@@ -853,7 +801,7 @@ class TestPowerSums:
     )
     def test_anchor_parallel_to_column_sum(self, x0, x, y, y0, want):
         # one independent row in d = 2, so the second moment is an inequality
-        assert _admit(x0, x, y, y0) is want
+        assert lattice._power_sums_admit(x0, x, y, y0) is want
 
     @pytest.mark.parametrize(
         "x, y, y0, want",
@@ -866,7 +814,7 @@ class TestPowerSums:
         ],
     )
     def test_zero_anchor(self, x, y, y0, want):
-        assert _admit((0,) * len(x[0]), x, y, y0) is want
+        assert lattice._power_sums_admit((0,) * len(x[0]), x, y, y0) is want
 
     def test_recover_unchanged_without_the_test(self, monkeypatch):
         # seeded cells, d <= 3, n <= 5, p in {2, 16}, anchored and unanchored:

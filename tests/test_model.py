@@ -56,6 +56,19 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             inst.x[0, 0] = 1.0
 
+    @pytest.mark.parametrize(
+        "x0, x, y",
+        [
+            ((), (), ()),  # no measurements
+            ((1, 0), ((1, 0), (1,)), (1, 2)),  # ragged row
+            ((1,), ((1, 0), (0, 1)), (1, 2)),  # x0 shorter than the rows
+            ((1, 0), ((1, 0), (0, 1)), (1,)),  # fewer responses than rows
+        ],
+    )
+    def test_quantized_shapes_refused(self, x0, x, y):
+        with pytest.raises(ValueError):
+            QuantizedAnchoredInstance(x0=x0, y0=1, x=x, y=y)
+
 
 class TestGaussianGenerator:
     def test_zero_weight_zero_noise_gives_zero_y(self):
