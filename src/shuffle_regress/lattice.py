@@ -23,8 +23,14 @@ permutation, ``sum_i y_i = <w, sum_j x_j>`` and ``sum_i y_i^2 = w^T G w`` with
 algebraic-geometric approach for linear regression without
 correspondences", 2020).  An anchor guess for which no ``w`` meets these two
 equations and the anchor equation ``<w, x0> = y0`` cannot verify, and is
-refused before any lattice is built; the test is a closed form in the
-``2 x 2`` matrix ``A G^-1 A^T`` of the two linear rows.
+refused before any lattice is built; the test is one exact elimination on
+the ``2 x 2`` system ``A G^-1 A^T`` of the two linear rows.
+
+An anchor guess either yields a permutation or is refused (``None``), except
+that :func:`find_permutation` raises :class:`RankDeficiencyError` when the
+guess leaves covariates without full column rank.  :func:`recover` refuses a
+whole instance (all responses zero, or ``n + 1`` covariates of rank below
+``d``) once, before it tries any guess.
 
 All arithmetic on this path is exact: rationals in the setup, arbitrary-size
 integers inside the reduction.  Floating point would void the recovered
@@ -304,10 +310,7 @@ def build_sources(x0, x, y, y0) -> SubsetSumInstance:
     if len(x0) != d or len(y) != n:
         raise ValueError("shape mismatch")
     xt = _ratlin.transpose(xm)
-    try:
-        z = _ratlin.solve([_ratlin.matvec(xt, col) for col in xt], x0)  # x^T x z = x0
-    except RankDeficiencyError:
-        raise RankDeficiencyError("covariates do not have full column rank") from None
+    z = _ratlin.solve([_ratlin.matvec(xt, col) for col in xt], x0)  # x^T x z = x0
     proj = _ratlin.matvec(xm, z)
     sources = {(i, j): y[i] * proj[j] for i in range(n) for j in range(n)}
     return SubsetSumInstance(sources=sources, target=Fraction(y0))
@@ -320,10 +323,13 @@ def _power_sums_admit(x0, x, y, y0) -> bool:
     Noiseless data ``y_i = <w, x_{pi(i)}>`` meet all three for every ``pi``:
     the multiset of responses is the multiset ``{<w, x_j>}``, so its first two
     power sums are those of the ``<w, x_j>``.  ``G`` is positive definite, so
-    the least ``w^T G w`` on the affine set of the two linear equations is
-    ``b^T (A G^-1 A^T)^-1 b`` over its independent rows ``A``; when those rows
-    pin ``w`` down that least value must equal ``sum y_i^2``, and otherwise
-    (the quadratic then grows without bound) it must not exceed it.
+    on the affine set ``A w = b`` of the two linear equations (rows ``x0`` and
+    ``s``) the least ``w^T G w`` is ``lambda . b`` for any solution of
+    ``(A G^-1 A^T) lambda = b``.  A pivot in the right-hand column of that
+    system's echelon form means no ``w`` meets both equations, and the other
+    pivots count the rank of ``A``.  When that rank is ``d`` the rows pin ``w``
+    down and the least value must equal ``sum y_i^2``; otherwise (the
+    quadratic then grows without bound) it must not exceed it.
 
     The arguments are those of :func:`build_sources`; ``G`` is built once and
     solved exactly for ``G^-1 x0`` and ``G^-1 s``.  Raises
@@ -342,22 +348,11 @@ def _power_sums_admit(x0, x, y, y0) -> bool:
     y0 = Fraction(y0)
     t1 = sum(y)
     t2 = sum(v * v for v in y)
-    det = a * e - c * c
-    if det != 0:  # x0 and s independent
-        rank, least = 2, (e * y0 * y0 - 2 * c * y0 * t1 + a * t1 * t1) / det
-    elif a != 0:  # s = (c / a) x0
-        if a * t1 != c * y0:
-            return False
-        rank, least = 1, y0 * y0 / a
-    elif e != 0:  # x0 = 0
-        if y0 != 0:
-            return False
-        rank, least = 1, t1 * t1 / e
-    else:  # x0 = s = 0
-        if y0 != 0 or t1 != 0:
-            return False
-        rank, least = 0, Fraction(0)
-    return least == t2 if rank == len(xt) else least <= t2
+    red, pivots = _ratlin._echelon([[a, c, y0], [c, e, t1]])
+    if 2 in pivots:  # the two linear equations contradict each other
+        return False
+    least = sum(red[r][2] * (y0, t1)[pc] for r, pc in enumerate(pivots))
+    return least == t2 if len(pivots) == len(xt) else least <= t2
 
 
 def epsilon_bound(ssi: SubsetSumInstance) -> Fraction:
@@ -413,18 +408,17 @@ def find_permutation(inst: QuantizedAnchoredInstance) -> Optional[Permutation]:
     refuses a covariate picked twice.  The returned map sends response index to
     covariate index, both 0-based over the unanchored block.
 
-    Returns ``None`` on failure.  Raises :class:`DegenerateInstanceError` when
-    every unanchored response is zero (every source is then zero, so no
-    subset can single out a permutation), or when the target and every source
-    are zero.
+    Returns ``None`` on every failure, among them a zero target with all-zero
+    sources, where no subset singles out a permutation.  All-zero unanchored
+    responses need no case of their own: with ``y0 != 0`` the power-sum test
+    refuses them, and with ``y0 = 0`` every source and the target are zero.
+    Raises :class:`RankDeficiencyError` when ``x`` lacks full column rank.
     """
     n = inst.n
-    if all(v == 0 for v in inst.y):
-        raise DegenerateInstanceError("unanchored responses all zero")
+    if not _power_sums_admit(inst.x0, inst.x, inst.y, inst.y0):
+        return None
     ssi = build_sources(inst.x0, inst.x, inst.y, inst.y0)
     if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
-        raise DegenerateInstanceError("zero target with all-zero sources")
-    if not _power_sums_admit(inst.x0, inst.x, inst.y, inst.y0):
         return None
     basis, keys = subset_sum_basis(ssi, default_beta(n, epsilon_bound(ssi)))
     subset = _scan(lll_reduce(_permutation_sublattice(basis, keys, n)).columns, keys, ssi)
@@ -466,9 +460,12 @@ def recover(inst: QuantizedAnchoredInstance) -> Optional[RecoveryResult]:
     Each guess embeds its subset sum with the ``beta`` that its own exact
     margin needs (see :func:`find_permutation`), so any ``d >= 1`` works.
 
-    Returns ``None`` if no anchor verifies.  A guess whose remaining
-    covariates lack full column rank counts as a failed guess;
-    :class:`RankDeficiencyError` is raised only when every guess does.
+    Returns ``None`` if no anchor verifies.  The refusals of the whole
+    instance are decided once, before any guess: ``ValueError`` when
+    ``n < d``, :class:`DegenerateInstanceError` when all ``n + 1`` responses
+    are zero, and :class:`RankDeficiencyError` when the ``n + 1`` covariates
+    lack rank ``d``.  Otherwise some guess leaves ``n`` covariates of rank
+    ``d``, and a guess whose remaining covariates lack it is a failed guess.
     """
     n = inst.n
     if n < inst.d:
@@ -477,8 +474,9 @@ def recover(inst: QuantizedAnchoredInstance) -> Optional[RecoveryResult]:
     if all(v == 0 for v in ys_all):
         raise DegenerateInstanceError("all responses zero")
     xs_all = [tuple(inst.x0), *(tuple(row) for row in inst.x)]
+    if _ratlin.left_nullspace_int(_ratlin.transpose(xs_all)):  # some v != 0 has X v = 0
+        raise RankDeficiencyError("covariates do not have full column rank")
 
-    rank_deficient = 0
     for a in range(n + 1):
         order = list(range(n + 1))  # slot s holds covariate order[s]
         order[0], order[a] = a, 0  # guess a swaps into the anchor slot
@@ -490,13 +488,7 @@ def recover(inst: QuantizedAnchoredInstance) -> Optional[RecoveryResult]:
         )
         try:
             pi_hat = find_permutation(sub)
-        except DegenerateInstanceError:
-            continue
-        except RankDeficiencyError:
-            # this guess left rank-deficient covariates; another may not
-            rank_deficient += 1
-            if rank_deficient == n + 1:
-                raise
+        except RankDeficiencyError:  # this guess left covariates of rank < d
             continue
         if pi_hat is None:
             continue

@@ -145,30 +145,43 @@ def test_criterion_03_row_sampling(capsys):
     )
 
 
-def _shortest_nonzero_sq(columns, box=8):
-    """Exhaustive lattice first minimum over coefficients |z_i| <= box."""
-    m = len(columns)
-    a = np.array(columns, dtype=np.int64)
-    axis = np.arange(-box, box + 1, dtype=np.int64)
-    if m <= 5:
-        z = np.stack(np.meshgrid(*([axis] * m), indexing="ij"), axis=-1).reshape(-1, m)
-        z = z[np.any(z != 0, axis=1)]
-        v = z @ a
-        return int(np.einsum("ij,ij->i", v, v).min())
-    tail = np.stack(
-        np.meshgrid(*([axis] * (m - 1)), indexing="ij"), axis=-1
-    ).reshape(-1, m - 1)
-    best = None
-    for z0 in axis:
-        head = np.full((tail.shape[0], 1), z0, dtype=np.int64)
-        block = np.concatenate([head, tail], axis=1)
-        if z0 == 0:
-            block = block[np.any(block[:, 1:] != 0, axis=1)]
-        v = block @ a
-        s = int(np.einsum("ij,ij->i", v, v).min())
-        if best is None or s < best:
-            best = s
-    return best
+def _lll_test_basis(seed, dim):
+    rng = _gen([40, seed])
+    return tuple(tuple(int(v) for v in rng.integers(-10, 11, size=dim)) for _ in range(dim))
+
+
+def _shortest_nonzero_sq(reduced, original):
+    """Exact lattice first minimum, enumerated over the reduced basis ``B``
+    of the square lattice that ``original`` spans.
+
+    A shortest vector ``v`` is no longer than the shortest original column,
+    ``R``, and its coefficients ``z = B^-1 v`` are integers, so
+    ``|z_i| <= R * |row i of B^-1|``; every nonzero ``z`` in that box is
+    tried.  The bounds are exact rationals, floored.
+    """
+    from shuffle_regress import _ratlin as rl
+
+    m = len(reduced)
+    r_sq = min(sum(v * v for v in c) for c in original)
+    b = rl.transpose(rl.mat(reduced))
+    inv_cols = [rl.solve(b, [F(int(i == j)) for i in range(m)]) for j in range(m)]
+    bounds = [
+        math.isqrt(math.floor(r_sq * sum(col[i] ** 2 for col in inv_cols))) for i in range(m)
+    ]
+    axes = [np.arange(-k, k + 1, dtype=np.int64) for k in bounds]
+    z = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+    z = z[np.any(z != 0, axis=1)]
+    v = z @ np.array(reduced, dtype=np.int64)
+    return int(np.einsum("ij,ij->i", v, v).min())
+
+
+@pytest.mark.parametrize("seed, dim, want", [(18, 5, 25), (33, 4, 12)])
+def test_first_minimum_reference_is_exact(seed, dim, want):
+    # two of acceptance 04's bases whose first minimum needs a coefficient
+    # above 8 over the original columns
+    cols = _lll_test_basis(seed, dim)
+    red = lll_reduce(LatticeBasis(columns=cols))
+    assert _shortest_nonzero_sq(red.columns, cols) == want
 
 
 def test_criterion_04_lll_defect_bound(capsys):
@@ -181,19 +194,14 @@ def test_criterion_04_lll_defect_bound(capsys):
     seed = 0
     while total < 50:
         dim = 2 + total % 5
-        rng = _gen([40, seed])
+        cols = _lll_test_basis(seed, dim)
         seed += 1
-        cols = tuple(
-            tuple(int(v) for v in rng.integers(-10, 11, size=dim)) for _ in range(dim)
-        )
         try:
             red = lll_reduce(LatticeBasis(columns=cols))
         except ValueError:
             continue  # dependent draw, take another
         total += 1
-        lam1_sq = _shortest_nonzero_sq(cols)
         b1_sq = sum(v * v for v in red.columns[0])
-        defect_ok = b1_sq <= 2 ** (dim - 1) * lam1_sq
         orig = rl.transpose(rl.mat(cols))
         t_cols = []
         unimodular_ok = True
@@ -205,7 +213,9 @@ def test_criterion_04_lll_defect_bound(capsys):
             t_cols.append([int(v) for v in coeffs])
         if unimodular_ok:
             unimodular_ok = det(rl.mat(rl.transpose(t_cols))) in (1, -1)
-        if defect_ok and unimodular_ok:
+        # the first minimum is enumerated over the reduced basis, which spans
+        # the original lattice only when the change of basis is unimodular
+        if unimodular_ok and b1_sq <= 2 ** (dim - 1) * _shortest_nonzero_sq(red.columns, cols):
             good += 1
     elapsed = time.monotonic() - t0
     ok = good == total and elapsed < 60.0

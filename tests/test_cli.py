@@ -314,6 +314,27 @@ class TestSolve:
         assert code == 3
         assert json.loads(stdout)["failure"]
 
+    @pytest.mark.parametrize(
+        "x0, y0, x, y, err",
+        [
+            # collinear covariates, refused before any anchor guess
+            ([1.0, 2.0], 1.0, [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], [1.0, 2.0, 3.0],
+             "error: covariates do not have full column rank\n"),
+            ([1.0, 0.0], 0.0, [[0.0, 1.0], [1.0, 1.0]], [0.0, 0.0],
+             "error: all responses zero\n"),
+        ],
+        ids=["rank-deficient", "all-zero"],
+    )
+    def test_lattice_instance_refusals(self, tmp_path, capsys, x0, y0, x, y, err):
+        out = tmp_path / "refused.json"
+        out.write_text(json.dumps(
+            {"n": len(x), "d": len(x0), "x": x, "y": y, "anchor": {"x0": x0, "y0": y0}}
+        ))
+        code, stdout, got = run(capsys, "solve", "--instance", str(out), "--solver", "lattice")
+        assert code == 2
+        assert stdout == ""
+        assert got == err
+
     def test_fptas_rejects_anchored(self, tmp_path, capsys):
         out = tmp_path / "anch.json"
         run(

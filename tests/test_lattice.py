@@ -416,11 +416,26 @@ class TestFindPermutation:
         assert pi.map == want
 
     def test_all_zero_responses_degenerate(self):
+        # a refused guess, not an error: with y0 != 0 the power-sum test
+        # refuses all-zero unanchored responses
         q = QuantizedAnchoredInstance(
             x0=(F(1),), y0=F(1), x=((F(1),), (F(2),)), y=(F(0), F(0))
         )
-        with pytest.raises(DegenerateInstanceError):
-            find_permutation(q)
+        assert find_permutation(q) is None
+
+    def test_zero_target_and_sources_refused(self, monkeypatch):
+        # x0 = 0 and y0 = 0 pass the power-sum test (w = 1), and every
+        # source y_i <x_j, G^-1 x0> is zero, so the guess is refused before
+        # any lattice is built
+        def built(ssi, beta):
+            raise AssertionError("lattice built")
+
+        monkeypatch.setattr(lattice, "subset_sum_basis", built)
+        q = QuantizedAnchoredInstance(
+            x0=(F(0),), y0=F(0), x=((F(1),), (F(2),)), y=(F(1), F(2))
+        )
+        assert lattice._power_sums_admit(q.x0, q.x, q.y, q.y0)
+        assert find_permutation(q) is None
 
     @pytest.mark.parametrize(
         "subset, want",
@@ -529,9 +544,32 @@ class TestRecover:
         with pytest.raises(RankDeficiencyError):
             recover(q)
 
+    @pytest.mark.parametrize(
+        "x0, x, y",
+        [
+            ((1, 2), ((1, 2), (2, 4), (3, 6)), (1, 2, 3)),
+            # every unanchored response 0: each guess would be refused by the
+            # power-sum test, but the instance is refused for its rank first
+            ((1, 2), ((2, 4), (3, 6)), (0, 0)),
+        ],
+        ids=["collinear", "collinear-zero-responses"],
+    )
+    def test_rank_deficiency_decided_before_any_guess(self, monkeypatch, x0, x, y):
+        calls = []
+        monkeypatch.setattr(lattice, "find_permutation", lambda sub: calls.append(sub))
+        q = QuantizedAnchoredInstance(
+            x0=tuple(map(F, x0)),
+            y0=F(1),
+            x=tuple(tuple(map(F, row)) for row in x),
+            y=tuple(map(F, y)),
+        )
+        with pytest.raises(RankDeficiencyError, match="covariates do not have full column rank"):
+            recover(q)
+        assert calls == []
+
     def test_rank_deficient_guess_is_a_failed_guess(self):
         # guess 0 leaves the collinear rows (1,0), (2,0) and raises inside
-        # build_sources; guess 1 has full rank, so recover must go on
+        # find_permutation; guess 1 has full rank, so recover must go on
         q = QuantizedAnchoredInstance(
             x0=(F(0), F(1)),
             y0=F(1),
@@ -607,10 +645,10 @@ def _full_rank_find_permutation(inst):
     and the scan, inside lagarias_odlyzko)."""
     n = inst.n
     if all(v == 0 for v in inst.y):
-        raise DegenerateInstanceError("unanchored responses all zero")
+        return None
     ssi = build_sources(inst.x0, inst.x, inst.y, inst.y0)
     if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
-        raise DegenerateInstanceError("zero target with all-zero sources")
+        return None
     subset = lagarias_odlyzko(ssi, default_beta(n, epsilon_bound(ssi))).subset
     return _as_permutation(subset, n)
 

@@ -4,7 +4,8 @@ settings a caller can pass (CLI options, function parameters) and the fields
 of the package's records are pinned, so one joins or leaves only with an edit
 here.  Importing the package loads no third-party module but numpy, every
 function the benchmark's tracer wraps still exists under the name it looks
-up, and no function or class of the package is there for the tests alone."""
+up, every lattice span fires on a lattice solve, and no function or class of
+the package is there for the tests alone."""
 import argparse
 import ast
 import dataclasses
@@ -19,7 +20,7 @@ import typing
 from pathlib import Path
 
 import shuffle_regress
-from shuffle_regress import lattice
+from shuffle_regress import cli, lattice
 from shuffle_regress.cli import SweepConfig, build_parser
 from shuffle_regress.model import InstanceRecord
 
@@ -214,6 +215,23 @@ def test_traced_functions_resolve():
     assert typing.get_type_hints(lattice.lll_reduce)[first] is shuffle_regress.LatticeBasis
     basis = shuffle_regress.LatticeBasis(columns=((1, 0, 5), (0, 1, -9)))
     assert tracing._lll_input((basis,), {}) == {"dim": 3, "input_bits": 4}
+
+
+def test_every_lattice_span_fires(tmp_path, capsys):
+    # a rename is caught above; this catches a traced function that keeps
+    # its name but is no longer called on the lattice path
+    inst = tmp_path / "inst.json"
+    assert cli.main([
+        "gen", "--model", "noiseless", "--unanchored", "--n", "5", "--d", "2", "--p", "16",
+        "--seed", "3", "-o", str(inst),
+    ]) == 0
+    tracing = _load_tracing()
+    with tracing.Tracer() as tracer:
+        assert cli.main(["solve", "--solver", "lattice", "--instance", str(inst)]) == 0
+    capsys.readouterr()
+    lattice_spans = {name for name in tracing.SPAN_NAMES if name.startswith("lattice.")}
+    assert len(lattice_spans) == 6
+    assert lattice_spans <= {span.name for span in tracer.spans}
 
 
 def _loaded_names(paths):
