@@ -2,14 +2,15 @@
 
 It holds what the exact paths call.  ``solve`` serves ``lattice.build_sources``
 and ``lattice._power_sums_admit`` (their Gram systems) and ``lattice.recover``
-(its candidate weights); ``_power_sums_admit`` also reads ``_echelon`` for its
-``2 x 2`` system, and ``left_nullspace_int`` serves ``lattice.recover`` (its
-rank test) and ``hardness.pls_feasible_brute``.  Matrices are lists of
-row lists.  ``solve`` and ``left_nullspace_int`` both read the one echelon form
-``_echelon``; ``solve`` serves full-column-rank systems only and refuses
-dependent columns rather than pick one of many solutions.  Nothing here is
-performance-tuned beyond what exhaustive verification at n <= 10 or so
-requires.
+(its one verification of a guess: all ``n + 1`` equations, solved for ``w``
+or refused as inconsistent); ``_power_sums_admit`` also reads ``_echelon``
+for its ``2 x 2`` system, and ``left_nullspace_int`` serves
+``lattice.recover`` (its rank test) and ``hardness.pls_feasible_brute``.
+Matrices are lists of row lists.  ``solve`` and ``left_nullspace_int`` both
+read the one echelon form ``_echelon``; ``solve`` serves full-column-rank
+systems only and refuses dependent columns rather than pick one of many
+solutions.  Nothing here is performance-tuned beyond what exhaustive
+verification at n <= 10 or so requires.
 """
 from __future__ import annotations
 

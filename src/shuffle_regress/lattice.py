@@ -15,7 +15,7 @@ The wanted subset is a permutation support, so its indicator has every row sum
 and every column sum equal to 1.  :func:`find_permutation` therefore reduces
 only the sublattice of the embedding in which those ``2n - 1`` independent
 sums equal coordinate 0: rank ``(n - 1)^2 + 1`` instead of ``n^2 + 1``, in the
-same coordinates, so the scan, the margin and ``beta`` carry over unchanged.
+same coordinates, so the pattern, the margin and ``beta`` carry over unchanged.
 
 Noiseless responses are the values ``<w, x_j>`` in some order, so whatever the
 permutation, ``sum_i y_i = <w, sum_j x_j>`` and ``sum_i y_i^2 = w^T G w`` with
@@ -34,8 +34,8 @@ whole instance (all responses zero, or ``n + 1`` covariates of rank below
 
 All arithmetic on this path is exact: rationals in the setup, arbitrary-size
 integers inside the reduction.  Floating point would void the recovered
-certificate, which is checked by exact re-substitution before anything is
-returned.
+certificate, which one exact solve of all ``n + 1`` equations in
+:func:`recover` checks before anything is returned.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import _ratlin
 from .errors import DegenerateInstanceError, RankDeficiencyError
@@ -223,32 +223,6 @@ def subset_sum_basis(ssi: SubsetSumInstance, beta) -> tuple[LatticeBasis, list]:
     return LatticeBasis(columns=tuple(columns)), keys
 
 
-def _indicator_subset(col: Sequence[int], keys: list) -> Optional[tuple]:
-    if col[-1] != 0:
-        return None
-    z = col[0]
-    if z == 0:
-        return None
-    picked = []
-    for key, v in zip(keys, col[1:-1]):
-        if v == z:
-            picked.append(key)
-        elif v != 0:
-            return None
-    return tuple(picked)
-
-
-def _scan(columns, keys: list, ssi: SubsetSumInstance) -> Optional[tuple]:
-    """First reduced column of the pattern ``z * (1, indicator, 0)`` whose
-    subset re-sums exactly to the target, in column order; ``None`` if none."""
-    for col in columns:
-        subset = _indicator_subset(col, keys)
-        if subset is not None:
-            if sum((ssi.sources[k] for k in subset), Fraction(0)) == ssi.target:
-                return subset
-    return None
-
-
 def _permutation_sublattice(basis: LatticeBasis, keys: list, n: int) -> LatticeBasis:
     """Sublattice of the ``n^2`` embedding whose indicator block has every row
     sum and every column sum equal to coordinate 0.
@@ -398,21 +372,22 @@ def find_permutation(inst: QuantizedAnchoredInstance) -> Optional[Permutation]:
 
     Otherwise it embeds the ``n^2`` sources with ``beta = default_beta(n,
     epsilon_bound(sources))``, reduces the permutation sublattice of that
-    embedding (every row and column sum of the indicator block equals
-    coordinate 0, see :func:`_permutation_sublattice`), which has rank
-    ``(n - 1)^2 + 1`` instead of ``n^2 + 1``, and scans the reduced columns in
-    order for the pattern ``z * (1, indicator, 0)`` whose subset re-sums
-    exactly to the target (:func:`_scan`).  It succeeds only if the subset
-    found is exactly a permutation support.  The subset's keys come sorted,
-    so its responses must read ``0..n-1`` in order, and :class:`Permutation`
-    refuses a covariate picked twice.  The returned map sends response index to
-    covariate index, both 0-based over the unanchored block.
+    embedding (see :func:`_permutation_sublattice`), which has rank
+    ``(n - 1)^2 + 1`` instead of ``n^2 + 1``, and reads the map off the first
+    reduced column of the pattern ``z * (1, indicator, 0)``: ``z != 0``, last
+    coordinate 0, every indicator entry 0 or ``z``.  Nothing there needs a
+    re-check: the last coordinate is ``z * beta * (target - subset sum)`` in
+    exact integers, and every row and column of the indicator block sums to
+    ``z``, so each holds exactly one ``z``.  The keys come sorted, so the map
+    sends response index to covariate index, both 0-based over the unanchored
+    block; :func:`recover` verifies it against all ``n + 1`` equations.
 
-    Returns ``None`` on every failure, among them a zero target with all-zero
-    sources, where no subset singles out a permutation.  All-zero unanchored
-    responses need no case of their own: with ``y0 != 0`` the power-sum test
-    refuses them, and with ``y0 = 0`` every source and the target are zero.
-    Raises :class:`RankDeficiencyError` when ``x`` lacks full column rank.
+    Returns ``None`` when no column has the pattern, or for a zero target with
+    all-zero sources, where no subset singles out a permutation.  All-zero
+    unanchored responses need no case of their own: with ``y0 != 0`` the
+    power-sum test refuses them, and with ``y0 = 0`` every source and the
+    target are zero.  Raises :class:`RankDeficiencyError` when ``x`` lacks
+    full column rank.
     """
     n = inst.n
     if not _power_sums_admit(inst.x0, inst.x, inst.y, inst.y0):
@@ -421,13 +396,11 @@ def find_permutation(inst: QuantizedAnchoredInstance) -> Optional[Permutation]:
     if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
         return None
     basis, keys = subset_sum_basis(ssi, default_beta(n, epsilon_bound(ssi)))
-    subset = _scan(lll_reduce(_permutation_sublattice(basis, keys, n)).columns, keys, ssi)
-    if subset is None or [i for i, _ in subset] != list(range(n)):
-        return None
-    try:
-        return Permutation(tuple(j for _, j in subset))
-    except ValueError:  # some covariate matched twice
-        return None
+    for col in lll_reduce(_permutation_sublattice(basis, keys, n)).columns:
+        z = col[0]
+        if z != 0 and col[-1] == 0 and all(v in (0, z) for v in col[1:-1]):
+            return Permutation(tuple(j for (_, j), v in zip(keys, col[1:-1]) if v))
+    return None
 
 
 @dataclass(frozen=True)
@@ -451,11 +424,13 @@ def recover(inst: QuantizedAnchoredInstance) -> Optional[RecoveryResult]:
     """Exact weights and correspondence from ``n + 1`` noiseless measurements.
 
     Tries every anchor guess in ascending order: covariate ``a`` is swapped
-    into the anchor slot, the lattice search proposes a correspondence for the
-    rest, the linear system it induces is solved exactly over the rationals,
-    and all ``n + 1`` equations are re-checked.  The first guess that verifies
-    wins; its result satisfies ``y_i = <w, x_{perm(i)}>`` exactly for every
-    measurement including the anchor.
+    into the anchor slot and the lattice search proposes a correspondence for
+    the rest.  The guess is verified by one exact solve over the rationals of
+    all ``n + 1`` equations it induces, the anchor's included: the ``n + 1``
+    covariates have rank ``d`` (decided before any guess), so the solve
+    returns ``None`` exactly when some equation fails.  The first guess that
+    verifies wins; its result satisfies ``y_i = <w, x_{perm(i)}>`` exactly for
+    every measurement including the anchor.
 
     Each guess embeds its subset sum with the ``beta`` that its own exact
     margin needs (see :func:`find_permutation`), so any ``d >= 1`` works.
@@ -493,14 +468,8 @@ def recover(inst: QuantizedAnchoredInstance) -> Optional[RecoveryResult]:
         if pi_hat is None:
             continue
         gmap = [a, *(order[1 + pi_hat(i)] for i in range(n))]
-        w = _ratlin.solve([xs_all[g] for g in gmap[1:]], list(inst.y))
+        w = _ratlin.solve([xs_all[g] for g in gmap], ys_all)  # all n + 1 equations
         if w is None:
-            continue
-        ok = all(
-            ys_all[i] == sum(wv * xv for wv, xv in zip(w, xs_all[gmap[i]]))
-            for i in range(n + 1)
-        )
-        if not ok:
             continue
         return RecoveryResult(perm=Permutation(tuple(gmap)), w=tuple(w), anchor=a)
     return None

@@ -5,7 +5,8 @@ the package to; nothing in ``shuffle_regress`` imports it.
 
 * ``lagarias_odlyzko`` is the general subset-sum search of Lagarias and
   Odlyzko (1985) over the full embedding, the reference for the lattice
-  stages that ``find_permutation`` runs on the permutation sublattice.
+  stages that ``find_permutation`` runs on the permutation sublattice;
+  ``_scan`` is its pattern scan with an exact re-sum of each subset found.
 * ``solve_weighted_ls``, ``dense`` and ``apply`` read a ``SamplingMatrix``
   as the ``r x n`` matrix it encodes.
 * ``gen_yes_instance`` plants 3-partition yes-instances.
@@ -15,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from shuffle_regress import _ratlin
 from shuffle_regress.hardness import ThreePartitionInstance
-from shuffle_regress.lattice import SubsetSumInstance, _scan, lll_reduce, subset_sum_basis
+from shuffle_regress.lattice import SubsetSumInstance, lll_reduce, subset_sum_basis
 from shuffle_regress.rowsample import SamplingMatrix
 
 
@@ -30,6 +31,32 @@ class SubsetSearchResult:
     """Outcome of the lattice search: a verified key subset or ``None``."""
 
     subset: Optional[tuple]
+
+
+def _indicator_subset(col: Sequence[int], keys: list) -> Optional[tuple]:
+    if col[-1] != 0:
+        return None
+    z = col[0]
+    if z == 0:
+        return None
+    picked = []
+    for key, v in zip(keys, col[1:-1]):
+        if v == z:
+            picked.append(key)
+        elif v != 0:
+            return None
+    return tuple(picked)
+
+
+def _scan(columns, keys: list, ssi: SubsetSumInstance) -> Optional[tuple]:
+    """First reduced column of the pattern ``z * (1, indicator, 0)`` whose
+    subset re-sums exactly to the target, in column order; ``None`` if none."""
+    for col in columns:
+        subset = _indicator_subset(col, keys)
+        if subset is not None:
+            if sum((ssi.sources[k] for k in subset), Fraction(0)) == ssi.target:
+                return subset
+    return None
 
 
 def lagarias_odlyzko(ssi: SubsetSumInstance, beta) -> SubsetSearchResult:

@@ -28,7 +28,7 @@ from shuffle_regress.lattice import (
 from shuffle_regress import _ratlin as rl
 from shuffle_regress import lattice
 
-from reference import det, lagarias_odlyzko
+from reference import _indicator_subset, det, lagarias_odlyzko
 
 F = Fraction
 
@@ -332,14 +332,15 @@ class TestDefaultBeta:
 
 
 def embedded(d, n, seed):
-    """Seeded anchored p = 16 instance, its truth, the n^2 embedding with the
-    beta find_permutation uses, the keys and the permutation sublattice."""
+    """Seeded anchored p = 16 instance, its truth, its sources, the n^2
+    embedding with the beta find_permutation uses, the keys and the
+    permutation sublattice."""
     w = np.ones(d) / math.sqrt(d)
     inst, truth = gen_noiseless_anchored(w, n, seed)
     q, _ = quantize_noiseless(inst, truth, 16)
     ssi = build_sources(q.x0, q.x, q.y, q.y0)
     basis, keys = subset_sum_basis(ssi, default_beta(n, epsilon_bound(ssi)))
-    return truth, basis, keys, lattice._permutation_sublattice(basis, keys, n)
+    return truth, ssi, basis, keys, lattice._permutation_sublattice(basis, keys, n)
 
 
 class TestPermutationSublattice:
@@ -347,7 +348,7 @@ class TestPermutationSublattice:
 
     @pytest.mark.parametrize("d, n, seed", CASES)
     def test_rank_and_dimension(self, d, n, seed):
-        _, basis, _, sub = embedded(d, n, seed)
+        _, _, basis, _, sub = embedded(d, n, seed)
         assert sub.dim == basis.dim == n * n + 2
         assert len(sub.columns) == (n - 1) ** 2 + 1
         gram = [[sum(a * b for a, b in zip(u, v)) for v in sub.columns] for u in sub.columns]
@@ -355,23 +356,32 @@ class TestPermutationSublattice:
 
     @pytest.mark.parametrize("d, n, seed", CASES)
     def test_row_and_column_sums_equal_coordinate_zero(self, d, n, seed):
-        _, _, keys, sub = embedded(d, n, seed)
+        # the sums hold on the basis and on its LLL reduction, which
+        # find_permutation reads a map off without re-checking it: a reduced
+        # column of the pattern z * (1, indicator, 0) has one z in each row
+        # and column, and its subset sums exactly to the target
+        _, ssi, _, keys, sub = embedded(d, n, seed)
         at = {key: 1 + idx for idx, key in enumerate(keys)}
-        for col in sub.columns:
+        reduced = lll_reduce(sub).columns
+        for col in sub.columns + reduced:
             z = col[0]
             for a in range(n):
                 assert sum(col[at[a, j]] for j in range(n)) == z
                 assert sum(col[at[i, a]] for i in range(n)) == z
+        subsets = [s for s in (_indicator_subset(col, keys) for col in reduced) if s is not None]
+        assert subsets
+        for subset in subsets:
+            assert sum(ssi.sources[k] for k in subset) == ssi.target
 
     @pytest.mark.parametrize("d, n, seed", CASES)
     def test_sorted_by_last_entry(self, d, n, seed):
-        _, _, _, sub = embedded(d, n, seed)
+        *_, sub = embedded(d, n, seed)
         last = [abs(col[-1]) for col in sub.columns]
         assert last == sorted(last)
 
     @pytest.mark.parametrize("d, n, seed", CASES)
     def test_planted_vector_from_target_and_free_columns(self, d, n, seed):
-        truth, basis, keys, sub = embedded(d, n, seed)
+        truth, _, basis, keys, sub = embedded(d, n, seed)
         at = {key: 1 + idx for idx, key in enumerate(keys)}
         (target,) = [col for col in sub.columns if col[0] != 0]
         assert target[0] == 1
@@ -397,7 +407,7 @@ class TestPermutationSublattice:
         assert v[-1] == 0 and norm_sq(v) == n + 1
 
     def test_single_measurement_is_one_column(self):
-        _, _, _, sub = embedded(1, 1, 0)
+        *_, sub = embedded(1, 1, 0)
         assert sub.columns == ((1, 1, 0),)
 
 
@@ -436,24 +446,6 @@ class TestFindPermutation:
         )
         assert lattice._power_sums_admit(q.x0, q.x, q.y, q.y0)
         assert find_permutation(q) is None
-
-    @pytest.mark.parametrize(
-        "subset, want",
-        [
-            (((0, 1), (1, 2), (2, 0)), (1, 2, 0)),
-            (((0, 0), (1, 0), (2, 2)), None),  # covariate 0 matched twice
-            (((0, 0), (2, 1)), None),  # response 1 unmatched
-            (((0, 0), (0, 1), (2, 2)), None),  # response 0 twice, covariates a bijection
-            (((0, 0), (0, 1), (1, 1), (2, 2)), None),  # response 0 matched twice
-            (((0, 0), (1, 1), (2, 2), (3, 3)), None),  # response outside the block
-            ((), None),
-        ],
-    )
-    def test_subset_must_be_permutation_support(self, monkeypatch, subset, want):
-        q, _, _ = self.make_quantized(2, 3, 5)
-        monkeypatch.setattr(lattice, "_scan", lambda columns, keys, ssi: subset)
-        pi = find_permutation(q)
-        assert (pi.map if pi is not None else None) == want
 
     def test_beta_derived_from_margin(self, monkeypatch):
         # beta comes from the exact margin of the instance it embeds.  Every
@@ -567,41 +559,82 @@ class TestRecover:
             recover(q)
         assert calls == []
 
-    def test_rank_deficient_guess_is_a_failed_guess(self):
-        # guess 0 leaves the collinear rows (1,0), (2,0) and raises inside
-        # find_permutation; guess 1 has full rank, so recover must go on
-        q = QuantizedAnchoredInstance(
-            x0=(F(0), F(1)),
-            y0=F(1),
-            x=((F(1), F(0)), (F(2), F(0))),
-            y=(F(1), F(2)),
-        )
+    # guess 0 (y0 paired with x0) leaves the collinear rows (1, 0), (2, 0);
+    # with guess 1 (y0 paired with x_1), w = (1, 1) fits all three equations
+    ZERO_SOURCE = QuantizedAnchoredInstance(
+        x0=(F(0), F(1)),
+        y0=F(1),
+        x=((F(1), F(0)), (F(2), F(0))),
+        y=(F(1), F(2)),
+    )
+
+    def test_rank_deficient_guess_is_a_failed_guess(self, monkeypatch):
+        # guess 0 raises inside find_permutation; guess 1 has full rank, so
+        # recover must go on to it and answer there
+        q = self.ZERO_SOURCE
         with pytest.raises(RankDeficiencyError):
             build_sources(q.x0, q.x, q.y, q.y0)
+        raised = []
+        real = lattice.find_permutation
+
+        def tracked(sub):
+            try:
+                return real(sub)
+            except RankDeficiencyError:
+                raised.append(True)
+                raise
+
+        monkeypatch.setattr(lattice, "find_permutation", tracked)
         res = recover(q)
-        if res is not None:
-            xs = [q.x0, *q.x]
-            ys = [q.y0, *q.y]
-            for i in range(3):
-                assert ys[i] == sum(w * v for w, v in zip(res.w, xs[res.perm(i)]))
+        assert raised == [True]
+        assert res is not None and res.anchor == 1
 
     def test_zero_source_column_guess_recovers(self):
-        # guess 0 is rank-deficient; with guess 1 (y0 paired with x_1),
-        # w = (1, 1) fits all three equations.  Guess 1 has zero-valued
-        # sources, and the shorter non-permutation subset {(1, 1)} also sums
-        # to the target; it is not a vector of the permutation sublattice.
-        q = QuantizedAnchoredInstance(
-            x0=(F(0), F(1)),
-            y0=F(1),
-            x=((F(1), F(0)), (F(2), F(0))),
-            y=(F(1), F(2)),
-        )
+        # guess 1 has zero-valued sources, and the shorter non-permutation
+        # subset {(1, 1)} also sums to the target; it is not a vector of the
+        # permutation sublattice
+        q = self.ZERO_SOURCE
         res = recover(q)
         assert res is not None
         xs = [q.x0, *q.x]
         ys = [q.y0, *q.y]
         for i in range(3):
             assert ys[i] == sum(w * v for w, v in zip(res.w, xs[res.perm(i)]))
+
+    @pytest.mark.parametrize(
+        "x, y0, y, maps, want",
+        [
+            # d = 1, covariates (1, 2, 3): on guess 0 the identity fits the n
+            # unanchored equations (w = 1) but not the anchor's (1 != 5); on
+            # guess 1 the unanchored ones are inconsistent (2 = w, 3 = 3w),
+            # and on guess 2 all are (5 = 3w, 2 = 2w)
+            ((2, 3), 5, (2, 3), {}, None),
+            # d = 1, covariates (1, 2, 4), w = 2 with y0 on covariate 2: the
+            # identity fails guess 0 at the anchor equation and guess 1 in
+            # the rest; guess 2 leaves covariates (1, 0) in that order, and
+            # the map (1, 0) pairs the responses with covariates 0 and 1
+            ((2, 4), 8, (2, 4), {2: (1, 0)},
+             lattice.RecoveryResult(perm=Permutation((2, 0, 1)), w=(F(2),), anchor=2)),
+        ],
+        ids=["no-guess-fits", "later-guess-fits"],
+    )
+    def test_proposal_must_fit_every_equation(self, monkeypatch, x, y0, y, maps, want):
+        # find_permutation proposes maps[a] on guess a (the identity where
+        # maps has none); only recover's exact solve decides
+        guesses = []
+
+        def proposed(sub):
+            guesses.append(len(guesses))
+            return Permutation(maps.get(guesses[-1], tuple(range(sub.n))))
+
+        monkeypatch.setattr(lattice, "find_permutation", proposed)
+        q = QuantizedAnchoredInstance(
+            x0=(F(1),), y0=F(y0), x=tuple((F(v),) for v in x), y=tuple(map(F, y))
+        )
+        assert recover(q) == want
+        assert guesses == [0, 1, 2]
+        monkeypatch.undo()
+        assert recover(q) == want  # the lattice search agrees
 
     def test_n_below_d_refused(self):
         q = QuantizedAnchoredInstance(
@@ -629,7 +662,8 @@ class TestRecover:
 
 
 def _as_permutation(subset, n):
-    """find_permutation's check: the subset is exactly a permutation support."""
+    """The map of a subset of the full n^2 embedding, if the subset is exactly
+    a permutation support (on the permutation sublattice it always is)."""
     if subset is None or [i for i, _ in subset] != list(range(n)):
         return None
     try:
@@ -640,9 +674,9 @@ def _as_permutation(subset, n):
 
 def _full_rank_find_permutation(inst):
     """The full-rank search find_permutation ran before the permutation
-    sublattice, kept as the reference: the same sources, beta and
-    permutation check, over the n^2 embedding (subset_sum_basis, lll_reduce
-    and the scan, inside lagarias_odlyzko)."""
+    sublattice, kept as the reference: the same sources and beta over the n^2
+    embedding (subset_sum_basis, lll_reduce and the reference _scan, inside
+    lagarias_odlyzko), then the permutation check that embedding needs."""
     n = inst.n
     if all(v == 0 for v in inst.y):
         return None
@@ -700,16 +734,11 @@ def anchor_guesses(q):
         )
 
 
-def _unpruned_find_permutation(inst):
-    """find_permutation without the power-sum test: the same sources, beta,
-    sublattice reduction, scan and permutation check."""
-    n = inst.n
-    ssi = build_sources(inst.x0, inst.x, inst.y, inst.y0)
-    basis, keys = subset_sum_basis(ssi, default_beta(n, epsilon_bound(ssi)))
-    subset = lattice._scan(
-        lll_reduce(lattice._permutation_sublattice(basis, keys, n)).columns, keys, ssi
-    )
-    return _as_permutation(subset, n)
+def _unpruned_find_permutation(monkeypatch, inst):
+    """find_permutation with the power-sum test admitting every guess."""
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "_power_sums_admit", lambda *args: True)
+        return find_permutation(inst)
 
 
 class TestPermutationSumPrune:
@@ -726,7 +755,6 @@ class TestPermutationSumPrune:
         def built(ssi, beta):
             raise Built
 
-        monkeypatch.setattr(lattice, "subset_sum_basis", built)
         instances = true_kept = pruned = 0
         for d in (1, 2, 3, 4):
             for n in range(d, 8):
@@ -741,7 +769,9 @@ class TestPermutationSumPrune:
                             instances += 1
                             for a, sub in anchor_guesses(q):
                                 try:
-                                    pi = find_permutation(sub)
+                                    with monkeypatch.context() as m:
+                                        m.setattr(lattice, "subset_sum_basis", built)
+                                        pi = find_permutation(sub)
                                 except RankDeficiencyError:
                                     continue
                                 except Built:
@@ -749,7 +779,7 @@ class TestPermutationSumPrune:
                                     continue
                                 assert a != truth.pi_bar(0)
                                 assert pi is None
-                                assert _unpruned_find_permutation(sub) is None
+                                assert _unpruned_find_permutation(monkeypatch, sub) is None
                                 pruned += 1
         assert instances >= 170
         assert true_kept == instances
