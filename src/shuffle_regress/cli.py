@@ -9,9 +9,9 @@ Subcommands:
 * ``check-w2``           sorted-projection distance decay check (CSV)
 * ``reduce``             3-partition instance -> permuted-linear-system file
 
-``solve --solver lattice`` reads the file's floats as exact rationals; the
-separation margin comes from their denominators, so no grid exponent is
-needed and a ``quantization`` block, if present, is not consulted.
+``gen --p`` (noiseless model only) puts the values on the ``2^-p`` grid, and
+``solve --solver lattice`` reads them as exact rationals; the separation
+margin comes from their denominators, so no grid exponent is recorded.
 
 Exit codes: 0 success; 2 usage or validation error (bad flags, malformed
 files, refused caps or budgets); 3 declared solver failure (exact recovery
@@ -52,7 +52,6 @@ from .model import (
     gen_noiseless_anchored,
     gen_uniform_noisy,
     quantize_noiseless,
-    quantize_value,
     random_unit_vector,
     read_instance_record,
     write_instance,
@@ -100,10 +99,11 @@ def cmd_gen(args) -> int:
     if args.model == "noiseless":
         if args.snr is not None or args.sigma is not None:
             raise ValueError("--snr/--sigma do not apply to the noiseless model")
-        sigma = 0.0
     else:
         if args.unanchored:
             raise ValueError("--unanchored applies to the noiseless model only")
+        if args.p is not None:
+            raise ValueError("--p applies to the noiseless model only")
         if (args.snr is None) == (args.sigma is None):
             raise ValueError("give exactly one of --snr or --sigma")
         if args.snr is not None:
@@ -127,25 +127,19 @@ def cmd_gen(args) -> int:
     if args.p is not None:
         if args.p < 1:
             raise ValueError("--p must be >= 1")
-        if args.model == "noiseless":
-            # regenerate on the grid so the exact identity survives quantization
-            q, w_q = quantize_noiseless(inst, truth, args.p)
-            inst = AnchoredInstance(
-                x0=np.array(_exact_floats(q.x0)),
-                y0=_exact_floats([q.y0])[0],
-                x=np.array([_exact_floats(r) for r in q.x]),
-                y=np.array(_exact_floats(q.y)),
-            )
-            truth = GroundTruth(
-                w_bar=np.array(_exact_floats(w_q)), pi_bar=truth.pi_bar, sigma=0.0
-            )
-        else:
-            inst = Instance(
-                x=np.array([_exact_floats(quantize_value(v, args.p) for v in r) for r in inst.x]),
-                y=np.array(_exact_floats(quantize_value(v, args.p) for v in inst.y)),
-            )
+        # regenerate on the grid so the exact identity survives quantization
+        q, w_q = quantize_noiseless(inst, truth, args.p)
+        inst = AnchoredInstance(
+            x0=np.array(_exact_floats(q.x0)),
+            y0=_exact_floats([q.y0])[0],
+            x=np.array([_exact_floats(r) for r in q.x]),
+            y=np.array(_exact_floats(q.y)),
+        )
+        truth = GroundTruth(
+            w_bar=np.array(_exact_floats(w_q)), pi_bar=truth.pi_bar, sigma=0.0
+        )
 
-    write_instance(args.output, inst, truth=None if args.no_truth else truth, p=args.p)
+    write_instance(args.output, inst, truth=truth)
     print("wrote %s (model=%s n=%d d=%d)" % (args.output, args.model, args.n, args.d))
     return 0
 
@@ -399,14 +393,14 @@ def w2_report(n_grid, d: int, trials: int, seed: int) -> list:
     For each ``n``, draws Gaussian covariates and two independent unit
     directions, and averages ``min_perm ||(Xu)_perm - Xv||^2`` (computed by
     sorting) over trials.  Rows are dicts with ``n``, ``mean_sq`` and
-    ``mean_sq_per_n``.
+    ``mean_sq_per_n``.  The grid must be strictly ascending, from ``n >= 3``.
     """
     if d < 1 or trials < 1 or not n_grid:
         raise ValueError("need d >= 1, trials >= 1 and a nonempty n grid")
+    if n_grid[0] < 3 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ValueError("the n grid must be strictly ascending, with entries >= 3")
     rows = []
     for ni, n in enumerate(n_grid):
-        if n < 3:
-            raise ValueError("grid entries must be >= 3")
         tot = 0.0
         for trial in range(trials):
             rng = np.random.Generator(
@@ -449,14 +443,7 @@ def cmd_check_w2(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    z = _parse_grid(args.z, int)
-    if args.k < 1:
-        raise ValueError("--k must be >= 1")
-    total = sum(z)
-    if total % args.k:
-        raise ValueError("sum(z) = %d is not divisible by k = %d" % (total, args.k))
-    tp = ThreePartitionInstance(z=tuple(z), k=args.k, c=total // args.k)
-    pls = reduce_3partition(tp)
+    pls = reduce_3partition(ThreePartitionInstance(z=tuple(_parse_grid(args.z, int))))
     inst = Instance(x=np.array(pls.a, dtype=float), y=np.array(pls.b, dtype=float))
     write_instance(args.output, inst)
     print("wrote %s (n=%d d=%d); zero brute-force cost means feasible" % (args.output, pls.n, pls.d))
@@ -490,10 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--d", type=int, required=True, help="number of covariates")
     g.add_argument("--snr", type=float, help="signal-to-noise ratio ||w||^2 / sigma^2")
     g.add_argument("--sigma", type=float, help="noise standard deviation (alternative to --snr)")
-    g.add_argument("--p", type=int, help="store values on the 2^-p grid and record the exponent")
+    g.add_argument("--p", type=int, help="noiseless only: put covariates and weights on the 2^-p grid")
     g.add_argument("--unanchored", action="store_true", help="noiseless only: shuffle the anchor row too")
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--no-truth", action="store_true", help="omit the ground-truth block")
     g.add_argument("--output", "-o", required=True)
     g.set_defaults(func=cmd_gen)
 
@@ -535,8 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_check_w2)
 
     r = sub.add_parser("reduce", help="3-partition to permuted-linear-system instance")
-    r.add_argument("--z", required=True, help="comma separated values, 3k of them")
-    r.add_argument("--k", type=int, required=True)
+    r.add_argument("--z", required=True, help="comma separated values, 3k of them; k and c follow")
     r.add_argument("--output", "-o", required=True)
     r.set_defaults(func=cmd_reduce)
 

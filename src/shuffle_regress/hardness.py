@@ -1,10 +1,10 @@
 """Hardness scaffolding: 3-partition embedded into permuted linear systems.
 
 The reduction maps a 3-partition instance (3k positive integers, each strictly
-between a quarter and half of the per-triple target C) to the question of
-whether some row shuffle of the response vector makes an integer linear system
-exactly solvable.  Feasibility transfers in both directions, which is what the
-exhaustive checkers below are for.
+between a quarter and half of the per-triple target C = sum / k) to the
+question of whether some row shuffle of the response vector makes an integer
+linear system exactly solvable.  Feasibility transfers in both directions,
+which is what the exhaustive checkers below are for.
 """
 from __future__ import annotations
 
@@ -28,23 +28,28 @@ PLS_CAP = 8  # largest n pls_feasible_brute accepts
 
 @dataclass(frozen=True)
 class ThreePartitionInstance:
-    """Multiset ``z`` of ``3k`` integers with per-triple target ``c``."""
+    """Multiset ``z`` of ``3k`` integers; ``k`` and the target ``c = sum(z) / k`` follow."""
 
     z: tuple[int, ...]
-    k: int
-    c: int
 
     def __post_init__(self):
         object.__setattr__(self, "z", tuple(int(v) for v in self.z))
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if len(self.z) != 3 * self.k:
-            raise ValueError("z must hold exactly 3k = %d values, got %d" % (3 * self.k, len(self.z)))
-        if sum(self.z) != self.c * self.k:
-            raise ValueError("sum(z) = %d must equal c * k = %d" % (sum(self.z), self.c * self.k))
+        if not self.z or len(self.z) % 3:
+            raise ValueError("z must hold a positive multiple of 3 values, got %d" % len(self.z))
+        if sum(self.z) % self.k:
+            raise ValueError("sum(z) = %d is not divisible by k = %d" % (sum(self.z), self.k))
+        c = self.c
         for v in self.z:
-            if not (4 * v > self.c and 2 * v < self.c):
-                raise ValueError("value %d violates c/4 < z_i < c/2 for c = %d" % (v, self.c))
+            if not (4 * v > c and 2 * v < c):
+                raise ValueError("value %d violates c/4 < z_i < c/2 for c = %d" % (v, c))
+
+    @property
+    def k(self) -> int:
+        return len(self.z) // 3
+
+    @property
+    def c(self) -> int:
+        return sum(self.z) // self.k
 
 
 @dataclass(frozen=True)
@@ -95,13 +100,15 @@ def check_3partition_brute(tp: ThreePartitionInstance) -> bool:
     if tp.k > THREE_PARTITION_CAP:
         raise CapExceededError("check_3partition_brute capped at k <= %d, got k = %d" % (THREE_PARTITION_CAP, tp.k))
 
+    c = tp.c
+
     def split(avail: tuple[int, ...]) -> bool:
         if not avail:
             return True
         first = avail[0]
         rest = avail[1:]
         for i, j in itertools.combinations(range(len(rest)), 2):
-            if tp.z[first] + tp.z[rest[i]] + tp.z[rest[j]] == tp.c:
+            if tp.z[first] + tp.z[rest[i]] + tp.z[rest[j]] == c:
                 left = tuple(v for idx, v in enumerate(rest) if idx not in (i, j))
                 if split(left):
                     return True

@@ -18,13 +18,13 @@ JSON schema (one instance per file)::
      "x": [[...], ...],            # n rows of d floats
      "y": [...],                   # n floats
      "anchor": {"x0": [...], "y0": ...},          # optional
-     "truth": {"w_bar": [...], "pi_bar": [...], "sigma": ...},  # optional
-     "quantization": {"p": 16}}    # optional
+     "truth": {"w_bar": [...], "pi_bar": [...], "sigma": ...}}  # optional
 
 Floats are written with Python's shortest round-trip repr, so a write/read
 cycle reproduces every entry bit-exactly.  NaN and infinity are rejected in
 both directions; ``truth`` stores ``sigma`` rather than an SNR so the noiseless
-case needs no infinity sentinel.
+case needs no infinity sentinel.  Other keys (older files carry a
+``quantization`` block) are ignored.
 """
 from __future__ import annotations
 
@@ -351,8 +351,8 @@ def _float_list(obj, what: str, length: int) -> list:
     return out
 
 
-def write_instance(path, inst, *, truth: Optional[GroundTruth] = None, p: Optional[int] = None):
-    """Write an instance (and optional truth / quantization metadata) as JSON."""
+def write_instance(path, inst, *, truth: Optional[GroundTruth] = None):
+    """Write an instance (and its optional ground truth) as JSON."""
     anchored = isinstance(inst, AnchoredInstance)
     doc = {
         "n": inst.n,
@@ -368,8 +368,6 @@ def write_instance(path, inst, *, truth: Optional[GroundTruth] = None, p: Option
             "pi_bar": list(truth.pi_bar.map),
             "sigma": float(truth.sigma),
         }
-    if p is not None:
-        doc["quantization"] = {"p": int(p)}
     with open(path, "w") as fh:
         json.dump(doc, fh, allow_nan=False, indent=1)
         fh.write("\n")
@@ -418,10 +416,5 @@ def read_instance_record(path) -> InstanceRecord:
         sigma = t["sigma"]
         _require(isinstance(sigma, (int, float)) and not isinstance(sigma, bool) and math.isfinite(float(sigma)) and sigma >= 0, "sigma must be a finite number >= 0")
         truth = GroundTruth(w_bar=w_bar, pi_bar=pi, sigma=float(sigma))
-
-    if "quantization" in doc:
-        q = doc["quantization"]
-        _require(isinstance(q, dict) and set(q) == {"p"}, "quantization must hold p")
-        _require(_is_int(q["p"]) and q["p"] >= 1, "quantization p must be an integer >= 1")
 
     return InstanceRecord(instance=inst, truth=truth)

@@ -125,7 +125,7 @@ def gen_yes_instance(k: int, c: int, seed: int) -> ThreePartitionInstance:
         else:
             raise ValueError("could not plant a triple for c = %d" % c)
     order = rng.permutation(3 * k)
-    return ThreePartitionInstance(z=tuple(vals[i] for i in order), k=k, c=c)
+    return ThreePartitionInstance(z=tuple(vals[i] for i in order))
 
 
 def det(a) -> Fraction:

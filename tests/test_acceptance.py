@@ -351,7 +351,7 @@ def test_criterion_08_hardness_reduction(capsys):
     for i in range(20):
         c = (15, 19, 23, 27)[i % 4]
         cases.append(gen_yes_instance(2, c, i))
-    cases.append(ThreePartitionInstance(z=(4, 4, 4, 6, 6, 6), k=2, c=15))
+    cases.append(ThreePartitionInstance(z=(4, 4, 4, 6, 6, 6)))
     total = 0
     good = 0
     saw_no = False

@@ -1,11 +1,13 @@
 import csv
 import json
+import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from shuffle_regress import cli, errors
+from shuffle_regress import brute_force, cli, errors, gen_gaussian_noisy
 from shuffle_regress.approx import DEFAULT_BUDGET
 from shuffle_regress.cli import (
     SWEEP_COLUMNS,
@@ -15,7 +17,8 @@ from shuffle_regress.cli import (
     run_sweep,
     w2_report,
 )
-from shuffle_regress.model import quantize_value
+from shuffle_regress.model import random_unit_vector
+from shuffle_regress.oracle import ols_given_perm
 
 
 def run(capsys, *argv):
@@ -60,33 +63,53 @@ class TestGen:
         )
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["quantization"]["p"] == 16
-        assert "anchor" in doc
+        # the grid exponent is not recorded: the values themselves carry it
+        assert set(doc) == {"n", "d", "x", "y", "anchor", "truth"}
+
+    @pytest.mark.parametrize("p, code", [(26, 0), (30, 2)])
+    def test_grid_finer_than_a_double_refused(self, tmp_path, capsys, p, code):
+        # responses on the 2^-2p grid stop being doubles once 2p outgrows
+        # the 53-bit mantissa; gen refuses rather than round them off grid
+        out = tmp_path / "q.json"
+        got, _, err = run(
+            capsys,
+            "gen", "--model", "noiseless", "--n", "4", "--d", "2",
+            "--p", str(p), "--seed", "0", "-o", str(out),
+        )
+        assert got == code
+        assert ("reduce --p" in err) == (code == 2)
+        assert out.exists() == (code == 0)
 
     @pytest.mark.parametrize("model", ["gaussian", "uniform"])
-    @pytest.mark.parametrize("p", [2, 8, 30])
-    def test_noisy_quantized_is_quantize_value(self, tmp_path, capsys, model, p):
-        # --p snaps every entry of the same-seed instance to the 2^-p grid
-        raw, snapped = tmp_path / "raw.json", tmp_path / "q.json"
-        argv = ("gen", "--model", model, "--n", "5", "--d", "2", "--snr", "4", "--seed", "3")
-        assert run(capsys, *argv, "-o", str(raw))[0] == 0
-        assert run(capsys, *argv, "--p", str(p), "-o", str(snapped))[0] == 0
-        a, b = json.loads(raw.read_text()), json.loads(snapped.read_text())
-        assert b["quantization"] == {"p": p}
-        assert b["truth"] == a["truth"]
-        for row_a, row_b in zip(a["x"], b["x"]):
-            assert [Fraction(v) for v in row_b] == [quantize_value(v, p) for v in row_a]
-        assert [Fraction(v) for v in b["y"]] == [quantize_value(v, p) for v in a["y"]]
-
-    def test_no_truth_flag(self, tmp_path, capsys):
-        out = tmp_path / "nt.json"
-        code, _, _ = run(
+    def test_p_refused_for_noisy(self, tmp_path, capsys, model):
+        out = tmp_path / "x.json"
+        code, _, err = run(
             capsys,
-            "gen", "--model", "gaussian", "--n", "4", "--d", "1",
-            "--snr", "2", "--seed", "0", "--no-truth", "-o", str(out),
+            "gen", "--model", model, "--n", "4", "--d", "2", "--snr", "4",
+            "--p", "8", "--seed", "0", "-o", str(out),
         )
-        assert code == 0
-        assert "truth" not in json.loads(out.read_text())
+        assert code == 2
+        assert err == "error: --p applies to the noiseless model only\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (("--model", "gaussian", "--snr", "0"), "--snr must be > 0"),
+            (("--model", "gaussian", "--sigma", "-1"), "--sigma must be finite and >= 0"),
+            (("--model", "noiseless", "--snr", "1"), "--snr/--sigma do not apply to the noiseless model"),
+        ],
+        ids=["snr-zero", "sigma-negative", "noiseless-snr"],
+    )
+    def test_noise_level_refused(self, tmp_path, capsys, argv, err):
+        out = tmp_path / "x.json"
+        code, stdout, got = run(
+            capsys, "gen", *argv, "--n", "4", "--d", "2", "--seed", "0", "-o", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert got == "error: %s\n" % err
+        assert not out.exists()
 
     def test_missing_n_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -123,6 +146,7 @@ class TestGen:
     @pytest.mark.parametrize("model", ["gaussian", "noiseless"])
     @pytest.mark.parametrize("p", ["0", "-1"])
     def test_p_below_one_refused(self, tmp_path, capsys, model, p):
+        # a noisy model refuses --p whatever its value
         noise = ("--snr", "4") if model == "gaussian" else ()
         out = tmp_path / "x.json"
         code, _, err = run(
@@ -131,7 +155,10 @@ class TestGen:
             "--p", p, "--seed", "0", "-o", str(out),
         )
         assert code == 2
-        assert err == "error: --p must be >= 1\n"
+        if model == "gaussian":
+            assert err == "error: --p applies to the noiseless model only\n"
+        else:
+            assert err == "error: --p must be >= 1\n"
         assert not out.exists()
 
 
@@ -282,35 +309,36 @@ class TestSolve:
         assert err != ""
 
     def gen_lattice_pair(self, capsys, tmp_path):
-        """A gen --p 16 lattice file and a copy without its quantization block."""
-        kept, stripped = tmp_path / "kept.json", tmp_path / "stripped.json"
+        """A gen --p 16 lattice file and a copy with the ``quantization``
+        block that files written by earlier versions carry."""
+        plain, legacy = tmp_path / "plain.json", tmp_path / "legacy.json"
         run(
             capsys,
             "gen", "--model", "noiseless", "--unanchored", "--n", "4", "--d", "2",
-            "--p", "16", "--seed", "3", "-o", str(kept),
+            "--p", "16", "--seed", "3", "-o", str(plain),
         )
-        doc = json.loads(kept.read_text())
-        del doc["quantization"]
-        stripped.write_text(json.dumps(doc))
-        return kept, stripped
+        doc = json.loads(plain.read_text())
+        doc["quantization"] = {"p": 16}
+        legacy.write_text(json.dumps(doc))
+        return plain, legacy
 
     def test_lattice_needs_no_quantization_block(self, tmp_path, capsys):
         # the file's floats are the exact grid values, and the margin comes
-        # from their denominators
-        kept, stripped = self.gen_lattice_pair(capsys, tmp_path)
-        want = run(capsys, "solve", "--instance", str(kept), "--solver", "lattice")
-        got = run(capsys, "solve", "--instance", str(stripped), "--solver", "lattice")
+        # from their denominators; an older file's block is ignored
+        plain, legacy = self.gen_lattice_pair(capsys, tmp_path)
+        want = run(capsys, "solve", "--instance", str(plain), "--solver", "lattice")
+        got = run(capsys, "solve", "--instance", str(legacy), "--solver", "lattice")
         assert want[0] == 0
         assert got == want
 
     def test_lattice_off_grid_response_declared_failure(self, tmp_path, capsys):
-        _, stripped = self.gen_lattice_pair(capsys, tmp_path)
-        doc = json.loads(stripped.read_text())
+        plain, _ = self.gen_lattice_pair(capsys, tmp_path)
+        doc = json.loads(plain.read_text())
         moved = doc["y"][0] + 2.0**-40
         assert Fraction(moved) - Fraction(doc["y"][0]) == Fraction(1, 2**40)
         doc["y"][0] = moved
-        stripped.write_text(json.dumps(doc))
-        code, stdout, _ = run(capsys, "solve", "--instance", str(stripped), "--solver", "lattice")
+        plain.write_text(json.dumps(doc))
+        code, stdout, _ = run(capsys, "solve", "--instance", str(plain), "--solver", "lattice")
         assert code == 3
         assert json.loads(stdout)["failure"]
 
@@ -334,6 +362,13 @@ class TestSolve:
         assert code == 2
         assert stdout == ""
         assert got == err
+
+    def test_lattice_rejects_unanchored(self, tmp_path, capsys):
+        inst = self.gen_instance(capsys, tmp_path)
+        code, stdout, err = run(capsys, "solve", "--instance", str(inst), "--solver", "lattice")
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: solver lattice expects an anchored instance\n"
 
     def test_fptas_rejects_anchored(self, tmp_path, capsys):
         out = tmp_path / "anch.json"
@@ -455,6 +490,36 @@ class TestSweep:
         assert code == 0
         assert started == pools
 
+    def test_brute_sweep_is_brute_force(self, tmp_path, capsys):
+        # every column but wall_time_s, recomputed from brute_force on the
+        # same per-trial entropy [seed, snr_index, trial_index]
+        out = tmp_path / "brute.csv"
+        code, _, _ = run(
+            capsys,
+            "sweep-snr", "--model", "gaussian", "--n", "4", "--d", "2",
+            "--snr-grid", "0.5,2", "--trials", "3", "--solver", "brute",
+            "--seed", "2", "-o", str(out),
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out.open()))
+        for i, (snr, row) in enumerate(zip((0.5, 2.0), rows)):
+            errs, base_errs, successes = [], [], 0
+            for trial in range(3):
+                ent = [2, i, trial]
+                w_bar = random_unit_vector(2, cli._w_rng(ent))
+                inst, truth = gen_gaussian_noisy(w_bar, 4, 1.0 / math.sqrt(snr), ent)
+                sol = brute_force(inst)
+                errs.append(float(np.linalg.norm(sol.w - w_bar)))
+                successes += sol.perm.map == truth.pi_bar.map
+                base = ols_given_perm(inst.x, inst.y, truth.pi_bar)
+                base_errs.append(float(np.linalg.norm(base.w - w_bar)))
+            del row["wall_time_s"]
+            assert {k: float(v) for k, v in row.items()} == {
+                "snr": snr, "n": 4, "d": 2,
+                "mean_err": float(np.mean(errs)), "std_err": float(np.std(errs)),
+                "success_rate": successes / 3, "baseline_mean_err": float(np.mean(base_errs)),
+            }
+
     def test_brute_cap_refused_with_cells(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -554,6 +619,45 @@ class TestCheckW2:
         with pytest.raises(ValueError):
             w2_report((2, 10), 5, 5, 0)
 
+    @pytest.mark.parametrize(
+        "grid", [(40, 10), (10, 10), (10, 40, 20)], ids=["descending", "repeated", "late-drop"]
+    )
+    def test_grid_must_ascend(self, grid):
+        # a rise of the per-n mean along the grid is read as a failure, so a
+        # grid out of order would fail for its order alone
+        with pytest.raises(ValueError, match="strictly ascending"):
+            w2_report(grid, 5, 5, 0)
+
+    def test_cli_descending_grid_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "w2.csv"
+        code, stdout, err = run(
+            capsys,
+            "check-w2", "--n-grid", "400,100", "--d", "5",
+            "--trials", "10", "--seed", "0", "-o", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: the n grid must be strictly ascending, with entries >= 3\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "per_n, code, err",
+        [
+            ([0.5, 0.4, 0.45], 3, "failure: per-n mean increased along the grid\n"),
+            ([0.5, 0.3, 0.2], 3, "failure: shrink factor 2.500 below 4\n"),
+            ([0.5, 0.3, 0.1], 0, ""),
+        ],
+        ids=["rise", "shrink", "pass"],
+    )
+    def test_cli_failure_rules(self, tmp_path, capsys, monkeypatch, per_n, code, err):
+        # canned rows on the 100 -> 10000 grid, so each rule is checked alone
+        grid = (100, 1000, 10000)
+        rows = [{"n": n, "mean_sq": v * n, "mean_sq_per_n": v} for n, v in zip(grid, per_n)]
+        monkeypatch.setattr(cli, "w2_report", lambda *args: rows)
+        got, _, got_err = run(capsys, "check-w2", "-o", str(tmp_path / "w2.csv"))
+        assert got == code
+        assert got_err == err
+
     def test_cli_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "w2.csv"
         code, stdout, _ = run(
@@ -570,7 +674,7 @@ class TestReduce:
     def test_round_trip_yes(self, tmp_path, capsys):
         out = tmp_path / "pls.json"
         code, stdout, _ = run(
-            capsys, "reduce", "--z", "4,4,7,7,4,4", "--k", "2", "-o", str(out),
+            capsys, "reduce", "--z", "4,4,7,7,4,4", "-o", str(out),
         )
         assert code == 0
         assert "feasible" in stdout
@@ -583,7 +687,7 @@ class TestReduce:
     def test_round_trip_no(self, tmp_path, capsys):
         out = tmp_path / "pls_no.json"
         code, _, _ = run(
-            capsys, "reduce", "--z", "4,4,4,6,6,6", "--k", "2", "-o", str(out),
+            capsys, "reduce", "--z", "4,4,4,6,6,6", "-o", str(out),
         )
         assert code == 0
         code2, out2, _ = run(
@@ -594,14 +698,14 @@ class TestReduce:
 
     def test_invalid_bounds(self, tmp_path, capsys):
         code, _, err = run(
-            capsys, "reduce", "--z", "3,5,7", "--k", "1", "-o", str(tmp_path / "x.json"),
+            capsys, "reduce", "--z", "3,5,7", "-o", str(tmp_path / "x.json"),
         )
         assert code == 2
         assert "c/4" in err
 
     def test_malformed_z(self, tmp_path, capsys):
         code, _, _ = run(
-            capsys, "reduce", "--z", "4,x,6", "--k", "1", "-o", str(tmp_path / "x.json"),
+            capsys, "reduce", "--z", "4,x,6", "-o", str(tmp_path / "x.json"),
         )
         assert code == 2
 
@@ -634,6 +738,6 @@ class TestTopLevel:
             raise exc("planted failure")
 
         monkeypatch.setattr(cli, "cmd_reduce", fail)
-        got, _, err = run(capsys, "reduce", "--z", "1,1,2", "--k", "1", "-o", str(tmp_path / "x.json"))
+        got, _, err = run(capsys, "reduce", "--z", "1,1,2", "-o", str(tmp_path / "x.json"))
         assert got == code
         assert "planted failure" in err

@@ -14,44 +14,47 @@ from reference import gen_yes_instance
 
 class TestThreePartitionInstance:
     def test_valid(self):
-        tp = ThreePartitionInstance(z=(4, 5, 6), k=1, c=15)
+        tp = ThreePartitionInstance(z=(4, 5, 6))
         assert tp.z == (4, 5, 6)
+        assert tp.k == 1 and tp.c == 15
 
     def test_sum_mismatch(self):
-        with pytest.raises(ValueError):
-            ThreePartitionInstance(z=(4, 5, 5), k=1, c=15)
+        # k = 2 does not divide the sum 31, so no per-triple target exists
+        with pytest.raises(ValueError, match="not divisible by k = 2"):
+            ThreePartitionInstance(z=(4, 4, 7, 7, 4, 5))
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ThreePartitionInstance(z=(4, 5, 6, 7), k=1, c=22)
+        for z in [(4, 5, 6, 7), (), (4, 5)]:
+            with pytest.raises(ValueError, match="positive multiple of 3"):
+                ThreePartitionInstance(z=z)
 
     def test_bounds_named_in_error(self):
         # 3 is not > 15/4 is fine; but 3 <= 15/4 violates the lower bound
         with pytest.raises(ValueError, match="c/4 < z_i < c/2"):
-            ThreePartitionInstance(z=(3, 5, 7), k=1, c=15)
+            ThreePartitionInstance(z=(3, 5, 7))
         with pytest.raises(ValueError, match="c/4 < z_i < c/2"):
-            ThreePartitionInstance(z=(4, 3, 8), k=1, c=15)
+            ThreePartitionInstance(z=(4, 3, 8))
 
     def test_strict_bounds(self):
         # z_i = c/4 and z_i = c/2 are both excluded
         with pytest.raises(ValueError):
-            ThreePartitionInstance(z=(4, 6, 6), k=1, c=16)
+            ThreePartitionInstance(z=(4, 6, 6))
         with pytest.raises(ValueError):
-            ThreePartitionInstance(z=(8, 5, 3), k=1, c=16)
+            ThreePartitionInstance(z=(8, 5, 3))
         # strictly interior values are fine
-        ThreePartitionInstance(z=(5, 5, 6), k=1, c=16)
+        ThreePartitionInstance(z=(5, 5, 6))
 
 
 class TestReduce3Partition:
     def test_k1_pinned_shape(self):
-        tp = ThreePartitionInstance(z=(4, 5, 6), k=1, c=15)
+        tp = ThreePartitionInstance(z=(4, 5, 6))
         pls = reduce_3partition(tp)
         assert pls.a == ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
         assert pls.b == (4, 5, 6, 15)
         assert pls.n == 4 and pls.d == 3
 
     def test_k2_shape(self):
-        tp = ThreePartitionInstance(z=(4, 4, 7, 7, 4, 4), k=2, c=15)
+        tp = ThreePartitionInstance(z=(4, 4, 7, 7, 4, 4))
         pls = reduce_3partition(tp)
         assert pls.n == 8 and pls.d == 6
         # first 6 rows are the identity block
@@ -65,19 +68,19 @@ class TestReduce3Partition:
 
 class TestBruteForceCheckers:
     def test_yes_instance(self):
-        tp = ThreePartitionInstance(z=(4, 4, 7, 7, 4, 4), k=2, c=15)
+        tp = ThreePartitionInstance(z=(4, 4, 7, 7, 4, 4))
         assert check_3partition_brute(tp) is True
 
     def test_no_instance_pinned(self):
-        tp = ThreePartitionInstance(z=(4, 4, 4, 6, 6, 6), k=2, c=15)
+        tp = ThreePartitionInstance(z=(4, 4, 4, 6, 6, 6))
         assert check_3partition_brute(tp) is False
 
     def test_k1_always_yes(self):
-        assert check_3partition_brute(ThreePartitionInstance(z=(4, 5, 6), k=1, c=15))
+        assert check_3partition_brute(ThreePartitionInstance(z=(4, 5, 6)))
 
     def test_cap(self):
         z = (4, 5, 6) * 5
-        tp = ThreePartitionInstance(z=z, k=5, c=15)
+        tp = ThreePartitionInstance(z=z)
         with pytest.raises(CapExceededError):
             check_3partition_brute(tp)
 
@@ -103,11 +106,11 @@ class TestBruteForceCheckers:
 class TestEquivalence:
     def test_reduction_preserves_answer(self):
         cases = [
-            ThreePartitionInstance(z=(4, 5, 6), k=1, c=15),
-            ThreePartitionInstance(z=(4, 4, 7), k=1, c=15),
-            ThreePartitionInstance(z=(4, 4, 7, 7, 4, 4), k=2, c=15),
-            ThreePartitionInstance(z=(4, 4, 4, 6, 6, 6), k=2, c=15),
-            ThreePartitionInstance(z=(5, 4, 6, 4, 7, 4), k=2, c=15),
+            ThreePartitionInstance(z=(4, 5, 6)),
+            ThreePartitionInstance(z=(4, 4, 7)),
+            ThreePartitionInstance(z=(4, 4, 7, 7, 4, 4)),
+            ThreePartitionInstance(z=(4, 4, 4, 6, 6, 6)),
+            ThreePartitionInstance(z=(5, 4, 6, 4, 7, 4)),
         ]
         for tp in cases:
             want = check_3partition_brute(tp)

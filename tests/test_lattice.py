@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shuffle_regress import (
     DegenerateInstanceError,
@@ -659,6 +661,61 @@ class TestRecover:
         res = recover(q)
         assert res is not None
         assert res.w == w_q
+
+
+_POOLS = ((0, 1), (-1, 0, 1), (-2, -1, 0, 1, 2), (F(1, 2), 1, 3))
+
+
+@st.composite
+def hostile_exact_instances(draw):
+    """Exact instances with a planted fit: d <= 3, n <= 5 (n < d included),
+    covariate entries from one small pool, one covariate row duplicated 30 %
+    of the time, weights in {-2..3}/{1, 2} and a uniform pairing."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=5))
+    pool = draw(st.sampled_from(_POOLS))
+    entry = st.sampled_from(pool).map(F)
+    xs = [tuple(draw(entry) for _ in range(d)) for _ in range(n + 1)]
+    if draw(st.integers(min_value=0, max_value=9)) < 3:
+        src, dst = draw(st.integers(0, n)), draw(st.integers(0, n))
+        xs[dst] = xs[src]
+    w = [F(draw(st.integers(-2, 3)), draw(st.sampled_from((1, 2)))) for _ in range(d)]
+    pi = draw(st.permutations(range(n + 1)))
+    ys = [sum(wv * xv for wv, xv in zip(w, xs[pi[i]])) for i in range(n + 1)]
+    return QuantizedAnchoredInstance(x0=xs[0], y0=ys[0], x=tuple(xs[1:]), y=tuple(ys[1:]))
+
+
+def _has_rank(rows, d) -> bool:
+    """Whether ``rows`` span ``d`` dimensions: some d x d minor is nonzero."""
+    return any(det(list(sub)) != 0 for sub in itertools.combinations(rows, d))
+
+
+class TestRecoverHostile:
+    @given(inst=hostile_exact_instances())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_refusals_in_order_and_answers_exact(self, inst):
+        # recover's documented refusals, in its order; every instance has a
+        # fit by construction, so a None is a decline (README "Errors"), and
+        # anything returned satisfies all n + 1 equations exactly
+        xs, ys = [inst.x0, *inst.x], [inst.y0, *inst.y]
+        if inst.n < inst.d:
+            want = ValueError
+        elif all(v == 0 for v in ys):
+            want = DegenerateInstanceError
+        elif not _has_rank(xs, inst.d):
+            want = RankDeficiencyError
+        else:
+            want = None
+        try:
+            res = recover(inst)
+        except ValueError as e:
+            assert type(e) is want
+            return
+        assert want is None
+        if res is not None:
+            assert res.perm(0) == res.anchor
+            for i in range(inst.n + 1):
+                assert ys[i] == sum(wv * xv for wv, xv in zip(res.w, xs[res.perm(i)]))
 
 
 def _as_permutation(subset, n):

@@ -231,7 +231,7 @@ class TestSerialization:
     def test_round_trip_plain(self, tmp_path):
         inst, truth = gen_gaussian_noisy(np.array([1.0, -2.0]), 3, 0.2, 8)
         f = tmp_path / "inst.json"
-        write_instance(f, inst, truth=truth, p=16)
+        write_instance(f, inst, truth=truth)
         rec = read_instance_record(f)
         assert isinstance(rec.instance, Instance)
         assert np.array_equal(rec.instance.x, inst.x)
@@ -239,7 +239,6 @@ class TestSerialization:
         assert rec.truth.pi_bar.map == truth.pi_bar.map
         assert np.array_equal(rec.truth.w_bar, truth.w_bar)
         assert rec.truth.sigma == truth.sigma
-        assert json.loads(f.read_text())["quantization"] == {"p": 16}
 
     def test_round_trip_anchored(self, tmp_path):
         inst, truth = gen_noiseless_anchored(np.array([1.0, -2.0]), 3, 8)
@@ -287,13 +286,12 @@ class TestSerialization:
         [
             {"n": True, "d": 1, "x": [[1.0]], "y": [2.0]},
             {"n": 1, "d": True, "x": [[1.0]], "y": [2.0]},
-            {"n": 1, "d": 1, "x": [[1.0]], "y": [2.0], "quantization": {"p": True}},
             {
                 "n": 2, "d": 1, "x": [[1.0], [2.0]], "y": [4.0, 2.0],
                 "truth": {"w_bar": [2.0], "pi_bar": [True, False], "sigma": 0.0},
             },
         ],
-        ids=["n", "d", "quantization.p", "pi_bar"],
+        ids=["n", "d", "pi_bar"],
     )
     def test_boolean_integer_field_schema_error(self, tmp_path, doc):
         # JSON true/false would pass an isinstance(v, int) check as 1/0

@@ -72,7 +72,7 @@ SURFACE = {
 
 OPTIONS = {
     "gen": {
-        "--d", "--help", "--model", "--n", "--no-truth", "--output", "--p",
+        "--d", "--help", "--model", "--n", "--output", "--p",
         "--seed", "--sigma", "--snr", "--unanchored", "-h", "-o",
     },
     "solve": {
@@ -85,7 +85,7 @@ OPTIONS = {
     },
     "check-order-stats": {"--help", "--n", "--output", "--seed", "--tol", "--trials", "-h", "-o"},
     "check-w2": {"--d", "--help", "--n-grid", "--output", "--seed", "--trials", "-h", "-o"},
-    "reduce": {"--help", "--k", "--output", "--z", "-h", "-o"},
+    "reduce": {"--help", "--output", "--z", "-h", "-o"},
 }
 
 PARAMETERS = {
@@ -125,7 +125,7 @@ FIELDS = {
     "SweepConfig": (
         "model", "n", "d", "snr_grid", "trials", "solver", "eps", "seed", "jobs", "budget",
     ),
-    "ThreePartitionInstance": ("z", "k", "c"),
+    "ThreePartitionInstance": ("z",),
 }
 
 
