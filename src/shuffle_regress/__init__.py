@@ -30,7 +30,6 @@ from .model import (
     GroundTruth,
     Instance,
     Permutation,
-    QuantizedAnchoredInstance,
     gen_gaussian_noisy,
     gen_noiseless_anchored,
     gen_uniform_noisy,
@@ -57,7 +56,6 @@ __all__ = [
     "ParseError",
     "Permutation",
     "PlsInstance",
-    "QuantizedAnchoredInstance",
     "RankDeficiencyError",
     "RecoveryResult",
     "SamplingMatrix",

@@ -9,9 +9,11 @@ Subcommands:
 * ``check-w2``           sorted-projection distance decay check (CSV)
 * ``reduce``             3-partition instance -> permuted-linear-system file
 
-``gen --p`` (noiseless model only) puts the values on the ``2^-p`` grid, and
-``solve --solver lattice`` reads them as exact rationals; the separation
-margin comes from their denominators, so no grid exponent is recorded.
+``gen --p`` (noiseless model only) puts the values on the ``2^-p`` grid and
+writes the exact instance as it is; the writer refuses a grid so fine that some
+response is no double.  ``solve --solver lattice`` recovers from the exact
+rationals the file's doubles denote; the separation margin comes from their
+denominators, so no grid exponent is recorded.
 
 Exit codes: 0 success; 2 usage or validation error (bad flags, malformed
 files, refused caps or budgets); 3 declared solver failure (exact recovery
@@ -35,7 +37,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from .model import (
     AnchoredInstance,
     GroundTruth,
     Instance,
-    QuantizedAnchoredInstance,
     gen_gaussian_noisy,
     gen_noiseless_anchored,
     gen_uniform_noisy,
@@ -79,16 +79,6 @@ def _w_rng(entropy) -> np.random.Generator:
     # child 3: children 0-2 belong to the instance generators
     child = np.random.SeedSequence(entropy).spawn(4)[3]
     return np.random.Generator(np.random.Philox(child))
-
-
-def _exact_floats(vals) -> list:
-    out = []
-    for fr in vals:
-        f = float(fr)
-        if Fraction(f) != fr:
-            raise ValueError("quantized value %s not exactly representable as a float; reduce --p" % fr)
-        out.append(f)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +117,10 @@ def cmd_gen(args) -> int:
     if args.p is not None:
         if args.p < 1:
             raise ValueError("--p must be >= 1")
-        # regenerate on the grid so the exact identity survives quantization
-        q, w_q = quantize_noiseless(inst, truth, args.p)
-        inst = AnchoredInstance(
-            x0=np.array(_exact_floats(q.x0)),
-            y0=_exact_floats([q.y0])[0],
-            x=np.array([_exact_floats(r) for r in q.x]),
-            y=np.array(_exact_floats(q.y)),
-        )
-        truth = GroundTruth(
-            w_bar=np.array(_exact_floats(w_q)), pi_bar=truth.pi_bar, sigma=0.0
-        )
+        # regenerate on the grid so the exact identity survives quantization;
+        # w_q is a double rounded to the grid, so it is a double again
+        inst, w_q = quantize_noiseless(inst, truth, args.p)
+        truth = GroundTruth(w_bar=w_q, pi_bar=truth.pi_bar, sigma=0.0)
 
     write_instance(args.output, inst, truth=truth)
     print("wrote %s (model=%s n=%d d=%d)" % (args.output, args.model, args.n, args.d))
@@ -146,17 +129,6 @@ def cmd_gen(args) -> int:
 
 # ---------------------------------------------------------------------------
 # solve
-
-
-def _exact_anchored(inst: AnchoredInstance) -> QuantizedAnchoredInstance:
-    """Exact-rational view for the lattice solver: every float is already an
-    exact rational, so each value is taken verbatim."""
-    return QuantizedAnchoredInstance(
-        x0=tuple(Fraction(float(v)) for v in inst.x0),
-        y0=Fraction(float(inst.y0)),
-        x=tuple(tuple(Fraction(float(v)) for v in row) for row in inst.x),
-        y=tuple(Fraction(float(v)) for v in inst.y),
-    )
 
 
 def _fptas_settings(args) -> tuple[float, int]:
@@ -191,7 +163,7 @@ def cmd_solve(args) -> int:
 
     if not isinstance(inst, AnchoredInstance):
         raise ValueError("solver lattice expects an anchored instance")
-    res = lattice.recover(_exact_anchored(inst))
+    res = lattice.recover(inst)
     if res is None:
         print(json.dumps({"solver": "lattice", "failure": "no anchor hypothesis verified"}))
         print("failure: no anchor hypothesis verified", file=sys.stderr)
@@ -230,13 +202,13 @@ def _sweep_cell(cfg: SweepConfig, snr_index: int, snr: float) -> list:
             inst, truth = gen_noiseless_anchored(w_bar, cfg.n, ent, anchored=False)
             q, w_q = quantize_noiseless(inst, truth, _SWEEP_P)
             res = lattice.recover(q)
-            wq = np.array([float(v) for v in w_q])
+            wq = np.array(w_q, dtype=float)
             if res is not None:
-                errs.append(float(np.linalg.norm(np.array([float(v) for v in res.w]) - wq)))
+                errs.append(float(np.linalg.norm(np.array(res.w, dtype=float) - wq)))
                 if res.perm.map == truth.pi_bar.map and res.w == w_q:
                     successes += 1
-            xa = np.vstack([inst.x0[None, :], inst.x])
-            ya = np.concatenate(([inst.y0], inst.y))
+            xa = np.array([inst.x0, *inst.x], dtype=float)
+            ya = np.array([inst.y0, *inst.y], dtype=float)
             base = ols_given_perm(xa, ya, truth.pi_bar)
             base_errs.append(float(np.linalg.norm(base.w - wq)))
         else:

@@ -32,10 +32,10 @@ guess leaves covariates without full column rank.  :func:`recover` refuses a
 whole instance (all responses zero, or ``n + 1`` covariates of rank below
 ``d``) once, before it tries any guess.
 
-All arithmetic on this path is exact: rationals in the setup, arbitrary-size
-integers inside the reduction.  Floating point would void the recovered
-certificate, which one exact solve of all ``n + 1`` equations in
-:func:`recover` checks before anything is returned.
+All arithmetic on this path is exact: the :class:`AnchoredInstance` it takes
+holds rationals, and the reduction works on arbitrary-size integers.  Floating
+point would void the recovered certificate, which one exact solve of all
+``n + 1`` equations in :func:`recover` checks before anything is returned.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ from typing import Optional
 
 from . import _ratlin
 from .errors import DegenerateInstanceError, RankDeficiencyError
-from .model import Permutation, QuantizedAnchoredInstance
+from .model import AnchoredInstance, Permutation
 
 __all__ = [
     "LatticeBasis",
@@ -360,9 +360,9 @@ def default_beta(n: int, eps_hat: Fraction) -> Fraction:
     return 2 ** (n * n) / eps_hat
 
 
-def find_permutation(inst: QuantizedAnchoredInstance) -> Optional[Permutation]:
-    """Correspondence for the ``n`` unanchored measurements, assuming the anchor
-    pairing ``(x0, y0)`` is genuine.
+def find_permutation(inst: AnchoredInstance) -> Optional[Permutation]:
+    """Correspondence for the ``n`` unanchored measurements of the exact
+    instance ``inst``, assuming the anchor pairing ``(x0, y0)`` is genuine.
 
     A guess for which no ``w`` meets the anchor equation and the first two
     power sums of the responses (:func:`_power_sums_admit`) returns ``None``
@@ -405,12 +405,15 @@ def find_permutation(inst: QuantizedAnchoredInstance) -> Optional[Permutation]:
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Exact reconstruction: global correspondence, rational weights, and the
-    anchor guess (index of the covariate paired with ``y0``) that verified."""
+    """Exact reconstruction: global correspondence and rational weights."""
 
     perm: Permutation
     w: tuple[Fraction, ...]
-    anchor: int
+
+    @property
+    def anchor(self) -> int:
+        """The anchor guess that verified: the covariate paired with ``y0``."""
+        return self.perm(0)
 
     def as_jsonable(self) -> dict:
         return {
@@ -420,8 +423,9 @@ class RecoveryResult:
         }
 
 
-def recover(inst: QuantizedAnchoredInstance) -> Optional[RecoveryResult]:
-    """Exact weights and correspondence from ``n + 1`` noiseless measurements.
+def recover(inst: AnchoredInstance) -> Optional[RecoveryResult]:
+    """Exact weights and correspondence from ``n + 1`` noiseless measurements,
+    read as the exact rationals ``inst`` holds.
 
     Tries every anchor guess in ascending order: covariate ``a`` is swapped
     into the anchor slot and the lattice search proposes a correspondence for
@@ -448,18 +452,15 @@ def recover(inst: QuantizedAnchoredInstance) -> Optional[RecoveryResult]:
     ys_all = [inst.y0, *inst.y]
     if all(v == 0 for v in ys_all):
         raise DegenerateInstanceError("all responses zero")
-    xs_all = [tuple(inst.x0), *(tuple(row) for row in inst.x)]
+    xs_all = [inst.x0, *inst.x]
     if _ratlin.left_nullspace_int(_ratlin.transpose(xs_all)):  # some v != 0 has X v = 0
         raise RankDeficiencyError("covariates do not have full column rank")
 
     for a in range(n + 1):
         order = list(range(n + 1))  # slot s holds covariate order[s]
         order[0], order[a] = a, 0  # guess a swaps into the anchor slot
-        sub = QuantizedAnchoredInstance(
-            x0=xs_all[a],
-            y0=Fraction(inst.y0),
-            x=tuple(xs_all[g] for g in order[1:]),
-            y=tuple(inst.y),
+        sub = AnchoredInstance(
+            x0=xs_all[a], y0=inst.y0, x=[xs_all[g] for g in order[1:]], y=inst.y
         )
         try:
             pi_hat = find_permutation(sub)
@@ -471,5 +472,5 @@ def recover(inst: QuantizedAnchoredInstance) -> Optional[RecoveryResult]:
         w = _ratlin.solve([xs_all[g] for g in gmap], ys_all)  # all n + 1 equations
         if w is None:
             continue
-        return RecoveryResult(perm=Permutation(tuple(gmap)), w=tuple(w), anchor=a)
+        return RecoveryResult(perm=Permutation(tuple(gmap)), w=tuple(w))
     return None

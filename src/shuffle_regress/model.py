@@ -3,7 +3,9 @@
 A problem instance couples an ``n x d`` covariate matrix ``x`` with a response
 vector ``y`` of length ``n``; responses are observed in an order scrambled by a
 hidden permutation.  Anchored instances carry one extra measurement ``(x0, y0)``
-whose pairing is the solver's to guess.
+whose pairing is the solver's to guess; they are the noiseless data of exact
+recovery, so they hold exact rationals (``Fraction``), and a float goes in as
+the rational it denotes.
 
 Randomness contract: every generator derives three independent Philox streams
 from the user seed via ``numpy.random.SeedSequence(seed).spawn(3)``.  Stream 0
@@ -20,8 +22,11 @@ JSON schema (one instance per file)::
      "anchor": {"x0": [...], "y0": ...},          # optional
      "truth": {"w_bar": [...], "pi_bar": [...], "sigma": ...}}  # optional
 
-Floats are written with Python's shortest round-trip repr, so a write/read
-cycle reproduces every entry bit-exactly.  NaN and infinity are rejected in
+Files hold doubles, written with Python's shortest round-trip repr, so a
+write/read cycle reproduces every entry bit-exactly; an anchored file's values
+read back as the exact rationals their doubles denote.  The writer refuses,
+before it opens the file, a value that no double holds exactly (a response on
+a grid finer than a double's mantissa).  NaN and infinity are rejected in
 both directions; ``truth`` stores ``sigma`` rather than an SNR so the noiseless
 case needs no infinity sentinel.  Other keys (older files carry a
 ``quantization`` block) are ignored.
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -43,7 +49,6 @@ __all__ = [
     "GroundTruth",
     "Instance",
     "AnchoredInstance",
-    "QuantizedAnchoredInstance",
     "InstanceRecord",
     "gen_gaussian_noisy",
     "gen_uniform_noisy",
@@ -60,6 +65,16 @@ __all__ = [
 def _is_int(v) -> bool:
     # JSON true/false load as bool, a subclass of int
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _rational(v) -> Fraction:
+    """The rational ``v`` denotes: ints, Fractions and numpy integers as they
+    are, floats and numpy floats exactly (never rounded)."""
+    if not isinstance(v, numbers.Rational):
+        if not math.isfinite(v):
+            raise ValueError("non-finite entries")
+        v = Fraction(*v.as_integer_ratio())
+    return Fraction(v)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -140,39 +155,15 @@ class Instance:
 
 @dataclass(frozen=True)
 class AnchoredInstance:
-    """Instance plus one held-out measurement ``(x0, y0)`` of unknown pairing."""
+    """``n`` scrambled measurements ``(x, y)`` plus one held-out measurement
+    ``(x0, y0)`` of unknown pairing, all exact rationals.
 
-    x0: np.ndarray
-    y0: float
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x = _readonly(self.x)
-        y = _readonly(self.y)
-        x0 = _readonly(self.x0)
-        _check_xy(x, y)
-        if x0.shape != (x.shape[1],):
-            raise ValueError("x0 must have length d")
-        if not np.all(np.isfinite(x0)) or not math.isfinite(self.y0):
-            raise ValueError("non-finite entries")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "y0", float(self.y0))
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[1]
-
-
-@dataclass(frozen=True)
-class QuantizedAnchoredInstance:
-    """Exact-rational counterpart of :class:`AnchoredInstance`."""
+    Each value is taken as the rational it denotes (see :func:`_rational`):
+    ``x`` becomes a tuple of ``n >= 1`` rows of ``d >= 1`` Fractions, ``x0`` a
+    tuple of ``d`` and ``y`` a tuple of ``n``.  Non-finite values and ragged
+    shapes raise ``ValueError``.  For numpy work take a float view, such as
+    ``np.array(inst.x, dtype=float)``.
+    """
 
     x0: tuple[Fraction, ...]
     y0: Fraction
@@ -180,9 +171,16 @@ class QuantizedAnchoredInstance:
     y: tuple[Fraction, ...]
 
     def __post_init__(self):
-        d = len(self.x[0]) if self.x else 0
-        if d < 1 or len(self.x0) != d or len(self.y) != len(self.x) or any(len(r) != d for r in self.x):
+        x0 = tuple(_rational(v) for v in self.x0)
+        x = tuple(tuple(_rational(v) for v in row) for row in self.x)
+        y = tuple(_rational(v) for v in self.y)
+        d = len(x0)
+        if d < 1 or not x or len(y) != len(x) or any(len(r) != d for r in x):
             raise ValueError("need n >= 1 rows x of one length d >= 1, with len(x0) == d and len(y) == n")
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "y0", _rational(self.y0))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def n(self) -> int:
@@ -190,7 +188,7 @@ class QuantizedAnchoredInstance:
 
     @property
     def d(self) -> int:
-        return len(self.x[0])
+        return len(self.x0)
 
 
 def _streams(seed: int):
@@ -203,7 +201,12 @@ def _streams(seed: int):
 
 
 def random_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the unit sphere in R^d (Gaussian direction, normalized)."""
+    """Uniform draw from the unit sphere in R^d (Gaussian direction, normalized).
+
+    Raises ``ValueError`` unless ``d >= 1``: R^0 has no unit vector.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
     while True:
         v = rng.standard_normal(d)
         nrm = float(np.linalg.norm(v))
@@ -279,7 +282,7 @@ def gen_noiseless_anchored(w_bar, n: int, seed: int, *, anchored: bool = True):
     else:
         pi = Permutation(tuple(int(v) for v in gp.permutation(n + 1)))
     ys = responses(xs, pi, w_bar)
-    inst = AnchoredInstance(x0=xs[0], y0=float(ys[0]), x=xs[1:], y=ys[1:])
+    inst = AnchoredInstance(x0=xs[0], y0=ys[0], x=xs[1:], y=ys[1:])
     return inst, GroundTruth(w_bar=w_bar, pi_bar=pi, sigma=0.0)
 
 
@@ -298,9 +301,12 @@ def quantize_noiseless(inst: AnchoredInstance, truth: GroundTruth, p: int):
     variant rounds ``x0``, ``x`` and ``w_bar`` to the grid and rebuilds each
     response as the exact rational inner product (denominators ``2**-2p``).
 
-    Returns ``(QuantizedAnchoredInstance, w_q)`` with ``w_q`` the quantized
-    weight vector as a tuple of Fractions.  Raises ``ValueError`` unless ``p``
-    is an integer ``>= 1``.
+    Returns ``(AnchoredInstance, w_q)`` with ``w_q`` the quantized weight
+    vector as a tuple of Fractions.  A double rounded to a binary grid is
+    again a double, so the values of ``x0``, ``x`` and ``w_q`` always are; a
+    response on the ``2**-2p`` grid can need more bits than a double has, and
+    :func:`write_instance` refuses it then.  Raises ``ValueError`` unless
+    ``p`` is an integer ``>= 1``.
     """
     if not _is_int(p) or p < 1:
         raise ValueError("p must be an integer >= 1")
@@ -311,12 +317,7 @@ def quantize_noiseless(inst: AnchoredInstance, truth: GroundTruth, p: int):
     rows += [tuple(quantize_value(v, p) for v in row) for row in inst.x]
     pi = truth.pi_bar
     ys = [sum(wj * xj for wj, xj in zip(w_q, rows[pi(i)])) for i in range(len(pi))]
-    return (
-        QuantizedAnchoredInstance(
-            x0=rows[0], y0=ys[0], x=tuple(rows[1:]), y=tuple(ys[1:])
-        ),
-        w_q,
-    )
+    return AnchoredInstance(x0=rows[0], y0=ys[0], x=rows[1:], y=ys[1:]), w_q
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +352,31 @@ def _float_list(obj, what: str, length: int) -> list:
     return out
 
 
+def _double(v) -> float:
+    """The double equal to ``v``; ``ValueError`` when no double holds ``v``."""
+    try:
+        f = float(v)
+    except OverflowError:
+        f = math.inf
+    if f != v:  # exact: a float compares with an int or a Fraction by value
+        raise ValueError("value %s not exactly representable as a double; reduce --p" % v)
+    return f
+
+
 def write_instance(path, inst, *, truth: Optional[GroundTruth] = None):
-    """Write an instance (and its optional ground truth) as JSON."""
-    anchored = isinstance(inst, AnchoredInstance)
+    """Write an instance (and its optional ground truth) as JSON.
+
+    Raises ``ValueError``, before the file is opened, when some value of
+    ``inst`` is held exactly by no double.
+    """
     doc = {
         "n": inst.n,
         "d": inst.d,
-        "x": [[float(v) for v in row] for row in inst.x],
-        "y": [float(v) for v in inst.y],
+        "x": [[_double(v) for v in row] for row in inst.x],
+        "y": [_double(v) for v in inst.y],
     }
-    if anchored:
-        doc["anchor"] = {"x0": [float(v) for v in inst.x0], "y0": float(inst.y0)}
+    if isinstance(inst, AnchoredInstance):
+        doc["anchor"] = {"x0": [_double(v) for v in inst.x0], "y0": _double(inst.y0)}
     if truth is not None:
         doc["truth"] = {
             "w_bar": [float(v) for v in truth.w_bar],
@@ -387,13 +402,13 @@ def read_instance_record(path) -> InstanceRecord:
     _require(_is_int(n) and n >= 1, "n must be an integer >= 1")
     _require(_is_int(d) and d >= 1, "d must be an integer >= 1")
     _require(isinstance(doc["x"], list) and len(doc["x"]) == n, "x must have n rows")
-    x = np.array([_float_list(row, "x row", d) for row in doc["x"]])
-    y = np.array(_float_list(doc["y"], "y", n))
+    x = [_float_list(row, "x row", d) for row in doc["x"]]
+    y = _float_list(doc["y"], "y", n)
 
     if "anchor" in doc:
         anc = doc["anchor"]
         _require(isinstance(anc, dict) and set(anc) == {"x0", "y0"}, "anchor must hold x0 and y0")
-        x0 = np.array(_float_list(anc["x0"], "x0", d))
+        x0 = _float_list(anc["x0"], "x0", d)
         _require(isinstance(anc["y0"], (int, float)) and not isinstance(anc["y0"], bool), "y0 must be a number")
         y0 = float(anc["y0"])
         _require(math.isfinite(y0), "y0 must be finite")

@@ -162,6 +162,22 @@ class TestGen:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("model", ["gaussian", "noiseless"])
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_d_below_one_refused(self, tmp_path, capsys, model, d):
+        noise = ("--snr", "1") if model == "gaussian" else ()
+        out = tmp_path / "x.json"
+        code, stdout, err = run(
+            capsys,
+            "gen", "--model", model, "--n", "3", "--d", d, *noise,
+            "--seed", "0", "-o", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: d must be >= 1\n"
+        assert not out.exists()
+
+
 class TestSolve:
     def gen_instance(self, capsys, tmp_path, *extra):
         out = tmp_path / "inst.json"

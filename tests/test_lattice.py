@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shuffle_regress import (
+    AnchoredInstance,
     DegenerateInstanceError,
     LatticeBasis,
     Permutation,
-    QuantizedAnchoredInstance,
     RankDeficiencyError,
     gen_noiseless_anchored,
     lll_reduce,
@@ -430,7 +430,7 @@ class TestFindPermutation:
     def test_all_zero_responses_degenerate(self):
         # a refused guess, not an error: with y0 != 0 the power-sum test
         # refuses all-zero unanchored responses
-        q = QuantizedAnchoredInstance(
+        q = AnchoredInstance(
             x0=(F(1),), y0=F(1), x=((F(1),), (F(2),)), y=(F(0), F(0))
         )
         assert find_permutation(q) is None
@@ -443,7 +443,7 @@ class TestFindPermutation:
             raise AssertionError("lattice built")
 
         monkeypatch.setattr(lattice, "subset_sum_basis", built)
-        q = QuantizedAnchoredInstance(
+        q = AnchoredInstance(
             x0=(F(0),), y0=F(0), x=((F(1),), (F(2),)), y=(F(1), F(2))
         )
         assert lattice._power_sums_admit(q.x0, q.x, q.y, q.y0)
@@ -513,13 +513,13 @@ class TestRecover:
     def test_noisy_returns_none(self):
         # perturb one response off the exact lattice: no anchor can verify
         q, _, _ = self.run_case(2, 3, 7)
-        bad = QuantizedAnchoredInstance(
+        bad = AnchoredInstance(
             x0=q.x0, y0=q.y0, x=q.x, y=(q.y[0] + F(1, 3), q.y[1], q.y[2])
         )
         assert recover(bad) is None
 
     def test_all_zero_degenerate(self):
-        q = QuantizedAnchoredInstance(
+        q = AnchoredInstance(
             x0=(F(1), F(0)),
             y0=F(0),
             x=((F(0), F(1)), (F(1), F(1))),
@@ -529,7 +529,7 @@ class TestRecover:
             recover(q)
 
     def test_rank_deficiency_propagates(self):
-        q = QuantizedAnchoredInstance(
+        q = AnchoredInstance(
             x0=(F(1), F(2)),
             y0=F(1),
             x=((F(1), F(2)), (F(2), F(4)), (F(3), F(6))),
@@ -551,7 +551,7 @@ class TestRecover:
     def test_rank_deficiency_decided_before_any_guess(self, monkeypatch, x0, x, y):
         calls = []
         monkeypatch.setattr(lattice, "find_permutation", lambda sub: calls.append(sub))
-        q = QuantizedAnchoredInstance(
+        q = AnchoredInstance(
             x0=tuple(map(F, x0)),
             y0=F(1),
             x=tuple(tuple(map(F, row)) for row in x),
@@ -563,7 +563,7 @@ class TestRecover:
 
     # guess 0 (y0 paired with x0) leaves the collinear rows (1, 0), (2, 0);
     # with guess 1 (y0 paired with x_1), w = (1, 1) fits all three equations
-    ZERO_SOURCE = QuantizedAnchoredInstance(
+    ZERO_SOURCE = AnchoredInstance(
         x0=(F(0), F(1)),
         y0=F(1),
         x=((F(1), F(0)), (F(2), F(0))),
@@ -616,7 +616,7 @@ class TestRecover:
             # the rest; guess 2 leaves covariates (1, 0) in that order, and
             # the map (1, 0) pairs the responses with covariates 0 and 1
             ((2, 4), 8, (2, 4), {2: (1, 0)},
-             lattice.RecoveryResult(perm=Permutation((2, 0, 1)), w=(F(2),), anchor=2)),
+             lattice.RecoveryResult(perm=Permutation((2, 0, 1)), w=(F(2),))),
         ],
         ids=["no-guess-fits", "later-guess-fits"],
     )
@@ -630,7 +630,7 @@ class TestRecover:
             return Permutation(maps.get(guesses[-1], tuple(range(sub.n))))
 
         monkeypatch.setattr(lattice, "find_permutation", proposed)
-        q = QuantizedAnchoredInstance(
+        q = AnchoredInstance(
             x0=(F(1),), y0=F(y0), x=tuple((F(v),) for v in x), y=tuple(map(F, y))
         )
         assert recover(q) == want
@@ -639,7 +639,7 @@ class TestRecover:
         assert recover(q) == want  # the lattice search agrees
 
     def test_n_below_d_refused(self):
-        q = QuantizedAnchoredInstance(
+        q = AnchoredInstance(
             x0=(F(1), F(0)), y0=F(1), x=((F(0), F(1)),), y=(F(1),)
         )
         with pytest.raises(ValueError):
@@ -682,7 +682,7 @@ def hostile_exact_instances(draw):
     w = [F(draw(st.integers(-2, 3)), draw(st.sampled_from((1, 2)))) for _ in range(d)]
     pi = draw(st.permutations(range(n + 1)))
     ys = [sum(wv * xv for wv, xv in zip(w, xs[pi[i]])) for i in range(n + 1)]
-    return QuantizedAnchoredInstance(x0=xs[0], y0=ys[0], x=tuple(xs[1:]), y=tuple(ys[1:]))
+    return AnchoredInstance(x0=xs[0], y0=ys[0], x=tuple(xs[1:]), y=tuple(ys[1:]))
 
 
 def _has_rank(rows, d) -> bool:
@@ -786,7 +786,7 @@ def anchor_guesses(q):
     for a in range(n + 1):
         order = list(range(n + 1))
         order[0], order[a] = a, 0
-        yield a, QuantizedAnchoredInstance(
+        yield a, AnchoredInstance(
             x0=xs[a], y0=F(q.y0), x=tuple(xs[g] for g in order[1:]), y=tuple(q.y)
         )
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -13,7 +14,6 @@ from shuffle_regress import (
     Instance,
     ParseError,
     Permutation,
-    QuantizedAnchoredInstance,
     SchemaError,
     gen_gaussian_noisy,
     gen_noiseless_anchored,
@@ -67,7 +67,32 @@ class TestInstanceValidation:
     )
     def test_quantized_shapes_refused(self, x0, x, y):
         with pytest.raises(ValueError):
-            QuantizedAnchoredInstance(x0=x0, y0=1, x=x, y=y)
+            AnchoredInstance(x0=x0, y0=1, x=x, y=y)
+
+    def test_anchored_values_kept_exactly(self):
+        # every value is the rational it denotes: a double is never rounded
+        # to a short decimal, and nothing is rounded to a double
+        inst = AnchoredInstance(
+            x0=(Fraction(1, 3), 0.1),
+            y0=np.float64(0.1),
+            x=np.array([[2, -1], [0.5, 3]]),
+            y=(np.int64(7), np.float32(0.1)),
+        )
+        assert inst.x0 == (Fraction(1, 3), Fraction(3602879701896397, 2**55))
+        assert inst.y0 == Fraction(3602879701896397, 2**55)
+        assert inst.x == ((2, -1), (Fraction(1, 2), 3))
+        assert inst.y == (7, Fraction(13421773, 2**27))
+        values = [*inst.x0, inst.y0, *(v for row in inst.x for v in row), *inst.y]
+        assert all(type(v) is Fraction for v in values)
+        assert (inst.n, inst.d) == (2, 2)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64(np.inf)])
+    @pytest.mark.parametrize("field", ["x0", "y0", "x", "y"])
+    def test_anchored_nonfinite_is_value_error(self, field, bad):
+        kwargs = {"x0": (1.0,), "y0": 1.0, "x": ((2.0,),), "y": (2.0,)}
+        kwargs[field] = {"x0": (bad,), "y0": bad, "x": ((bad,),), "y": (bad,)}[field]
+        with pytest.raises(ValueError, match="non-finite"):
+            AnchoredInstance(**kwargs)
 
 
 class TestGaussianGenerator:
@@ -132,9 +157,10 @@ class TestUniformGenerator:
 class TestNoiselessAnchored:
     def test_scalar_case_forced_identity(self):
         inst, truth = gen_noiseless_anchored(np.array([2.0]), 1, 0)
+        x = np.array(inst.x, dtype=float)
         assert truth.pi_bar.map == (0, 1)
         assert inst.y0 == 2.0 * inst.x0[0]
-        assert inst.y[0] == 2.0 * inst.x[0, 0]
+        assert inst.y[0] == 2.0 * x[0, 0]
 
     def test_anchored_fixes_zero(self):
         for seed in range(5):
@@ -150,14 +176,14 @@ class TestNoiselessAnchored:
 
     def test_identity_bit_exact_combined(self):
         inst, truth = gen_noiseless_anchored(np.array([0.7, -0.2]), 3, 21, anchored=False)
-        xs = np.vstack([inst.x0[None, :], inst.x])
-        ys = np.concatenate(([inst.y0], inst.y))
+        xs = np.array([inst.x0, *inst.x], dtype=float)
+        ys = np.array([inst.y0, *inst.y], dtype=float)
         assert np.array_equal(ys, responses(xs, truth.pi_bar, truth.w_bar))
 
     def test_true_perm_recovers_w(self):
         inst, truth = gen_noiseless_anchored(np.array([1.3, -0.4]), 3, 17)
-        xs = np.vstack([inst.x0[None, :], inst.x])
-        ys = np.concatenate(([inst.y0], inst.y))
+        xs = np.array([inst.x0, *inst.x], dtype=float)
+        ys = np.array([inst.y0, *inst.y], dtype=float)
         w = np.linalg.lstsq(xs[list(truth.pi_bar.map)], ys, rcond=None)[0]
         assert np.allclose(w, truth.w_bar, atol=1e-10)
 
@@ -176,6 +202,13 @@ class TestRandomUnitVector:
         for d in (1, 2, 7):
             v = random_unit_vector(d, rng)
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_d_below_one_refused(self, d):
+        # an empty draw has norm 0, so d = 0 would redraw forever
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            random_unit_vector(d, rng)
 
 
 class TestQuantize:
@@ -250,6 +283,30 @@ class TestSerialization:
         assert np.array_equal(back.x0, inst.x0)
         assert np.array_equal(back.x, inst.x)
 
+    def test_round_trip_quantized(self, tmp_path):
+        # grid values are doubles, so the file gives back the exact instance
+        inst, truth = gen_noiseless_anchored(np.array([0.6, -0.8]), 4, 3, anchored=False)
+        q, w_q = quantize_noiseless(inst, truth, 16)
+        f = tmp_path / "q.json"
+        write_instance(f, q, truth=GroundTruth(w_bar=w_q, pi_bar=truth.pi_bar, sigma=0.0))
+        rec = read_instance_record(f)
+        for field in dataclasses.fields(AnchoredInstance):
+            assert getattr(rec.instance, field.name) == getattr(q, field.name), field.name
+        assert tuple(rec.truth.w_bar) == w_q
+        assert rec.truth.pi_bar == truth.pi_bar
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("y0", Fraction(1, 3)), ("y", 1 + Fraction(1, 2**60)), ("x", 10**400)],
+    )
+    def test_write_refuses_value_no_double_holds(self, tmp_path, field, value):
+        kwargs = {"x0": (1,), "y0": 1, "x": ((1,),), "y": (1,)}
+        kwargs[field] = {"y0": value, "y": (value,), "x": ((value,),)}[field]
+        f = tmp_path / "inexact.json"
+        with pytest.raises(ValueError, match="not exactly representable as a double"):
+            write_instance(f, AnchoredInstance(**kwargs))
+        assert not f.exists()
+
     def test_y_length_mismatch_schema_error(self, tmp_path):
         f = tmp_path / "bad.json"
         f.write_text('{"n": 2, "d": 1, "x": [[1.0], [2.0]], "y": [1.0]}')
@@ -307,7 +364,7 @@ class TestSerialization:
             read_instance_record(f)
 
     def test_quantized_instance_views(self):
-        q = QuantizedAnchoredInstance(
+        q = AnchoredInstance(
             x0=(Fraction(1, 2),),
             y0=Fraction(1),
             x=((Fraction(1, 4),),),

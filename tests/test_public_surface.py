@@ -1,4 +1,4 @@
-"""The package's public surface: the README examples run as written,
+"""The package's public surface: the README examples and CLI lines run as written,
 ``shuffle_regress.__all__`` holds exactly the documented names, and the
 settings a caller can pass (CLI options, function parameters) and the fields
 of the package's records are pinned, so one joins or leaves only with an edit
@@ -13,6 +13,7 @@ import importlib
 import inspect
 import os
 import re
+import shlex
 import subprocess
 import sys
 import types
@@ -44,7 +45,6 @@ SURFACE = {
     "ParseError",
     "Permutation",
     "PlsInstance",
-    "QuantizedAnchoredInstance",
     "RankDeficiencyError",
     "RecoveryResult",
     "SamplingMatrix",
@@ -118,8 +118,7 @@ FIELDS = {
     "MatchResult": ("perm", "cost"),
     "Permutation": ("map",),
     "PlsInstance": ("a", "b"),
-    "QuantizedAnchoredInstance": ("x0", "y0", "x", "y"),
-    "RecoveryResult": ("perm", "w", "anchor"),
+    "RecoveryResult": ("perm", "w"),
     "SamplingMatrix": ("n", "rows"),
     "Solution": ("w", "perm", "cost"),
     "SweepConfig": (
@@ -138,6 +137,25 @@ def test_readme_examples_run():
     assert len(blocks) == 2
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def _cli_lines():
+    """The ``shuffle-regress`` commands of README's CLI block as argv lists:
+    ``\\`` continuations joined, ``#`` comments dropped."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.S | re.M)
+    (block,) = [b for b in blocks if "shuffle-regress" in b]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("shuffle-regress ")]
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
+    # in order, in one directory: later lines read the files earlier ones write
+    lines = _cli_lines()
+    assert len(lines) == 12
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert cli.main(argv[1:]) == 0, argv
+    capsys.readouterr()
 
 
 def test_all_names_resolve():
