@@ -1,11 +1,12 @@
 """Exact linear algebra over Fraction, sized for desk-scale systems.
 
 It holds what the exact paths call.  ``solve`` serves ``lattice.build_sources``
-and ``lattice._power_sums_admit`` (their Gram systems) and ``lattice.recover``
-(its one verification of a guess: all ``n + 1`` equations, solved for ``w``
-or refused as inconsistent); ``_power_sums_admit`` also reads ``_echelon``
-for its ``2 x 2`` system, and ``left_nullspace_int`` serves
-``lattice.recover`` (its rank test) and ``hardness.pls_feasible_brute``.
+and ``lattice.find_permutation`` (their Gram systems, on the lattice path) and
+``lattice.recover`` (its one verification of a guess: all ``n + 1``
+equations, solved for ``w`` or refused as inconsistent); ``find_permutation``
+also reads ``_echelon`` for the two linear power-sum rows and ``matvec`` for
+the values ``<w, x_j>``, and ``left_nullspace_int`` serves ``lattice.recover``
+(its rank test) and ``hardness.pls_feasible_brute``.
 Matrices are lists of row lists.  ``solve`` and ``left_nullspace_int`` both
 read the one echelon form ``_echelon``; ``solve`` serves full-column-rank
 systems only and refuses dependent columns rather than pick one of many

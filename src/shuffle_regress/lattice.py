@@ -1,7 +1,25 @@
 """Exact recovery of weights and correspondence from noiseless quantized data.
 
-The pipeline turns "which response belongs to which covariate" into a subset-sum
-problem: with one anchored measurement ``(x0, y0)`` and exact arithmetic,
+Each anchor guess (the covariate the held-out response ``y0`` belongs to)
+takes one of two routes in :func:`find_permutation`.
+
+Noiseless responses are the values ``<w, x_j>`` in some order, so whatever
+the permutation, ``sum_i y_i = <w, sum_j x_j>`` and ``sum_i y_i^2 = w^T G w``
+with ``G = x^T x`` (the power-sum identity of Tsakiris et al., "An
+algebraic-geometric approach for linear regression without
+correspondences", 2020).  With the anchor equation ``<w, x0> = y0`` these
+are two linear rows and one quadratic in ``w``.  Where the rows leave at
+most one free direction (``d <= 2``, or ``d = 3`` with ``x0`` and
+``sum_j x_j`` independent), they are solved exactly: ``w`` is pinned, or is
+one of the at most two rational roots of the quadratic on a line, and the
+permutation pairs equal values ``<w, x_j>`` and ``y_i``.  No lattice is
+built there; this departs from the paper's algorithm, which takes every
+guess to subset sum.
+
+Where two or more directions stay free (``d >= 4``, or dependent rows), the
+quadratic is a necessary inequality, and a guess that passes it takes the
+paper's route.  The correspondence becomes a subset-sum problem: with the
+anchored measurement ``(x0, y0)`` and exact arithmetic,
 ``y0 = sum over matched pairs (i, j) of y_i * x_j^T (x^T x)^{-1} x0``, so the
 correct correspondence is a subset of the ``n^2`` source values summing exactly
 to ``y0``.  Low-density subset sums of this kind are solved by lattice basis
@@ -17,25 +35,16 @@ only the sublattice of the embedding in which those ``2n - 1`` independent
 sums equal coordinate 0: rank ``(n - 1)^2 + 1`` instead of ``n^2 + 1``, in the
 same coordinates, so the pattern, the margin and ``beta`` carry over unchanged.
 
-Noiseless responses are the values ``<w, x_j>`` in some order, so whatever the
-permutation, ``sum_i y_i = <w, sum_j x_j>`` and ``sum_i y_i^2 = w^T G w`` with
-``G = x^T x`` (the power-sum identity of Tsakiris et al., "An
-algebraic-geometric approach for linear regression without
-correspondences", 2020).  An anchor guess for which no ``w`` meets these two
-equations and the anchor equation ``<w, x0> = y0`` cannot verify, and is
-refused before any lattice is built; the test is one exact elimination on
-the ``2 x 2`` system ``A G^-1 A^T`` of the two linear rows.
-
 An anchor guess either yields a permutation or is refused (``None``), except
-that :func:`find_permutation` raises :class:`RankDeficiencyError` when the
-guess leaves covariates without full column rank.  :func:`recover` refuses a
-whole instance (all responses zero, or ``n + 1`` covariates of rank below
-``d``) once, before it tries any guess.
+that :func:`find_permutation` raises :class:`RankDeficiencyError` when a
+guess on the lattice route leaves covariates without full column rank.
+:func:`recover` refuses a whole instance (all responses zero, or ``n + 1``
+covariates of rank below ``d``) once, before it tries any guess.
 
-All arithmetic on this path is exact: the :class:`AnchoredInstance` it takes
-holds rationals, and the reduction works on arbitrary-size integers.  Floating
-point would void the recovered certificate, which one exact solve of all
-``n + 1`` equations in :func:`recover` checks before anything is returned.
+All arithmetic on both routes is exact: the :class:`AnchoredInstance` they
+take holds rationals, and the reduction works on arbitrary-size integers.
+Floating point would void the recovered certificate, which one exact solve of
+all ``n + 1`` equations in :func:`recover` checks before anything is returned.
 """
 from __future__ import annotations
 
@@ -290,45 +299,6 @@ def build_sources(x0, x, y, y0) -> SubsetSumInstance:
     return SubsetSumInstance(sources=sources, target=Fraction(y0))
 
 
-def _power_sums_admit(x0, x, y, y0) -> bool:
-    """Whether some ``w`` has ``<w, x0> = y0``, ``<w, s> = sum_i y_i`` and
-    ``w^T G w = sum_i y_i^2``, where ``s = sum_j x_j`` and ``G = x^T x``.
-
-    Noiseless data ``y_i = <w, x_{pi(i)}>`` meet all three for every ``pi``:
-    the multiset of responses is the multiset ``{<w, x_j>}``, so its first two
-    power sums are those of the ``<w, x_j>``.  ``G`` is positive definite, so
-    on the affine set ``A w = b`` of the two linear equations (rows ``x0`` and
-    ``s``) the least ``w^T G w`` is ``lambda . b`` for any solution of
-    ``(A G^-1 A^T) lambda = b``.  A pivot in the right-hand column of that
-    system's echelon form means no ``w`` meets both equations, and the other
-    pivots count the rank of ``A``.  When that rank is ``d`` the rows pin ``w``
-    down and the least value must equal ``sum y_i^2``; otherwise (the
-    quadratic then grows without bound) it must not exceed it.
-
-    The arguments are those of :func:`build_sources`; ``G`` is built once and
-    solved exactly for ``G^-1 x0`` and ``G^-1 s``.  Raises
-    :class:`RankDeficiencyError` when ``x`` lacks full column rank.
-    """
-    xt = _ratlin.transpose(_ratlin.mat(x))
-    gram = [_ratlin.matvec(xt, col) for col in xt]
-    x0 = [Fraction(v) for v in x0]
-    s = [sum(col) for col in xt]
-    g0 = _ratlin.solve(gram, x0)  # G^-1 x0
-    gs = _ratlin.solve(gram, s)  # G^-1 s
-    a = sum(p * q for p, q in zip(x0, g0))
-    c = sum(p * q for p, q in zip(s, g0))
-    e = sum(p * q for p, q in zip(s, gs))
-    y = [Fraction(v) for v in y]
-    y0 = Fraction(y0)
-    t1 = sum(y)
-    t2 = sum(v * v for v in y)
-    red, pivots = _ratlin._echelon([[a, c, y0], [c, e, t1]])
-    if 2 in pivots:  # the two linear equations contradict each other
-        return False
-    least = sum(red[r][2] * (y0, t1)[pc] for r, pc in enumerate(pivots))
-    return least == t2 if len(pivots) == len(xt) else least <= t2
-
-
 def epsilon_bound(ssi: SubsetSumInstance) -> Fraction:
     """Exact separation margin ``1 / D`` for wrong-subset sums.
 
@@ -360,39 +330,128 @@ def default_beta(n: int, eps_hat: Fraction) -> Fraction:
     return 2 ** (n * n) / eps_hat
 
 
+def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
+    """The square root of ``q >= 0`` when it is rational, else ``None``.
+
+    ``q`` is in lowest terms, so its root is rational exactly when its
+    numerator and its denominator are both perfect squares.
+    """
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None
+
+
+def _match(values, y) -> Optional[Permutation]:
+    """The map pairing each response with a covariate of equal value, or
+    ``None`` when the multisets differ.
+
+    Ties go in index order: each response, in turn, takes the lowest
+    covariate index not yet taken that has its value.
+    """
+    free = {}
+    for j in reversed(range(len(values))):
+        free.setdefault(values[j], []).append(j)  # the lowest index pops first
+    pairs = []
+    for v in y:
+        js = free.get(v)
+        if not js:
+            return None
+        pairs.append(js.pop())
+    return Permutation(tuple(pairs))
+
+
 def find_permutation(inst: AnchoredInstance) -> Optional[Permutation]:
     """Correspondence for the ``n`` unanchored measurements of the exact
     instance ``inst``, assuming the anchor pairing ``(x0, y0)`` is genuine.
 
-    A guess for which no ``w`` meets the anchor equation and the first two
-    power sums of the responses (:func:`_power_sums_admit`) returns ``None``
-    before its margin, basis or reduction is computed: a guess that verifies
-    has such a ``w``, so this refuses only guesses :func:`recover` would
-    reject anyway.
+    Noiseless responses are the values ``<w, x_j>`` in some order, so every
+    ``w`` that verifies meets the anchor equation ``<w, x0> = y0``, the first
+    power sum ``<w, s> = sum_i y_i`` (``s = sum_j x_j``) and the second,
+    ``w^T G w = sum_i y_i^2`` (``G = x^T x``).  One exact echelon of the two
+    linear rows comes first; a pivot in their right-hand column refuses the
+    guess (``None``).
 
-    Otherwise it embeds the ``n^2`` sources with ``beta = default_beta(n,
-    epsilon_bound(sources))``, reduces the permutation sublattice of that
-    embedding (see :func:`_permutation_sublattice`), which has rank
-    ``(n - 1)^2 + 1`` instead of ``n^2 + 1``, and reads the map off the first
-    reduced column of the pattern ``z * (1, indicator, 0)``: ``z != 0``, last
-    coordinate 0, every indicator entry 0 or ``z``.  Nothing there needs a
-    re-check: the last coordinate is ``z * beta * (target - subset sum)`` in
-    exact integers, and every row and column of the indicator block sums to
-    ``z``, so each holds exactly one ``z``.  The keys come sorted, so the map
-    sends response index to covariate index, both 0-based over the unanchored
-    block; :func:`recover` verifies it against all ``n + 1`` equations.
+    Where the rows leave at most one free direction, the power sums solve
+    for ``w``, with no ``G^-1`` and no lattice: no free direction pins ``w``,
+    and one gives ``w = w_p + t v``, on which the second power sum is a
+    quadratic in ``t`` whose rational roots (at most two, in ascending order)
+    are the candidates.  The map of the first candidate whose values
+    ``<w, x_j>`` equal the responses as multisets is returned (see
+    :func:`_match` for ties), else ``None``.  A verified ``w`` is rational, so
+    this refuses only guesses :func:`recover` would reject anyway.  When
+    ``v^T G v = 0`` (the covariates lack rank along ``v``) there is no
+    quadratic, and the guess takes the lattice path below.
 
-    Returns ``None`` when no column has the pattern, or for a zero target with
-    all-zero sources, where no subset singles out a permutation.  All-zero
-    unanchored responses need no case of their own: with ``y0 != 0`` the
-    power-sum test refuses them, and with ``y0 = 0`` every source and the
-    target are zero.  Raises :class:`RankDeficiencyError` when ``x`` lacks
-    full column rank.
+    Where two or more directions stay free, the second power sum is an
+    inequality: ``G`` is positive definite, so the least ``w^T G w`` on the
+    affine set of the independent echelon rows ``R w = b`` is ``lambda . b``
+    for ``(R G^-1 R^T) lambda = b``, and a guess whose least value exceeds
+    ``sum_i y_i^2`` is refused.  Otherwise it embeds the ``n^2`` sources
+    with ``beta = default_beta(n, epsilon_bound(sources))``, reduces the
+    permutation sublattice of that embedding (see
+    :func:`_permutation_sublattice`), which has rank ``(n - 1)^2 + 1``
+    instead of ``n^2 + 1``, and reads the map off the first reduced column of
+    the pattern ``z * (1, indicator, 0)``: ``z != 0``, last coordinate 0,
+    every indicator entry 0 or ``z``.  Nothing there needs a re-check: the
+    last coordinate is ``z * beta * (target - subset sum)`` in exact
+    integers, and every row and column of the indicator block sums to ``z``,
+    so each holds exactly one ``z``.  It returns ``None`` when no column has
+    the pattern, or for a zero target with all-zero sources, where no subset
+    singles out a permutation.  All-zero unanchored responses need no case of
+    their own there: with ``y0 != 0`` the least value exceeds 0, and with
+    ``y0 = 0`` every source and the target are zero.
+
+    Either way the map sends response index to covariate index, both 0-based
+    over the unanchored block; :func:`recover` verifies it against all
+    ``n + 1`` equations.  Raises :class:`RankDeficiencyError` when a guess
+    that takes the lattice path has ``x`` without full column rank.
     """
-    n = inst.n
-    if not _power_sums_admit(inst.x0, inst.x, inst.y, inst.y0):
+    n, d, x, y = inst.n, inst.d, inst.x, inst.y
+    t2 = sum(v * v for v in y)
+    red, pivots = _ratlin._echelon(
+        [[*inst.x0, inst.y0], [*(sum(col) for col in zip(*x)), sum(y)]]
+    )
+    if d in pivots:  # the anchor equation and the first power sum contradict
         return None
-    ssi = build_sources(inst.x0, inst.x, inst.y, inst.y0)
+    rows = red[: len(pivots)]
+    free = [c for c in range(d) if c not in pivots]
+    if len(free) <= 1:
+        w_p = [Fraction(0)] * d
+        for row, pc in zip(rows, pivots):
+            w_p[pc] = row[d]
+        u = _ratlin.matvec(x, w_p)
+        if not free:
+            return _match(u, y)
+        v = [Fraction(0)] * d
+        v[free[0]] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[free[0]]
+        g = _ratlin.matvec(x, v)
+        # sum_j (u_j + t g_j)^2 = t2, that is a t^2 + 2 b t + c = 0
+        a = sum(gj * gj for gj in g)
+        if a != 0:
+            b = sum(uj * gj for uj, gj in zip(u, g))
+            disc = b * b - a * (sum(uj * uj for uj in u) - t2)
+            root = _rational_sqrt(disc) if disc >= 0 else None
+            if root is None:
+                return None
+            for t in sorted({(-b - root) / a, (-b + root) / a}):
+                pi = _match([uj + t * gj for uj, gj in zip(u, g)], y)
+                if pi is not None:
+                    return pi
+            return None
+    if rows:  # with no independent row the least value is 0
+        xt = _ratlin.transpose(x)
+        gram = [_ratlin.matvec(xt, col) for col in xt]
+        ginv = [_ratlin.solve(gram, row[:d]) for row in rows]  # G^-1 R^T
+        lam = _ratlin.solve(
+            [[sum(p * q for p, q in zip(ri, gj)) for gj in ginv] for ri in rows],
+            [row[d] for row in rows],
+        )
+        if sum(lv * row[d] for lv, row in zip(lam, rows)) > t2:
+            return None
+    ssi = build_sources(inst.x0, x, y, inst.y0)
     if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
         return None
     basis, keys = subset_sum_basis(ssi, default_beta(n, epsilon_bound(ssi)))
@@ -428,23 +487,26 @@ def recover(inst: AnchoredInstance) -> Optional[RecoveryResult]:
     read as the exact rationals ``inst`` holds.
 
     Tries every anchor guess in ascending order: covariate ``a`` is swapped
-    into the anchor slot and the lattice search proposes a correspondence for
-    the rest.  The guess is verified by one exact solve over the rationals of
-    all ``n + 1`` equations it induces, the anchor's included: the ``n + 1``
-    covariates have rank ``d`` (decided before any guess), so the solve
-    returns ``None`` exactly when some equation fails.  The first guess that
-    verifies wins; its result satisfies ``y_i = <w, x_{perm(i)}>`` exactly for
-    every measurement including the anchor.
+    into the anchor slot and :func:`find_permutation` proposes a
+    correspondence for the rest, from the power sums or the lattice.  The
+    guess is verified by one exact solve over the rationals of all ``n + 1``
+    equations it induces, the anchor's included: the ``n + 1`` covariates
+    have rank ``d`` (decided before any guess), so the solve returns ``None``
+    exactly when some equation fails.  The first guess that verifies wins;
+    its result satisfies ``y_i = <w, x_{perm(i)}>`` exactly for every
+    measurement including the anchor.
 
-    Each guess embeds its subset sum with the ``beta`` that its own exact
-    margin needs (see :func:`find_permutation`), so any ``d >= 1`` works.
+    A guess on the lattice route embeds its subset sum with the ``beta``
+    that its own exact margin needs (see :func:`find_permutation`), so any
+    ``d >= 1`` works.
 
     Returns ``None`` if no anchor verifies.  The refusals of the whole
     instance are decided once, before any guess: ``ValueError`` when
     ``n < d``, :class:`DegenerateInstanceError` when all ``n + 1`` responses
     are zero, and :class:`RankDeficiencyError` when the ``n + 1`` covariates
     lack rank ``d``.  Otherwise some guess leaves ``n`` covariates of rank
-    ``d``, and a guess whose remaining covariates lack it is a failed guess.
+    ``d``, and a guess on the lattice route whose remaining covariates lack
+    it is a failed guess.
     """
     n = inst.n
     if n < inst.d:

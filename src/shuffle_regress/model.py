@@ -114,6 +114,8 @@ class GroundTruth:
 
     def __post_init__(self):
         object.__setattr__(self, "w_bar", _readonly(self.w_bar))
+        if not np.all(np.isfinite(self.w_bar)):
+            raise ValueError("w_bar must be finite")
         if self.sigma < 0 or not math.isfinite(self.sigma):
             raise ValueError("sigma must be finite and >= 0")
 
@@ -366,8 +368,10 @@ def _double(v) -> float:
 def write_instance(path, inst, *, truth: Optional[GroundTruth] = None):
     """Write an instance (and its optional ground truth) as JSON.
 
-    Raises ``ValueError``, before the file is opened, when some value of
-    ``inst`` is held exactly by no double.
+    The whole document is serialized before the file is opened, so a value
+    that cannot be written leaves no partial file.  Raises ``ValueError``
+    when some value of ``inst`` is held exactly by no double, or some value
+    is not finite.
     """
     doc = {
         "n": inst.n,
@@ -383,9 +387,9 @@ def write_instance(path, inst, *, truth: Optional[GroundTruth] = None):
             "pi_bar": list(truth.pi_bar.map),
             "sigma": float(truth.sigma),
         }
+    text = json.dumps(doc, allow_nan=False, indent=1) + "\n"
     with open(path, "w") as fh:
-        json.dump(doc, fh, allow_nan=False, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_instance_record(path) -> InstanceRecord:

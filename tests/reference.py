@@ -11,9 +11,13 @@ the package to; nothing in ``shuffle_regress`` imports it.
   as the ``r x n`` matrix it encodes.
 * ``gen_yes_instance`` plants 3-partition yes-instances.
 * ``det`` is an exact determinant over Fraction.
+* ``exact_fit`` lists every pairing of a small anchored instance that some
+  weight vector fits exactly, the reference for what ``recover`` may
+  decline.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -23,6 +27,7 @@ import numpy as np
 from shuffle_regress import _ratlin
 from shuffle_regress.hardness import ThreePartitionInstance
 from shuffle_regress.lattice import SubsetSumInstance, lll_reduce, subset_sum_basis
+from shuffle_regress.model import AnchoredInstance, Permutation
 from shuffle_regress.rowsample import SamplingMatrix
 
 
@@ -150,3 +155,25 @@ def det(a) -> Fraction:
                 f = m[i][c] * inv
                 m[i] = [vi - f * vr for vi, vr in zip(m[i], m[c])]
     return sign * out
+
+
+def exact_fit(q: AnchoredInstance) -> list:
+    """Every pairing of the ``n + 1`` measurements of ``q`` with its
+    covariates that some ``w`` fits exactly, as ``(Permutation, w)`` pairs.
+
+    The map sends measurement ``i`` (0 the anchor pair, ``1 + i`` the
+    unanchored ones) to covariate ``map[i]`` in the same numbering.  Each of
+    the ``(n + 1)!`` pairings is checked by one exact ``_ratlin.solve`` of
+    all ``n + 1`` equations, so ``n + 1 <= 6``.  Raises
+    ``RankDeficiencyError`` when the covariates lack rank ``d``.
+    """
+    xs = [q.x0, *q.x]
+    ys = [q.y0, *q.y]
+    if len(xs) > 6:
+        raise ValueError("exact_fit enumerates (n + 1)! pairings: n + 1 <= 6")
+    fits = []
+    for pm in itertools.permutations(range(len(xs))):
+        w = _ratlin.solve([xs[j] for j in pm], ys)
+        if w is not None:
+            fits.append((Permutation(pm), tuple(w)))
+    return fits

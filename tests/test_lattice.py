@@ -30,7 +30,7 @@ from shuffle_regress.lattice import (
 from shuffle_regress import _ratlin as rl
 from shuffle_regress import lattice
 
-from reference import _indicator_subset, det, lagarias_odlyzko
+from reference import _indicator_subset, det, exact_fit, lagarias_odlyzko
 
 F = Fraction
 
@@ -436,18 +436,28 @@ class TestFindPermutation:
         assert find_permutation(q) is None
 
     def test_zero_target_and_sources_refused(self, monkeypatch):
-        # x0 = 0 and y0 = 0 pass the power-sum test (w = 1), and every
-        # source y_i <x_j, G^-1 x0> is zero, so the guess is refused before
-        # any lattice is built
+        # at d = 3, x0 = 0 and y0 = 0 leave the first power sum as the one
+        # linear row, so two directions stay free and the guess takes the
+        # lattice path; the second power sum admits it (14 >= 6^2 / 3), the
+        # sources are built, and every source y_i <x_j, G^-1 x0> is zero, so
+        # the guess is refused before any lattice is built
+        sources = []
+        real = lattice.build_sources
+
+        def spy(*args):
+            sources.append(real(*args))
+            return sources[-1]
+
         def built(ssi, beta):
             raise AssertionError("lattice built")
 
+        monkeypatch.setattr(lattice, "build_sources", spy)
         monkeypatch.setattr(lattice, "subset_sum_basis", built)
-        q = AnchoredInstance(
-            x0=(F(0),), y0=F(0), x=((F(1),), (F(2),)), y=(F(1), F(2))
-        )
-        assert lattice._power_sums_admit(q.x0, q.x, q.y, q.y0)
+        x = ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
+        q = AnchoredInstance(x0=(F(0),) * 3, y0=F(0), x=x, y=(F(1), F(2), F(3)))
         assert find_permutation(q) is None
+        (ssi,) = sources
+        assert ssi.target == 0 and not any(ssi.sources.values())
 
     def test_beta_derived_from_margin(self, monkeypatch):
         # beta comes from the exact margin of the instance it embeds.  Every
@@ -455,8 +465,10 @@ class TestFindPermutation:
         # vector that misses the target is longer than the LLL bound
         # 2**((n - 1)^2 / 2) * sqrt(n + 1) on the first reduced vector of the
         # rank-((n - 1)^2 + 1) sublattice.
-        n = 3
-        q, _, _ = self.make_quantized(2, n, 5)
+        # d = 4: the anchor equation and the first power sum leave two free
+        # directions, so the guess reaches the lattice
+        n = 4
+        q, _, _ = self.make_quantized(4, n, 5)
         seen = []
         real = lattice.subset_sum_basis
 
@@ -510,6 +522,19 @@ class TestRecover:
                 wv * xv for wv, xv in zip(res.w, xs[res.perm(i)])
             )
 
+    @pytest.mark.parametrize("d, n", [(2, 60), (3, 30)])
+    def test_power_sums_recover_far_above_the_lattice(self, d, n):
+        # unanchored p = 16, seeds 0-2: the power sums solve every guess at
+        # d <= 3, so n is not walled off where LLL stops (n = 9).  Ties on
+        # the grid can allow several maps, so only the equations and w count
+        for seed in range(3):
+            q, _, w_q = self.run_case(d, n, seed, anchored=False)
+            res = recover(q)
+            assert res is not None and res.w == w_q
+            xs, ys = [q.x0, *q.x], [q.y0, *q.y]
+            for i in range(n + 1):
+                assert ys[i] == sum(wv * xv for wv, xv in zip(res.w, xs[res.perm(i)]))
+
     def test_noisy_returns_none(self):
         # perturb one response off the exact lattice: no anchor can verify
         q, _, _ = self.run_case(2, 3, 7)
@@ -562,7 +587,7 @@ class TestRecover:
         assert calls == []
 
     # guess 0 (y0 paired with x0) leaves the collinear rows (1, 0), (2, 0);
-    # with guess 1 (y0 paired with x_1), w = (1, 1) fits all three equations
+    # with either guess, w = (1, 1) fits all three equations
     ZERO_SOURCE = AnchoredInstance(
         x0=(F(0), F(1)),
         y0=F(1),
@@ -570,12 +595,16 @@ class TestRecover:
         y=(F(1), F(2)),
     )
 
+    # d = 3: guess 0 leaves the rows e1, -e1, e2, -e2, of rank 2 and sum 0,
+    # so only the anchor equation w_3 = 3 binds and two directions stay free
+    RANK_DEFICIENT_GUESS = AnchoredInstance(
+        x0=(F(0), F(0), F(1)),
+        y0=F(3),
+        x=((F(1), F(0), F(0)), (F(-1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(-1), F(0))),
+        y=(F(3), F(1), F(-1), F(-3)),
+    )
+
     def test_rank_deficient_guess_is_a_failed_guess(self, monkeypatch):
-        # guess 0 raises inside find_permutation; guess 1 has full rank, so
-        # recover must go on to it and answer there
-        q = self.ZERO_SOURCE
-        with pytest.raises(RankDeficiencyError):
-            build_sources(q.x0, q.x, q.y, q.y0)
         raised = []
         real = lattice.find_permutation
 
@@ -587,21 +616,34 @@ class TestRecover:
                 raise
 
         monkeypatch.setattr(lattice, "find_permutation", tracked)
-        res = recover(q)
+        # ZERO_SOURCE's guess 0 lacks rank 2, yet the anchor equation and the
+        # first power sum pin w = (1, 1), whose values match the responses:
+        # the guess verifies, and nothing raises
+        q = self.ZERO_SOURCE
+        with pytest.raises(RankDeficiencyError):
+            build_sources(q.x0, q.x, q.y, q.y0)
+        assert recover(q) == lattice.RecoveryResult(
+            perm=Permutation((0, 1, 2)), w=(F(1), F(1))
+        )
+        assert raised == []
+        # guess 0 takes the lattice path and raises there; guess 1 (y0 on
+        # e1) pins w_1 = w_3 = 3, and its quadratic 2 w_2^2 + 18 = 20 gives
+        # w_2 = -1 first, so recover goes on to it and answers there
+        assert recover(self.RANK_DEFICIENT_GUESS) == lattice.RecoveryResult(
+            perm=Permutation((1, 0, 4, 3, 2)), w=(F(3), F(-1), F(3))
+        )
         assert raised == [True]
-        assert res is not None and res.anchor == 1
 
     def test_zero_source_column_guess_recovers(self):
-        # guess 1 has zero-valued sources, and the shorter non-permutation
-        # subset {(1, 1)} also sums to the target; it is not a vector of the
-        # permutation sublattice
-        q = self.ZERO_SOURCE
-        res = recover(q)
-        assert res is not None
-        xs = [q.x0, *q.x]
-        ys = [q.y0, *q.y]
-        for i in range(3):
-            assert ys[i] == sum(w * v for w, v in zip(res.w, xs[res.perm(i)]))
+        # guess 1 (y0 on (1, 0)) has zero-valued sources, and the shorter
+        # non-permutation subset {(1, 1)} also sums to the target; it is not a
+        # vector of the permutation sublattice, so the lattice stage returns
+        # the identity, the one permutation whose subset hits the target
+        ((_, sub),) = [(a, sub) for a, sub in anchor_guesses(self.ZERO_SOURCE) if a == 1]
+        ssi = build_sources(sub.x0, sub.x, sub.y, sub.y0)
+        assert ssi.sources[0, 0] == ssi.sources[1, 0] == 0
+        assert ssi.sources[1, 1] == ssi.target
+        assert _lattice_find_permutation(sub) == Permutation((0, 1))
 
     @pytest.mark.parametrize(
         "x, y0, y, maps, want",
@@ -695,8 +737,11 @@ class TestRecoverHostile:
     @settings(max_examples=500, deadline=None, derandomize=True)
     def test_refusals_in_order_and_answers_exact(self, inst):
         # recover's documented refusals, in its order; every instance has a
-        # fit by construction, so a None is a decline (README "Errors"), and
-        # anything returned satisfies all n + 1 equations exactly
+        # fit by construction, so a None is a decline (README "Errors"):
+        # every pairing that fits then has an anchor guess whose anchor
+        # equation and first power sum leave two or more free directions,
+        # where only the lattice searches.  Anything returned satisfies all
+        # n + 1 equations exactly.
         xs, ys = [inst.x0, *inst.x], [inst.y0, *inst.y]
         if inst.n < inst.d:
             want = ValueError
@@ -712,10 +757,14 @@ class TestRecoverHostile:
             assert type(e) is want
             return
         assert want is None
-        if res is not None:
-            assert res.perm(0) == res.anchor
-            for i in range(inst.n + 1):
-                assert ys[i] == sum(wv * xv for wv, xv in zip(res.w, xs[res.perm(i)]))
+        if res is None:
+            guesses = dict(anchor_guesses(inst))
+            for pi, _ in exact_fit(inst):
+                assert _free_directions(guesses[pi(0)]) >= 2
+            return
+        assert res.perm(0) == res.anchor
+        for i in range(inst.n + 1):
+            assert ys[i] == sum(wv * xv for wv, xv in zip(res.w, xs[res.perm(i)]))
 
 
 def _as_permutation(subset, n):
@@ -747,8 +796,9 @@ def _full_rank_find_permutation(inst):
 class TestFullRankReference:
     def test_recovers_wherever_the_full_rank_search_does(self, monkeypatch):
         # 288 seeded instances, d <= 3, n <= 5, p in {2, 4, 8, 16}, anchored
-        # and unanchored: the sublattice search returns the planted truth on
-        # every one where the full-rank search does
+        # and unanchored: recover returns the planted truth on every one
+        # where the full-rank search does.  Coarse grids repeat covariate
+        # rows, and a response may go to any copy of its planted row
         ref_hits = 0
         lost = []
         for d in (1, 2, 3):
@@ -759,11 +809,15 @@ class TestFullRankReference:
                             w = np.ones(d) / math.sqrt(d)
                             inst, truth = gen_noiseless_anchored(w, n, seed, anchored=anchored)
                             q, w_q = quantize_noiseless(inst, truth, p)
+                            xs = [q.x0, *q.x]
 
                             def planted(res):
                                 return (
                                     res is not None
-                                    and res.perm.map == truth.pi_bar.map
+                                    and all(
+                                        xs[res.perm(i)] == xs[truth.pi_bar(i)]
+                                        for i in range(n + 1)
+                                    )
                                     and res.w == w_q
                                 )
 
@@ -791,21 +845,37 @@ def anchor_guesses(q):
         )
 
 
-def _unpruned_find_permutation(monkeypatch, inst):
-    """find_permutation with the power-sum test admitting every guess."""
-    with monkeypatch.context() as m:
-        m.setattr(lattice, "_power_sums_admit", lambda *args: True)
-        return find_permutation(inst)
+def _lattice_find_permutation(inst):
+    """find_permutation's lattice stage on its own, with no power sums: the
+    sources, the sublattice of their embedding, LLL, and the first reduced
+    column that is a permutation support."""
+    n = inst.n
+    ssi = build_sources(inst.x0, inst.x, inst.y, inst.y0)
+    if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
+        return None
+    basis, keys = subset_sum_basis(ssi, default_beta(n, epsilon_bound(ssi)))
+    for col in lll_reduce(lattice._permutation_sublattice(basis, keys, n)).columns:
+        pi = _as_permutation(_indicator_subset(col, keys), n)
+        if pi is not None:
+            return pi
+    return None
+
+
+def _free_directions(inst):
+    """How many directions of w the anchor equation and the first power sum
+    leave free: d less the rank of the rows x0 and sum_j x_j."""
+    _, pivots = rl._echelon([list(inst.x0), [sum(col) for col in zip(*inst.x)]])
+    return inst.d - len(pivots)
 
 
 class TestPermutationSumPrune:
     def test_prune_is_sound(self, monkeypatch):
         # seeded instances, d <= 4, n <= 7, p in {2, 16}, anchored and
-        # unanchored: find_permutation never refuses the true anchor guess
-        # before building its lattice (by the power-sum test), and on every
-        # guess it refuses that way the unpruned search finds no permutation
-        # either.  A guess that reaches the lattice stops there: only the
-        # refused ones matter.
+        # unanchored: find_permutation never refuses the true anchor guess,
+        # and on every guess that takes the lattice path (two or more free
+        # directions) and is refused before its lattice is built, the lattice
+        # stage alone finds no permutation either.  A guess that reaches the
+        # lattice stops there: only the refused ones matter.
         class Built(Exception):
             pass
 
@@ -834,19 +904,24 @@ class TestPermutationSumPrune:
                                 except Built:
                                     true_kept += a == truth.pi_bar(0)
                                     continue
+                                if pi is not None:  # solved by the power sums
+                                    true_kept += a == truth.pi_bar(0)
+                                    continue
                                 assert a != truth.pi_bar(0)
-                                assert pi is None
-                                assert _unpruned_find_permutation(monkeypatch, sub) is None
-                                pruned += 1
+                                if _free_directions(sub) >= 2:
+                                    assert _lattice_find_permutation(sub) is None
+                                    pruned += 1
         assert instances >= 170
         assert true_kept == instances
-        assert pruned >= 500
+        assert pruned >= 30
 
     def test_lll_call_count(self, monkeypatch):
-        # unanchored p = 16 recoveries, d <= 3, n in {4, 5}: 38 anchor guesses,
-        # of which 23 are refused by the power-sum test before any lattice is
-        # built, so only 3 wrong guesses beside the 12 true ones are reduced
-        # (38 LLL calls without the test).  The counts repeat exactly.
+        # unanchored p = 16 recoveries.  At d = 4, n in {4, 5, 6}: 35 anchor
+        # guesses, each with two free directions, of which 9 are refused by
+        # the second power sum before any lattice is built, so 26 are reduced
+        # (6, 8 and 12 per n).  At d <= 3, n in {4, 5}: 38 guesses, every one
+        # solved or refused by the power sums, and no LLL call.  The counts
+        # repeat exactly.
         def counted(m, name):
             real = getattr(lattice, name)
 
@@ -856,24 +931,61 @@ class TestPermutationSumPrune:
 
             m.setattr(lattice, name, wrapper)
 
+        cells = {
+            "d = 4": ((4, 4), (4, 5), (4, 6)),
+            "d <= 3": ((1, 4), (2, 4), (2, 5), (3, 5)),
+        }
         runs = []
         for _ in range(2):
-            calls = {"find_permutation": 0, "lll_reduce": 0}
-            with monkeypatch.context() as m:
-                counted(m, "find_permutation")
-                counted(m, "lll_reduce")
-                for d, n in ((1, 4), (2, 4), (2, 5), (3, 5)):
-                    for seed in range(3):
-                        w = np.ones(d) / math.sqrt(d)
-                        inst, truth = gen_noiseless_anchored(w, n, seed, anchored=False)
-                        q, w_q = quantize_noiseless(inst, truth, 16)
-                        res = recover(q)
-                        assert res.perm.map == truth.pi_bar.map and res.w == w_q
-            runs.append(calls)
-        assert runs[0] == runs[1] == {"find_permutation": 38, "lll_reduce": 15}
+            counts = {}
+            for label, dns in cells.items():
+                calls = {"find_permutation": 0, "lll_reduce": 0}
+                with monkeypatch.context() as m:
+                    counted(m, "find_permutation")
+                    counted(m, "lll_reduce")
+                    for d, n in dns:
+                        for seed in range(3):
+                            w = np.ones(d) / math.sqrt(d)
+                            inst, truth = gen_noiseless_anchored(w, n, seed, anchored=False)
+                            q, w_q = quantize_noiseless(inst, truth, 16)
+                            res = recover(q)
+                            assert res.perm.map == truth.pi_bar.map and res.w == w_q
+                counts[label] = calls
+            runs.append(counts)
+        assert runs[0] == runs[1] == {
+            "d = 4": {"find_permutation": 35, "lll_reduce": 26},
+            "d <= 3": {"find_permutation": 38, "lll_reduce": 0},
+        }
+
+
+def _admitted(monkeypatch, x0, x, y, y0) -> bool:
+    """Whether find_permutation admits the guess past its power sums: it
+    returns a map, which must then fit the anchor and every response
+    exactly, or it takes the lattice path and builds the sources.  A refused
+    guess returns ``None`` before any source is built."""
+    built = []
+    real = lattice.build_sources
+
+    def spy(*args):
+        built.append(True)
+        return real(*args)
+
+    inst = AnchoredInstance(x0=x0, y0=y0, x=x, y=y)
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "build_sources", spy)
+        pi = find_permutation(inst)
+    if pi is not None:
+        rows = [inst.x0, *(inst.x[pi(i)] for i in range(inst.n))]
+        assert rl.solve(rows, [inst.y0, *inst.y]) is not None
+    return pi is not None or bool(built)
 
 
 class TestPowerSums:
+    # find_permutation's first step: one echelon of the anchor equation and
+    # the first power sum, then the second power sum, solved exactly where
+    # the rows leave at most one free direction and an inequality where more
+    # stay free
+
     @pytest.mark.parametrize(
         "y, want",
         [
@@ -882,8 +994,8 @@ class TestPowerSums:
             ((3, 0), False),  # sum y = 3 as for w = 1, but sum y^2 = 9, not 5
         ],
     )
-    def test_one_dimension_first_moment(self, y, want):
-        assert lattice._power_sums_admit((1,), ((1,), (2,)), y, 1) is want
+    def test_one_dimension_first_moment(self, monkeypatch, y, want):
+        assert _admitted(monkeypatch, (1,), ((1,), (2,)), y, 1) is want
 
     @pytest.mark.parametrize(
         "y, want",
@@ -893,24 +1005,27 @@ class TestPowerSums:
             ((F(3, 2), F(1, 2)), False),  # 5/2, not 2
         ],
     )
-    def test_pinned_point_must_meet_second_moment(self, y, want):
+    def test_pinned_point_must_meet_second_moment(self, monkeypatch, y, want):
         # x0 and s = (1, 1) are independent in d = 2, so they fix w
-        assert lattice._power_sums_admit((1, 0), ((1, 0), (0, 1)), y, 1) is want
+        assert _admitted(monkeypatch, (1, 0), ((1, 0), (0, 1)), y, 1) is want
 
     @pytest.mark.parametrize(
         "y, want",
         [
-            ((1, 2, 3), True),  # w = (1, 2, 3): sum y^2 = 14
-            ((0, 0, 6), True),  # 36 is above the least value 1 + 25/2
-            ((1, F(5, 2), F(5, 2)), True),  # 13.5 is the least value itself
-            ((2, 2, 2), False),  # 12 is below it
+            ((1, 2, 3), True),  # w = (1, 3, 2) and (1, 2, 3): sum y^2 = 14
+            # 36 is above the least value 1 + 25/2, but the roots
+            # w_2, w_3 = (5 -+ sqrt 45) / 2 are irrational: no w is rational
+            ((0, 0, 6), False),
+            ((1, F(5, 2), F(5, 2)), True),  # 13.5 is the least value: one root
+            ((2, 2, 2), False),  # 12 is below it: no real root
         ],
     )
-    def test_free_direction_makes_an_inequality(self, y, want):
+    def test_free_direction_makes_an_inequality(self, monkeypatch, y, want):
         # d = 3 with two rows: w_1 = 1 and w_1 + w_2 + w_3 = 6 leave a line,
-        # on which |w|^2 takes every value from 1 + 25/2 up
+        # on which |w|^2 takes every value from 1 + 25/2 up, each value above
+        # the least at two points
         x = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        assert lattice._power_sums_admit((1, 0, 0), x, y, 1) is want
+        assert _admitted(monkeypatch, (1, 0, 0), x, y, 1) is want
 
     @pytest.mark.parametrize(
         "x0, x, y, y0, want",
@@ -924,42 +1039,59 @@ class TestPowerSums:
             ((1, 1), ((1, 0), (0, 1), (0, 0)), (1, 2, 0), 3, True),  # 5 >= 9 / 2
         ],
     )
-    def test_anchor_parallel_to_column_sum(self, x0, x, y, y0, want):
-        # one independent row in d = 2, so the second moment is an inequality
-        assert lattice._power_sums_admit(x0, x, y, y0) is want
+    def test_anchor_parallel_to_column_sum(self, monkeypatch, x0, x, y, y0, want):
+        # one independent row in d = 2 leaves a line, on which the second
+        # moment has a root only at or above its least value
+        assert _admitted(monkeypatch, x0, x, y, y0) is want
 
     @pytest.mark.parametrize(
         "x, y, y0, want",
         [
             (((1, 0), (0, 1)), (1, 2), 1, False),  # <w, 0> cannot be 1
             (((1, 0), (0, 1)), (1, 2), 0, True),
-            (((1,), (-1,)), (2, -2), 0, True),  # x0 = s = 0
+            (((1,), (-1,)), (2, -2), 0, True),  # x0 = s = 0: w^2 = 4
             (((1,), (-1,)), (2, -2), 1, False),
             (((1,), (-1,)), (2, -1), 0, False),  # sum y must be <w, s> = 0
         ],
     )
-    def test_zero_anchor(self, x, y, y0, want):
-        assert lattice._power_sums_admit((0,) * len(x[0]), x, y, y0) is want
+    def test_zero_anchor(self, monkeypatch, x, y, y0, want):
+        assert _admitted(monkeypatch, (0,) * len(x[0]), x, y, y0) is want
+
+    @pytest.mark.parametrize(
+        "y, want",
+        [
+            ((1, 1, 2, 0), True),  # 6 is above the least value 4^2 / 3
+            ((2, 1, 1, 0), True),
+            ((1, 1, 1, 1), False),  # 4 is below it
+            ((F(4, 3), F(4, 3), F(4, 3), 0), True),  # 16/3 is the least value
+        ],
+    )
+    def test_two_free_directions_make_an_inequality(self, monkeypatch, y, want):
+        # d = 3, x0 = 0 and y0 = 0: the first power sum w_1 + w_2 + w_3 = 4
+        # is the one linear row and leaves a plane, on which |w|^2 takes
+        # every value from 16/3 up; an admitted guess goes on to the lattice
+        x = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
+        assert _admitted(monkeypatch, (0, 0, 0), x, y, 0) is want
 
     def test_recover_unchanged_without_the_test(self, monkeypatch):
-        # seeded cells, d <= 3, n <= 5, p in {2, 16}, anchored and unanchored:
-        # recover gives the same result when every guess is admitted, since a
-        # guess that verifies has a w meeting both power sums
+        # seeded cells at d = 4, where every guess leaves two or more free
+        # directions, n in {4, 5}, p in {2, 16}, anchored and unanchored:
+        # recover gives the same result when every guess goes straight to
+        # the lattice stage, since a guess that verifies has a w meeting
+        # both power sums
         results = []
-        for d in (1, 2, 3):
-            for n in range(d, 6):
-                for p in (2, 16):
-                    for anchored in (True, False):
-                        for seed in range(2):
-                            w = np.ones(d) / math.sqrt(d)
-                            inst, truth = gen_noiseless_anchored(w, n, seed, anchored=anchored)
-                            q, _ = quantize_noiseless(inst, truth, p)
-                            if not any(q.y):
-                                continue
-                            with monkeypatch.context() as m:
-                                m.setattr(lattice, "_power_sums_admit", lambda *args: True)
-                                without = recover(q)
-                            results.append(recover(q))
-                            assert results[-1] == without
-        assert len(results) >= 90
-        assert sum(r is not None for r in results) >= 90
+        for n in (4, 5):
+            for p in (2, 16):
+                for anchored in (True, False):
+                    for seed in range(2):
+                        inst, truth = gen_noiseless_anchored(np.ones(4) / 2, n, seed, anchored=anchored)
+                        q, _ = quantize_noiseless(inst, truth, p)
+                        if not any(q.y):
+                            continue
+                        with monkeypatch.context() as m:
+                            m.setattr(lattice, "find_permutation", _lattice_find_permutation)
+                            without = recover(q)
+                        results.append(recover(q))
+                        assert results[-1] == without
+        assert len(results) == 16
+        assert all(r is not None for r in results)

@@ -43,6 +43,11 @@ class TestPermutation:
 
 
 class TestInstanceValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_ground_truth_weights_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="w_bar must be finite"):
+            GroundTruth(w_bar=[bad, 1.0], pi_bar=Permutation((0, 1)), sigma=0.0)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             Instance(x=np.zeros((3, 2)), y=np.zeros(4))
@@ -306,6 +311,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not exactly representable as a double"):
             write_instance(f, AnchoredInstance(**kwargs))
         assert not f.exists()
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        # a non-finite weight slipped past GroundTruth's own check: json
+        # refuses it, and the file is neither created nor truncated
+        inst, truth = gen_gaussian_noisy(np.array([1.0, -2.0]), 3, 0.2, 8)
+        object.__setattr__(truth, "w_bar", np.array([math.nan, 1.0]))
+        fresh = tmp_path / "fresh.json"
+        with pytest.raises(ValueError):
+            write_instance(fresh, inst, truth=truth)
+        assert not fresh.exists()
+        kept = tmp_path / "kept.json"
+        kept.write_text("old\n")
+        with pytest.raises(ValueError):
+            write_instance(kept, inst, truth=truth)
+        assert kept.read_text() == "old\n"
 
     def test_y_length_mismatch_schema_error(self, tmp_path):
         f = tmp_path / "bad.json"

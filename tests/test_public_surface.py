@@ -237,10 +237,11 @@ def test_traced_functions_resolve():
 
 def test_every_lattice_span_fires(tmp_path, capsys):
     # a rename is caught above; this catches a traced function that keeps
-    # its name but is no longer called on the lattice path
+    # its name but is no longer called on the lattice path.  At d = 4 the
+    # power sums leave two free directions, so the guesses reach LLL
     inst = tmp_path / "inst.json"
     assert cli.main([
-        "gen", "--model", "noiseless", "--unanchored", "--n", "5", "--d", "2", "--p", "16",
+        "gen", "--model", "noiseless", "--unanchored", "--n", "5", "--d", "4", "--p", "16",
         "--seed", "3", "-o", str(inst),
     ]) == 0
     tracing = _load_tracing()
