@@ -11,15 +11,19 @@ scanned with the exact one-dimensional matcher.
 Cost model: with ``k`` the covariate rank, the candidate family holds the
 ``n!/(n-m)!`` injective assignments of responses to the ``m <= 4k`` distinct
 sampled rows (the planted correspondence is a bijection, so it gives distinct
-rows distinct responses) and every grid has ``O((sqrt(k)/eps)**k)`` points, so
-the overall work is ``(n/eps)**O(k)``.  Candidates are generated from their
-rank in batches of a fixed size (``_CHUNK``), so the first pass keeps one
-float per candidate plus buffers of that size.  The second pass does not
-visit every grid point: it scans boxes of grid points coarse to fine and
-drops a box once the 1-Lipschitz bound on ``sqrt(cost)`` shows that none of
-its points can beat the incumbent, which only evaluated grid points become.
-It returns the minimum over the grids, ties going to the smallest (candidate
-rank, row-major grid index).  A budget cap (default 50 million) on the
+rows distinct responses) and every grid has ``O((c sqrt(k/eps))**k)`` points,
+so the overall work is ``(n/eps)**O(k)``.  The constant ``c`` is the one of
+the sample in hand, ``c_post = 1 + ||pinv(S u) S (I - u u^T)||_2**2``, capped
+by the worst case ``1 + 4 (1 + sqrt(n / 4k))**2`` of the barrier sample.  On
+the benchmark's fptas-large instances ``c_post`` is 2.6-11 where the worst
+case is 14-24, and the grids are smaller by about the ratio to the ``k``-th
+power.  Candidates are generated from their rank in batches of a fixed size
+(``_CHUNK``), so the first pass keeps one float per candidate plus buffers of
+that size.  The second pass does not visit every grid point: it scans boxes
+of grid points coarse to fine and drops a box once the 1-Lipschitz bound on
+``sqrt(cost)`` shows that none of its points can beat the incumbent, which
+only evaluated grid points become.  It returns the minimum over the grids,
+ties going to the smallest (candidate rank, row-major grid index).  A budget cap (default 50 million) on the
 candidates and on the unpruned grid points turns runaway instances into a
 hard error instead of an open-ended computation.
 """
@@ -128,6 +132,33 @@ def _assignments(ranks, n: int, m: int) -> np.ndarray:
         tail = out[:, j + 1 :]
         tail += tail >= out[:, j : j + 1]
     return out
+
+
+def _center_map(u: np.ndarray, samp: SamplingMatrix) -> np.ndarray:
+    """The ``(m, k)`` map ``gmap`` from the responses a candidate gives the
+    ``m`` sampled columns, in ascending order, to its center
+    ``w_center(b) = P b``, ``P = pinv(S u) S``: ``w_center(b) = vals @ gmap``.
+
+    The rows of ``gmap`` are the nonzero columns of ``P``, so ``||gmap||_2 =
+    ||P||_2``.  As ``S u`` has rank ``k``, ``P u = I``, hence
+    ``P P^T = I + Q Q^T`` with ``Q = P (I - u u^T)`` and ``||gmap||_2**2 =
+    1 + ||Q||_2**2``: the constant ``c_post`` of this sample.  For an optimum
+    ``w*`` with residual ``r*`` (orthogonal to the columns of ``u``), the
+    center of the candidate that the optimal permutation induces is
+    ``w* + Q r*``.  It costs at most ``c_post * ||r*||^2`` and lies within
+    ``sqrt((c_post - 1) * ||r*||^2)`` of ``w*``, the coreset argument of
+    Boutsidis, Drineas and Magdon-Ismail (2013), whose bounds on the barrier
+    sample's singular values give the worst case :func:`approx_factor` of
+    ``c_post``.
+    """
+    cols = sampled_columns(samp)
+    su = np.array([wt * u[col] for col, wt in samp.rows])
+    pin = np.linalg.pinv(su)
+    gmap = np.zeros((len(cols), u.shape[1]))
+    pos = {col: idx for idx, col in enumerate(cols)}
+    for row_idx, (col, wt) in enumerate(samp.rows):
+        gmap[pos[col]] += wt * pin[:, row_idx]
+    return gmap
 
 
 def approx_factor(n: int, k: int) -> float:
@@ -306,9 +337,13 @@ def fptas_solve(
 
     The candidate family has ``n!/(n-m)!`` members for ``m`` distinct sampled
     rows.  The first pass keeps one float per candidate plus buffers of 8192
-    candidates.  The second pass is a coarse-to-fine box scan of the grids
-    (see :func:`_scan_nets`) that evaluates ``8192 >> k`` grid points at a
-    time and skips the boxes that cannot hold a cheaper point.
+    candidates.  The grids' spacing, their reach and the threshold above
+    which a candidate's grid is skipped all follow the approximation
+    constant ``c_post`` of the drawn sample (see :func:`_center_map`), capped
+    by the worst case :func:`approx_factor`.  The second pass is a
+    coarse-to-fine box scan of the grids (see :func:`_scan_nets`) that
+    evaluates ``8192 >> k`` grid points at a time and skips the boxes that
+    cannot hold a cheaper point.
 
     Raises :class:`BudgetExceededError` if the candidate family, or the grids
     before any box is skipped, hold more than ``budget`` candidate weight
@@ -331,10 +366,8 @@ def fptas_solve(
         return Solution(w=np.zeros(inst.d), perm=m0.perm, cost=m0.cost)
 
     u = red.u
-    samp = row_sample(u)
-    c = approx_factor(n, k)
-    cols = sampled_columns(samp)
-    m = len(cols)
+    gmap = _center_map(u, row_sample(u))
+    m = gmap.shape[0]
     y_sorted = np.sort(y)
 
     n_cand = math.perm(n, m)
@@ -343,14 +376,12 @@ def fptas_solve(
             "candidate family has %d members, budget is %d" % (n_cand, budget)
         )
 
-    # Center of candidate b depends linearly on the m chosen response values:
-    # w_center(b) = pinv(S u) (S b) = vals @ gmap with gmap (m, k).
-    su = np.array([wt * u[col] for col, wt in samp.rows])
-    pin = np.linalg.pinv(su)
-    gmap = np.zeros((m, k))
-    pos = {col: idx for idx, col in enumerate(cols)}
-    for row_idx, (col, wt) in enumerate(samp.rows):
-        gmap[pos[col]] += wt * pin[:, row_idx]
+    # c is the constant of this sample, c_post = ||gmap||^2 (see _center_map),
+    # capped by the worst case.  The slack covers float64 rounding: the lower
+    # barrier keeps S u of full rank and well conditioned, so pinv and the
+    # 2-norm's SVD are accurate to about 1e-15 relative, and 1e-9, the slack
+    # keep_thr and reach allow as well, covers that many times over.
+    c = min(approx_factor(n, k), float(np.linalg.norm(gmap, 2)) ** 2 * (1.0 + 1e-9))
 
     def centers(ranks) -> np.ndarray:
         return _rows_matmul(y[_assignments(ranks, n, m)], gmap)
@@ -365,8 +396,9 @@ def fptas_solve(
     r_min = float(r_all.min())
 
     # A candidate whose center cost exceeds c * min_b r_b cannot be the
-    # certificate: the certificate's own center cost is at most c * optimum
-    # <= c * r_min.  Skipping those grids keeps the (1+eps) guarantee intact.
+    # certificate, the candidate that the optimal permutation induces: its
+    # center costs at most c_post * optimum <= c * r_min.  Skipping those
+    # grids keeps the (1+eps) guarantee intact.
     # Survivors are scanned in ascending r_b (ties by rank), so the first is
     # the cheapest center, the one of smallest rank among equals.
     keep_thr = c * r_min * (1.0 + 1e-9) + 1e-300
@@ -374,8 +406,10 @@ def fptas_solve(
     survivors = survivors[np.argsort(r_all[survivors], kind="stable")]
     surv_r = r_all[survivors]
 
-    # Likewise the optimum lies within sqrt((c-1) * optimum) of the certificate
-    # center, so grids only need radius sqrt((c-1) * r_min), not sqrt(c * r_b).
+    # Likewise the optimum lies within sqrt((c_post - 1) * optimum) of the
+    # certificate's center, so grids only need radius sqrt((c - 1) * r_min),
+    # not sqrt(c * r_b); with n = k every row is sampled, c_post is 1 and the
+    # reach shrinks to the rounding slack.
     reach = math.sqrt((c - 1.0) * r_min) * (1.0 + 1e-9)
     surv_sp, halves = _net_steps(surv_r, reach, eps, c, k)
     total_evals = int(((2 * halves + 1) ** k).sum())

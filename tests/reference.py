@@ -14,10 +14,13 @@ the package to; nothing in ``shuffle_regress`` imports it.
 * ``exact_fit`` lists every pairing of a small anchored instance that some
   weight vector fits exactly, the reference for what ``recover`` may
   decline.
+* ``exact_opt`` is the least cost of an instance of rank at most 3, the
+  reference that grades ``fptas_solve`` where ``brute_force`` cannot run.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -25,6 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from shuffle_regress import _ratlin
+from shuffle_regress.approx import orthonormalize
 from shuffle_regress.hardness import ThreePartitionInstance
 from shuffle_regress.lattice import SubsetSumInstance, lll_reduce, subset_sum_basis
 from shuffle_regress.model import AnchoredInstance, Permutation
@@ -177,3 +181,92 @@ def exact_fit(q: AnchoredInstance) -> list:
         if w is not None:
             fits.append((Permutation(pm), tuple(w)))
     return fits
+
+
+# Vectors shorter than this count as zero and keys closer than this as tied;
+# the rows of an orthonormal basis have norm <= 1 and the directions are unit
+# vectors, so the scale is fixed.
+_TIE = 1e-9
+
+
+def _unit(a: np.ndarray) -> np.ndarray:
+    """The rows of ``a`` longer than ``_TIE``, scaled to unit length."""
+    norms = np.linalg.norm(a, axis=1)
+    return a[norms > _TIE] / norms[norms > _TIE, None]
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The entries of ``a`` along its first axis without repeats."""
+    rows = np.round(a, 12).reshape(len(a), math.prod(a.shape[1:]))
+    _, first = np.unique(rows, axis=0, return_index=True)
+    return a[np.sort(first)]
+
+
+def _tie_classes(keys: np.ndarray) -> np.ndarray:
+    """Per row of ``keys``, the rank of each entry's class of values that are
+    within ``_TIE`` of their neighbours in sorted order."""
+    order = np.argsort(keys, axis=1, kind="stable")
+    gaps = np.diff(np.take_along_axis(keys, order, axis=1), axis=1) > _TIE
+    ranks = np.zeros(keys.shape, dtype=np.intp)
+    ranks[:, 1:] = np.cumsum(gaps, axis=1)
+    out = np.empty_like(ranks)
+    np.put_along_axis(out, order, ranks, axis=1)
+    return out
+
+
+def exact_opt(x, y) -> float:
+    """``min_{w, pi} sum_i (dot(w, x[pi(i)]) - y_i)^2`` for ``x`` of rank
+    ``k <= 3``, in ``O(n^4)`` sorted matchings.
+
+    With ``u`` an orthonormal basis of the columns of ``x``, the best weights
+    for a fixed ``pi`` leave the residual of projecting ``y_pi`` on ``u``, so
+    ``OPT = ||y||^2 - max_pi ||u^T y_pi||^2``.  An optimal ``pi`` sorts
+    ``u w*`` against ``y``, and the sorted order is constant on each cell of
+    the central arrangement of the hyperplanes ``(u_i - u_j) . w = 0``, so the
+    maximum runs over one sorted matching per cell.  The rows of ``u`` are
+    padded to ``R^3``.  A flag ``(v, t, s)`` of orthonormal directions reaches
+    the cell of ``v + d t + d^2 s`` for small ``d > 0``, which sorts the rows
+    by the key ``(u.v, u.t, u.s)``.  Every cell's closure holds a vertex ``v``:
+    a line on two independent hyperplanes, or, when no two are independent,
+    some ``+-e_m``.  Near ``v`` the cell is a sector of the hyperplanes
+    through ``v``, bounded by a ray ``t = +-v x a`` on one of them (any ``t``
+    perpendicular to ``v`` when none passes through it), and ``s = +-v x t``
+    picks its side.  So the flags at every candidate vertex reach every cell.
+    Keys within ``_TIE`` count as tied, so exact ties, such as those of
+    integer data, are resolved by the next key.  Each cost is the projection
+    residual itself, not the difference above, which would cancel.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    u = orthonormalize(x).u
+    n, k = u.shape
+    if k > 3:
+        raise ValueError("exact_opt enumerates an arrangement in R^k: k <= 3, got %d" % k)
+    z = np.zeros((n, 3))
+    z[:, :k] = u
+    i, j = np.triu_indices(n, 1)
+    normals = _distinct(_unit(z[i] - z[j]))
+    eye = np.eye(3)
+    verts = np.cross(normals[:, None], normals[None]).reshape(-1, 3)
+    verts = _distinct(_unit(np.vstack([verts, -verts, eye, -eye])))
+    # t: v x a for each hyperplane a through v, or v x e_m where none passes
+    through = np.abs(verts @ normals.T) <= _TIE
+    vi, ai = np.nonzero(through)
+    lone = np.flatnonzero(~through.any(axis=1))
+    vi = np.concatenate([vi, np.repeat(lone, 3)])
+    ts = np.cross(verts[vi], np.vstack([normals[ai], np.tile(eye, (lone.size, 1))]))
+    keep = np.linalg.norm(ts, axis=1) > _TIE
+    vt = np.stack([verts[vi][keep], _unit(ts)], axis=1)
+    vt = _distinct(np.concatenate([vt, vt * [[1.0], [-1.0]]]))
+    s = np.cross(vt[:, 0], vt[:, 1])[:, None]
+    flags = np.concatenate([np.concatenate([vt, s], axis=1), np.concatenate([vt, -s], axis=1)])
+    y_sorted = np.sort(y)
+    best = math.inf
+    for lo in range(0, flags.shape[0], 4096):
+        keys = flags[lo : lo + 4096] @ z.T  # (F, 3 keys, n rows)
+        order = np.lexsort((keys[:, 2], _tie_classes(keys[:, 1]), _tie_classes(keys[:, 0])), axis=-1)
+        y_pi = np.empty(order.shape)
+        np.put_along_axis(y_pi, order, y_sorted[None, :], axis=1)
+        resid = y_pi - (y_pi @ u) @ u.T
+        best = min(best, float(np.einsum("ij,ij->i", resid, resid).min()))
+    return best
