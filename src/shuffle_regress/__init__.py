@@ -1,7 +1,7 @@
 """Linear regression with an unknown row correspondence.
 
 Solvers for the joint least-squares problem over weights and a permutation of
-the responses: a (1+eps)-approximation scheme, exhaustive oracles, and an
+the responses: a (1+eps)-approximation scheme, an exhaustive oracle, and an
 exact-recovery pipeline for noiseless instances on a dyadic grid, plus
 instance generators, a 3-partition hardness reduction and a Monte-Carlo
 sweep harness.  See the ``shuffle-regress`` command line tool for the file
@@ -17,13 +17,7 @@ from .errors import (
     RankDeficiencyError,
     SchemaError,
 )
-from .hardness import (
-    PlsInstance,
-    ThreePartitionInstance,
-    check_3partition_brute,
-    pls_feasible_brute,
-    reduce_3partition,
-)
+from .hardness import PlsInstance, ThreePartitionInstance, reduce_3partition
 from .lattice import LatticeBasis, RecoveryResult, lll_reduce, recover
 from .model import (
     AnchoredInstance,
@@ -35,8 +29,8 @@ from .model import (
     gen_uniform_noisy,
     quantize_noiseless,
 )
-from .oracle import brute_force, perm_match_brute, subset_sum_brute
-from .perm1d import MatchResult, sort_match, wasserstein2_sq
+from .oracle import brute_force
+from .perm1d import MatchResult, sort_match
 from .rowsample import SamplingMatrix, row_sample
 
 __version__ = "0.1.0"
@@ -63,19 +57,14 @@ __all__ = [
     "Solution",
     "ThreePartitionInstance",
     "brute_force",
-    "check_3partition_brute",
     "fptas_solve",
     "gen_gaussian_noisy",
     "gen_noiseless_anchored",
     "gen_uniform_noisy",
     "lll_reduce",
-    "perm_match_brute",
-    "pls_feasible_brute",
     "quantize_noiseless",
     "recover",
     "reduce_3partition",
     "row_sample",
     "sort_match",
-    "subset_sum_brute",
-    "wasserstein2_sq",
 ]

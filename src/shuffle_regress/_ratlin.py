@@ -6,7 +6,7 @@ and ``lattice.find_permutation`` (their Gram systems, on the lattice path) and
 equations, solved for ``w`` or refused as inconsistent); ``find_permutation``
 also reads ``_echelon`` for the two linear power-sum rows and ``matvec`` for
 the values ``<w, x_j>``, and ``left_nullspace_int`` serves ``lattice.recover``
-(its rank test) and ``hardness.pls_feasible_brute``.
+(its rank test).
 Matrices are lists of row lists.  ``solve`` and ``left_nullspace_int`` both
 read the one echelon form ``_echelon``; ``solve`` serves full-column-rank
 systems only and refuses dependent columns rather than pick one of many

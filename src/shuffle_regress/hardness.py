@@ -3,27 +3,15 @@
 The reduction maps a 3-partition instance (3k positive integers, each strictly
 between a quarter and half of the per-triple target C = sum / k) to the
 question of whether some row shuffle of the response vector makes an integer
-linear system exactly solvable.  Feasibility transfers in both directions,
-which is what the exhaustive checkers below are for.
+linear system exactly solvable.  Feasibility transfers in both directions;
+``reduce`` writes the system as an instance file, whose brute-force cost is
+zero exactly when the 3-partition instance is a yes-instance.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from . import _ratlin
-from .errors import CapExceededError
-
-__all__ = [
-    "ThreePartitionInstance",
-    "PlsInstance",
-    "reduce_3partition",
-    "check_3partition_brute",
-    "pls_feasible_brute",
-]
-
-THREE_PARTITION_CAP = 4  # largest k check_3partition_brute accepts
-PLS_CAP = 8  # largest n pls_feasible_brute accepts
+__all__ = ["ThreePartitionInstance", "PlsInstance", "reduce_3partition"]
 
 
 @dataclass(frozen=True)
@@ -93,46 +81,4 @@ def reduce_3partition(tp: ThreePartitionInstance) -> PlsInstance:
     for j in range(k):
         rows.append(tuple(int(3 * j <= i < 3 * j + 3) for i in range(d)))
     return PlsInstance(a=tuple(rows), b=tuple(tp.z) + (tp.c,) * k)
-
-
-def check_3partition_brute(tp: ThreePartitionInstance) -> bool:
-    """Exhaustively decide 3-partition.  Refuses ``k > THREE_PARTITION_CAP`` (4)."""
-    if tp.k > THREE_PARTITION_CAP:
-        raise CapExceededError("check_3partition_brute capped at k <= %d, got k = %d" % (THREE_PARTITION_CAP, tp.k))
-
-    c = tp.c
-
-    def split(avail: tuple[int, ...]) -> bool:
-        if not avail:
-            return True
-        first = avail[0]
-        rest = avail[1:]
-        for i, j in itertools.combinations(range(len(rest)), 2):
-            if tp.z[first] + tp.z[rest[i]] + tp.z[rest[j]] == c:
-                left = tuple(v for idx, v in enumerate(rest) if idx not in (i, j))
-                if split(left):
-                    return True
-        return False
-
-    return split(tuple(range(3 * tp.k)))
-
-
-def pls_feasible_brute(pls: PlsInstance) -> bool:
-    """Exhaustively decide permuted-system feasibility, exactly.
-
-    True iff some permutation ``pi`` makes ``a x = (b[pi(0)], ..., b[pi(n-1)])``
-    consistent; equivalently the exact rational least-squares residual is zero.
-    Decided via an integer basis of the left null space of ``a``, so no
-    tolerance enters.  Refuses ``n > PLS_CAP`` (8).
-    """
-    n = pls.n
-    if n > PLS_CAP:
-        raise CapExceededError("pls_feasible_brute capped at n <= %d, got n = %d" % (PLS_CAP, n))
-    null_rows = _ratlin.left_nullspace_int([list(r) for r in pls.a])
-    if not null_rows:
-        return True
-    for perm in itertools.permutations(range(n)):
-        if all(sum(nr[i] * pls.b[perm[i]] for i in range(n)) == 0 for nr in null_rows):
-            return True
-    return False
 

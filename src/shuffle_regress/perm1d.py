@@ -13,25 +13,13 @@ import numpy as np
 
 from .model import Permutation
 
-__all__ = ["MatchResult", "sort_match", "wasserstein2_sq"]
+__all__ = ["MatchResult", "sort_match"]
 
 
 @dataclass(frozen=True)
 class MatchResult:
     perm: Permutation
     cost: float
-
-
-def _check_pair(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError("a and b must be 1-d vectors of equal length")
-    if a.size == 0:
-        raise ValueError("empty vectors")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("non-finite entries")
-    return a, b
 
 
 def sort_match(a, b) -> MatchResult:
@@ -42,7 +30,14 @@ def sort_match(a, b) -> MatchResult:
     returned permutation pairs the i-th smallest entry of ``a`` with the i-th
     smallest entry of ``b``.
     """
-    a, b = _check_pair(a, b)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("a and b must be 1-d vectors of equal length")
+    if a.size == 0:
+        raise ValueError("empty vectors")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("non-finite entries")
     sa = np.argsort(a, kind="stable")
     sb = np.argsort(b, kind="stable")
     diff = a[sa] - b[sb]
@@ -50,9 +45,3 @@ def sort_match(a, b) -> MatchResult:
     pi[sb] = sa
     return MatchResult(perm=Permutation(tuple(int(v) for v in pi)), cost=float(diff @ diff))
 
-
-def wasserstein2_sq(a, b) -> float:
-    """Squared 2-Wasserstein distance between empirical measures of ``a``, ``b``."""
-    a, b = _check_pair(a, b)
-    diff = np.sort(a) - np.sort(b)
-    return float(diff @ diff) / a.size

@@ -16,6 +16,14 @@ the package to; nothing in ``shuffle_regress`` imports it.
   decline.
 * ``exact_opt`` is the least cost of an instance of rank at most 3, the
   reference that grades ``fptas_solve`` where ``brute_force`` cannot run.
+* ``perm_match_brute`` and ``subset_sum_brute`` are exhaustive searches, the
+  references for ``sort_match`` and the lattice's subset-sum stage.
+* ``check_3partition_brute`` and ``pls_feasible_brute`` decide both ends of
+  ``reduce_3partition`` exhaustively, so the tests can confirm that the
+  reduction preserves answers.
+
+The exhaustive searches refuse inputs beyond a hard cap with
+``CapExceededError`` instead of silently grinding.
 """
 from __future__ import annotations
 
@@ -23,15 +31,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from shuffle_regress import _ratlin
 from shuffle_regress.approx import orthonormalize
-from shuffle_regress.hardness import ThreePartitionInstance
+from shuffle_regress.errors import CapExceededError
+from shuffle_regress.hardness import PlsInstance, ThreePartitionInstance
 from shuffle_regress.lattice import SubsetSumInstance, lll_reduce, subset_sum_basis
 from shuffle_regress.model import AnchoredInstance, Permutation
+from shuffle_regress.perm1d import MatchResult
 from shuffle_regress.rowsample import SamplingMatrix
 
 
@@ -270,3 +280,104 @@ def exact_opt(x, y) -> float:
         resid = y_pi - (y_pi @ u) @ u.T
         best = min(best, float(np.einsum("ij,ij->i", resid, resid).min()))
     return best
+
+
+def perm_match_brute(a, b) -> MatchResult:
+    """Exact minimizer of ``sum_i (a[pi(i)] - b_i)^2`` by full enumeration.
+
+    Ties break toward the lexicographically smallest permutation map, as in
+    ``brute_force``.  Refuses ``n > 8``.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("a and b must be 1-d vectors of equal length")
+    n = a.shape[0]
+    if n > 8:
+        raise CapExceededError("perm_match_brute capped at n <= 8, got n = %d" % n)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    diff = a[perms] - b
+    costs = np.einsum("ij,ij->i", diff, diff)
+    best = int(costs.argmin())
+    return MatchResult(perm=Permutation(tuple(int(v) for v in perms[best])), cost=float(costs[best]))
+
+
+def subset_sum_brute(
+    values: Sequence[Union[int, Fraction]],
+    target: Union[int, Fraction],
+) -> Optional[tuple[int, ...]]:
+    """First subset of ``values`` (by ascending bitmask) summing exactly to ``target``.
+
+    Arithmetic is exact rational; the empty subset is admissible iff the target
+    is zero.  Returns index tuples sorted ascending, or ``None``.  Refuses more
+    than 24 values.
+    """
+    vals = [Fraction(v) for v in values]
+    target = Fraction(target)
+    m = len(vals)
+    if m > 24:
+        raise CapExceededError("subset_sum_brute capped at 24 values, got %d" % m)
+    total = 1 << m
+    acc = Fraction(0)
+    mask = 0
+    while True:
+        if acc == target:
+            return tuple(i for i in range(m) if mask >> i & 1)
+        nxt = mask + 1
+        if nxt == total:
+            return None
+        # incremental update: clear trailing ones, set the carry bit
+        changed = mask ^ nxt
+        carry = nxt & ~mask
+        bit = 0
+        while changed:
+            if changed & 1:
+                if (carry >> bit) & 1:
+                    acc += vals[bit]
+                else:
+                    acc -= vals[bit]
+            changed >>= 1
+            bit += 1
+        mask = nxt
+
+
+def check_3partition_brute(tp: ThreePartitionInstance) -> bool:
+    """Exhaustively decide 3-partition.  Refuses ``k > 4``."""
+    if tp.k > 4:
+        raise CapExceededError("check_3partition_brute capped at k <= 4, got k = %d" % tp.k)
+
+    c = tp.c
+
+    def split(avail: tuple[int, ...]) -> bool:
+        if not avail:
+            return True
+        first = avail[0]
+        rest = avail[1:]
+        for i, j in itertools.combinations(range(len(rest)), 2):
+            if tp.z[first] + tp.z[rest[i]] + tp.z[rest[j]] == c:
+                left = tuple(v for idx, v in enumerate(rest) if idx not in (i, j))
+                if split(left):
+                    return True
+        return False
+
+    return split(tuple(range(3 * tp.k)))
+
+
+def pls_feasible_brute(pls: PlsInstance) -> bool:
+    """Exhaustively decide permuted-system feasibility, exactly.
+
+    True iff some permutation ``pi`` makes ``a x = (b[pi(0)], ..., b[pi(n-1)])``
+    consistent; equivalently the exact rational least-squares residual is zero.
+    Decided via an integer basis of the left null space of ``a``, so no
+    tolerance enters.  Refuses ``n > 8``.
+    """
+    n = pls.n
+    if n > 8:
+        raise CapExceededError("pls_feasible_brute capped at n <= 8, got n = %d" % n)
+    null_rows = _ratlin.left_nullspace_int([list(r) for r in pls.a])
+    if not null_rows:
+        return True
+    for perm in itertools.permutations(range(n)):
+        if all(sum(nr[i] * pls.b[perm[i]] for i in range(n)) == 0 for nr in null_rows):
+            return True
+    return False

@@ -13,20 +13,16 @@ import pytest
 from shuffle_regress import (
     ThreePartitionInstance,
     brute_force,
-    check_3partition_brute,
     fptas_solve,
     gen_gaussian_noisy,
     gen_noiseless_anchored,
     gen_uniform_noisy,
     lll_reduce,
-    perm_match_brute,
-    pls_feasible_brute,
     quantize_noiseless,
     recover,
     reduce_3partition,
     row_sample,
     sort_match,
-    subset_sum_brute,
     LatticeBasis,
 )
 from shuffle_regress.approx import approx_factor
@@ -41,7 +37,17 @@ from shuffle_regress.model import random_unit_vector
 from shuffle_regress.oracle import ols_given_perm
 from shuffle_regress.cli import order_stats_report, w2_report
 
-from reference import dense, det, gen_yes_instance, lagarias_odlyzko, solve_weighted_ls
+from reference import (
+    check_3partition_brute,
+    dense,
+    det,
+    gen_yes_instance,
+    lagarias_odlyzko,
+    perm_match_brute,
+    pls_feasible_brute,
+    solve_weighted_ls,
+    subset_sum_brute,
+)
 
 F = Fraction
 

@@ -725,6 +725,23 @@ class TestReduce:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "z, bad",
+        [
+            # a no-instance; rounded to doubles it would be (2^60,) * 6, a yes
+            ((2**60,) * 5 + (2**60 + 2,), 2**60 + 2),
+            # beyond the largest double
+            ((10**400,) * 3, 10**400),
+        ],
+        ids=["rounded", "overflow"],
+    )
+    def test_value_without_double_refused(self, tmp_path, capsys, z, bad):
+        out = tmp_path / "x.json"
+        code, _, err = run(capsys, "reduce", "--z", ",".join(map(str, z)), "-o", str(out))
+        assert code == 2
+        assert "value %d has no exact double" % bad in err
+        assert not out.exists()
+
 
 class TestTopLevel:
     def test_no_subcommand_usage(self, capsys):

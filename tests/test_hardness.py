@@ -4,12 +4,10 @@ from shuffle_regress import (
     CapExceededError,
     PlsInstance,
     ThreePartitionInstance,
-    check_3partition_brute,
-    pls_feasible_brute,
     reduce_3partition,
 )
 
-from reference import gen_yes_instance
+from reference import check_3partition_brute, gen_yes_instance, pls_feasible_brute
 
 
 class TestThreePartitionInstance:

@@ -17,7 +17,6 @@ from shuffle_regress import (
     lll_reduce,
     quantize_noiseless,
     recover,
-    subset_sum_brute,
 )
 from shuffle_regress.lattice import (
     SubsetSumInstance,
@@ -30,7 +29,7 @@ from shuffle_regress.lattice import (
 from shuffle_regress import _ratlin as rl
 from shuffle_regress import lattice
 
-from reference import _indicator_subset, det, exact_fit, lagarias_odlyzko
+from reference import _indicator_subset, det, exact_fit, lagarias_odlyzko, subset_sum_brute
 
 F = Fraction
 

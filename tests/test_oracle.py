@@ -12,10 +12,10 @@ from shuffle_regress import (
     Permutation,
     brute_force,
     gen_gaussian_noisy,
-    perm_match_brute,
-    subset_sum_brute,
 )
 from shuffle_regress.oracle import ols_given_perm
+
+from reference import perm_match_brute, subset_sum_brute
 
 
 class TestOlsGivenPerm:
