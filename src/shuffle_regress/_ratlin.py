@@ -5,18 +5,17 @@ and ``lattice.find_permutation`` (their Gram systems, on the lattice path) and
 ``lattice.recover`` (its one verification of a guess: all ``n + 1``
 equations, solved for ``w`` or refused as inconsistent); ``find_permutation``
 also reads ``_echelon`` for the two linear power-sum rows and ``matvec`` for
-the values ``<w, x_j>``, and ``left_nullspace_int`` serves ``lattice.recover``
-(its rank test).
-Matrices are lists of row lists.  ``solve`` and ``left_nullspace_int`` both
-read the one echelon form ``_echelon``; ``solve`` serves full-column-rank
-systems only and refuses dependent columns rather than pick one of many
-solutions.  Nothing here is performance-tuned beyond what exhaustive
-verification at n <= 10 or so requires.
+the values ``<w, x_j>``, and ``recover`` reads the pivot count of
+``_echelon`` as the rank of its covariates.
+Matrices are lists of row lists.  ``solve`` reads the echelon form
+``_echelon``; it serves full-column-rank systems only and refuses dependent
+columns rather than pick one of many solutions.  Nothing here is
+performance-tuned beyond what exhaustive verification at n <= 10 or so
+requires.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .errors import RankDeficiencyError
@@ -80,19 +79,3 @@ def solve(a: Matrix, b: Sequence) -> Optional[list]:
         return None  # pivot in the augmented column: inconsistent
     return [red[c][-1] for c in range(ncols)]
 
-
-def left_nullspace_int(a: Matrix) -> list[list[int]]:
-    """Integer basis of ``{v : v a = 0}`` (row vectors), possibly empty."""
-    at = transpose(mat(a))
-    red, pivots = _echelon(at)
-    nrows = len(a)
-    free = [c for c in range(nrows) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * nrows
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        scale = lcm(*(x.denominator for x in v)) if v else 1
-        basis.append([int(x * scale) for x in v])
-    return basis

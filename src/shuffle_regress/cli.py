@@ -87,23 +87,18 @@ def _w_rng(entropy) -> np.random.Generator:
 
 def cmd_gen(args) -> int:
     if args.model == "noiseless":
-        if args.snr is not None or args.sigma is not None:
-            raise ValueError("--snr/--sigma do not apply to the noiseless model")
+        if args.snr is not None:
+            raise ValueError("--snr does not apply to the noiseless model")
     else:
         if args.unanchored:
             raise ValueError("--unanchored applies to the noiseless model only")
         if args.p is not None:
             raise ValueError("--p applies to the noiseless model only")
-        if (args.snr is None) == (args.sigma is None):
-            raise ValueError("give exactly one of --snr or --sigma")
-        if args.snr is not None:
-            if args.snr <= 0:
-                raise ValueError("--snr must be > 0")
-            sigma = 1 / math.sqrt(args.snr)
-        else:
-            if args.sigma < 0 or not math.isfinite(args.sigma):
-                raise ValueError("--sigma must be finite and >= 0")
-            sigma = args.sigma
+        if args.snr is None:
+            raise ValueError("--snr is required for the %s model" % args.model)
+        if not args.snr > 0:
+            raise ValueError("--snr must be > 0")
+        sigma = 1 / math.sqrt(args.snr)  # --snr inf gives sigma 0
 
     w_bar = random_unit_vector(args.d, _w_rng(args.seed))
 
@@ -212,7 +207,7 @@ def _sweep_cell(cfg: SweepConfig, snr_index: int, snr: float) -> list:
             base = ols_given_perm(xa, ya, truth.pi_bar)
             base_errs.append(float(np.linalg.norm(base.w - wq)))
         else:
-            sigma = 0.0 if math.isinf(snr) else 1.0 / math.sqrt(snr)
+            sigma = 1 / math.sqrt(snr)
             gen = gen_gaussian_noisy if cfg.model == "gaussian" else gen_uniform_noisy
             inst, truth = gen(w_bar, cfg.n, sigma, ent)
             if cfg.solver == "fptas":
@@ -339,12 +334,11 @@ def order_stats_report(n: int, trials: int, seed: int) -> dict:
 
 
 def cmd_check_order_stats(args) -> int:
+    # NaN compares false, so a NaN tolerance would pass every report
+    if args.tol is not None and not args.tol >= 0:
+        raise ValueError("--tol must be >= 0")
     rep = order_stats_report(args.n, args.trials, args.seed)
-    text = json.dumps(rep, indent=1)
-    print(text)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+    print(json.dumps(rep, indent=1))
     if args.tol is not None and rep["pair_sum_sq"]["rel_err"] > args.tol:
         print(
             "failure: pair statistic off by %.3g (tol %.3g)"
@@ -456,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--model", choices=("gaussian", "uniform", "noiseless"), required=True)
     g.add_argument("--n", type=int, required=True, help="number of shuffled measurements")
     g.add_argument("--d", type=int, required=True, help="number of covariates")
-    g.add_argument("--snr", type=float, help="signal-to-noise ratio ||w||^2 / sigma^2")
-    g.add_argument("--sigma", type=float, help="noise standard deviation (alternative to --snr)")
+    g.add_argument("--snr", type=float, help="signal-to-noise ratio ||w||^2 / sigma^2; inf for no noise")
     g.add_argument("--p", type=int, help="noiseless only: put covariates and weights on the 2^-p grid")
     g.add_argument("--unanchored", action="store_true", help="noiseless only: shuffle the anchor row too")
     g.add_argument("--seed", type=int, required=True)
@@ -490,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--trials", type=int, default=100000)
     o.add_argument("--seed", type=int, default=0)
     o.add_argument("--tol", type=float, help="fail (exit 3) if the pair statistic misses by more")
-    o.add_argument("--output", "-o", help="also write the JSON report here")
     o.set_defaults(func=cmd_check_order_stats)
 
     c = sub.add_parser("check-w2", help="sorted-projection distance decay check")

@@ -515,7 +515,7 @@ def recover(inst: AnchoredInstance) -> Optional[RecoveryResult]:
     if all(v == 0 for v in ys_all):
         raise DegenerateInstanceError("all responses zero")
     xs_all = [inst.x0, *inst.x]
-    if _ratlin.left_nullspace_int(_ratlin.transpose(xs_all)):  # some v != 0 has X v = 0
+    if len(_ratlin._echelon(xs_all)[1]) < inst.d:  # rank < d: some v != 0 has X v = 0
         raise RankDeficiencyError("covariates do not have full column rank")
 
     for a in range(n + 1):

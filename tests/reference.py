@@ -20,7 +20,9 @@ the package to; nothing in ``shuffle_regress`` imports it.
   references for ``sort_match`` and the lattice's subset-sum stage.
 * ``check_3partition_brute`` and ``pls_feasible_brute`` decide both ends of
   ``reduce_3partition`` exhaustively, so the tests can confirm that the
-  reduction preserves answers.
+  reduction preserves answers; ``left_nullspace_int``, an integer basis of a
+  left null space, is how ``pls_feasible_brute`` decides without a
+  tolerance.
 
 The exhaustive searches refuse inputs beyond a hard cap with
 ``CapExceededError`` instead of silently grinding.
@@ -363,6 +365,23 @@ def check_3partition_brute(tp: ThreePartitionInstance) -> bool:
     return split(tuple(range(3 * tp.k)))
 
 
+def left_nullspace_int(a) -> list[list[int]]:
+    """Integer basis of ``{v : v a = 0}`` (row vectors), possibly empty."""
+    at = _ratlin.transpose(_ratlin.mat(a))
+    red, pivots = _ratlin._echelon(at)
+    nrows = len(a)
+    free = [c for c in range(nrows) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * nrows
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        scale = math.lcm(*(x.denominator for x in v)) if v else 1
+        basis.append([int(x * scale) for x in v])
+    return basis
+
+
 def pls_feasible_brute(pls: PlsInstance) -> bool:
     """Exhaustively decide permuted-system feasibility, exactly.
 
@@ -374,7 +393,7 @@ def pls_feasible_brute(pls: PlsInstance) -> bool:
     n = pls.n
     if n > 8:
         raise CapExceededError("pls_feasible_brute capped at n <= 8, got n = %d" % n)
-    null_rows = _ratlin.left_nullspace_int([list(r) for r in pls.a])
+    null_rows = left_nullspace_int([list(r) for r in pls.a])
     if not null_rows:
         return True
     for perm in itertools.permutations(range(n)):

@@ -17,7 +17,7 @@ from shuffle_regress.cli import (
     run_sweep,
     w2_report,
 )
-from shuffle_regress.model import random_unit_vector
+from shuffle_regress.model import random_unit_vector, read_instance_record, responses
 from shuffle_regress.oracle import ols_given_perm
 
 
@@ -49,7 +49,7 @@ class TestGen:
             code, _, _ = run(
                 capsys,
                 "gen", "--model", "uniform", "--n", "6", "--d", "1",
-                "--sigma", "0.3", "--seed", "9", "-o", str(path),
+                "--snr", "4", "--seed", "9", "-o", str(path),
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
@@ -96,10 +96,10 @@ class TestGen:
         "argv, err",
         [
             (("--model", "gaussian", "--snr", "0"), "--snr must be > 0"),
-            (("--model", "gaussian", "--sigma", "-1"), "--sigma must be finite and >= 0"),
-            (("--model", "noiseless", "--snr", "1"), "--snr/--sigma do not apply to the noiseless model"),
+            (("--model", "gaussian", "--snr", "nan"), "--snr must be > 0"),
+            (("--model", "noiseless", "--snr", "1"), "--snr does not apply to the noiseless model"),
         ],
-        ids=["snr-zero", "sigma-negative", "noiseless-snr"],
+        ids=["snr-zero", "snr-nan", "noiseless-snr"],
     )
     def test_noise_level_refused(self, tmp_path, capsys, argv, err):
         out = tmp_path / "x.json"
@@ -111,21 +111,27 @@ class TestGen:
         assert got == "error: %s\n" % err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["gaussian", "uniform"])
+    def test_snr_inf_writes_noise_free_instance(self, tmp_path, capsys, model):
+        out = tmp_path / "x.json"
+        code, _, _ = run(
+            capsys,
+            "gen", "--model", model, "--n", "6", "--d", "2",
+            "--snr", "inf", "--seed", "3", "-o", str(out),
+        )
+        assert code == 0
+        rec = read_instance_record(out)
+        truth = rec.truth
+        assert truth.sigma == 0
+        np.testing.assert_array_equal(
+            rec.instance.y, responses(rec.instance.x, truth.pi_bar, truth.w_bar)
+        )
+
     def test_missing_n_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--model", "gaussian", "--d", "1", "--snr", "1",
                   "--seed", "0", "-o", str(tmp_path / "x.json")])
         assert exc.value.code == 2
-
-    def test_snr_and_sigma_conflict(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys,
-            "gen", "--model", "gaussian", "--n", "4", "--d", "1",
-            "--snr", "1", "--sigma", "0.5", "--seed", "0",
-            "-o", str(tmp_path / "x.json"),
-        )
-        assert code == 2
-        assert "error" in err
 
     def test_noise_level_required_for_noisy(self, tmp_path, capsys):
         code, _, err = run(
@@ -184,7 +190,7 @@ class TestSolve:
         code, _, _ = run(
             capsys,
             "gen", "--model", "gaussian", "--n", "5", "--d", "2",
-            "--sigma", "0", "--seed", "3", "-o", str(out), *extra,
+            "--snr", "inf", "--seed", "3", "-o", str(out), *extra,
         )
         assert code == 0
         return out
@@ -601,16 +607,13 @@ class TestCheckOrderStats:
         assert first["empirical"] == pytest.approx(-1.0 / 6.0, abs=0.005)
         assert first["exact"] == pytest.approx(-1.0 / 6.0)
 
-    def test_cli_json_and_tol(self, tmp_path, capsys):
-        out = tmp_path / "os.json"
+    def test_cli_json_and_tol(self, capsys):
         code, stdout, _ = run(
             capsys,
-            "check-order-stats", "--n", "10", "--trials", "5000",
-            "--seed", "0", "-o", str(out),
+            "check-order-stats", "--n", "10", "--trials", "5000", "--seed", "0",
         )
         assert code == 0
-        doc = json.loads(stdout)
-        assert json.loads(out.read_text()) == doc
+        assert json.loads(stdout) == order_stats_report(10, 5000, 0)
 
     def test_cli_tol_failure(self, capsys):
         code, _, err = run(
@@ -619,6 +622,27 @@ class TestCheckOrderStats:
             "--seed", "0", "--tol", "1e-9",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_cli_tol_refused(self, capsys, tol):
+        # rel_err > nan is always false, so a NaN tolerance would pass the
+        # report that --tol 1e-9 fails above
+        code, stdout, err = run(
+            capsys,
+            "check-order-stats", "--n", "10", "--trials", "50",
+            "--seed", "0", "--tol", tol,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: --tol must be >= 0\n"
+
+    def test_cli_tol_inf_passes(self, capsys):
+        code, _, _ = run(
+            capsys,
+            "check-order-stats", "--n", "10", "--trials", "50",
+            "--seed", "0", "--tol", "inf",
+        )
+        assert code == 0
 
     def test_n_validation(self):
         with pytest.raises(ValueError):

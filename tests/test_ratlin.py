@@ -5,7 +5,7 @@ import pytest
 from shuffle_regress import RankDeficiencyError
 from shuffle_regress import _ratlin as rl
 
-from reference import det
+from reference import det, left_nullspace_int
 
 F = Fraction
 
@@ -21,8 +21,8 @@ class TestBasics:
 
 
 class TestRankDet:
-    # the rank is the pivot count of the echelon form that solve and
-    # left_nullspace_int build on
+    # the rank is the pivot count of the echelon form that solve builds on
+    # and that recover's rank test reads
     def test_rank_full(self):
         assert len(rl._echelon(rl.mat([[F(1), F(0)], [F(0), F(1)]]))[1]) == 2
 
@@ -75,7 +75,7 @@ class TestSolve:
 class TestLeftNullspace:
     def test_integer_rows_annihilate(self):
         a = [[1, 0], [0, 1], [1, 1]]
-        ns = rl.left_nullspace_int(a)
+        ns = left_nullspace_int(a)
         assert len(ns) == 1
         row = ns[0]
         assert all(isinstance(v, int) for v in row)
@@ -84,12 +84,12 @@ class TestLeftNullspace:
         assert any(v != 0 for v in row)
 
     def test_full_row_rank_empty(self):
-        assert rl.left_nullspace_int([[1, 0], [0, 1]]) == []
+        assert left_nullspace_int([[1, 0], [0, 1]]) == []
 
     def test_dimension_count(self):
         # 4 rows of a rank-2 matrix leave a 2-dim left nullspace
         a = [[1, 0], [0, 1], [1, 1], [2, 3]]
-        ns = rl.left_nullspace_int(a)
+        ns = left_nullspace_int(a)
         assert len(ns) == 2
         for row in ns:
             for j in range(2):
