@@ -1,12 +1,12 @@
 """Exact linear algebra over Fraction, sized for desk-scale systems.
 
 It holds what the exact paths call.  ``solve`` serves ``lattice.build_sources``
-and ``lattice.find_permutation`` (their Gram systems, on the lattice path) and
-``lattice.recover`` (its one verification of a guess: all ``n + 1``
-equations, solved for ``w`` or refused as inconsistent); ``find_permutation``
-also reads ``_echelon`` for the two linear power-sum rows and ``matvec`` for
-the values ``<w, x_j>``, and ``recover`` reads the pivot count of
-``_echelon`` as the rank of its covariates.
+(its Gram system), ``lattice.find_permutation`` (the least value of its
+quadratic form) and ``lattice.recover`` (its one verification of a guess: all
+``n + 1`` equations, solved for ``w`` or refused as inconsistent);
+``find_permutation`` also reads ``_echelon`` for the two linear power-sum
+rows, and ``recover`` reads the pivot count of ``_echelon`` as the rank of
+its covariates.
 Matrices are lists of row lists.  ``solve`` reads the echelon form
 ``_echelon``; it serves full-column-rank systems only and refuses dependent
 columns rather than pick one of many solutions.  Nothing here is
@@ -31,8 +31,12 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
+def dot(u: Sequence, v: Sequence):
+    return sum(x * y for x, y in zip(u, v))
+
+
 def matvec(a: Matrix, v: Sequence) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [dot(row, v) for row in a]
 
 
 def _echelon(a: Matrix) -> tuple[Matrix, list[int]]:

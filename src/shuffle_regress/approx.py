@@ -13,19 +13,20 @@ Cost model: with ``k`` the covariate rank, the candidate family holds the
 sampled rows (the planted correspondence is a bijection, so it gives distinct
 rows distinct responses) and every grid has ``O((c sqrt(k/eps))**k)`` points,
 so the overall work is ``(n/eps)**O(k)``.  The constant ``c`` is the one of
-the sample in hand, ``c_post = 1 + ||pinv(S u) S (I - u u^T)||_2**2``, capped
-by the worst case ``1 + 4 (1 + sqrt(n / 4k))**2`` of the barrier sample.  On
-the benchmark's fptas-large instances ``c_post`` is 2.6-11 where the worst
-case is 14-24, and the grids are smaller by about the ratio to the ``k``-th
-power.  Candidates are generated from their rank in batches of a fixed size
+the sample in hand, ``c_post = 1 + ||pinv(S u) S (I - u u^T)||_2**2``, read
+off the sample alone: the factor ``1 + 4 (1 + sqrt(n / 4k))**2`` that the
+barrier construction states does not bound every sample this one draws, and on
+the benchmark's fptas-large instances ``c_post`` is 2.6-11 where that factor
+is 14-24.  Candidates are generated from their rank in batches of a fixed size
 (``_CHUNK``), so the first pass keeps one float per candidate plus buffers of
-that size.  The second pass does not visit every grid point: it scans boxes
-of grid points coarse to fine and drops a box once the 1-Lipschitz bound on
+that size.  The second pass does not visit every grid point: it scans boxes of
+grid points coarse to fine and drops a box once the 1-Lipschitz bound on
 ``sqrt(cost)`` shows that none of its points can beat the incumbent, which
 only evaluated grid points become.  It returns the minimum over the grids,
-ties going to the smallest (candidate rank, row-major grid index).  A budget cap (default 50 million) on the
-candidates and on the unpruned grid points turns runaway instances into a
-hard error instead of an open-ended computation.
+ties going to the smallest (candidate rank, row-major grid index).  A budget
+cap (default 50 million) on the candidates and on the unpruned grid points
+turns runaway instances into a hard error instead of an open-ended
+computation.
 """
 from __future__ import annotations
 
@@ -43,7 +44,6 @@ __all__ = [
     "Solution",
     "OrthonormalReduction",
     "orthonormalize",
-    "approx_factor",
     "fptas_solve",
 ]
 
@@ -147,9 +147,7 @@ def _center_map(u: np.ndarray, samp: SamplingMatrix) -> np.ndarray:
     center of the candidate that the optimal permutation induces is
     ``w* + Q r*``.  It costs at most ``c_post * ||r*||^2`` and lies within
     ``sqrt((c_post - 1) * ||r*||^2)`` of ``w*``, the coreset argument of
-    Boutsidis, Drineas and Magdon-Ismail (2013), whose bounds on the barrier
-    sample's singular values give the worst case :func:`approx_factor` of
-    ``c_post``.
+    Boutsidis, Drineas and Magdon-Ismail (2013).
     """
     cols = sampled_columns(samp)
     su = np.array([wt * u[col] for col, wt in samp.rows])
@@ -159,11 +157,6 @@ def _center_map(u: np.ndarray, samp: SamplingMatrix) -> np.ndarray:
     for row_idx, (col, wt) in enumerate(samp.rows):
         gmap[pos[col]] += wt * pin[:, row_idx]
     return gmap
-
-
-def approx_factor(n: int, k: int) -> float:
-    """Approximation constant ``c = 1 + 4 (1 + sqrt(n / (4k)))**2`` of the sample."""
-    return 1.0 + 4.0 * (1.0 + math.sqrt(n / (4.0 * k))) ** 2
 
 
 def _net_steps(r: np.ndarray, reach: float, eps: float, c: float, k: int):
@@ -339,11 +332,10 @@ def fptas_solve(
     rows.  The first pass keeps one float per candidate plus buffers of 8192
     candidates.  The grids' spacing, their reach and the threshold above
     which a candidate's grid is skipped all follow the approximation
-    constant ``c_post`` of the drawn sample (see :func:`_center_map`), capped
-    by the worst case :func:`approx_factor`.  The second pass is a
-    coarse-to-fine box scan of the grids (see :func:`_scan_nets`) that
-    evaluates ``8192 >> k`` grid points at a time and skips the boxes that
-    cannot hold a cheaper point.
+    constant ``c_post`` of the drawn sample alone (see :func:`_center_map`).
+    The second pass is a coarse-to-fine box scan of the grids (see
+    :func:`_scan_nets`) that evaluates ``8192 >> k`` grid points at a time
+    and skips the boxes that cannot hold a cheaper point.
 
     Raises :class:`BudgetExceededError` if the candidate family, or the grids
     before any box is skipped, hold more than ``budget`` candidate weight
@@ -376,12 +368,12 @@ def fptas_solve(
             "candidate family has %d members, budget is %d" % (n_cand, budget)
         )
 
-    # c is the constant of this sample, c_post = ||gmap||^2 (see _center_map),
-    # capped by the worst case.  The slack covers float64 rounding: the lower
-    # barrier keeps S u of full rank and well conditioned, so pinv and the
-    # 2-norm's SVD are accurate to about 1e-15 relative, and 1e-9, the slack
-    # keep_thr and reach allow as well, covers that many times over.
-    c = min(approx_factor(n, k), float(np.linalg.norm(gmap, 2)) ** 2 * (1.0 + 1e-9))
+    # c is the constant of this sample, c_post = ||gmap||^2 (see _center_map).
+    # The slack covers float64 rounding: the lower barrier keeps S u of full
+    # rank and well conditioned, so pinv and the 2-norm's SVD are accurate to
+    # about 1e-15 relative, and 1e-9, the slack keep_thr and reach allow as
+    # well, covers that many times over.
+    c = float(np.linalg.norm(gmap, 2)) ** 2 * (1.0 + 1e-9)
 
     def centers(ranks) -> np.ndarray:
         return _rows_matmul(y[_assignments(ranks, n, m)], gmap)

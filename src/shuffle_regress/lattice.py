@@ -1,25 +1,28 @@
 """Exact recovery of weights and correspondence from noiseless quantized data.
 
 Each anchor guess (the covariate the held-out response ``y0`` belongs to)
-takes one of two routes in :func:`find_permutation`.
+is tested by :func:`find_permutation` with one quadratic form.
 
 Noiseless responses are the values ``<w, x_j>`` in some order, so whatever
-the permutation, ``sum_i y_i = <w, sum_j x_j>`` and ``sum_i y_i^2 = w^T G w``
-with ``G = x^T x`` (the power-sum identity of Tsakiris et al., "An
-algebraic-geometric approach for linear regression without
+the permutation, ``sum_i y_i = <w, sum_j x_j>`` and
+``sum_i y_i^2 = sum_j <w, x_j>^2`` (the power-sum identity of Tsakiris et
+al., "An algebraic-geometric approach for linear regression without
 correspondences", 2020).  With the anchor equation ``<w, x0> = y0`` these
-are two linear rows and one quadratic in ``w``.  Where the rows leave at
-most one free direction (``d <= 2``, or ``d = 3`` with ``x0`` and
-``sum_j x_j`` independent), they are solved exactly: ``w`` is pinned, or is
-one of the at most two rational roots of the quadratic on a line, and the
-permutation pairs equal values ``<w, x_j>`` and ``y_i``.  No lattice is
-built there; this departs from the paper's algorithm, which takes every
-guess to subset sum.
+are two linear rows and one quadratic in ``w``.  One exact echelon of the
+rows writes ``w`` as a particular solution plus a free coordinate per free
+column, and the quadratic becomes one form ``z^T A z + 2 b.z + c`` in those
+coordinates; a guess whose least value of the form exceeds 0 is refused.
+Where the rows leave at most one free direction (``d <= 2``, or ``d = 3``
+with ``x0`` and ``sum_j x_j`` independent), the form is solved exactly:
+``w`` is pinned, or is one of the at most two rational roots of the
+quadratic on a line, and the permutation pairs equal values ``<w, x_j>``
+and ``y_i``.  No lattice is built there; this departs from the paper's
+algorithm, which takes every guess to subset sum.
 
-Where two or more directions stay free (``d >= 4``, or dependent rows), the
-quadratic is a necessary inequality, and a guess that passes it takes the
-paper's route.  The correspondence becomes a subset-sum problem: with the
-anchored measurement ``(x0, y0)`` and exact arithmetic,
+Where two or more directions stay free (``d >= 4``, or dependent rows), a
+guess that the least value admits takes the paper's route.  The
+correspondence becomes a subset-sum problem: with the anchored measurement
+``(x0, y0)`` and exact arithmetic,
 ``y0 = sum over matched pairs (i, j) of y_i * x_j^T (x^T x)^{-1} x0``, so the
 correct correspondence is a subset of the ``n^2`` source values summing exactly
 to ``y0``.  Low-density subset sums of this kind are solved by lattice basis
@@ -37,7 +40,8 @@ same coordinates, so the pattern, the margin and ``beta`` carry over unchanged.
 
 An anchor guess either yields a permutation or is refused (``None``), except
 that :func:`find_permutation` raises :class:`RankDeficiencyError` when a
-guess on the lattice route leaves covariates without full column rank.
+guess leaves covariates without rank along its free directions, or on the
+lattice route without full column rank.
 :func:`recover` refuses a whole instance (all responses zero, or ``n + 1``
 covariates of rank below ``d``) once, before it tries any guess.
 
@@ -131,12 +135,9 @@ def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
     cols = [list(c) for c in basis.columns]
     m = len(cols)
 
-    def dot(u, v):
-        return sum(a * b for a, b in zip(u, v))
-
     dvec = [0] * (m + 1)
     dvec[0] = 1
-    dvec[1] = dot(cols[0], cols[0])
+    dvec[1] = _ratlin.dot(cols[0], cols[0])
     if dvec[1] == 0:
         raise ValueError("columns not linearly independent")
     lam = [[0] * (m + 1) for _ in range(m + 1)]  # lam[i][j], 1-based, j < i
@@ -156,7 +157,7 @@ def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
         if k > kmax:
             kmax = k
             for j in range(1, k + 1):
-                u = dot(cols[k - 1], cols[j - 1])
+                u = _ratlin.dot(cols[k - 1], cols[j - 1])
                 for i in range(1, j):
                     u = (dvec[i] * u - lam[k][i] * lam[j][i]) // dvec[i - 1]
                 if j < k:
@@ -368,47 +369,52 @@ def find_permutation(inst: AnchoredInstance) -> Optional[Permutation]:
     Noiseless responses are the values ``<w, x_j>`` in some order, so every
     ``w`` that verifies meets the anchor equation ``<w, x0> = y0``, the first
     power sum ``<w, s> = sum_i y_i`` (``s = sum_j x_j``) and the second,
-    ``w^T G w = sum_i y_i^2`` (``G = x^T x``).  One exact echelon of the two
-    linear rows comes first; a pivot in their right-hand column refuses the
-    guess (``None``).
+    ``sum_j <w, x_j>^2 = sum_i y_i^2``.  One exact echelon of the two linear
+    rows comes first; a pivot in their right-hand column refuses the guess
+    (``None``).  Otherwise the rows hold exactly at ``w = w_p + sum_f z_f
+    v_f``: ``w_p`` is the right-hand side at the pivot columns and 0
+    elsewhere, and free column ``f`` has ``v_f[f] = 1`` and ``v_f[pc] =
+    -row[f]`` at each row's pivot column ``pc``.  With ``u = x w_p`` and
+    ``g_f = x v_f`` the second power sum is one quadratic form in the free
+    coordinates, ``z^T A z + 2 b.z + c = 0`` with ``A_fh = <g_f, g_h>``,
+    ``b_f = <u, g_f>`` and ``c = <u, u> - sum_i y_i^2``.
 
-    Where the rows leave at most one free direction, the power sums solve
-    for ``w``, with no ``G^-1`` and no lattice: no free direction pins ``w``,
-    and one gives ``w = w_p + t v``, on which the second power sum is a
-    quadratic in ``t`` whose rational roots (at most two, in ascending order)
-    are the candidates.  The map of the first candidate whose values
-    ``<w, x_j>`` equal the responses as multisets is returned (see
-    :func:`_match` for ties), else ``None``.  A verified ``w`` is rational, so
-    this refuses only guesses :func:`recover` would reject anyway.  When
-    ``v^T G v = 0`` (the covariates lack rank along ``v``) there is no
-    quadratic, and the guess takes the lattice path below.
+    With no free column, ``w = w_p``.  Otherwise the least value of the
+    form, ``c - b.A^-1 b`` (one exact solve), must not exceed 0, or the
+    guess is refused; with one free column the candidates are then the
+    rational roots of the quadratic in ``z`` (at most two, in ascending
+    order).  Either way no lattice is built: the map of the first candidate
+    whose values ``<w, x_j>`` equal the responses as multisets is returned
+    (see :func:`_match` for ties), else ``None``.  A verified ``w`` is
+    rational, so this refuses only guesses :func:`recover` would reject
+    anyway.
 
-    Where two or more directions stay free, the second power sum is an
-    inequality: ``G`` is positive definite, so the least ``w^T G w`` on the
-    affine set of the independent echelon rows ``R w = b`` is ``lambda . b``
-    for ``(R G^-1 R^T) lambda = b``, and a guess whose least value exceeds
-    ``sum_i y_i^2`` is refused.  Otherwise it embeds the ``n^2`` sources
-    with ``beta = default_beta(n, epsilon_bound(sources))``, reduces the
-    permutation sublattice of that embedding (see
-    :func:`_permutation_sublattice`), which has rank ``(n - 1)^2 + 1``
-    instead of ``n^2 + 1``, and reads the map off the first reduced column of
-    the pattern ``z * (1, indicator, 0)``: ``z != 0``, last coordinate 0,
-    every indicator entry 0 or ``z``.  Nothing there needs a re-check: the
-    last coordinate is ``z * beta * (target - subset sum)`` in exact
-    integers, and every row and column of the indicator block sums to ``z``,
-    so each holds exactly one ``z``.  It returns ``None`` when no column has
-    the pattern, or for a zero target with all-zero sources, where no subset
-    singles out a permutation.  All-zero unanchored responses need no case of
-    their own there: with ``y0 != 0`` the least value exceeds 0, and with
-    ``y0 = 0`` every source and the target are zero.
+    With two or more free columns, a guess that the least value admits
+    embeds the ``n^2`` sources with ``beta = default_beta(n,
+    epsilon_bound(sources))``, reduces the permutation sublattice of that
+    embedding (see :func:`_permutation_sublattice`), which has rank
+    ``(n - 1)^2 + 1`` instead of ``n^2 + 1``, and reads the map off the first
+    reduced column of the pattern ``z * (1, indicator, 0)``: ``z != 0``, last
+    coordinate 0, every indicator entry 0 or ``z``.  Nothing there needs a
+    re-check: the last coordinate is ``z * beta * (target - subset sum)`` in
+    exact integers, and every row and column of the indicator block sums to
+    ``z``, so each holds exactly one ``z``.  It returns ``None`` when no
+    column has the pattern, or for a zero target with all-zero sources,
+    where no subset singles out a permutation.  All-zero unanchored
+    responses need no case of their own there: with ``y0 != 0`` the least
+    value exceeds 0, and with ``y0 = 0`` every source and the target are
+    zero.
 
-    Either way the map sends response index to covariate index, both 0-based
-    over the unanchored block; :func:`recover` verifies it against all
-    ``n + 1`` equations.  Raises :class:`RankDeficiencyError` when a guess
-    that takes the lattice path has ``x`` without full column rank.
+    The map sends response index to covariate index, both 0-based over the
+    unanchored block; :func:`recover` verifies it against all ``n + 1``
+    equations.  Raises :class:`RankDeficiencyError` when the ``g_f`` are
+    dependent, or when a guess on the lattice path has ``x`` without full
+    column rank.  A guess whose ``x`` lacks full column rank while its
+    ``g_f`` are independent thus raises only on the lattice path, and is
+    refused (``None``) when its least value exceeds 0; :func:`recover`
+    skips it either way.
     """
     n, d, x, y = inst.n, inst.d, inst.x, inst.y
-    t2 = sum(v * v for v in y)
     red, pivots = _ratlin._echelon(
         [[*inst.x0, inst.y0], [*(sum(col) for col in zip(*x)), sum(y)]]
     )
@@ -416,41 +422,36 @@ def find_permutation(inst: AnchoredInstance) -> Optional[Permutation]:
         return None
     rows = red[: len(pivots)]
     free = [c for c in range(d) if c not in pivots]
-    if len(free) <= 1:
-        w_p = [Fraction(0)] * d
-        for row, pc in zip(rows, pivots):
-            w_p[pc] = row[d]
-        u = _ratlin.matvec(x, w_p)
-        if not free:
-            return _match(u, y)
+    w_p = [Fraction(0)] * d
+    for row, pc in zip(rows, pivots):
+        w_p[pc] = row[d]
+    u = _ratlin.matvec(x, w_p)
+    if not free:
+        return _match(u, y)
+    g = []
+    for f in free:
         v = [Fraction(0)] * d
-        v[free[0]] = Fraction(1)
+        v[f] = Fraction(1)
         for row, pc in zip(rows, pivots):
-            v[pc] = -row[free[0]]
-        g = _ratlin.matvec(x, v)
-        # sum_j (u_j + t g_j)^2 = t2, that is a t^2 + 2 b t + c = 0
-        a = sum(gj * gj for gj in g)
-        if a != 0:
-            b = sum(uj * gj for uj, gj in zip(u, g))
-            disc = b * b - a * (sum(uj * uj for uj in u) - t2)
-            root = _rational_sqrt(disc) if disc >= 0 else None
-            if root is None:
-                return None
-            for t in sorted({(-b - root) / a, (-b + root) / a}):
-                pi = _match([uj + t * gj for uj, gj in zip(u, g)], y)
-                if pi is not None:
-                    return pi
+            v[pc] = -row[f]
+        g.append(_ratlin.matvec(x, v))
+    # sum_j (u_j + sum_f z_f g_fj)^2 = sum_i y_i^2, that is z^T a z + 2 b.z + c = 0
+    a = [[_ratlin.dot(gf, gh) for gh in g] for gf in g]
+    b = [_ratlin.dot(u, gf) for gf in g]
+    c = _ratlin.dot(u, u) - _ratlin.dot(y, y)
+    slack = _ratlin.dot(b, _ratlin.solve(a, b)) - c  # minus the least value
+    if slack < 0:
+        return None
+    if len(free) == 1:
+        a1, b1, g1 = a[0][0], b[0], g[0]
+        root = _rational_sqrt(a1 * slack)  # a1 * slack = b1^2 - a1 c
+        if root is None:
             return None
-    if rows:  # with no independent row the least value is 0
-        xt = _ratlin.transpose(x)
-        gram = [_ratlin.matvec(xt, col) for col in xt]
-        ginv = [_ratlin.solve(gram, row[:d]) for row in rows]  # G^-1 R^T
-        lam = _ratlin.solve(
-            [[sum(p * q for p, q in zip(ri, gj)) for gj in ginv] for ri in rows],
-            [row[d] for row in rows],
-        )
-        if sum(lv * row[d] for lv, row in zip(lam, rows)) > t2:
-            return None
+        for t in sorted({(-b1 - root) / a1, (-b1 + root) / a1}):
+            pi = _match([uj + t * gj for uj, gj in zip(u, g1)], y)
+            if pi is not None:
+                return pi
+        return None
     ssi = build_sources(inst.x0, x, y, inst.y0)
     if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
         return None

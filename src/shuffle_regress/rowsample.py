@@ -1,9 +1,11 @@
 """Deterministic row sampling with two barrier potentials.
 
 Given ``u`` (n x k, orthonormal columns), pick exactly ``r = 4k`` weighted
-rows so that solving least squares on the sampled, reweighted rows yields a
-``c``-approximation to the full problem with ``c = 1 + 4 (1 + sqrt(n/(4k)))^2``,
-while ``rank(S u) = k``.  Each selection step keeps a lower barrier under the
+rows with ``rank(S u) = k`` so that least squares on the sampled, reweighted
+rows approximates the full problem.  The barrier construction states the
+factor ``c = 1 + 4 (1 + sqrt(n/(4k)))^2``, which some samples drawn here
+exceed (by up to 22 % at ``k = 1``), so ``fptas_solve`` reads the constant of
+the sample in hand.  Each selection step keeps a lower barrier under the
 spectrum of ``a = sum t x x^T`` and an upper barrier above the diagonal of
 ``b = sum t e e^T``; a row is admissible when its upper potential does not
 exceed its lower potential, and the reciprocal weight is the midpoint of the

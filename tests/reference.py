@@ -8,7 +8,8 @@ the package to; nothing in ``shuffle_regress`` imports it.
   stages that ``find_permutation`` runs on the permutation sublattice;
   ``_scan`` is its pattern scan with an exact re-sum of each subset found.
 * ``solve_weighted_ls``, ``dense`` and ``apply`` read a ``SamplingMatrix``
-  as the ``r x n`` matrix it encodes.
+  as the ``r x n`` matrix it encodes, and ``approx_factor`` is the
+  approximation factor the barrier construction states for it.
 * ``gen_yes_instance`` plants 3-partition yes-instances.
 * ``det`` is an exact determinant over Fraction.
 * ``exact_fit`` lists every pairing of a small anchored instance that some
@@ -121,6 +122,15 @@ def solve_weighted_ls(s: SamplingMatrix, x, b) -> np.ndarray:
     wts = np.array([wt for _, wt in s.rows])
     sol, *_ = np.linalg.lstsq(wts[:, None] * x[cols], wts * b[cols], rcond=None)
     return sol
+
+
+def approx_factor(n: int, k: int) -> float:
+    """The factor ``c = 1 + 4 (1 + sqrt(n / (4k)))**2`` that the barrier
+    construction states for a ``4k``-row sample of an ``n``-row basis: the
+    oracle the row-sample tests hold ``row_sample`` to.  It does not bound
+    every sample ``row_sample`` draws (ROADMAP "Known defects"), so
+    ``fptas_solve`` never reads it."""
+    return 1.0 + 4.0 * (1.0 + math.sqrt(n / (4.0 * k))) ** 2
 
 
 def gen_yes_instance(k: int, c: int, seed: int) -> ThreePartitionInstance:

@@ -25,7 +25,6 @@ from shuffle_regress import (
     sort_match,
     LatticeBasis,
 )
-from shuffle_regress.approx import approx_factor
 from shuffle_regress.lattice import (
     SubsetSumInstance,
     build_sources,
@@ -38,6 +37,7 @@ from shuffle_regress.oracle import ols_given_perm
 from shuffle_regress.cli import order_stats_report, w2_report
 
 from reference import (
+    approx_factor,
     check_3partition_brute,
     dense,
     det,

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +31,7 @@ from shuffle_regress.lattice import (
 )
 from shuffle_regress import _ratlin as rl
 from shuffle_regress import lattice
+from shuffle_regress.model import random_unit_vector
 
 from reference import _indicator_subset, det, exact_fit, lagarias_odlyzko, subset_sum_brute
 
@@ -1072,6 +1076,22 @@ class TestPowerSums:
         x = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))
         assert _admitted(monkeypatch, (0, 0, 0), x, y, 0) is want
 
+    @pytest.mark.parametrize(
+        "y, want",
+        [
+            ((1, 1, 2, 2), True),  # 10 is the least value: w = (1, 1, 2, 2)
+            ((0, 2, 1, 3), True),  # 14 is above it
+            ((F(3, 2),) * 4, False),  # 9 is below it
+        ],
+    )
+    def test_two_rows_two_free_directions(self, monkeypatch, y, want):
+        # d = 4, x0 = (1, 1, 0, 0), y0 = 2 and s = (1, 1, 1, 1): the two
+        # independent rows w_1 + w_2 = 2 and w_3 + w_4 = sum y - 2 = 4 leave a
+        # plane, on which |w|^2 = (w_1^2 + w_2^2) + (w_3^2 + w_4^2) takes
+        # every value from 2^2 / 2 + 4^2 / 2 = 10 up
+        x = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        assert _admitted(monkeypatch, (1, 1, 0, 0), x, y, 2) is want
+
     def test_recover_unchanged_without_the_test(self, monkeypatch):
         # seeded cells at d = 4, where every guess leaves two or more free
         # directions, n in {4, 5}, p in {2, 16}, anchored and unanchored:
@@ -1094,3 +1114,48 @@ class TestPowerSums:
                         assert results[-1] == without
         assert len(results) == 16
         assert all(r is not None for r in results)
+
+
+def _golden_cells():
+    """The 144 seeded cells (d <= 4, d <= n <= 6, p in {2, 16}, anchored and
+    unanchored, seeds 0-1), then 400 hostile draws as
+    :func:`hostile_exact_instances` makes them but with d <= 4, seeded."""
+    for d in range(1, 5):
+        for n in range(d, 7):
+            for p in (2, 16):
+                for anchored in (True, False):
+                    for seed in range(2):
+                        w = random_unit_vector(d, np.random.default_rng([seed, 99]))
+                        inst, truth = gen_noiseless_anchored(w, n, seed, anchored=anchored)
+                        yield quantize_noiseless(inst, truth, p)[0]
+    draw = random.Random(2034)
+    for _ in range(400):
+        d, n = draw.randint(1, 4), draw.randint(1, 5)
+        pool = draw.choice(_POOLS)
+        xs = [tuple(F(draw.choice(pool)) for _ in range(d)) for _ in range(n + 1)]
+        if draw.random() < 0.3:
+            xs[draw.randint(0, n)] = xs[draw.randint(0, n)]
+        w = [F(draw.randint(-2, 3), draw.choice((1, 2))) for _ in range(d)]
+        pi = draw.sample(range(n + 1), n + 1)
+        ys = [sum(a * b for a, b in zip(w, xs[pi[i]])) for i in range(n + 1)]
+        yield AnchoredInstance(x0=xs[0], y0=ys[0], x=tuple(xs[1:]), y=tuple(ys[1:]))
+
+
+def _golden_answer(q):
+    try:
+        res = recover(q)
+    except (ValueError, DegenerateInstanceError, RankDeficiencyError) as e:
+        return type(e).__name__
+    return None if res is None else res.as_jsonable()
+
+
+def test_recover_answers_pinned():
+    # recover's answers, refusals and declines on fixed cells, pinned by
+    # digest; they are exact rationals, so the digest is the same on every
+    # host.  A change that moves any answer shows here.
+    answers = [_golden_answer(q) for q in _golden_cells()]
+    assert len(answers) == 544
+    assert sum(a is None for a in answers) == 12  # declines, all hostile
+    assert sum(isinstance(a, str) for a in answers) == 155
+    digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+    assert digest == "5abf8e4640b4e3cddd2463d061344aadd9460d490174163f7e5e91f625d4bd46"
