@@ -33,10 +33,11 @@ by ``beta`` and look for a reduced vector of the pattern
 derived from that exact margin.
 
 The wanted subset is a permutation support, so its indicator has every row sum
-and every column sum equal to 1.  :func:`find_permutation` therefore reduces
-only the sublattice of the embedding in which those ``2n - 1`` independent
-sums equal coordinate 0: rank ``(n - 1)^2 + 1`` instead of ``n^2 + 1``, in the
-same coordinates, so the pattern, the margin and ``beta`` carry over unchanged.
+and every column sum equal to 1.  :func:`subset_sum_basis` therefore builds,
+in one step from the sources, only the sublattice of that embedding in which
+those ``2n - 1`` independent sums equal coordinate 0: rank ``(n - 1)^2 + 1``
+instead of ``n^2 + 1``, in the same ``n^2 + 2`` coordinates, so the pattern
+and the margin carry over unchanged.
 
 An anchor guess either yields a permutation or is refused (``None``), except
 that :func:`find_permutation` raises :class:`RankDeficiencyError` when a
@@ -70,7 +71,6 @@ __all__ = [
     "subset_sum_basis",
     "build_sources",
     "epsilon_bound",
-    "default_beta",
     "find_permutation",
     "recover",
 ]
@@ -81,9 +81,10 @@ class LatticeBasis:
     """Lattice basis given as integer columns, all of one ambient dimension.
 
     Builders clear rational entries to integers before constructing it
-    (:func:`subset_sum_basis` scales its bottom row by the common
-    denominator), so the reduction only ever sees integers.  An entry that is
-    not an integer (``operator.index`` refuses it) raises ``ValueError``.
+    (:func:`subset_sum_basis` scales its bottom row by a multiple of the
+    common denominator), so the reduction only ever sees integers.  An entry
+    that is not an integer (``operator.index`` refuses it) raises
+    ``ValueError``.
     """
 
     columns: tuple[tuple[int, ...], ...]
@@ -205,72 +206,56 @@ class SubsetSumInstance:
         object.__setattr__(self, "target", Fraction(self.target))
 
 
-def subset_sum_basis(ssi: SubsetSumInstance, beta) -> tuple[LatticeBasis, list]:
-    """Embedding lattice for a subset-sum instance, plus the source key order.
+def subset_sum_basis(ssi: SubsetSumInstance) -> tuple[LatticeBasis, list]:
+    """The permutation sublattice of the Lagarias-Odlyzko embedding of the
+    ``n^2`` sources of :func:`build_sources`, plus the source key order.
 
-    With ``N`` sources ``c_1..c_N`` (keys sorted), target ``t`` and a positive
-    scale ``beta``, the basis has ``N + 1`` columns in dimension ``N + 2``:
-    column 0 is ``e_0`` on top of ``beta * t``, column ``j >= 1`` is ``e_j`` on
-    top of ``-beta * c_j``; the bottom row is scaled by the common denominator
-    so every entry is an integer.  A subset ``S`` summing to ``t`` corresponds
-    to the lattice vector ``(1, indicator(S), 0)`` of squared length
-    ``|S| + 1``.
-    """
-    beta = Fraction(beta)
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    keys = sorted(ssi.sources)
-    bt = beta * ssi.target
-    bcs = [beta * ssi.sources[k] for k in keys]
-    scale = math.lcm(bt.denominator, *(v.denominator for v in bcs))
-    n1 = len(keys) + 1
-    columns = []
-    for j in range(n1):
-        col = [0] * (n1 + 1)
-        col[j] = 1
-        col[-1] = int(bt * scale) if j == 0 else -int(bcs[j - 1] * scale)
-        columns.append(tuple(col))
-    return LatticeBasis(columns=tuple(columns)), keys
+    The coordinates are those of the embedding: coordinate 0 is the target
+    multiplier ``z``, coordinate ``1 + i n + j`` the indicator of key
+    ``(i, j)`` (keys sorted), and the last coordinate ``beta`` times the
+    target less the chosen sources.  Entries ``(i, j)`` with ``i, j >= 1``
+    are free; row 0 and column 0 of the indicator block are fixed by asking
+    every row sum and every column sum to equal ``z``.  The columns are
 
-
-def _permutation_sublattice(basis: LatticeBasis, keys: list, n: int) -> LatticeBasis:
-    """Sublattice of the ``n^2`` embedding whose indicator block has every row
-    sum and every column sum equal to coordinate 0.
-
-    ``basis`` and ``keys`` come from :func:`subset_sum_basis` over the keys
-    ``(i, j)`` of :func:`build_sources`; ``b[i, j]`` is the column of key
-    ``(i, j)`` and ``b_0`` the target column.  Entries ``(i, j)`` with
-    ``i, j >= 1`` are free; row 0 and column 0 are implied by the sums but stay
-    coordinates, so every vector is still a vector of the full embedding, with
-    the same coordinates.  The columns are
-
-    - the target column ``b_0 + sum_{i>=1} b[i, 0] + sum_{j>=1} b[0, j]
-      + (2 - n) b[0, 0]`` (``z = 1``, every free entry 0), and
-    - ``b[i, j] - b[i, 0] - b[0, j] + b[0, 0]`` for each free ``(i, j)``,
+    - the target column (``z = 1``, every free entry 0): entry ``2 - n`` at
+      ``(0, 0)``, 1 at ``(i, 0)`` and ``(0, j)`` for ``i, j >= 1``, and last
+      entry ``beta * (t - sum_{i>=1} c_i0 - sum_{j>=1} c_0j - (2 - n) c_00)``,
+      and
+    - for each free ``(i, j)``: 1 at ``(i, j)`` and ``(0, 0)``, -1 at
+      ``(i, 0)`` and ``(0, j)``, and last entry ``-beta * (c_ij - c_i0 -
+      c_0j + c_00)``,
 
     stably sorted by the magnitude of their last entry.  The rank is
-    ``(n - 1)^2 + 1`` in ambient dimension ``n^2 + 2``.  A permutation support
-    is the target column plus the free columns of its pairs outside row 0 and
-    column 0.
+    ``(n - 1)^2 + 1`` in ambient dimension ``n^2 + 2``.  A permutation
+    support summing to the target is the target column plus the free columns
+    of its pairs outside row 0 and column 0, the vector ``(1, indicator, 0)``
+    of squared length ``n + 1``.
+
+    ``beta = 2**(n^2) * D``, with ``1 / D`` the exact margin of
+    :func:`epsilon_bound`, so every last entry is an integer.  LLL's first
+    reduced vector is at most ``2**((n - 1)^2 / 2) * sqrt(n + 1)`` long; a
+    vector whose subset misses the target misses it by at least ``1 / D``,
+    so its last entry is at least ``2**(n^2)``, longer than that bound for
+    every ``n >= 1``.
     """
-    cols = basis.columns
-    at = {key: 1 + idx for idx, key in enumerate(keys)}
-
-    def combine(terms):
-        return tuple(
-            sum(c * cols[k][r] for k, c in terms) for r in range(basis.dim)
-        )
-
-    target = [(0, 1), (at[0, 0], 2 - n)]
-    target += [(at[i, 0], 1) for i in range(1, n)]
-    target += [(at[0, j], 1) for j in range(1, n)]
-    out = [combine(target)]
+    n = math.isqrt(len(ssi.sources))
+    keys = [(i, j) for i in range(n) for j in range(n)]
+    c = ssi.sources
+    beta = 2 ** (n * n) * epsilon_bound(ssi).denominator
+    target = [1, 2 - n] + [0] * (n * n)
+    for k in range(1, n):
+        target[1 + k * n] = target[1 + k] = 1  # (k, 0) and (0, k)
+    target[-1] = int(beta * (ssi.target - (2 - n) * c[0, 0]
+                             - sum(c[k, 0] + c[0, k] for k in range(1, n))))
+    columns = [tuple(target)]
     for i in range(1, n):
         for j in range(1, n):
-            out.append(combine(
-                [(at[i, j], 1), (at[i, 0], -1), (at[0, j], -1), (at[0, 0], 1)]
-            ))
-    return LatticeBasis(columns=tuple(sorted(out, key=lambda c: abs(c[-1]))))
+            col = [0] * (n * n + 2)
+            col[1 + i * n + j] = col[1] = 1
+            col[1 + i * n] = col[1 + j] = -1
+            col[-1] = int(-beta * (c[i, j] - c[i, 0] - c[0, j] + c[0, 0]))
+            columns.append(tuple(col))
+    return LatticeBasis(columns=tuple(sorted(columns, key=lambda col: abs(col[-1])))), keys
 
 
 def build_sources(x0, x, y, y0) -> SubsetSumInstance:
@@ -310,25 +295,6 @@ def epsilon_bound(ssi: SubsetSumInstance) -> Fraction:
     return Fraction(
         1, math.lcm(ssi.target.denominator, *(v.denominator for v in ssi.sources.values()))
     )
-
-
-def default_beta(n: int, eps_hat: Fraction) -> Fraction:
-    """Exactly ``2**(n^2) / eps_hat``.
-
-    :func:`find_permutation` reduces a lattice of rank ``r = (n - 1)^2 + 1``
-    whose planted vector has length ``sqrt(n + 1)``, so LLL's first reduced
-    vector is at most ``2**((r - 1)/2) * sqrt(n + 1) = 2**((n - 1)^2/2) *
-    sqrt(n + 1)`` long.  A vector whose subset misses the target misses it by
-    at least the exact margin ``eps_hat`` of :func:`epsilon_bound`, so its
-    last coordinate is at least ``beta * eps_hat = 2**(n^2)``, more than that
-    bound for every ``n >= 1``.  With ``eps_hat = 1 / D`` this ``beta`` is the
-    integer ``2**(n^2) * D``, and every entry of the embedding's last row is
-    already an integer.
-    """
-    eps_hat = Fraction(eps_hat)
-    if eps_hat <= 0:
-        raise ValueError("eps_hat must be positive")
-    return 2 ** (n * n) / eps_hat
 
 
 def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -390,12 +356,11 @@ def find_permutation(inst: AnchoredInstance) -> Optional[Permutation]:
     anyway.
 
     With two or more free columns, a guess that the least value admits
-    embeds the ``n^2`` sources with ``beta = default_beta(n,
-    epsilon_bound(sources))``, reduces the permutation sublattice of that
-    embedding (see :func:`_permutation_sublattice`), which has rank
-    ``(n - 1)^2 + 1`` instead of ``n^2 + 1``, and reads the map off the first
-    reduced column of the pattern ``z * (1, indicator, 0)``: ``z != 0``, last
-    coordinate 0, every indicator entry 0 or ``z``.  Nothing there needs a
+    builds the permutation sublattice of its ``n^2`` sources (see
+    :func:`subset_sum_basis`, which derives ``beta`` from the sources' exact
+    margin), of rank ``(n - 1)^2 + 1``, reduces it, and reads the map off the
+    first reduced column of the pattern ``z * (1, indicator, 0)``: ``z != 0``,
+    last coordinate 0, every indicator entry 0 or ``z``.  Nothing there needs a
     re-check: the last coordinate is ``z * beta * (target - subset sum)`` in
     exact integers, and every row and column of the indicator block sums to
     ``z``, so each holds exactly one ``z``.  It returns ``None`` when no
@@ -414,7 +379,7 @@ def find_permutation(inst: AnchoredInstance) -> Optional[Permutation]:
     refused (``None``) when its least value exceeds 0; :func:`recover`
     skips it either way.
     """
-    n, d, x, y = inst.n, inst.d, inst.x, inst.y
+    d, x, y = inst.d, inst.x, inst.y
     red, pivots = _ratlin._echelon(
         [[*inst.x0, inst.y0], [*(sum(col) for col in zip(*x)), sum(y)]]
     )
@@ -455,8 +420,8 @@ def find_permutation(inst: AnchoredInstance) -> Optional[Permutation]:
     ssi = build_sources(inst.x0, x, y, inst.y0)
     if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
         return None
-    basis, keys = subset_sum_basis(ssi, default_beta(n, epsilon_bound(ssi)))
-    for col in lll_reduce(_permutation_sublattice(basis, keys, n)).columns:
+    basis, keys = subset_sum_basis(ssi)
+    for col in lll_reduce(basis).columns:
         z = col[0]
         if z != 0 and col[-1] == 0 and all(v in (0, z) for v in col[1:-1]):
             return Permutation(tuple(j for (_, j), v in zip(keys, col[1:-1]) if v))
@@ -498,7 +463,7 @@ def recover(inst: AnchoredInstance) -> Optional[RecoveryResult]:
     measurement including the anchor.
 
     A guess on the lattice route embeds its subset sum with the ``beta``
-    that its own exact margin needs (see :func:`find_permutation`), so any
+    that its own exact margin needs (see :func:`subset_sum_basis`), so any
     ``d >= 1`` works.
 
     Returns ``None`` if no anchor verifies.  The refusals of the whole

@@ -343,15 +343,21 @@ def _require(cond: bool, msg: str):
         raise SchemaError(msg)
 
 
+def _finite_float(v, what: str) -> float:
+    """The double of a JSON number; ``SchemaError`` for a bool, a non-number,
+    or an integer beyond the double range."""
+    _require(isinstance(v, (int, float)) and not isinstance(v, bool), "%s must be a number" % what)
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
+    _require(math.isfinite(v), "%s must be finite" % what)
+    return v
+
+
 def _float_list(obj, what: str, length: int) -> list:
     _require(isinstance(obj, list) and len(obj) == length, "%s must be a list of length %d" % (what, length))
-    out = []
-    for v in obj:
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool), "%s entries must be numbers" % what)
-        v = float(v)
-        _require(math.isfinite(v), "%s entries must be finite" % what)
-        out.append(v)
-    return out
+    return [_finite_float(v, "%s entry" % what) for v in obj]
 
 
 def _double(v) -> float:
@@ -413,9 +419,7 @@ def read_instance_record(path) -> InstanceRecord:
         anc = doc["anchor"]
         _require(isinstance(anc, dict) and set(anc) == {"x0", "y0"}, "anchor must hold x0 and y0")
         x0 = _float_list(anc["x0"], "x0", d)
-        _require(isinstance(anc["y0"], (int, float)) and not isinstance(anc["y0"], bool), "y0 must be a number")
-        y0 = float(anc["y0"])
-        _require(math.isfinite(y0), "y0 must be finite")
+        y0 = _finite_float(anc["y0"], "y0")
         inst: Union[Instance, AnchoredInstance] = AnchoredInstance(x0=x0, y0=y0, x=x, y=y)
     else:
         inst = Instance(x=x, y=y)
@@ -432,8 +436,8 @@ def read_instance_record(path) -> InstanceRecord:
             pi = Permutation(tuple(pm))
         except ValueError as e:
             raise SchemaError("pi_bar: %s" % e) from e
-        sigma = t["sigma"]
-        _require(isinstance(sigma, (int, float)) and not isinstance(sigma, bool) and math.isfinite(float(sigma)) and sigma >= 0, "sigma must be a finite number >= 0")
-        truth = GroundTruth(w_bar=w_bar, pi_bar=pi, sigma=float(sigma))
+        sigma = _finite_float(t["sigma"], "sigma")
+        _require(sigma >= 0, "sigma must be >= 0")
+        truth = GroundTruth(w_bar=w_bar, pi_bar=pi, sigma=sigma)
 
     return InstanceRecord(instance=inst, truth=truth)

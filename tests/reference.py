@@ -5,8 +5,10 @@ the package to; nothing in ``shuffle_regress`` imports it.
 
 * ``lagarias_odlyzko`` is the general subset-sum search of Lagarias and
   Odlyzko (1985) over the full embedding, the reference for the lattice
-  stages that ``find_permutation`` runs on the permutation sublattice;
-  ``_scan`` is its pattern scan with an exact re-sum of each subset found.
+  stage that ``find_permutation`` runs on the permutation sublattice;
+  ``full_embedding`` builds that ``N``-source embedding at any scale
+  ``beta`` (the package builds only the sublattice), and ``_scan`` is its
+  pattern scan with an exact re-sum of each subset found.
 * ``solve_weighted_ls``, ``dense`` and ``apply`` read a ``SamplingMatrix``
   as the ``r x n`` matrix it encodes, and ``approx_factor`` is the
   approximation factor the barrier construction states for it.
@@ -42,7 +44,7 @@ from shuffle_regress import _ratlin
 from shuffle_regress.approx import orthonormalize
 from shuffle_regress.errors import CapExceededError
 from shuffle_regress.hardness import PlsInstance, ThreePartitionInstance
-from shuffle_regress.lattice import SubsetSumInstance, lll_reduce, subset_sum_basis
+from shuffle_regress.lattice import LatticeBasis, SubsetSumInstance, lll_reduce
 from shuffle_regress.model import AnchoredInstance, Permutation
 from shuffle_regress.perm1d import MatchResult
 from shuffle_regress.rowsample import SamplingMatrix
@@ -81,6 +83,34 @@ def _scan(columns, keys: list, ssi: SubsetSumInstance) -> Optional[tuple]:
     return None
 
 
+def full_embedding(ssi: SubsetSumInstance, beta) -> tuple[LatticeBasis, list]:
+    """Embedding lattice for a subset-sum instance, plus the source key order.
+
+    With ``N`` sources ``c_1..c_N`` (keys sorted), target ``t`` and a positive
+    scale ``beta``, the basis has ``N + 1`` columns in dimension ``N + 2``:
+    column 0 is ``e_0`` on top of ``beta * t``, column ``j >= 1`` is ``e_j`` on
+    top of ``-beta * c_j``; the bottom row is scaled by the common denominator
+    so every entry is an integer.  A subset ``S`` summing to ``t`` corresponds
+    to the lattice vector ``(1, indicator(S), 0)`` of squared length
+    ``|S| + 1``.
+    """
+    beta = Fraction(beta)
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    keys = sorted(ssi.sources)
+    bt = beta * ssi.target
+    bcs = [beta * ssi.sources[k] for k in keys]
+    scale = math.lcm(bt.denominator, *(v.denominator for v in bcs))
+    n1 = len(keys) + 1
+    columns = []
+    for j in range(n1):
+        col = [0] * (n1 + 1)
+        col[j] = 1
+        col[-1] = int(bt * scale) if j == 0 else -int(bcs[j - 1] * scale)
+        columns.append(tuple(col))
+    return LatticeBasis(columns=tuple(columns)), keys
+
+
 def lagarias_odlyzko(ssi: SubsetSumInstance, beta) -> SubsetSearchResult:
     """Lattice search for a subset of the sources summing exactly to the target.
 
@@ -92,7 +122,7 @@ def lagarias_odlyzko(ssi: SubsetSumInstance, beta) -> SubsetSearchResult:
     bits than ``n^2`` (low density).  ``beta`` scales every source by the same
     factor, so it cannot change the density; only the data can.
     """
-    basis, keys = subset_sum_basis(ssi, beta)
+    basis, keys = full_embedding(ssi, beta)
     return SubsetSearchResult(subset=_scan(lll_reduce(basis).columns, keys, ssi))
 
 

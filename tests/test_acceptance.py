@@ -28,8 +28,6 @@ from shuffle_regress import (
 from shuffle_regress.lattice import (
     SubsetSumInstance,
     build_sources,
-    default_beta,
-    epsilon_bound,
     subset_sum_basis,
 )
 from shuffle_regress.model import random_unit_vector
@@ -310,7 +308,9 @@ def test_criterion_06_exact_recovery(capsys, recovery_runs):
 
 
 def test_criterion_07_planted_vector_membership(capsys, recovery_runs):
-    """(1, indicator of the true matching, 0) lies in every embedding lattice."""
+    """(1, indicator of the true matching, 0) lies in the permutation
+    sublattice of every true anchor guess: the target column plus the free
+    columns of the true pairs."""
     t0 = time.monotonic()
     runs = recovery_runs["runs"]
     total = 0
@@ -321,24 +321,26 @@ def test_criterion_07_planted_vector_membership(capsys, recovery_runs):
         a_star = truth.pi_bar(0)
         rows = [tuple(q.x0), *(tuple(row) for row in q.x)]
         rows[0], rows[a_star] = rows[a_star], rows[0]
-        eps_hat = epsilon_bound(build_sources(rows[0], rows[1:], q.y, q.y0))
-        beta = default_beta(n, eps_hat)
         ssi = build_sources(rows[0], rows[1:], q.y, q.y0)
-        basis, keys = subset_sum_basis(ssi, beta)
+        basis, keys = subset_sum_basis(ssi)
         assert keys == sorted(keys)
-        v = list(basis.columns[0])
-        hot = []
+        (v,) = [list(col) for col in basis.columns if col[0] != 0]
+        free = {}
+        for col in basis.columns:
+            if col[0] == 0:
+                (pair,) = [
+                    (i, j) for i in range(1, n) for j in range(1, n) if col[1 + i * n + j]
+                ]
+                free[pair] = col
+        want = [0] * basis.dim
+        want[0] = 1
         for i in range(n):
             c = truth.pi_bar(i + 1)
             j = (a_star - 1) if c == 0 else (c - 1)
             assert keys[i * n + j] == (i, j)
-            col = basis.columns[1 + i * n + j]
-            v = [a + b for a, b in zip(v, col)]
-            hot.append(1 + i * n + j)
-        want = [0] * basis.dim
-        want[0] = 1
-        for h in hot:
-            want[h] = 1
+            if i and j:
+                v = [a + b for a, b in zip(v, free[i, j])]
+            want[1 + i * n + j] = 1
         total += 1
         if v == want and sum(x * x for x in v) == n + 1:
             good += 1

@@ -414,6 +414,31 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--instance", str(bad), "--solver", "brute")
         assert code == 2
 
+    @pytest.mark.parametrize("field", ["x", "y", "x0", "y0", "w_bar", "sigma"])
+    def test_integer_beyond_double_range_refused(self, tmp_path, capsys, field):
+        # json reads 10**400 as an int that no double holds; float() of it
+        # raises OverflowError, which the reader turns into a schema error
+        big = 10**400
+        doc = {
+            "n": 1, "d": 1, "x": [[1.0]], "y": [1.0],
+            "anchor": {"x0": [1.0], "y0": 1.0},
+            "truth": {"w_bar": [1.0], "pi_bar": [0, 1], "sigma": 0.0},
+        }
+        if field in ("x0", "y0"):
+            doc["anchor"][field] = [big] if field == "x0" else big
+        elif field in ("w_bar", "sigma"):
+            doc["truth"][field] = [big] if field == "w_bar" else big
+        else:
+            doc[field] = [[big]] if field == "x" else [big]
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(errors.SchemaError, match="must be finite"):
+            read_instance_record(bad)
+        code, stdout, err = run(capsys, "solve", "--instance", str(bad), "--solver", "lattice")
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and "must be finite" in err
+
 
 class TestSweep:
     def test_fptas_sweep_csv(self, tmp_path, capsys):

@@ -24,7 +24,6 @@ from shuffle_regress import (
 from shuffle_regress.lattice import (
     SubsetSumInstance,
     build_sources,
-    default_beta,
     epsilon_bound,
     find_permutation,
     subset_sum_basis,
@@ -33,7 +32,14 @@ from shuffle_regress import _ratlin as rl
 from shuffle_regress import lattice
 from shuffle_regress.model import random_unit_vector
 
-from reference import _indicator_subset, det, exact_fit, lagarias_odlyzko, subset_sum_brute
+from reference import (
+    _indicator_subset,
+    det,
+    exact_fit,
+    full_embedding,
+    lagarias_odlyzko,
+    subset_sum_brute,
+)
 
 F = Fraction
 
@@ -139,9 +145,12 @@ class TestLllReduce:
 
 
 class TestSubsetSumBasis:
+    """The reference full embedding of any N sources, which lagarias_odlyzko
+    reduces; the package builds only its permutation sublattice."""
+
     def test_shape_and_pattern(self):
         ssi = SubsetSumInstance(sources={"a": F(3), "b": F(5)}, target=F(8))
-        basis, keys = subset_sum_basis(ssi, F(4))
+        basis, keys = full_embedding(ssi, F(4))
         assert keys == ["a", "b"]
         assert len(basis.columns) == 3 and basis.dim == 4
         assert basis.columns[0] == (1, 0, 0, 32)  # beta * t = 32
@@ -150,7 +159,7 @@ class TestSubsetSumBasis:
 
     def test_rational_scale_clearing(self):
         ssi = SubsetSumInstance(sources={0: F(1, 3), 1: F(1, 2)}, target=F(5, 6))
-        basis, _ = subset_sum_basis(ssi, F(2))
+        basis, _ = full_embedding(ssi, F(2))
         # lcm of denominators of (5/3, 2/3, 1) is 3
         assert basis.columns[0][-1] == 5
         assert basis.columns[1][-1] == -2
@@ -158,7 +167,7 @@ class TestSubsetSumBasis:
 
     def test_planted_vector_membership(self):
         ssi = SubsetSumInstance(sources={0: F(3), 1: F(5), 2: F(9)}, target=F(12))
-        basis, keys = subset_sum_basis(ssi, F(2) ** 10)
+        basis, keys = full_embedding(ssi, F(2) ** 10)
         # subset {0, 2} sums to 12; (1, 1, 0, 1, 0) is a lattice vector
         v = [0] * basis.dim
         for idx, col in enumerate(basis.columns):
@@ -172,7 +181,7 @@ class TestSubsetSumBasis:
         ssi = SubsetSumInstance(sources={0: F(1)}, target=F(1))
         for beta in (F(0), F(-1)):
             with pytest.raises(ValueError):
-                subset_sum_basis(ssi, beta)
+                full_embedding(ssi, beta)
 
 
 class TestLagariasOdlyzko:
@@ -326,26 +335,15 @@ class TestEpsilonBound:
         assert checked >= 50
 
 
-class TestDefaultBeta:
-    def test_power_of_two_and_minimal(self):
-        # exactly 2**(n^2) / eps_hat = 2**9 * 1000
-        assert default_beta(3, F(1, 1000)) == 512000
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            default_beta(3, F(0))
-
-
 def embedded(d, n, seed):
-    """Seeded anchored p = 16 instance, its truth, its sources, the n^2
-    embedding with the beta find_permutation uses, the keys and the
-    permutation sublattice."""
+    """Seeded anchored p = 16 instance, its truth, its sources, the keys and
+    the permutation sublattice find_permutation reduces."""
     w = np.ones(d) / math.sqrt(d)
     inst, truth = gen_noiseless_anchored(w, n, seed)
     q, _ = quantize_noiseless(inst, truth, 16)
     ssi = build_sources(q.x0, q.x, q.y, q.y0)
-    basis, keys = subset_sum_basis(ssi, default_beta(n, epsilon_bound(ssi)))
-    return truth, ssi, basis, keys, lattice._permutation_sublattice(basis, keys, n)
+    sub, keys = subset_sum_basis(ssi)
+    return truth, ssi, keys, sub
 
 
 class TestPermutationSublattice:
@@ -353,8 +351,8 @@ class TestPermutationSublattice:
 
     @pytest.mark.parametrize("d, n, seed", CASES)
     def test_rank_and_dimension(self, d, n, seed):
-        _, _, basis, _, sub = embedded(d, n, seed)
-        assert sub.dim == basis.dim == n * n + 2
+        *_, sub = embedded(d, n, seed)
+        assert sub.dim == n * n + 2
         assert len(sub.columns) == (n - 1) ** 2 + 1
         gram = [[sum(a * b for a, b in zip(u, v)) for v in sub.columns] for u in sub.columns]
         assert det(gram) != 0  # independent columns: full rank (n - 1)^2 + 1
@@ -365,7 +363,7 @@ class TestPermutationSublattice:
         # find_permutation reads a map off without re-checking it: a reduced
         # column of the pattern z * (1, indicator, 0) has one z in each row
         # and column, and its subset sums exactly to the target
-        _, ssi, _, keys, sub = embedded(d, n, seed)
+        _, ssi, keys, sub = embedded(d, n, seed)
         at = {key: 1 + idx for idx, key in enumerate(keys)}
         reduced = lll_reduce(sub).columns
         for col in sub.columns + reduced:
@@ -386,7 +384,7 @@ class TestPermutationSublattice:
 
     @pytest.mark.parametrize("d, n, seed", CASES)
     def test_planted_vector_from_target_and_free_columns(self, d, n, seed):
-        truth, _, basis, keys, sub = embedded(d, n, seed)
+        truth, _, keys, sub = embedded(d, n, seed)
         at = {key: 1 + idx for idx, key in enumerate(keys)}
         (target,) = [col for col in sub.columns if col[0] != 0]
         assert target[0] == 1
@@ -404,7 +402,7 @@ class TestPermutationSublattice:
         for i in range(1, n):
             if pi[i] != 0:
                 v = [a + b for a, b in zip(v, free[i, pi[i]])]
-        want = [0] * basis.dim
+        want = [0] * sub.dim
         want[0] = 1
         for i in range(n):
             want[at[i, pi[i]]] = 1
@@ -451,7 +449,7 @@ class TestFindPermutation:
             sources.append(real(*args))
             return sources[-1]
 
-        def built(ssi, beta):
+        def built(ssi):
             raise AssertionError("lattice built")
 
         monkeypatch.setattr(lattice, "build_sources", spy)
@@ -463,11 +461,11 @@ class TestFindPermutation:
         assert ssi.target == 0 and not any(ssi.sources.values())
 
     def test_beta_derived_from_margin(self, monkeypatch):
-        # beta comes from the exact margin of the instance it embeds.  Every
-        # entry of the last row is then a multiple of at least 2**(n^2), so a
-        # vector that misses the target is longer than the LLL bound
-        # 2**((n - 1)^2 / 2) * sqrt(n + 1) on the first reduced vector of the
-        # rank-((n - 1)^2 + 1) sublattice.
+        # beta = 2**(n^2) * D comes from the exact margin 1 / D of the
+        # instance it embeds.  Every entry of the last row is then a multiple
+        # of at least 2**(n^2), so a vector that misses the target is longer
+        # than the LLL bound 2**((n - 1)^2 / 2) * sqrt(n + 1) on the first
+        # reduced vector of the rank-((n - 1)^2 + 1) sublattice.
         # d = 4: the anchor equation and the first power sum leave two free
         # directions, so the guess reaches the lattice
         n = 4
@@ -475,21 +473,27 @@ class TestFindPermutation:
         seen = []
         real = lattice.subset_sum_basis
 
-        def spy(ssi, beta):
-            seen.append((ssi, beta, real(ssi, beta)))
-            return seen[-1][2]
+        def spy(ssi):
+            seen.append((ssi, real(ssi)))
+            return seen[-1][1]
 
         monkeypatch.setattr(lattice, "subset_sum_basis", spy)
         find_permutation(q)
         assert len(seen) == 1
-        ssi, beta, (basis, keys) = seen[0]
-        assert beta == default_beta(n, epsilon_bound(ssi))
+        ssi, (basis, keys) = seen[0]
+        beta = 2 ** (n * n) / epsilon_bound(ssi)
         assert math.gcd(*(col[-1] for col in basis.columns)) >= 2 ** (n * n)
         # beta * D is an integer, so the bottom row is beta times the data,
         # with nothing left to clear
-        assert basis.columns[0][-1] == beta * ssi.target
-        for col, key in zip(basis.columns[1:], keys):
-            assert col[-1] == -beta * ssi.sources[key]
+        at = {key: 1 + idx for idx, key in enumerate(keys)}
+        c = ssi.sources
+        free = 0
+        for col in basis.columns:
+            if col[0] == 0:
+                ((i, j),) = [k for k in keys if k[0] and k[1] and col[at[k]]]
+                assert col[-1] == -beta * (c[i, j] - c[i, 0] - c[0, j] + c[0, 0])
+                free += 1
+        assert free == (n - 1) ** 2
 
 
 class TestRecover:
@@ -784,7 +788,7 @@ def _as_permutation(subset, n):
 def _full_rank_find_permutation(inst):
     """The full-rank search find_permutation ran before the permutation
     sublattice, kept as the reference: the same sources and beta over the n^2
-    embedding (subset_sum_basis, lll_reduce and the reference _scan, inside
+    embedding (full_embedding, lll_reduce and the reference _scan, inside
     lagarias_odlyzko), then the permutation check that embedding needs."""
     n = inst.n
     if all(v == 0 for v in inst.y):
@@ -792,7 +796,7 @@ def _full_rank_find_permutation(inst):
     ssi = build_sources(inst.x0, inst.x, inst.y, inst.y0)
     if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
         return None
-    subset = lagarias_odlyzko(ssi, default_beta(n, epsilon_bound(ssi))).subset
+    subset = lagarias_odlyzko(ssi, 2 ** (n * n) / epsilon_bound(ssi)).subset
     return _as_permutation(subset, n)
 
 
@@ -856,8 +860,8 @@ def _lattice_find_permutation(inst):
     ssi = build_sources(inst.x0, inst.x, inst.y, inst.y0)
     if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
         return None
-    basis, keys = subset_sum_basis(ssi, default_beta(n, epsilon_bound(ssi)))
-    for col in lll_reduce(lattice._permutation_sublattice(basis, keys, n)).columns:
+    basis, keys = subset_sum_basis(ssi)
+    for col in lll_reduce(basis).columns:
         pi = _as_permutation(_indicator_subset(col, keys), n)
         if pi is not None:
             return pi
@@ -882,7 +886,7 @@ class TestPermutationSumPrune:
         class Built(Exception):
             pass
 
-        def built(ssi, beta):
+        def built(ssi):
             raise Built
 
         instances = true_kept = pruned = 0

@@ -4,13 +4,15 @@ settings a caller can pass (CLI options, function parameters) and the fields
 of the package's records are pinned, so one joins or leaves only with an edit
 here.  Importing the package loads no third-party module but numpy, every
 function the benchmark's tracer wraps still exists under the name it looks
-up, every lattice span fires on a lattice solve, and no function or class of
-the package is there for the tests alone."""
+up, every lattice span fires on a lattice solve, one traced benchmark
+workload runs correctly end to end, and no function or class of the package
+is there for the tests alone."""
 import argparse
 import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import os
 import re
 import shlex
@@ -249,6 +251,20 @@ def test_every_lattice_span_fires(tmp_path, capsys):
     lattice_spans = {name for name in tracing.SPAN_NAMES if name.startswith("lattice.")}
     assert len(lattice_spans) == 6
     assert lattice_spans <= {span.name for span in tracer.spans}
+
+
+def test_benchmark_workload_runs():
+    # one traced pass of the smallest workload through the benchmark's own
+    # entry point: every op answers correctly, and the tracer's wrap table
+    # and report run end to end
+    out = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "lattice-recover",
+         "--seed", "0", "--seconds", "0", "--trace", "1"],
+        cwd=README.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout.splitlines()[-1])
+    assert (doc["correct"], doc["failed"], doc["attempted"]) == (True, 0, 36)
 
 
 def _loaded_names(paths):
