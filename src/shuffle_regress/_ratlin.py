@@ -5,8 +5,8 @@ It holds what the exact paths call.  ``solve`` serves ``lattice.build_sources``
 quadratic form) and ``lattice.recover`` (its one verification of a guess: all
 ``n + 1`` equations, solved for ``w`` or refused as inconsistent);
 ``find_permutation`` also reads ``_echelon`` for the two linear power-sum
-rows, and ``recover`` reads the pivot count of ``_echelon`` as the rank of
-its covariates.
+rows, and ``recover`` reads the pivot count of ``_echelon`` on the ``d x d``
+Gram matrix of its covariates as their rank.
 Matrices are lists of row lists.  ``solve`` reads the echelon form
 ``_echelon``; it serves full-column-rank systems only and refuses dependent
 columns rather than pick one of many solutions.  Nothing here is

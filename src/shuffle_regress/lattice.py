@@ -1,29 +1,34 @@
 """Exact recovery of weights and correspondence from noiseless quantized data.
 
-Each anchor guess (the covariate the held-out response ``y0`` belongs to)
-is tested by :func:`find_permutation` with one quadratic form.
+Each anchor guess ``a`` (the covariate the held-out response ``y0`` belongs
+to) is tested by ``find_permutation(inst, a)`` with one quadratic form, and
+an admitted guess yields the map of all ``n + 1`` measurements.
 
 Noiseless responses are the values ``<w, x_j>`` in some order, so whatever
-the permutation, ``sum_i y_i = <w, sum_j x_j>`` and
-``sum_i y_i^2 = sum_j <w, x_j>^2`` (the power-sum identity of Tsakiris et
-al., "An algebraic-geometric approach for linear regression without
-correspondences", 2020).  With the anchor equation ``<w, x0> = y0`` these
-are two linear rows and one quadratic in ``w``.  One exact echelon of the
-rows writes ``w`` as a particular solution plus a free coordinate per free
-column, and the quadratic becomes one form ``z^T A z + 2 b.z + c`` in those
-coordinates; a guess whose least value of the form exceeds 0 is refused.
+the permutation, over all ``n + 1`` pairs, ``sum_i y_i = <w, sum_j x_j>``
+and ``sum_i y_i^2 = w^T (sum_j x_j x_j^T) w`` (the power-sum identity of
+Tsakiris et al., "An algebraic-geometric approach for linear regression
+without correspondences", 2020).  These sums do not depend on the guess, so
+the instance computes them once (:attr:`AnchoredInstance.power_sums`) and
+every guess reads them in ``O(d^2)``.  With the anchor equation
+``<w, x_a> = y0`` they are two linear rows and one quadratic in ``w``.  One
+exact echelon of the rows writes ``w`` as a particular solution plus a free
+coordinate per free column, and the quadratic becomes one form
+``z^T A z + 2 b.z + c`` in those coordinates; a guess whose least value of
+the form exceeds 0 is refused.
 Where the rows leave at most one free direction (``d <= 2``, or ``d = 3``
-with ``x0`` and ``sum_j x_j`` independent), the form is solved exactly:
+with ``x_a`` and ``sum_j x_j`` independent), the form is solved exactly:
 ``w`` is pinned, or is one of the at most two rational roots of the
 quadratic on a line, and the permutation pairs equal values ``<w, x_j>``
-and ``y_i``.  No lattice is built there; this departs from the paper's
-algorithm, which takes every guess to subset sum.
+and ``y_i``, one ``O(n)`` match per candidate.  No lattice is built there;
+this departs from the paper's algorithm, which takes every guess to subset
+sum.
 
 Where two or more directions stay free (``d >= 4``, or dependent rows), a
 guess that the least value admits takes the paper's route.  The
-correspondence becomes a subset-sum problem: with the anchored measurement
-``(x0, y0)`` and exact arithmetic,
-``y0 = sum over matched pairs (i, j) of y_i * x_j^T (x^T x)^{-1} x0``, so the
+correspondence becomes a subset-sum problem: with the guessed anchor pair
+``(x_a, y0)``, the other ``n`` covariates as ``x`` and exact arithmetic,
+``y0 = sum over matched pairs (i, j) of y_i * x_j^T (x^T x)^{-1} x_a``, so the
 correct correspondence is a subset of the ``n^2`` source values summing exactly
 to ``y0``.  Low-density subset sums of this kind are solved by lattice basis
 reduction: embed the instance in an integer lattice whose target row is scaled
@@ -309,122 +314,132 @@ def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _match(values, y) -> Optional[Permutation]:
-    """The map pairing each response with a covariate of equal value, or
+def _match(values: dict, y) -> Optional[list]:
+    """The covariates paired with the responses ``y`` by equal value, or
     ``None`` when the multisets differ.
 
-    Ties go in index order: each response, in turn, takes the lowest
-    covariate index not yet taken that has its value.
+    ``values`` maps each covariate to its value, in slot order.  Ties go in
+    that order: each response, in turn, takes the first covariate not yet
+    taken that has its value.
     """
     free = {}
-    for j in reversed(range(len(values))):
-        free.setdefault(values[j], []).append(j)  # the lowest index pops first
+    for j, v in reversed(values.items()):
+        free.setdefault(v, []).append(j)  # the first slot pops first
     pairs = []
     for v in y:
         js = free.get(v)
         if not js:
             return None
         pairs.append(js.pop())
-    return Permutation(tuple(pairs))
+    return pairs
 
 
-def find_permutation(inst: AnchoredInstance) -> Optional[Permutation]:
-    """Correspondence for the ``n`` unanchored measurements of the exact
-    instance ``inst``, assuming the anchor pairing ``(x0, y0)`` is genuine.
+def find_permutation(inst: AnchoredInstance, a: int) -> Optional[Permutation]:
+    """Correspondence of all ``n + 1`` measurements of the exact instance
+    ``inst``, assuming ``y0`` pairs with covariate ``a`` (covariate 0 is
+    ``x0``, covariate ``j >= 1`` is ``x_j``).
 
     Noiseless responses are the values ``<w, x_j>`` in some order, so every
-    ``w`` that verifies meets the anchor equation ``<w, x0> = y0``, the first
-    power sum ``<w, s> = sum_i y_i`` (``s = sum_j x_j``) and the second,
-    ``sum_j <w, x_j>^2 = sum_i y_i^2``.  One exact echelon of the two linear
-    rows comes first; a pivot in their right-hand column refuses the guess
-    (``None``).  Otherwise the rows hold exactly at ``w = w_p + sum_f z_f
-    v_f``: ``w_p`` is the right-hand side at the pivot columns and 0
-    elsewhere, and free column ``f`` has ``v_f[f] = 1`` and ``v_f[pc] =
-    -row[f]`` at each row's pivot column ``pc``.  With ``u = x w_p`` and
-    ``g_f = x v_f`` the second power sum is one quadratic form in the free
-    coordinates, ``z^T A z + 2 b.z + c = 0`` with ``A_fh = <g_f, g_h>``,
-    ``b_f = <u, g_f>`` and ``c = <u, u> - sum_i y_i^2``.
+    ``w`` that verifies meets the anchor equation ``<w, x_a> = y0``, the first
+    power sum ``<w, s> = y1`` and the second, ``w^T g w = y2``, with ``s``,
+    ``y1``, ``g`` and ``y2`` the :attr:`AnchoredInstance.power_sums` over all
+    ``n + 1`` pairs, the same for every guess.  One exact echelon of the two
+    linear rows ``[x_a | y0]`` and ``[s | y1]`` comes first; a pivot in their
+    right-hand column refuses the guess (``None``).  Otherwise the rows hold
+    exactly at ``w = w_p + sum_f z_f v_f``: ``w_p`` is the right-hand side at
+    the pivot columns and 0 elsewhere, and free column ``f`` has ``v_f[f] =
+    1`` and ``v_f[pc] = -row[f]`` at each row's pivot column ``pc``.  The
+    second power sum is then one quadratic form in the free coordinates,
+    ``z^T A z + 2 b.z + c = 0`` with ``A_fh = v_f^T g v_h``, ``b_f = w_p^T g
+    v_f`` and ``c = w_p^T g w_p - y2``.  Since ``<x_a, v_f> = 0`` and ``<x_a,
+    w_p> = y0``, these are also the sums over the other ``n`` pairs alone.
 
-    With no free column, ``w = w_p``.  Otherwise the least value of the
-    form, ``c - b.A^-1 b`` (one exact solve), must not exceed 0, or the
-    guess is refused; with one free column the candidates are then the
-    rational roots of the quadratic in ``z`` (at most two, in ascending
-    order).  Either way no lattice is built: the map of the first candidate
-    whose values ``<w, x_j>`` equal the responses as multisets is returned
-    (see :func:`_match` for ties), else ``None``.  A verified ``w`` is
-    rational, so this refuses only guesses :func:`recover` would reject
-    anyway.
+    With no free column the form is the constant ``c``, and the guess is
+    refused unless ``c = 0``; ``w = w_p``.  Otherwise the least value of the
+    form, ``c - b.A^-1 b`` (one exact solve), must not exceed 0, or the guess
+    is refused; with one free column the candidates are then the rational
+    roots of the quadratic in ``z`` (at most two, in ascending order).  Either
+    way no lattice is built: the first candidate whose values ``<w, x_j>``
+    over the other ``n`` covariates equal the unanchored responses as
+    multisets gives the map, else ``None``.  Those covariates sit in slot
+    order, ``1, ..., n`` with covariate 0 in slot ``a``, and ties go in that
+    order (see :func:`_match`).  A verified ``w`` is rational, so this
+    refuses only guesses :func:`recover` would reject anyway.
 
     With two or more free columns, a guess that the least value admits
-    builds the permutation sublattice of its ``n^2`` sources (see
-    :func:`subset_sum_basis`, which derives ``beta`` from the sources' exact
-    margin), of rank ``(n - 1)^2 + 1``, reduces it, and reads the map off the
-    first reduced column of the pattern ``z * (1, indicator, 0)``: ``z != 0``,
-    last coordinate 0, every indicator entry 0 or ``z``.  Nothing there needs a
-    re-check: the last coordinate is ``z * beta * (target - subset sum)`` in
-    exact integers, and every row and column of the indicator block sums to
-    ``z``, so each holds exactly one ``z``.  It returns ``None`` when no
-    column has the pattern, or for a zero target with all-zero sources,
-    where no subset singles out a permutation.  All-zero unanchored
-    responses need no case of their own there: with ``y0 != 0`` the least
-    value exceeds 0, and with ``y0 = 0`` every source and the target are
-    zero.
+    builds the ``n^2`` sources of its ``n`` unanchored measurements, the
+    covariates in slot order, and the permutation sublattice of their
+    embedding (see :func:`subset_sum_basis`, which derives ``beta`` from the
+    sources' exact margin), of rank ``(n - 1)^2 + 1``, reduces it, and reads
+    the map off the first reduced column of the pattern ``z * (1, indicator,
+    0)``: ``z != 0``, last coordinate 0, every indicator entry 0 or ``z``.
+    Nothing there needs a re-check: the last coordinate is ``z * beta *
+    (target - subset sum)`` in exact integers, and every row and column of
+    the indicator block sums to ``z``, so each holds exactly one ``z``.  It
+    returns ``None`` when no column has the pattern, or for a zero target with
+    all-zero sources, where no subset singles out a permutation.  All-zero
+    unanchored responses need no case of their own there: with ``y0 != 0``
+    the least value exceeds 0, and with ``y0 = 0`` every source and the
+    target are zero.
 
-    The map sends response index to covariate index, both 0-based over the
-    unanchored block; :func:`recover` verifies it against all ``n + 1``
-    equations.  Raises :class:`RankDeficiencyError` when the ``g_f`` are
-    dependent, or when a guess on the lattice path has ``x`` without full
-    column rank.  A guess whose ``x`` lacks full column rank while its
-    ``g_f`` are independent thus raises only on the lattice path, and is
-    refused (``None``) when its least value exceeds 0; :func:`recover`
-    skips it either way.
+    The map sends response index to covariate index over all ``n + 1``
+    measurements, so ``perm(0) == a``; :func:`recover` verifies it against all
+    ``n + 1`` equations.  Raises :class:`RankDeficiencyError` when ``A`` is
+    singular (the values ``<x_j, v_f>`` of the free columns are dependent),
+    or when a guess on the lattice path leaves the other ``n`` covariates
+    without full column rank.  A guess whose other covariates lack full
+    column rank while ``A`` is not singular thus raises only on the lattice
+    path, and is refused (``None``) when its least value exceeds 0;
+    :func:`recover` skips it either way.
     """
-    d, x, y = inst.d, inst.x, inst.y
-    red, pivots = _ratlin._echelon(
-        [[*inst.x0, inst.y0], [*(sum(col) for col in zip(*x)), sum(y)]]
-    )
+    d = inst.d
+    s, y1, g, y2 = inst.power_sums
+    red, pivots = _ratlin._echelon([[*(inst.x[a - 1] if a else inst.x0), inst.y0], [*s, y1]])
     if d in pivots:  # the anchor equation and the first power sum contradict
         return None
     rows = red[: len(pivots)]
-    free = [c for c in range(d) if c not in pivots]
     w_p = [Fraction(0)] * d
     for row, pc in zip(rows, pivots):
         w_p[pc] = row[d]
-    u = _ratlin.matvec(x, w_p)
-    if not free:
-        return _match(u, y)
-    g = []
-    for f in free:
+    vs = []
+    for f in (c for c in range(d) if c not in pivots):
         v = [Fraction(0)] * d
         v[f] = Fraction(1)
         for row, pc in zip(rows, pivots):
             v[pc] = -row[f]
-        g.append(_ratlin.matvec(x, v))
-    # sum_j (u_j + sum_f z_f g_fj)^2 = sum_i y_i^2, that is z^T a z + 2 b.z + c = 0
-    a = [[_ratlin.dot(gf, gh) for gh in g] for gf in g]
-    b = [_ratlin.dot(u, gf) for gf in g]
-    c = _ratlin.dot(u, u) - _ratlin.dot(y, y)
-    slack = _ratlin.dot(b, _ratlin.solve(a, b)) - c  # minus the least value
-    if slack < 0:
+        vs.append(v)
+    # (w_p + sum_f z_f v_f)^T g (w_p + sum_f z_f v_f) = y2, that is z^T a_mat z + 2 b.z + c = 0
+    gv = [_ratlin.matvec(g, v) for v in vs]
+    a_mat = [[_ratlin.dot(v, gh) for gh in gv] for v in vs]
+    b = [_ratlin.dot(w_p, gh) for gh in gv]
+    c = _ratlin.dot(w_p, _ratlin.matvec(g, w_p)) - y2
+    slack = (_ratlin.dot(b, _ratlin.solve(a_mat, b)) if vs else 0) - c  # minus the least value
+    if slack < 0 or not vs and slack:  # with no free column the form is the constant c
         return None
-    if len(free) == 1:
-        a1, b1, g1 = a[0][0], b[0], g[0]
+    ws = [w_p]
+    if len(vs) == 1:
+        a1, b1 = a_mat[0][0], b[0]
         root = _rational_sqrt(a1 * slack)  # a1 * slack = b1^2 - a1 c
         if root is None:
             return None
-        for t in sorted({(-b1 - root) / a1, (-b1 + root) / a1}):
-            pi = _match([uj + t * gj for uj, gj in zip(u, g1)], y)
-            if pi is not None:
-                return pi
+        ws = [[p + t * q for p, q in zip(w_p, vs[0])] for t in sorted({(-b1 - root) / a1, (-b1 + root) / a1})]
+    # only now, with the guess admitted, is anything of size n built
+    xs = (inst.x0, *inst.x)
+    slots = [0 if j == a else j for j in range(1, inst.n + 1)]  # covariate 0 takes slot a
+    if len(vs) > 1:
+        ssi = build_sources(xs[a], [xs[j] for j in slots], inst.y, inst.y0)
+        if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
+            return None
+        basis, keys = subset_sum_basis(ssi)
+        for col in lll_reduce(basis).columns:
+            z = col[0]
+            if z != 0 and col[-1] == 0 and all(v in (0, z) for v in col[1:-1]):
+                return Permutation((a, *(slots[j] for (_, j), v in zip(keys, col[1:-1]) if v)))
         return None
-    ssi = build_sources(inst.x0, x, y, inst.y0)
-    if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
-        return None
-    basis, keys = subset_sum_basis(ssi)
-    for col in lll_reduce(basis).columns:
-        z = col[0]
-        if z != 0 and col[-1] == 0 and all(v in (0, z) for v in col[1:-1]):
-            return Permutation(tuple(j for (_, j), v in zip(keys, col[1:-1]) if v))
+    for w in ws:
+        pairs = _match({j: _ratlin.dot(w, xs[j]) for j in slots}, inst.y)
+        if pairs is not None:
+            return Permutation((a, *pairs))
     return None
 
 
@@ -452,53 +467,47 @@ def recover(inst: AnchoredInstance) -> Optional[RecoveryResult]:
     """Exact weights and correspondence from ``n + 1`` noiseless measurements,
     read as the exact rationals ``inst`` holds.
 
-    Tries every anchor guess in ascending order: covariate ``a`` is swapped
-    into the anchor slot and :func:`find_permutation` proposes a
-    correspondence for the rest, from the power sums or the lattice.  The
-    guess is verified by one exact solve over the rationals of all ``n + 1``
-    equations it induces, the anchor's included: the ``n + 1`` covariates
-    have rank ``d`` (decided before any guess), so the solve returns ``None``
-    exactly when some equation fails.  The first guess that verifies wins;
-    its result satisfies ``y_i = <w, x_{perm(i)}>`` exactly for every
-    measurement including the anchor.
+    Tries every anchor guess ``a`` in ascending order: :func:`find_permutation`
+    proposes the whole correspondence with ``y0`` on covariate ``a``, from
+    the power sums or the lattice.  Every guess reads the same
+    :attr:`AnchoredInstance.power_sums`, computed once, so no guess rebuilds
+    the instance.  The guess is verified by one exact solve over the
+    rationals of all ``n + 1`` equations it induces, the anchor's included:
+    the ``n + 1`` covariates have rank ``d`` (decided before any guess), so
+    the solve returns ``None`` exactly when some equation fails.  The first
+    guess that verifies wins; its result satisfies ``y_i = <w, x_{perm(i)}>``
+    exactly for every measurement including the anchor.
 
     A guess on the lattice route embeds its subset sum with the ``beta``
     that its own exact margin needs (see :func:`subset_sum_basis`), so any
     ``d >= 1`` works.
 
     Returns ``None`` if no anchor verifies.  The refusals of the whole
-    instance are decided once, before any guess: ``ValueError`` when
-    ``n < d``, :class:`DegenerateInstanceError` when all ``n + 1`` responses
-    are zero, and :class:`RankDeficiencyError` when the ``n + 1`` covariates
-    lack rank ``d``.  Otherwise some guess leaves ``n`` covariates of rank
-    ``d``, and a guess on the lattice route whose remaining covariates lack
-    it is a failed guess.
+    instance are decided once, before any guess, from the same sums:
+    ``ValueError`` when ``n < d``, :class:`DegenerateInstanceError` when all
+    ``n + 1`` responses are zero (``y2 = 0``), and
+    :class:`RankDeficiencyError` when the ``n + 1`` covariates lack rank
+    ``d`` (their ``d x d`` Gram matrix ``g`` has fewer than ``d`` pivots).
+    Otherwise some guess leaves ``n`` covariates of rank ``d``, and a guess
+    on the lattice route whose remaining covariates lack it is a failed
+    guess.
     """
-    n = inst.n
-    if n < inst.d:
+    if inst.n < inst.d:
         raise ValueError("need n >= d")
-    ys_all = [inst.y0, *inst.y]
-    if all(v == 0 for v in ys_all):
+    _, _, g, y2 = inst.power_sums
+    if y2 == 0:
         raise DegenerateInstanceError("all responses zero")
-    xs_all = [inst.x0, *inst.x]
-    if len(_ratlin._echelon(xs_all)[1]) < inst.d:  # rank < d: some v != 0 has X v = 0
+    if len(_ratlin._echelon(g)[1]) < inst.d:  # rank < d: some v != 0 has X v = 0
         raise RankDeficiencyError("covariates do not have full column rank")
-
-    for a in range(n + 1):
-        order = list(range(n + 1))  # slot s holds covariate order[s]
-        order[0], order[a] = a, 0  # guess a swaps into the anchor slot
-        sub = AnchoredInstance(
-            x0=xs_all[a], y0=inst.y0, x=[xs_all[g] for g in order[1:]], y=inst.y
-        )
+    xs, ys = [inst.x0, *inst.x], [inst.y0, *inst.y]
+    for a in range(inst.n + 1):
         try:
-            pi_hat = find_permutation(sub)
+            perm = find_permutation(inst, a)
         except RankDeficiencyError:  # this guess left covariates of rank < d
             continue
-        if pi_hat is None:
+        if perm is None:
             continue
-        gmap = [a, *(order[1 + pi_hat(i)] for i in range(n))]
-        w = _ratlin.solve([xs_all[g] for g in gmap], ys_all)  # all n + 1 equations
-        if w is None:
-            continue
-        return RecoveryResult(perm=Permutation(tuple(gmap)), w=tuple(w))
+        w = _ratlin.solve([xs[j] for j in perm.map], ys)  # all n + 1 equations
+        if w is not None:
+            return RecoveryResult(perm=perm, w=tuple(w))
     return None

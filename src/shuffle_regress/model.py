@@ -33,6 +33,7 @@ case needs no infinity sentinel.  Other keys (older files carry a
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -191,6 +192,20 @@ class AnchoredInstance:
     @property
     def d(self) -> int:
         return len(self.x0)
+
+    @functools.cached_property
+    def power_sums(self) -> tuple:
+        """``(s, y1, g, y2)`` over all ``n + 1`` pairs, the anchor's included:
+        ``s = sum_j x_j``, ``y1 = sum_i y_i``, the Gram matrix
+        ``g = sum_j x_j x_j^T`` and ``y2 = sum_i y_i^2``.
+
+        They do not depend on which covariate ``y0`` pairs with, so
+        :func:`lattice.recover` computes them once and every anchor guess
+        reads them.
+        """
+        xs, ys = (self.x0, *self.x), (self.y0, *self.y)
+        g = tuple(tuple(sum(row[i] * row[k] for row in xs) for k in range(self.d)) for i in range(self.d))
+        return tuple(map(sum, zip(*xs))), sum(ys), g, sum(v * v for v in ys)
 
 
 def _streams(seed: int):

@@ -423,10 +423,9 @@ class TestFindPermutation:
 
     def test_recovers_planted_map(self):
         q, truth, _ = self.make_quantized(2, 3, 5)
-        pi = find_permutation(q)
+        pi = find_permutation(q, 0)
         assert pi is not None
-        want = tuple(truth.pi_bar(i + 1) - 1 for i in range(3))
-        assert pi.map == want
+        assert pi.map == truth.pi_bar.map
 
     def test_all_zero_responses_degenerate(self):
         # a refused guess, not an error: with y0 != 0 the power-sum test
@@ -434,7 +433,7 @@ class TestFindPermutation:
         q = AnchoredInstance(
             x0=(F(1),), y0=F(1), x=((F(1),), (F(2),)), y=(F(0), F(0))
         )
-        assert find_permutation(q) is None
+        assert find_permutation(q, 0) is None
 
     def test_zero_target_and_sources_refused(self, monkeypatch):
         # at d = 3, x0 = 0 and y0 = 0 leave the first power sum as the one
@@ -456,7 +455,7 @@ class TestFindPermutation:
         monkeypatch.setattr(lattice, "subset_sum_basis", built)
         x = ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
         q = AnchoredInstance(x0=(F(0),) * 3, y0=F(0), x=x, y=(F(1), F(2), F(3)))
-        assert find_permutation(q) is None
+        assert find_permutation(q, 0) is None
         (ssi,) = sources
         assert ssi.target == 0 and not any(ssi.sources.values())
 
@@ -478,7 +477,7 @@ class TestFindPermutation:
             return seen[-1][1]
 
         monkeypatch.setattr(lattice, "subset_sum_basis", spy)
-        find_permutation(q)
+        find_permutation(q, 0)
         assert len(seen) == 1
         ssi, (basis, keys) = seen[0]
         beta = 2 ** (n * n) / epsilon_bound(ssi)
@@ -529,18 +528,42 @@ class TestRecover:
                 wv * xv for wv, xv in zip(res.w, xs[res.perm(i)])
             )
 
-    @pytest.mark.parametrize("d, n", [(2, 60), (3, 30)])
+    @pytest.mark.parametrize("d, n", [(2, 60), (3, 30), (2, 1000), (3, 500)])
     def test_power_sums_recover_far_above_the_lattice(self, d, n):
         # unanchored p = 16, seeds 0-2: the power sums solve every guess at
-        # d <= 3, so n is not walled off where LLL stops (n = 9).  Ties on
-        # the grid can allow several maps, so only the equations and w count
+        # d <= 3, so n is not walled off where LLL stops (n = 9).  Every
+        # guess reads the sums the instance computes once, so n = 1000 takes
+        # well under a second.  Ties on the grid can allow several maps, so
+        # only the equations and w count
         for seed in range(3):
-            q, _, w_q = self.run_case(d, n, seed, anchored=False)
-            res = recover(q)
-            assert res is not None and res.w == w_q
-            xs, ys = [q.x0, *q.x], [q.y0, *q.y]
-            for i in range(n + 1):
-                assert ys[i] == sum(wv * xv for wv, xv in zip(res.w, xs[res.perm(i)]))
+            self.assert_recovered(*self.run_case(d, n, seed, anchored=False))
+
+    def assert_recovered(self, q, _, w_q):
+        # the planted w, and a map that fits all n + 1 equations
+        res = recover(q)
+        assert res is not None and res.w == w_q
+        xs, ys = [q.x0, *q.x], [q.y0, *q.y]
+        for i in range(q.n + 1):
+            assert ys[i] == sum(wv * xv for wv, xv in zip(res.w, xs[res.perm(i)]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_at_most_two_matches_per_recovery(self, monkeypatch, d):
+        # unanchored p = 16, n = 200, seeds 0-2: the power sums refuse a
+        # wrong guess before any O(n) pairing of values with responses, so
+        # only the candidates of the guess that verifies are matched (at
+        # most two roots), not one per guess that passes the linear rows
+        calls = []
+        real = lattice._match
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(lattice, "_match", counted)
+        for seed in range(3):
+            calls.clear()
+            self.assert_recovered(*self.run_case(d, 200, seed, anchored=False))
+            assert 1 <= len(calls) <= 2
 
     def test_noisy_returns_none(self):
         # perturb one response off the exact lattice: no anchor can verify
@@ -582,7 +605,7 @@ class TestRecover:
     )
     def test_rank_deficiency_decided_before_any_guess(self, monkeypatch, x0, x, y):
         calls = []
-        monkeypatch.setattr(lattice, "find_permutation", lambda sub: calls.append(sub))
+        monkeypatch.setattr(lattice, "find_permutation", lambda *args: calls.append(args))
         q = AnchoredInstance(
             x0=tuple(map(F, x0)),
             y0=F(1),
@@ -615,9 +638,9 @@ class TestRecover:
         raised = []
         real = lattice.find_permutation
 
-        def tracked(sub):
+        def tracked(inst, a):
             try:
-                return real(sub)
+                return real(inst, a)
             except RankDeficiencyError:
                 raised.append(True)
                 raise
@@ -646,7 +669,7 @@ class TestRecover:
         # non-permutation subset {(1, 1)} also sums to the target; it is not a
         # vector of the permutation sublattice, so the lattice stage returns
         # the identity, the one permutation whose subset hits the target
-        ((_, sub),) = [(a, sub) for a, sub in anchor_guesses(self.ZERO_SOURCE) if a == 1]
+        sub = _guess_instance(self.ZERO_SOURCE, 1)
         ssi = build_sources(sub.x0, sub.x, sub.y, sub.y0)
         assert ssi.sources[0, 0] == ssi.sources[1, 0] == 0
         assert ssi.sources[1, 1] == ssi.target
@@ -655,28 +678,29 @@ class TestRecover:
     @pytest.mark.parametrize(
         "x, y0, y, maps, want",
         [
-            # d = 1, covariates (1, 2, 3): on guess 0 the identity fits the n
-            # unanchored equations (w = 1) but not the anchor's (1 != 5); on
-            # guess 1 the unanchored ones are inconsistent (2 = w, 3 = 3w),
+            # d = 1, covariates (1, 2, 3): on guess 0 the slot order fits the
+            # n unanchored equations (w = 1) but not the anchor's (1 != 5);
+            # on guess 1 the unanchored ones are inconsistent (2 = w, 3 = 3w),
             # and on guess 2 all are (5 = 3w, 2 = 2w)
             ((2, 3), 5, (2, 3), {}, None),
             # d = 1, covariates (1, 2, 4), w = 2 with y0 on covariate 2: the
-            # identity fails guess 0 at the anchor equation and guess 1 in
-            # the rest; guess 2 leaves covariates (1, 0) in that order, and
-            # the map (1, 0) pairs the responses with covariates 0 and 1
-            ((2, 4), 8, (2, 4), {2: (1, 0)},
+            # slot order fails guess 0 at the anchor equation and guess 1 in
+            # the rest; on guess 2 the map (2, 0, 1) pairs the responses
+            # with covariates 0 and 1
+            ((2, 4), 8, (2, 4), {2: (2, 0, 1)},
              lattice.RecoveryResult(perm=Permutation((2, 0, 1)), w=(F(2),))),
         ],
         ids=["no-guess-fits", "later-guess-fits"],
     )
     def test_proposal_must_fit_every_equation(self, monkeypatch, x, y0, y, maps, want):
-        # find_permutation proposes maps[a] on guess a (the identity where
-        # maps has none); only recover's exact solve decides
+        # find_permutation proposes maps[a] on guess a (y0 on covariate a
+        # and the rest in slot order where maps has none); only recover's
+        # exact solve decides
         guesses = []
 
-        def proposed(sub):
-            guesses.append(len(guesses))
-            return Permutation(maps.get(guesses[-1], tuple(range(sub.n))))
+        def proposed(inst, a):
+            guesses.append(a)
+            return Permutation(maps.get(a, (a, *_slots(inst.n, a))))
 
         monkeypatch.setattr(lattice, "find_permutation", proposed)
         q = AnchoredInstance(
@@ -785,11 +809,47 @@ def _as_permutation(subset, n):
         return None
 
 
+def _slots(n, a):
+    """The covariate in each unanchored slot of guess ``a``, in the order
+    ``find_permutation`` reads them: ``1, ..., n`` with covariate 0 in slot
+    ``a``."""
+    return [0 if j == a else j for j in range(1, n + 1)]
+
+
+def _guess_instance(q, a):
+    """The instance of anchor guess ``a``: ``y0`` on covariate ``a``, the
+    other covariates in slot order, as the lattice route of
+    ``find_permutation`` embeds them."""
+    xs = [tuple(q.x0), *(tuple(row) for row in q.x)]
+    return AnchoredInstance(
+        x0=xs[a], y0=F(q.y0), x=tuple(xs[j] for j in _slots(q.n, a)), y=tuple(q.y)
+    )
+
+
+def anchor_guesses(q):
+    """``(a, sub)`` for every anchor guess ``a``, ``sub`` its instance."""
+    return [(a, _guess_instance(q, a)) for a in range(q.n + 1)]
+
+
+def _on_guess(find):
+    """A stand-in for ``find_permutation(q, a)`` from a search over the
+    instance of guess ``a``: its map over the slots, made global."""
+
+    def stand_in(q, a):
+        pi = find(_guess_instance(q, a))
+        slots = _slots(q.n, a)
+        return None if pi is None else Permutation((a, *(slots[j] for j in pi.map)))
+
+    return stand_in
+
+
+@_on_guess
 def _full_rank_find_permutation(inst):
     """The full-rank search find_permutation ran before the permutation
     sublattice, kept as the reference: the same sources and beta over the n^2
     embedding (full_embedding, lll_reduce and the reference _scan, inside
-    lagarias_odlyzko), then the permutation check that embedding needs."""
+    lagarias_odlyzko), then the permutation check that embedding needs.
+    Called as ``(q, a)``, it returns the global map."""
     n = inst.n
     if all(v == 0 for v in inst.y):
         return None
@@ -837,19 +897,6 @@ class TestFullRankReference:
                                     lost.append((d, n, p, anchored, seed))
         assert lost == []
         assert ref_hits >= 200
-
-
-def anchor_guesses(q):
-    """``(a, sub)`` for every anchor guess ``a``, with ``sub`` built as
-    ``recover`` builds it: covariate ``a`` swapped into the anchor slot."""
-    n = q.n
-    xs = [tuple(q.x0), *(tuple(row) for row in q.x)]
-    for a in range(n + 1):
-        order = list(range(n + 1))
-        order[0], order[a] = a, 0
-        yield a, AnchoredInstance(
-            x0=xs[a], y0=F(q.y0), x=tuple(xs[g] for g in order[1:]), y=tuple(q.y)
-        )
 
 
 def _lattice_find_permutation(inst):
@@ -905,7 +952,7 @@ class TestPermutationSumPrune:
                                 try:
                                     with monkeypatch.context() as m:
                                         m.setattr(lattice, "subset_sum_basis", built)
-                                        pi = find_permutation(sub)
+                                        pi = find_permutation(q, a)
                                 except RankDeficiencyError:
                                     continue
                                 except Built:
@@ -980,10 +1027,10 @@ def _admitted(monkeypatch, x0, x, y, y0) -> bool:
     inst = AnchoredInstance(x0=x0, y0=y0, x=x, y=y)
     with monkeypatch.context() as m:
         m.setattr(lattice, "build_sources", spy)
-        pi = find_permutation(inst)
+        pi = find_permutation(inst, 0)
     if pi is not None:
-        rows = [inst.x0, *(inst.x[pi(i)] for i in range(inst.n))]
-        assert rl.solve(rows, [inst.y0, *inst.y]) is not None
+        xs = [inst.x0, *inst.x]
+        assert rl.solve([xs[j] for j in pi.map], [inst.y0, *inst.y]) is not None
     return pi is not None or bool(built)
 
 
@@ -1112,7 +1159,7 @@ class TestPowerSums:
                         if not any(q.y):
                             continue
                         with monkeypatch.context() as m:
-                            m.setattr(lattice, "find_permutation", _lattice_find_permutation)
+                            m.setattr(lattice, "find_permutation", _on_guess(_lattice_find_permutation))
                             without = recover(q)
                         results.append(recover(q))
                         assert results[-1] == without
