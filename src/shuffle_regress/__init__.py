@@ -17,7 +17,7 @@ from .errors import (
     RankDeficiencyError,
     SchemaError,
 )
-from .hardness import PlsInstance, ThreePartitionInstance, reduce_3partition
+from .hardness import ThreePartitionInstance, reduce_3partition
 from .lattice import LatticeBasis, RecoveryResult, lll_reduce, recover
 from .model import (
     AnchoredInstance,
@@ -49,7 +49,6 @@ __all__ = [
     "MatchResult",
     "ParseError",
     "Permutation",
-    "PlsInstance",
     "RankDeficiencyError",
     "RecoveryResult",
     "SamplingMatrix",

@@ -1,17 +1,18 @@
-"""Exact linear algebra over Fraction, sized for desk-scale systems.
+"""Exact linear algebra over Fraction for the exact recovery path.
 
-It holds what the exact paths call.  ``solve`` serves ``lattice.build_sources``
-(its Gram system), ``lattice.find_permutation`` (the least value of its
+It holds what ``lattice`` calls.  ``solve`` serves ``lattice.build_sources``
+(the Gram system of a guess's other ``n`` covariates, read off the
+instance's power sums), ``lattice.find_permutation`` (the least value of its
 quadratic form) and ``lattice.recover`` (its one verification of a guess: all
 ``n + 1`` equations, solved for ``w`` or refused as inconsistent);
 ``find_permutation`` also reads ``_echelon`` for the two linear power-sum
 rows, and ``recover`` reads the pivot count of ``_echelon`` on the ``d x d``
-Gram matrix of its covariates as their rank.
+Gram matrix of its covariates as their rank.  ``dot`` serves
+``lll_reduce``, ``build_sources`` and ``find_permutation``, and ``matvec``
+the last of them.
 Matrices are lists of row lists.  ``solve`` reads the echelon form
 ``_echelon``; it serves full-column-rank systems only and refuses dependent
-columns rather than pick one of many solutions.  Nothing here is
-performance-tuned beyond what exhaustive verification at n <= 10 or so
-requires.
+columns rather than pick one of many solutions.
 """
 from __future__ import annotations
 
@@ -25,10 +26,6 @@ Matrix = list
 
 def mat(rows) -> Matrix:
     return [[Fraction(v) for v in row] for row in rows]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
 
 
 def dot(u: Sequence, v: Sequence):

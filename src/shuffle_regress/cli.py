@@ -47,7 +47,6 @@ from .hardness import ThreePartitionInstance, reduce_3partition
 from .model import (
     AnchoredInstance,
     GroundTruth,
-    Instance,
     gen_gaussian_noisy,
     gen_noiseless_anchored,
     gen_uniform_noisy,
@@ -409,19 +408,9 @@ def cmd_check_w2(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    pls = reduce_3partition(ThreePartitionInstance(z=tuple(_parse_grid(args.z, int))))
-    # the file holds doubles: refuse a value that none holds before the float
-    # conversion below rounds it and the file states a different instance
-    for v in pls.b:
-        try:
-            exact = float(v) == v
-        except OverflowError:
-            exact = False
-        if not exact:
-            raise ValueError("value %d has no exact double, so no instance file holds it" % v)
-    inst = Instance(x=np.array(pls.a, dtype=float), y=np.array(pls.b, dtype=float))
+    inst = reduce_3partition(ThreePartitionInstance(z=tuple(_parse_grid(args.z, int))))
     write_instance(args.output, inst)
-    print("wrote %s (n=%d d=%d); zero brute-force cost means feasible" % (args.output, pls.n, pls.d))
+    print("wrote %s (n=%d d=%d); zero brute-force cost means feasible" % (args.output, inst.n, inst.d))
     return 0
 
 

@@ -4,14 +4,19 @@ The reduction maps a 3-partition instance (3k positive integers, each strictly
 between a quarter and half of the per-triple target C = sum / k) to the
 question of whether some row shuffle of the response vector makes an integer
 linear system exactly solvable.  Feasibility transfers in both directions;
-``reduce`` writes the system as an instance file, whose brute-force cost is
-zero exactly when the 3-partition instance is a yes-instance.
+``reduce_3partition`` returns the system as an :class:`Instance`, whose
+brute-force cost is zero exactly when the 3-partition instance is a
+yes-instance, and ``reduce`` writes it as an instance file.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ThreePartitionInstance", "PlsInstance", "reduce_3partition"]
+import numpy as np
+
+from .model import Instance
+
+__all__ = ["ThreePartitionInstance", "reduce_3partition"]
 
 
 @dataclass(frozen=True)
@@ -40,45 +45,26 @@ class ThreePartitionInstance:
         return sum(self.z) // self.k
 
 
-@dataclass(frozen=True)
-class PlsInstance:
-    """Integer matrix ``a`` (n x d) and vector ``b`` (length n); feasible iff
-    some permutation of ``b`` lies in the column span of ``a``."""
-
-    a: tuple[tuple[int, ...], ...]
-    b: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(tuple(int(v) for v in row) for row in self.a))
-        object.__setattr__(self, "b", tuple(int(v) for v in self.b))
-        if not self.a or not self.a[0]:
-            raise ValueError("empty system")
-        d = len(self.a[0])
-        if any(len(row) != d for row in self.a):
-            raise ValueError("ragged matrix")
-        if len(self.b) != len(self.a):
-            raise ValueError("b length must match row count")
-
-    @property
-    def n(self) -> int:
-        return len(self.a)
-
-    @property
-    def d(self) -> int:
-        return len(self.a[0])
-
-
-def reduce_3partition(tp: ThreePartitionInstance) -> PlsInstance:
+def reduce_3partition(tp: ThreePartitionInstance) -> Instance:
     """Feasibility-preserving embedding with ``n = 4k`` rows and ``d = 3k`` columns.
 
     The top ``3k`` rows are the identity (pinning each value slot) and each of
     the bottom ``k`` rows sums one candidate triple of slots ``(3j, 3j+1,
-    3j+2)``; the right-hand side is ``z`` followed by ``k`` copies of ``c``.
+    3j+2)``; the responses are ``z`` followed by ``k`` copies of ``c``.  The
+    instance holds doubles, so a value that no double holds exactly raises
+    ``ValueError`` rather than be rounded into a different instance.
     """
     k = tp.k
     d = 3 * k
+    y = tp.z + (tp.c,) * k
+    for v in y:
+        try:
+            exact = float(v) == v
+        except OverflowError:
+            exact = False
+        if not exact:
+            raise ValueError("value %d has no exact double, so no instance file holds it" % v)
     rows = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     for j in range(k):
         rows.append(tuple(int(3 * j <= i < 3 * j + 3) for i in range(d)))
-    return PlsInstance(a=tuple(rows), b=tuple(tp.z) + (tp.c,) * k)
-
+    return Instance(x=np.array(rows, dtype=float), y=np.array(y, dtype=float))

@@ -27,13 +27,15 @@ sum.
 Where two or more directions stay free (``d >= 4``, or dependent rows), a
 guess that the least value admits takes the paper's route.  The
 correspondence becomes a subset-sum problem: with the guessed anchor pair
-``(x_a, y0)``, the other ``n`` covariates as ``x`` and exact arithmetic,
-``y0 = sum over matched pairs (i, j) of y_i * x_j^T (x^T x)^{-1} x_a``, so the
-correct correspondence is a subset of the ``n^2`` source values summing exactly
-to ``y0``.  Low-density subset sums of this kind are solved by lattice basis
-reduction: embed the instance in an integer lattice whose target row is scaled
-by ``beta`` and look for a reduced vector of the pattern
-``z * (1, indicator, 0)``.  All sums are rationals over one common denominator
+``(x_a, y0)`` and exact arithmetic, ``y0 = sum over matched pairs (i, j) of
+y_i p_j``, where ``p_j = <x_j, (G - x_a x_a^T)^{-1} x_a>`` projects each of
+the other ``n`` covariates and ``G - x_a x_a^T``, their Gram matrix, comes
+off the same power sums.  The ``n^2`` sources are thus the rank-one product
+of the responses and the projections, and the correct correspondence is a
+subset of them summing exactly to ``y0``.  Low-density subset sums of this
+kind are solved by lattice basis reduction: embed the instance in an integer
+lattice whose target row is scaled by ``beta`` and look for a reduced vector
+of the pattern ``z * (1, indicator, 0)``.  All sums are rationals over one common denominator
 ``D``, so a wrong subset misses the target by at least ``1 / D``; ``beta`` is
 derived from that exact margin.
 
@@ -44,12 +46,11 @@ those ``2n - 1`` independent sums equal coordinate 0: rank ``(n - 1)^2 + 1``
 instead of ``n^2 + 1``, in the same ``n^2 + 2`` coordinates, so the pattern
 and the margin carry over unchanged.
 
-An anchor guess either yields a permutation or is refused (``None``), except
-that :func:`find_permutation` raises :class:`RankDeficiencyError` when a
-guess leaves covariates without rank along its free directions, or on the
-lattice route without full column rank.
+An anchor guess either yields a permutation or is refused (``None``), also
+on the lattice route when its other ``n`` covariates lack rank ``d``.
 :func:`recover` refuses a whole instance (all responses zero, or ``n + 1``
-covariates of rank below ``d``) once, before it tries any guess.
+covariates of rank below ``d``) once, before it tries any guess, and no guess
+of an instance it admits raises.
 
 All arithmetic on both routes is exact: the :class:`AnchoredInstance` they
 take holds rationals, and the reduction works on arbitrary-size integers.
@@ -70,7 +71,6 @@ from .model import AnchoredInstance, Permutation
 
 __all__ = [
     "LatticeBasis",
-    "SubsetSumInstance",
     "RecoveryResult",
     "lll_reduce",
     "subset_sum_basis",
@@ -194,41 +194,28 @@ def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
     return LatticeBasis(columns=tuple(tuple(c) for c in cols))
 
 
-@dataclass(frozen=True)
-class SubsetSumInstance:
-    """Exact subset-sum data: ``sources`` indexed by hashable keys, and a
-    ``target``."""
-
-    sources: dict
-    target: Fraction
-
-    def __post_init__(self):
-        if not self.sources:
-            raise ValueError("no sources")
-        object.__setattr__(
-            self, "sources", {k: Fraction(v) for k, v in self.sources.items()}
-        )
-        object.__setattr__(self, "target", Fraction(self.target))
-
-
-def subset_sum_basis(ssi: SubsetSumInstance) -> tuple[LatticeBasis, list]:
+def subset_sum_basis(y, p, y0) -> LatticeBasis:
     """The permutation sublattice of the Lagarias-Odlyzko embedding of the
-    ``n^2`` sources of :func:`build_sources`, plus the source key order.
+    ``n^2`` sources ``c_ij = y_i p_j`` with target ``y0``, for the ``n``
+    responses ``y`` and the ``n`` projections ``p`` of :func:`build_sources`.
 
     The coordinates are those of the embedding: coordinate 0 is the target
-    multiplier ``z``, coordinate ``1 + i n + j`` the indicator of key
-    ``(i, j)`` (keys sorted), and the last coordinate ``beta`` times the
+    multiplier ``z``, coordinate ``1 + i n + j`` the indicator of the pair
+    ``(i, j)`` (row-major), and the last coordinate ``beta`` times the
     target less the chosen sources.  Entries ``(i, j)`` with ``i, j >= 1``
     are free; row 0 and column 0 of the indicator block are fixed by asking
-    every row sum and every column sum to equal ``z``.  The columns are
+    every row sum and every column sum to equal ``z``.  With ``y_0`` and
+    ``p_0`` the first entries of ``y`` and ``p`` (the target is ``y0``), the
+    columns are
 
     - the target column (``z = 1``, every free entry 0): entry ``2 - n`` at
       ``(0, 0)``, 1 at ``(i, 0)`` and ``(0, j)`` for ``i, j >= 1``, and last
-      entry ``beta * (t - sum_{i>=1} c_i0 - sum_{j>=1} c_0j - (2 - n) c_00)``,
-      and
+      entry ``beta * (y0 - sum_{i>=1} c_i0 - sum_{j>=1} c_0j - (2 - n)
+      c_00)``, that is ``beta * (y0 - p_0 sum_i y_i - y_0 sum_j p_j + n y_0
+      p_0)``, and
     - for each free ``(i, j)``: 1 at ``(i, j)`` and ``(0, 0)``, -1 at
       ``(i, 0)`` and ``(0, j)``, and last entry ``-beta * (c_ij - c_i0 -
-      c_0j + c_00)``,
+      c_0j + c_00) = -beta * (y_i - y_0) (p_j - p_0)``,
 
     stably sorted by the magnitude of their last entry.  The rank is
     ``(n - 1)^2 + 1`` in ambient dimension ``n^2 + 2``.  A permutation
@@ -243,63 +230,55 @@ def subset_sum_basis(ssi: SubsetSumInstance) -> tuple[LatticeBasis, list]:
     so its last entry is at least ``2**(n^2)``, longer than that bound for
     every ``n >= 1``.
     """
-    n = math.isqrt(len(ssi.sources))
-    keys = [(i, j) for i in range(n) for j in range(n)]
-    c = ssi.sources
-    beta = 2 ** (n * n) * epsilon_bound(ssi).denominator
+    n = len(y)
+    beta = 2 ** (n * n) * epsilon_bound(y, p, y0).denominator
     target = [1, 2 - n] + [0] * (n * n)
     for k in range(1, n):
         target[1 + k * n] = target[1 + k] = 1  # (k, 0) and (0, k)
-    target[-1] = int(beta * (ssi.target - (2 - n) * c[0, 0]
-                             - sum(c[k, 0] + c[0, k] for k in range(1, n))))
+    target[-1] = int(beta * (y0 - p[0] * sum(y) - y[0] * sum(p) + n * y[0] * p[0]))
     columns = [tuple(target)]
     for i in range(1, n):
         for j in range(1, n):
             col = [0] * (n * n + 2)
             col[1 + i * n + j] = col[1] = 1
             col[1 + i * n] = col[1 + j] = -1
-            col[-1] = int(-beta * (c[i, j] - c[i, 0] - c[0, j] + c[0, 0]))
+            col[-1] = int(-beta * (y[i] - y[0]) * (p[j] - p[0]))
             columns.append(tuple(col))
-    return LatticeBasis(columns=tuple(sorted(columns, key=lambda col: abs(col[-1])))), keys
+    return LatticeBasis(columns=tuple(sorted(columns, key=lambda col: abs(col[-1]))))
 
 
-def build_sources(x0, x, y, y0) -> SubsetSumInstance:
-    """Subset-sum sources whose correct-match subset sums to the anchor response.
+def build_sources(inst: AnchoredInstance, a: int, slots) -> Optional[list]:
+    """The projections ``p_j = <x_j, (G - x_a x_a^T)^{-1} x_a>`` of the
+    covariates ``x_j``, ``j`` in ``slots``, in that order, for the guess that
+    pairs ``y0`` with covariate ``a``; ``None`` when ``G - x_a x_a^T`` is
+    singular.
 
-    For exact data ``y_i = <w, x_{pi(i)}>`` with full-column-rank ``x``, the
-    value ``c[(i, j)] = y_i * x_j^T (x^T x)^{-1} x0`` summed over the matched
-    pairs ``(i, pi(i))`` equals ``y0 = <w, x0>``.  One exact ``d x d`` solve
-    gives ``z = (x^T x)^{-1} x0``; the sources are then ``y_i * <x_j, z>``.
-    Keys are 0-based ``(response, covariate)`` pairs.
-
-    Raises :class:`RankDeficiencyError` when ``x`` lacks full column rank.
+    ``G`` is the Gram matrix of :attr:`AnchoredInstance.power_sums`, so
+    ``G - x_a x_a^T`` is the Gram matrix of the other ``n`` covariates, and
+    it is singular exactly when they lack rank ``d``.  For exact data
+    ``y_i = <w, x_{pi(i)}>`` the sources ``c_ij = y_i p_j`` summed over the
+    matched pairs ``(i, pi(i))`` give ``w^T (G - x_a x_a^T) (G - x_a
+    x_a^T)^{-1} x_a = <w, x_a> = y0``.
     """
-    xm = _ratlin.mat(x)
-    n = len(xm)
-    d = len(xm[0])
-    if n < d:
-        raise ValueError("need at least d measurements")
-    x0 = [Fraction(v) for v in x0]
-    y = [Fraction(v) for v in y]
-    if len(x0) != d or len(y) != n:
-        raise ValueError("shape mismatch")
-    xt = _ratlin.transpose(xm)
-    z = _ratlin.solve([_ratlin.matvec(xt, col) for col in xt], x0)  # x^T x z = x0
-    proj = _ratlin.matvec(xm, z)
-    sources = {(i, j): y[i] * proj[j] for i in range(n) for j in range(n)}
-    return SubsetSumInstance(sources=sources, target=Fraction(y0))
+    xs = (inst.x0, *inst.x)
+    x_a = xs[a]
+    _, _, g, _ = inst.power_sums
+    try:  # the Gram system of the other n covariates
+        z = _ratlin.solve([[gk - u * v for gk, v in zip(row, x_a)] for row, u in zip(g, x_a)], x_a)
+    except RankDeficiencyError:
+        return None
+    return [_ratlin.dot(xs[j], z) for j in slots]
 
 
-def epsilon_bound(ssi: SubsetSumInstance) -> Fraction:
-    """Exact separation margin ``1 / D`` for wrong-subset sums.
+def epsilon_bound(y, p, y0) -> Fraction:
+    """Exact separation margin ``1 / D`` for wrong-subset sums of the sources
+    ``c_ij = y_i p_j`` against the target ``y0``.
 
     ``D`` is the least common denominator of the target and every source, so
     every subset sum lies on the ``1 / D`` grid and one that misses the target
     misses it by at least ``1 / D`` (Lagarias and Odlyzko, 1985).
     """
-    return Fraction(
-        1, math.lcm(ssi.target.denominator, *(v.denominator for v in ssi.sources.values()))
-    )
+    return Fraction(1, math.lcm(y0.denominator, *((u * v).denominator for u in y for v in p)))
 
 
 def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -367,30 +346,30 @@ def find_permutation(inst: AnchoredInstance, a: int) -> Optional[Permutation]:
     refuses only guesses :func:`recover` would reject anyway.
 
     With two or more free columns, a guess that the least value admits
-    builds the ``n^2`` sources of its ``n`` unanchored measurements, the
-    covariates in slot order, and the permutation sublattice of their
-    embedding (see :func:`subset_sum_basis`, which derives ``beta`` from the
-    sources' exact margin), of rank ``(n - 1)^2 + 1``, reduces it, and reads
-    the map off the first reduced column of the pattern ``z * (1, indicator,
-    0)``: ``z != 0``, last coordinate 0, every indicator entry 0 or ``z``.
+    takes the projections ``p_j`` of its other ``n`` covariates, in slot
+    order, from the Gram matrix ``g - x_a x_a^T`` (see :func:`build_sources`),
+    builds the permutation sublattice of the embedding of the ``n^2``
+    sources ``y_i p_j`` (see :func:`subset_sum_basis`, which derives
+    ``beta`` from the sources' exact margin), of rank ``(n - 1)^2 + 1``,
+    reduces it, and reads the map off the first reduced column of the
+    pattern ``z * (1, indicator, 0)``: ``z != 0``, last coordinate 0, every
+    indicator entry 0 or ``z``; coordinate ``1 + t`` pairs response ``t //
+    n`` with the covariate in slot ``t % n``.
     Nothing there needs a re-check: the last coordinate is ``z * beta *
     (target - subset sum)`` in exact integers, and every row and column of
     the indicator block sums to ``z``, so each holds exactly one ``z``.  It
-    returns ``None`` when no column has the pattern, or for a zero target with
-    all-zero sources, where no subset singles out a permutation.  All-zero
-    unanchored responses need no case of their own there: with ``y0 != 0``
-    the least value exceeds 0, and with ``y0 = 0`` every source and the
-    target are zero.
+    returns ``None`` when no column has the pattern, when the other ``n``
+    covariates lack rank ``d`` (their Gram matrix is singular), or for a
+    zero target with all-zero sources (``y0 = 0`` and every ``y_i`` or
+    every ``p_j`` zero), where no subset singles out a permutation.
 
     The map sends response index to covariate index over all ``n + 1``
     measurements, so ``perm(0) == a``; :func:`recover` verifies it against all
-    ``n + 1`` equations.  Raises :class:`RankDeficiencyError` when ``A`` is
-    singular (the values ``<x_j, v_f>`` of the free columns are dependent),
-    or when a guess on the lattice path leaves the other ``n`` covariates
-    without full column rank.  A guess whose other covariates lack full
-    column rank while ``A`` is not singular thus raises only on the lattice
-    path, and is refused (``None``) when its least value exceeds 0;
-    :func:`recover` skips it either way.
+    ``n + 1`` equations.  When the ``n + 1`` covariates have rank ``d``, as
+    :func:`recover` requires before any guess, ``g`` is positive definite and
+    so is ``A``, and nothing here raises.  On covariates of lower rank the
+    solve of the form raises :class:`RankDeficiencyError` when ``A`` is
+    singular.
     """
     d = inst.d
     s, y1, g, y2 = inst.power_sums
@@ -424,18 +403,18 @@ def find_permutation(inst: AnchoredInstance, a: int) -> Optional[Permutation]:
             return None
         ws = [[p + t * q for p, q in zip(w_p, vs[0])] for t in sorted({(-b1 - root) / a1, (-b1 + root) / a1})]
     # only now, with the guess admitted, is anything of size n built
-    xs = (inst.x0, *inst.x)
-    slots = [0 if j == a else j for j in range(1, inst.n + 1)]  # covariate 0 takes slot a
+    n = inst.n
+    slots = [0 if j == a else j for j in range(1, n + 1)]  # covariate 0 takes slot a
     if len(vs) > 1:
-        ssi = build_sources(xs[a], [xs[j] for j in slots], inst.y, inst.y0)
-        if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
+        p = build_sources(inst, a, slots)
+        if p is None or inst.y0 == 0 and (not any(inst.y) or not any(p)):
             return None
-        basis, keys = subset_sum_basis(ssi)
-        for col in lll_reduce(basis).columns:
+        for col in lll_reduce(subset_sum_basis(inst.y, p, inst.y0)).columns:
             z = col[0]
             if z != 0 and col[-1] == 0 and all(v in (0, z) for v in col[1:-1]):
-                return Permutation((a, *(slots[j] for (_, j), v in zip(keys, col[1:-1]) if v)))
+                return Permutation((a, *(slots[t % n] for t, v in enumerate(col[1:-1]) if v)))
         return None
+    xs = (inst.x0, *inst.x)
     for w in ws:
         pairs = _match({j: _ratlin.dot(w, xs[j]) for j in slots}, inst.y)
         if pairs is not None:
@@ -488,9 +467,8 @@ def recover(inst: AnchoredInstance) -> Optional[RecoveryResult]:
     ``n + 1`` responses are zero (``y2 = 0``), and
     :class:`RankDeficiencyError` when the ``n + 1`` covariates lack rank
     ``d`` (their ``d x d`` Gram matrix ``g`` has fewer than ``d`` pivots).
-    Otherwise some guess leaves ``n`` covariates of rank ``d``, and a guess
-    on the lattice route whose remaining covariates lack it is a failed
-    guess.
+    Otherwise no guess raises: a guess on the lattice route whose remaining
+    covariates lack rank ``d`` is a failed guess (``None``) like any other.
     """
     if inst.n < inst.d:
         raise ValueError("need n >= d")
@@ -501,10 +479,7 @@ def recover(inst: AnchoredInstance) -> Optional[RecoveryResult]:
         raise RankDeficiencyError("covariates do not have full column rank")
     xs, ys = [inst.x0, *inst.x], [inst.y0, *inst.y]
     for a in range(inst.n + 1):
-        try:
-            perm = find_permutation(inst, a)
-        except RankDeficiencyError:  # this guess left covariates of rank < d
-            continue
+        perm = find_permutation(inst, a)
         if perm is None:
             continue
         w = _ratlin.solve([xs[j] for j in perm.map], ys)  # all n + 1 equations

@@ -6,9 +6,15 @@ the package to; nothing in ``shuffle_regress`` imports it.
 * ``lagarias_odlyzko`` is the general subset-sum search of Lagarias and
   Odlyzko (1985) over the full embedding, the reference for the lattice
   stage that ``find_permutation`` runs on the permutation sublattice;
-  ``full_embedding`` builds that ``N``-source embedding at any scale
-  ``beta`` (the package builds only the sublattice), and ``_scan`` is its
-  pattern scan with an exact re-sum of each subset found.
+  ``full_embedding`` builds that ``N``-source embedding of a
+  ``SubsetSumInstance`` (any hashable keys) at any scale ``beta`` (the
+  package builds only the sublattice), and ``_scan`` is its pattern scan
+  with an exact re-sum of each subset found.
+* ``build_sources`` is the reference of the lattice route's sources: the
+  ``n^2`` values ``y_i <x_j, (x^T x)^{-1} x0>`` from the Gram matrix of the
+  ``n`` covariates themselves, where the package reads that matrix off the
+  instance's power sums and keeps the sources as the rank-one product
+  ``y_i p_j``.  ``transpose`` serves it and the exact determinant checks.
 * ``solve_weighted_ls``, ``dense`` and ``apply`` read a ``SamplingMatrix``
   as the ``r x n`` matrix it encodes, and ``approx_factor`` is the
   approximation factor the barrier construction states for it.
@@ -43,11 +49,61 @@ import numpy as np
 from shuffle_regress import _ratlin
 from shuffle_regress.approx import orthonormalize
 from shuffle_regress.errors import CapExceededError
-from shuffle_regress.hardness import PlsInstance, ThreePartitionInstance
-from shuffle_regress.lattice import LatticeBasis, SubsetSumInstance, lll_reduce
-from shuffle_regress.model import AnchoredInstance, Permutation
+from shuffle_regress.hardness import ThreePartitionInstance
+from shuffle_regress.lattice import LatticeBasis, lll_reduce
+from shuffle_regress.model import AnchoredInstance, Instance, Permutation
 from shuffle_regress.perm1d import MatchResult
 from shuffle_regress.rowsample import SamplingMatrix
+
+
+def transpose(a) -> list:
+    """The transpose of a matrix given as row lists."""
+    return [list(col) for col in zip(*a)]
+
+
+@dataclass(frozen=True)
+class SubsetSumInstance:
+    """Exact subset-sum data: ``sources`` indexed by hashable keys, and a
+    ``target``."""
+
+    sources: dict
+    target: Fraction
+
+    def __post_init__(self):
+        if not self.sources:
+            raise ValueError("no sources")
+        object.__setattr__(
+            self, "sources", {k: Fraction(v) for k, v in self.sources.items()}
+        )
+        object.__setattr__(self, "target", Fraction(self.target))
+
+
+def build_sources(x0, x, y, y0) -> SubsetSumInstance:
+    """Subset-sum sources whose correct-match subset sums to the anchor response.
+
+    For exact data ``y_i = <w, x_{pi(i)}>`` with full-column-rank ``x``, the
+    value ``c[(i, j)] = y_i * x_j^T (x^T x)^{-1} x0`` summed over the matched
+    pairs ``(i, pi(i))`` equals ``y0 = <w, x0>``.  One exact ``d x d`` solve
+    of the Gram system of ``x`` itself gives ``z = (x^T x)^{-1} x0``; the
+    sources are then ``y_i * <x_j, z>``.  Keys are 0-based ``(response,
+    covariate)`` pairs.
+
+    Raises :class:`RankDeficiencyError` when ``x`` lacks full column rank.
+    """
+    xm = _ratlin.mat(x)
+    n = len(xm)
+    d = len(xm[0])
+    if n < d:
+        raise ValueError("need at least d measurements")
+    x0 = [Fraction(v) for v in x0]
+    y = [Fraction(v) for v in y]
+    if len(x0) != d or len(y) != n:
+        raise ValueError("shape mismatch")
+    xt = transpose(xm)
+    z = _ratlin.solve([_ratlin.matvec(xt, col) for col in xt], x0)  # x^T x z = x0
+    proj = _ratlin.matvec(xm, z)
+    sources = {(i, j): y[i] * proj[j] for i in range(n) for j in range(n)}
+    return SubsetSumInstance(sources=sources, target=Fraction(y0))
 
 
 @dataclass(frozen=True)
@@ -407,7 +463,7 @@ def check_3partition_brute(tp: ThreePartitionInstance) -> bool:
 
 def left_nullspace_int(a) -> list[list[int]]:
     """Integer basis of ``{v : v a = 0}`` (row vectors), possibly empty."""
-    at = _ratlin.transpose(_ratlin.mat(a))
+    at = transpose(_ratlin.mat(a))
     red, pivots = _ratlin._echelon(at)
     nrows = len(a)
     free = [c for c in range(nrows) if c not in pivots]
@@ -422,21 +478,24 @@ def left_nullspace_int(a) -> list[list[int]]:
     return basis
 
 
-def pls_feasible_brute(pls: PlsInstance) -> bool:
-    """Exhaustively decide permuted-system feasibility, exactly.
+def pls_feasible_brute(inst: Instance) -> bool:
+    """Exhaustively decide permuted-system feasibility, exactly, for an
+    instance of integer values.
 
-    True iff some permutation ``pi`` makes ``a x = (b[pi(0)], ..., b[pi(n-1)])``
+    True iff some permutation ``pi`` makes ``x w = (y[pi(0)], ..., y[pi(n-1)])``
     consistent; equivalently the exact rational least-squares residual is zero.
-    Decided via an integer basis of the left null space of ``a``, so no
+    The values are read back as the exact integers they hold, and the answer
+    is decided via an integer basis of the left null space of ``x``, so no
     tolerance enters.  Refuses ``n > 8``.
     """
-    n = pls.n
+    n = inst.n
     if n > 8:
         raise CapExceededError("pls_feasible_brute capped at n <= 8, got n = %d" % n)
-    null_rows = left_nullspace_int([list(r) for r in pls.a])
+    b = [int(v) for v in inst.y]
+    null_rows = left_nullspace_int([[int(v) for v in row] for row in inst.x])
     if not null_rows:
         return True
     for perm in itertools.permutations(range(n)):
-        if all(sum(nr[i] * pls.b[perm[i]] for i in range(n)) == 0 for nr in null_rows):
+        if all(sum(nr[i] * b[perm[i]] for i in range(n)) == 0 for nr in null_rows):
             return True
     return False

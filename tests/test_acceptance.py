@@ -25,16 +25,13 @@ from shuffle_regress import (
     sort_match,
     LatticeBasis,
 )
-from shuffle_regress.lattice import (
-    SubsetSumInstance,
-    build_sources,
-    subset_sum_basis,
-)
+from shuffle_regress.lattice import build_sources, subset_sum_basis
 from shuffle_regress.model import random_unit_vector
 from shuffle_regress.oracle import ols_given_perm
 from shuffle_regress.cli import order_stats_report, w2_report
 
 from reference import (
+    SubsetSumInstance,
     approx_factor,
     check_3partition_brute,
     dense,
@@ -45,6 +42,7 @@ from reference import (
     pls_feasible_brute,
     solve_weighted_ls,
     subset_sum_brute,
+    transpose,
 )
 
 F = Fraction
@@ -167,7 +165,7 @@ def _shortest_nonzero_sq(reduced, original):
 
     m = len(reduced)
     r_sq = min(sum(v * v for v in c) for c in original)
-    b = rl.transpose(rl.mat(reduced))
+    b = transpose(rl.mat(reduced))
     inv_cols = [rl.solve(b, [F(int(i == j)) for i in range(m)]) for j in range(m)]
     bounds = [
         math.isqrt(math.floor(r_sq * sum(col[i] ** 2 for col in inv_cols))) for i in range(m)
@@ -206,7 +204,7 @@ def test_criterion_04_lll_defect_bound(capsys):
             continue  # dependent draw, take another
         total += 1
         b1_sq = sum(v * v for v in red.columns[0])
-        orig = rl.transpose(rl.mat(cols))
+        orig = transpose(rl.mat(cols))
         t_cols = []
         unimodular_ok = True
         for c in red.columns:
@@ -216,7 +214,7 @@ def test_criterion_04_lll_defect_bound(capsys):
                 break
             t_cols.append([int(v) for v in coeffs])
         if unimodular_ok:
-            unimodular_ok = det(rl.mat(rl.transpose(t_cols))) in (1, -1)
+            unimodular_ok = det(rl.mat(transpose(t_cols))) in (1, -1)
         # the first minimum is enumerated over the reduced basis, which spans
         # the original lattice only when the change of basis is unimodular
         if unimodular_ok and b1_sq <= 2 ** (dim - 1) * _shortest_nonzero_sq(red.columns, cols):
@@ -319,11 +317,8 @@ def test_criterion_07_planted_vector_membership(capsys, recovery_runs):
         q, truth = r["q"], r["truth"]
         n, d = q.n, q.d
         a_star = truth.pi_bar(0)
-        rows = [tuple(q.x0), *(tuple(row) for row in q.x)]
-        rows[0], rows[a_star] = rows[a_star], rows[0]
-        ssi = build_sources(rows[0], rows[1:], q.y, q.y0)
-        basis, keys = subset_sum_basis(ssi)
-        assert keys == sorted(keys)
+        slots = [0 if j == a_star else j for j in range(1, n + 1)]  # x0 in slot a_star
+        basis = subset_sum_basis(q.y, build_sources(q, a_star, slots), q.y0)
         (v,) = [list(col) for col in basis.columns if col[0] != 0]
         free = {}
         for col in basis.columns:
@@ -335,9 +330,7 @@ def test_criterion_07_planted_vector_membership(capsys, recovery_runs):
         want = [0] * basis.dim
         want[0] = 1
         for i in range(n):
-            c = truth.pi_bar(i + 1)
-            j = (a_star - 1) if c == 0 else (c - 1)
-            assert keys[i * n + j] == (i, j)
+            j = slots.index(truth.pi_bar(i + 1))
             if i and j:
                 v = [a + b for a, b in zip(v, free[i, j])]
             want[1 + i * n + j] = 1

@@ -1,13 +1,19 @@
+import numpy as np
 import pytest
 
 from shuffle_regress import (
     CapExceededError,
-    PlsInstance,
+    Instance,
     ThreePartitionInstance,
     reduce_3partition,
 )
 
 from reference import check_3partition_brute, gen_yes_instance, pls_feasible_brute
+
+
+def system(x, y):
+    """The permuted linear system ``x w = shuffled y`` of integer values."""
+    return Instance(x=np.array(x, dtype=float), y=np.array(y, dtype=float))
 
 
 class TestThreePartitionInstance:
@@ -46,22 +52,22 @@ class TestThreePartitionInstance:
 class TestReduce3Partition:
     def test_k1_pinned_shape(self):
         tp = ThreePartitionInstance(z=(4, 5, 6))
-        pls = reduce_3partition(tp)
-        assert pls.a == ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
-        assert pls.b == (4, 5, 6, 15)
-        assert pls.n == 4 and pls.d == 3
+        inst = reduce_3partition(tp)
+        assert inst.x.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+        assert inst.y.tolist() == [4, 5, 6, 15]
+        assert inst.n == 4 and inst.d == 3
 
     def test_k2_shape(self):
         tp = ThreePartitionInstance(z=(4, 4, 7, 7, 4, 4))
-        pls = reduce_3partition(tp)
-        assert pls.n == 8 and pls.d == 6
+        inst = reduce_3partition(tp)
+        assert inst.n == 8 and inst.d == 6
         # first 6 rows are the identity block
         for i in range(6):
-            assert pls.a[i] == tuple(1 if j == i else 0 for j in range(6))
+            assert inst.x[i].tolist() == [1 if j == i else 0 for j in range(6)]
         # last k rows are triple indicators
-        assert pls.a[6] == (1, 1, 1, 0, 0, 0)
-        assert pls.a[7] == (0, 0, 0, 1, 1, 1)
-        assert pls.b == (4, 4, 7, 7, 4, 4, 15, 15)
+        assert inst.x[6].tolist() == [1, 1, 1, 0, 0, 0]
+        assert inst.x[7].tolist() == [0, 0, 0, 1, 1, 1]
+        assert inst.y.tolist() == [4, 4, 7, 7, 4, 4, 15, 15]
 
 
 class TestBruteForceCheckers:
@@ -84,21 +90,19 @@ class TestBruteForceCheckers:
 
     def test_pls_trivial_feasible(self):
         # square full-rank system: empty left nullspace, any ordering solvable
-        assert pls_feasible_brute(PlsInstance(a=((1, 0), (0, 1)), b=(1, 2))) is True
+        assert pls_feasible_brute(system(((1, 0), (0, 1)), (1, 2))) is True
 
     def test_pls_infeasible(self):
         # rows sum constraint: nullspace row (1, 1, -1) forces b_pi0+b_pi1=b_pi2
-        pls = PlsInstance(a=((1, 0), (0, 1), (1, 1)), b=(1, 1, 3))
-        assert pls_feasible_brute(pls) is False
+        assert pls_feasible_brute(system(((1, 0), (0, 1), (1, 1)), (1, 1, 3))) is False
 
     def test_pls_feasible_after_permutation(self):
-        pls = PlsInstance(a=((1, 0), (0, 1), (1, 1)), b=(3, 1, 2))
-        assert pls_feasible_brute(pls) is True
+        assert pls_feasible_brute(system(((1, 0), (0, 1), (1, 1)), (3, 1, 2))) is True
 
     def test_pls_cap(self):
         a = tuple((1,) for _ in range(9))
         with pytest.raises(CapExceededError):
-            pls_feasible_brute(PlsInstance(a=a, b=tuple(range(9))))
+            pls_feasible_brute(system(a, tuple(range(9))))
 
 
 class TestEquivalence:

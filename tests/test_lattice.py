@@ -22,7 +22,6 @@ from shuffle_regress import (
     recover,
 )
 from shuffle_regress.lattice import (
-    SubsetSumInstance,
     build_sources,
     epsilon_bound,
     find_permutation,
@@ -33,13 +32,16 @@ from shuffle_regress import lattice
 from shuffle_regress.model import random_unit_vector
 
 from reference import (
+    SubsetSumInstance,
     _indicator_subset,
     det,
     exact_fit,
     full_embedding,
     lagarias_odlyzko,
     subset_sum_brute,
+    transpose,
 )
+from reference import build_sources as reference_sources
 
 F = Fraction
 
@@ -128,14 +130,14 @@ class TestLllReduce:
     def test_unimodular_change_of_basis(self):
         cols = ((3, 1, 0), (1, 4, 2), (0, 5, 7))
         red = lll_reduce(LatticeBasis(columns=cols))
-        orig = rl.transpose(rl.mat(cols))  # dim x ncols, columns as given
+        orig = transpose(rl.mat(cols))  # dim x ncols, columns as given
         t_cols = []
         for c in red.columns:
             coeffs = rl.solve(orig, [F(v) for v in c])
             assert coeffs is not None
             assert all(v.denominator == 1 for v in coeffs)
             t_cols.append([int(v) for v in coeffs])
-        assert det(rl.mat(rl.transpose(t_cols))) in (1, -1)
+        assert det(rl.mat(transpose(t_cols))) in (1, -1)
 
     def test_dependent_columns_rejected(self):
         with pytest.raises(ValueError):
@@ -240,71 +242,99 @@ class TestLagariasOdlyzko:
         assert sorted(res.subset) in ([0, 3], [1, 2, 3])
 
 
+def _anchored(d, n, seed, p=16):
+    """Seeded anchored instance on the ``2**-p`` grid, and its truth."""
+    w = np.ones(d) / math.sqrt(d)
+    inst, truth = gen_noiseless_anchored(w, n, seed)
+    return quantize_noiseless(inst, truth, p)[0], truth
+
+
+def rank_one(q, p):
+    """The sources ``y_i p_j``, keyed ``(i, j)`` as the reference keys them."""
+    return {(i, j): yi * pj for i, yi in enumerate(q.y) for j, pj in enumerate(p)}
+
+
 class TestBuildSources:
+    # build_sources returns the projections p_j of guess 0's covariates in
+    # slots 1..n; the sources are their rank-one product with the responses,
+    # held to the reference, which solves the covariates' own Gram system
+
     def test_scalar_formula(self):
-        ssi = build_sources(x0=[F(3)], x=[[F(2)]], y=[F(10)], y0=F(15))
-        assert ssi.sources == {(0, 0): F(10) * F(3) / F(2)}
-        assert ssi.target == F(15)
+        q = AnchoredInstance(x0=(F(3),), y0=F(15), x=((F(2),),), y=(F(10),))
+        p = build_sources(q, 0, [1])
+        assert p == [F(3, 2)]  # <x_1, (13 - 9)^-1 x0> = 2 * 3 / 4
+        assert rank_one(q, p) == reference_sources(q.x0, q.x, q.y, q.y0).sources == {(0, 0): F(15)}
 
     def test_correct_subset_sums_to_anchor(self):
         inst, truth = gen_noiseless_anchored(np.array([0.75, -0.5]), 3, 13)
         q, _ = quantize_noiseless(inst, truth, 10)
-        ssi = build_sources(q.x0, q.x, q.y, q.y0)
+        p = build_sources(q, 0, [1, 2, 3])
         # pi_bar fixes the anchor, so unanchored truth is i -> pi_bar(i+1)-1
-        total = sum(
-            ssi.sources[(i, truth.pi_bar(i + 1) - 1)] for i in range(3)
-        )
-        assert total == q.y0
+        assert sum(q.y[i] * p[truth.pi_bar(i + 1) - 1] for i in range(3)) == q.y0
+
+    RANK_DEFICIENT = dict(x=((F(1), F(2)), (F(2), F(4)), (F(3), F(6))), y=(F(1), F(2), F(3)), y0=F(1))
 
     def test_rank_deficient_raises(self):
+        # the reference raises on covariates without full column rank; the
+        # package's Gram of them is singular, and the guess builds nothing
+        x0 = (F(1), F(1))
         with pytest.raises(RankDeficiencyError):
-            build_sources(
-                x0=[F(1), F(1)],
-                x=[[F(1), F(2)], [F(2), F(4)], [F(3), F(6)]],
-                y=[F(1), F(2), F(3)],
-                y0=F(1),
-            )
+            reference_sources(x0, **self.RANK_DEFICIENT)
+        assert build_sources(AnchoredInstance(x0=x0, **self.RANK_DEFICIENT), 0, [1, 2, 3]) is None
 
     def test_rank_deficient_x0_in_span_raises(self):
         # x0 = (1, 2) lies in the span of x^T x, so the Gram system is
         # consistent; the dependent columns alone must refuse it
+        x0 = (F(1), F(2))
         with pytest.raises(RankDeficiencyError):
-            build_sources(
-                x0=[F(1), F(2)],
-                x=[[F(1), F(2)], [F(2), F(4)], [F(3), F(6)]],
-                y=[F(1), F(2), F(3)],
-                y0=F(1),
-            )
+            reference_sources(x0, **self.RANK_DEFICIENT)
+        assert build_sources(AnchoredInstance(x0=x0, **self.RANK_DEFICIENT), 0, [1, 2, 3]) is None
 
     @pytest.mark.parametrize("d, n, seed", [(2, 3, 0), (2, 5, 1), (3, 4, 2), (3, 6, 3)])
     def test_projection_property(self, d, n, seed):
-        # with all responses 1, source (0, j) is proj_j = <x_j, (x^T x)^{-1} x0>
+        # p = x (x^T x)^{-1} x0, so x^T p = x0 and p lies in the column space
         inst, truth = gen_noiseless_anchored(np.linspace(1, 2, d), n, seed)
         q, _ = quantize_noiseless(inst, truth, 10)
-        ssi = build_sources(q.x0, q.x, [F(1)] * n, q.y0)
-        proj = [ssi.sources[(0, j)] for j in range(n)]
-        assert rl.matvec(rl.transpose(rl.mat(q.x)), proj) == list(q.x0)
-        assert rl.solve(q.x, proj) is not None  # proj lies in the column space
+        p = build_sources(q, 0, range(1, n + 1))
+        assert rl.matvec(transpose(q.x), p) == list(q.x0)
+        assert rl.solve(q.x, p) is not None
 
     def test_count_is_n_squared(self):
-        ssi = build_sources(
-            x0=[F(1), F(0)],
-            x=[[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]],
-            y=[F(1), F(2), F(3)],
-            y0=F(4),
+        q = AnchoredInstance(
+            x0=(F(1), F(0)), y0=F(4), x=((F(1), F(0)), (F(0), F(1)), (F(1), F(1))), y=(F(1), F(2), F(3))
         )
-        assert len(ssi.sources) == 9
-        assert set(ssi.sources) == {(i, j) for i in range(3) for j in range(3)}
+        p = build_sources(q, 0, [1, 2, 3])
+        assert len(p) == 3
+        assert rank_one(q, p) == reference_sources(q.x0, q.x, q.y, q.y0).sources
+        assert len(rank_one(q, p)) == 9
+
+    def test_rank_one_product_is_the_reference(self):
+        # every guess of seeded instances, d <= 4, d <= n <= 4, p in {2, 16},
+        # anchored and unanchored: y_i p_j over the slot order is the
+        # reference's source (i, j) for the guess's own instance
+        checked = 0
+        for d in (1, 2, 3, 4):
+            for n in range(d, 5):
+                for p in (2, 16):
+                    for anchored in (True, False):
+                        for seed in range(2):
+                            w = np.ones(d) / math.sqrt(d)
+                            inst, truth = gen_noiseless_anchored(w, n, seed, anchored=anchored)
+                            q, _ = quantize_noiseless(inst, truth, p)
+                            for a, sub in anchor_guesses(q):
+                                ref = reference_sources(sub.x0, sub.x, sub.y, sub.y0)
+                                assert rank_one(q, build_sources(q, a, _slots(n, a))) == ref.sources
+                                checked += 1
+        assert checked == 320
 
 
 class TestEpsilonBound:
     @pytest.mark.parametrize("target, want", [(F(1, 6), F(1, 6)), (F(1, 4), F(1, 12))])
     def test_hand_value(self, target, want):
-        # the subset sums 0, 1/2, 1/3, 5/6 miss 1/6 by 1/6 at best and 1/4 by
-        # 1/12 at best: the margin is attained, and the target's denominator
-        # counts
-        ssi = SubsetSumInstance(sources={0: F(1, 2), 1: F(1, 3)}, target=target)
-        assert epsilon_bound(ssi) == want
+        # y = (1, 1) and p = (1/2, 1/3) give the sources 1/2, 1/3, 1/2, 1/3,
+        # whose subset sums miss 1/6 by 1/6 at best and 1/4 by 1/12 at best:
+        # the margin is attained, and the target's denominator counts
+        assert epsilon_bound((F(1), F(1)), (F(1, 2), F(1, 3)), target) == want
 
     def test_wrong_sums_miss_by_at_least_the_margin(self):
         # brute force over every subset of small grid instances: a subset sum
@@ -314,19 +344,16 @@ class TestEpsilonBound:
             for n in range(d, 4):
                 for p in (4, 8, 16):
                     for seed in range(3):
-                        w = np.ones(d) / math.sqrt(d)
-                        inst, truth = gen_noiseless_anchored(w, n, seed)
-                        q, _ = quantize_noiseless(inst, truth, p)
-                        try:
-                            ssi = build_sources(q.x0, q.x, q.y, q.y0)
-                        except RankDeficiencyError:
+                        q, _ = _anchored(d, n, seed, p)
+                        proj = build_sources(q, 0, range(1, n + 1))
+                        if proj is None:
                             continue
-                        vals = list(ssi.sources.values())
+                        vals = list(rank_one(q, proj).values())
                         if not any(vals):
                             continue
-                        eps = epsilon_bound(ssi)
+                        eps = epsilon_bound(q.y, proj, q.y0)
                         misses = [
-                            abs(sum(v for v, bit in zip(vals, bits) if bit) - ssi.target)
+                            abs(sum(v for v, bit in zip(vals, bits) if bit) - q.y0)
                             for bits in itertools.product((0, 1), repeat=len(vals))
                         ]
                         assert all((m / eps).denominator == 1 for m in misses)
@@ -336,14 +363,13 @@ class TestEpsilonBound:
 
 
 def embedded(d, n, seed):
-    """Seeded anchored p = 16 instance, its truth, its sources, the keys and
-    the permutation sublattice find_permutation reduces."""
-    w = np.ones(d) / math.sqrt(d)
-    inst, truth = gen_noiseless_anchored(w, n, seed)
-    q, _ = quantize_noiseless(inst, truth, 16)
-    ssi = build_sources(q.x0, q.x, q.y, q.y0)
-    sub, keys = subset_sum_basis(ssi)
-    return truth, ssi, keys, sub
+    """Seeded anchored p = 16 instance's truth, guess 0's rank-one sources
+    and target, the row-major keys and the permutation sublattice
+    find_permutation reduces."""
+    q, truth = _anchored(d, n, seed)
+    p = build_sources(q, 0, range(1, n + 1))
+    keys = [(i, j) for i in range(n) for j in range(n)]
+    return truth, SubsetSumInstance(rank_one(q, p), q.y0), keys, subset_sum_basis(q.y, p, q.y0)
 
 
 class TestPermutationSublattice:
@@ -439,7 +465,7 @@ class TestFindPermutation:
         # at d = 3, x0 = 0 and y0 = 0 leave the first power sum as the one
         # linear row, so two directions stay free and the guess takes the
         # lattice path; the second power sum admits it (14 >= 6^2 / 3), the
-        # sources are built, and every source y_i <x_j, G^-1 x0> is zero, so
+        # projections are built, and every one, <x_j, G^-1 x0>, is zero, so
         # the guess is refused before any lattice is built
         sources = []
         real = lattice.build_sources
@@ -448,7 +474,7 @@ class TestFindPermutation:
             sources.append(real(*args))
             return sources[-1]
 
-        def built(ssi):
+        def built(y, p, y0):
             raise AssertionError("lattice built")
 
         monkeypatch.setattr(lattice, "build_sources", spy)
@@ -456,8 +482,7 @@ class TestFindPermutation:
         x = ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
         q = AnchoredInstance(x0=(F(0),) * 3, y0=F(0), x=x, y=(F(1), F(2), F(3)))
         assert find_permutation(q, 0) is None
-        (ssi,) = sources
-        assert ssi.target == 0 and not any(ssi.sources.values())
+        assert sources == [[0, 0, 0]]
 
     def test_beta_derived_from_margin(self, monkeypatch):
         # beta = 2**(n^2) * D comes from the exact margin 1 / D of the
@@ -472,25 +497,24 @@ class TestFindPermutation:
         seen = []
         real = lattice.subset_sum_basis
 
-        def spy(ssi):
-            seen.append((ssi, real(ssi)))
+        def spy(*args):
+            seen.append((args, real(*args)))
             return seen[-1][1]
 
         monkeypatch.setattr(lattice, "subset_sum_basis", spy)
         find_permutation(q, 0)
         assert len(seen) == 1
-        ssi, (basis, keys) = seen[0]
-        beta = 2 ** (n * n) / epsilon_bound(ssi)
+        (y, p, y0), basis = seen[0]
+        beta = 2 ** (n * n) / epsilon_bound(y, p, y0)
         assert math.gcd(*(col[-1] for col in basis.columns)) >= 2 ** (n * n)
         # beta * D is an integer, so the bottom row is beta times the data,
-        # with nothing left to clear
-        at = {key: 1 + idx for idx, key in enumerate(keys)}
-        c = ssi.sources
+        # with nothing left to clear; coordinate 1 + i n + j is the pair (i, j)
         free = 0
         for col in basis.columns:
             if col[0] == 0:
-                ((i, j),) = [k for k in keys if k[0] and k[1] and col[at[k]]]
-                assert col[-1] == -beta * (c[i, j] - c[i, 0] - c[0, j] + c[0, 0])
+                (t,) = [t for t in range(n * n) if t // n and t % n and col[1 + t]]
+                i, j = divmod(t, n)
+                assert col[-1] == -beta * (y[i] - y[0]) * (p[j] - p[0])
                 free += 1
         assert free == (n - 1) ** 2
 
@@ -634,35 +658,26 @@ class TestRecover:
         y=(F(3), F(1), F(-1), F(-3)),
     )
 
-    def test_rank_deficient_guess_is_a_failed_guess(self, monkeypatch):
-        raised = []
-        real = lattice.find_permutation
-
-        def tracked(inst, a):
-            try:
-                return real(inst, a)
-            except RankDeficiencyError:
-                raised.append(True)
-                raise
-
-        monkeypatch.setattr(lattice, "find_permutation", tracked)
-        # ZERO_SOURCE's guess 0 lacks rank 2, yet the anchor equation and the
-        # first power sum pin w = (1, 1), whose values match the responses:
-        # the guess verifies, and nothing raises
+    def test_rank_deficient_guess_is_a_failed_guess(self):
+        # ZERO_SOURCE's guess 0 lacks rank 2 (the reference sources raise),
+        # yet the anchor equation and the first power sum pin w = (1, 1),
+        # whose values match the responses: the guess verifies
         q = self.ZERO_SOURCE
         with pytest.raises(RankDeficiencyError):
-            build_sources(q.x0, q.x, q.y, q.y0)
+            reference_sources(q.x0, q.x, q.y, q.y0)
         assert recover(q) == lattice.RecoveryResult(
             perm=Permutation((0, 1, 2)), w=(F(1), F(1))
         )
-        assert raised == []
-        # guess 0 takes the lattice path and raises there; guess 1 (y0 on
-        # e1) pins w_1 = w_3 = 3, and its quadratic 2 w_2^2 + 18 = 20 gives
-        # w_2 = -1 first, so recover goes on to it and answers there
-        assert recover(self.RANK_DEFICIENT_GUESS) == lattice.RecoveryResult(
+        # guess 0 takes the lattice path, where the Gram matrix of its other
+        # covariates is singular: a failed guess; guess 1 (y0 on e1) pins
+        # w_1 = w_3 = 3, and its quadratic 2 w_2^2 + 18 = 20 gives w_2 = -1
+        # first, so recover goes on to it and answers there
+        q = self.RANK_DEFICIENT_GUESS
+        assert build_sources(q, 0, [1, 2, 3, 4]) is None
+        assert find_permutation(q, 0) is None
+        assert recover(q) == lattice.RecoveryResult(
             perm=Permutation((1, 0, 4, 3, 2)), w=(F(3), F(-1), F(3))
         )
-        assert raised == [True]
 
     def test_zero_source_column_guess_recovers(self):
         # guess 1 (y0 on (1, 0)) has zero-valued sources, and the shorter
@@ -670,7 +685,7 @@ class TestRecover:
         # vector of the permutation sublattice, so the lattice stage returns
         # the identity, the one permutation whose subset hits the target
         sub = _guess_instance(self.ZERO_SOURCE, 1)
-        ssi = build_sources(sub.x0, sub.x, sub.y, sub.y0)
+        ssi = reference_sources(sub.x0, sub.x, sub.y, sub.y0)
         assert ssi.sources[0, 0] == ssi.sources[1, 0] == 0
         assert ssi.sources[1, 1] == ssi.target
         assert _lattice_find_permutation(sub) == Permutation((0, 1))
@@ -853,10 +868,11 @@ def _full_rank_find_permutation(inst):
     n = inst.n
     if all(v == 0 for v in inst.y):
         return None
-    ssi = build_sources(inst.x0, inst.x, inst.y, inst.y0)
+    ssi = reference_sources(inst.x0, inst.x, inst.y, inst.y0)
     if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
         return None
-    subset = lagarias_odlyzko(ssi, 2 ** (n * n) / epsilon_bound(ssi)).subset
+    margin_den = math.lcm(ssi.target.denominator, *(v.denominator for v in ssi.sources.values()))
+    subset = lagarias_odlyzko(ssi, 2 ** (n * n) * margin_den).subset
     return _as_permutation(subset, n)
 
 
@@ -900,15 +916,16 @@ class TestFullRankReference:
 
 
 def _lattice_find_permutation(inst):
-    """find_permutation's lattice stage on its own, with no power sums: the
-    sources, the sublattice of their embedding, LLL, and the first reduced
-    column that is a permutation support."""
+    """find_permutation's lattice stage on its own, with no power sums, for
+    the guess that pairs y0 with x0: the projections, the sublattice of the
+    embedding of their sources, LLL, and the first reduced column that is a
+    permutation support."""
     n = inst.n
-    ssi = build_sources(inst.x0, inst.x, inst.y, inst.y0)
-    if ssi.target == 0 and all(v == 0 for v in ssi.sources.values()):
+    p = build_sources(inst, 0, range(1, n + 1))
+    if p is None or inst.y0 == 0 and (not any(inst.y) or not any(p)):
         return None
-    basis, keys = subset_sum_basis(ssi)
-    for col in lll_reduce(basis).columns:
+    keys = [(i, j) for i in range(n) for j in range(n)]
+    for col in lll_reduce(subset_sum_basis(inst.y, p, inst.y0)).columns:
         pi = _as_permutation(_indicator_subset(col, keys), n)
         if pi is not None:
             return pi
@@ -933,7 +950,7 @@ class TestPermutationSumPrune:
         class Built(Exception):
             pass
 
-        def built(ssi):
+        def built(y, p, y0):
             raise Built
 
         instances = true_kept = pruned = 0
@@ -953,8 +970,6 @@ class TestPermutationSumPrune:
                                     with monkeypatch.context() as m:
                                         m.setattr(lattice, "subset_sum_basis", built)
                                         pi = find_permutation(q, a)
-                                except RankDeficiencyError:
-                                    continue
                                 except Built:
                                     true_kept += a == truth.pi_bar(0)
                                     continue
@@ -1210,3 +1225,36 @@ def test_recover_answers_pinned():
     assert sum(isinstance(a, str) for a in answers) == 155
     digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
     assert digest == "5abf8e4640b4e3cddd2463d061344aadd9460d490174163f7e5e91f625d4bd46"
+
+
+def test_every_lattice_basis_pinned(monkeypatch):
+    # every basis find_permutation hands to LLL on every anchor guess of
+    # fixed cells at d in {4, 5, 6}, where the power sums always leave two or
+    # more free directions: d <= n <= 7, p in {2, 16}, anchored and
+    # unanchored, seeds 0-1.  LLL is stubbed out, so none runs; the bases are
+    # integers, so the digest is the same on every host.  A change to the
+    # sources, beta or the column order shows here.
+    class Reduced(Exception):
+        pass
+
+    def stub(basis):
+        raise Reduced(basis.columns)
+
+    monkeypatch.setattr(lattice, "lll_reduce", stub)
+    bases = []
+    for d in (4, 5, 6):
+        for n in range(d, 8):
+            for p in (2, 16):
+                for anchored in (True, False):
+                    for seed in range(2):
+                        w = random_unit_vector(d, np.random.default_rng([seed, 99]))
+                        inst, truth = gen_noiseless_anchored(w, n, seed, anchored=anchored)
+                        q, _ = quantize_noiseless(inst, truth, p)
+                        for a in range(n + 1):
+                            try:
+                                assert find_permutation(q, a) is None
+                            except Reduced as e:
+                                bases.append(e.args[0])
+    assert len(bases) == 426
+    digest = hashlib.sha256(json.dumps(bases).encode()).hexdigest()
+    assert digest == "616c594559fd6f9ed175371704a91aebdc489c77dd44ea15dbeb1a03a3ee1080"

@@ -4,7 +4,8 @@ settings a caller can pass (CLI options, function parameters) and the fields
 of the package's records are pinned, so one joins or leaves only with an edit
 here.  Importing the package loads no third-party module but numpy, every
 function the benchmark's tracer wraps still exists under the name it looks
-up, every lattice span fires on a lattice solve, one traced benchmark
+up, every lattice span fires on a lattice solve and nests in the span that
+calls it, one traced benchmark
 workload runs correctly end to end, and no function or class of the package
 is there for the tests alone."""
 import argparse
@@ -46,7 +47,6 @@ SURFACE = {
     "MatchResult",
     "ParseError",
     "Permutation",
-    "PlsInstance",
     "RankDeficiencyError",
     "RecoveryResult",
     "SamplingMatrix",
@@ -109,7 +109,6 @@ FIELDS = {
     "LatticeBasis": ("columns",),
     "MatchResult": ("perm", "cost"),
     "Permutation": ("map",),
-    "PlsInstance": ("a", "b"),
     "RecoveryResult": ("perm", "w"),
     "SamplingMatrix": ("n", "rows"),
     "Solution": ("w", "perm", "cost"),
@@ -251,6 +250,17 @@ def test_every_lattice_span_fires(tmp_path, capsys):
     lattice_spans = {name for name in tracing.SPAN_NAMES if name.startswith("lattice.")}
     assert len(lattice_spans) == 6
     assert lattice_spans <= {span.name for span in tracer.spans}
+    # each span nests where the per-layer self times assume it does
+    names = [span.name for span in tracer.spans]
+    assert {(name, names[span.parent]) for name, span in zip(names, tracer.spans)
+            if name in lattice_spans} == {
+        ("lattice.recover", "cli.main"),
+        ("lattice.find_permutation", "lattice.recover"),
+        ("lattice.build_sources", "lattice.find_permutation"),
+        ("lattice.subset_sum_basis", "lattice.find_permutation"),
+        ("lattice.lll_reduce", "lattice.find_permutation"),
+        ("lattice.epsilon_bound", "lattice.subset_sum_basis"),
+    }
 
 
 def test_benchmark_workload_runs():

