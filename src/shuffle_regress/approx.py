@@ -8,25 +8,33 @@ small family of candidate response assignments, each candidate contributes a
 weighted least-squares center, and an axis-aligned grid around each center is
 scanned with the exact one-dimensional matcher.
 
-Cost model: with ``k`` the covariate rank, the candidate family holds the
-``n!/(n-m)!`` injective assignments of responses to the ``m <= 4k`` distinct
-sampled rows (the planted correspondence is a bijection, so it gives distinct
-rows distinct responses) and every grid has ``O((c sqrt(k/eps))**k)`` points,
+Cost model: with ``k`` the covariate rank, the candidates assign responses to
+the ``m <= 4k`` distinct sampled rows, and the guarantee needs only one of
+them, the certificate: the assignment that an optimal permutation induces.
+That permutation pairs ``u w*`` sorted with ``y`` sorted, so the certificate
+gives sampled row ``s`` the response ``y_sorted[rank of u_s . w*]``, a rank
+tuple that is constant on each cell of the central arrangement of the
+``m (n - 1)`` hyperplanes ``(u_s - u_j) . w = 0``.  At ``k <= 2`` the family
+is one such sorted matching per cell, at most ``2 m (n - 1)`` members (two at
+``k = 1``); at ``k >= 3`` it is the paper's, every one of the ``n!/(n-m)!``
+injective assignments (the planted correspondence is a bijection, so it gives
+distinct rows distinct responses).  The cell family is a subset of the paper's
+that keeps the certificate.  Every grid has ``O((c sqrt(k/eps))**k)`` points,
 so the overall work is ``(n/eps)**O(k)``.  The constant ``c`` is the one of
 the sample in hand, ``c_post = 1 + ||pinv(S u) S (I - u u^T)||_2**2``, read
 off the sample alone: the factor ``1 + 4 (1 + sqrt(n / 4k))**2`` that the
 barrier construction states does not bound every sample this one draws, and on
 the benchmark's fptas-large instances ``c_post`` is 2.6-11 where that factor
-is 14-24.  Candidates are generated from their rank in batches of a fixed size
-(``_CHUNK``), so the first pass keeps one float per candidate plus buffers of
-that size.  The second pass does not visit every grid point: it scans boxes of
-grid points coarse to fine and drops a box once the 1-Lipschitz bound on
-``sqrt(cost)`` shows that none of its points can beat the incumbent, which
-only evaluated grid points become.  It returns the minimum over the grids,
-ties going to the smallest (candidate rank, row-major grid index).  A budget
-cap (default 50 million) on the candidates and on the unpruned grid points
-turns runaway instances into a hard error instead of an open-ended
-computation.
+is 14-24.  Candidates are generated from their index in batches of a fixed
+size (``_CHUNK``), so the first pass keeps one float per candidate (and at
+``k <= 2`` the family's rank tuples) plus buffers of that size.  The second
+pass does not visit every grid point: it scans boxes of grid points coarse to
+fine and drops a box once the 1-Lipschitz bound on ``sqrt(cost)`` shows that
+none of its points can beat the incumbent, which only evaluated grid points
+become.  It returns the minimum over the grids, ties going to the smallest
+(candidate index in the family's order, row-major grid index).  A budget cap
+(default 50 million) on the candidates and on the unpruned grid points turns
+runaway instances into a hard error instead of an open-ended computation.
 """
 from __future__ import annotations
 
@@ -132,6 +140,66 @@ def _assignments(ranks, n: int, m: int) -> np.ndarray:
         tail = out[:, j + 1 :]
         tail += tail >= out[:, j : j + 1]
     return out
+
+
+# Key differences within this count as ties when a flag orders the rows.  The
+# rows of ``u`` have norm <= 1 and the flag directions are unit vectors; a tie
+# of the covariates reaches ``u`` off by about 1e-16 times the condition
+# number of ``x``.
+_TIE = 1e-10
+
+
+def _cell_family(u: np.ndarray, cols) -> np.ndarray:
+    """The rank tuples of the rows ``cols`` of ``u`` (``k <= 2`` columns), one
+    per cell of the central arrangement of the hyperplanes
+    ``(u_s - u_j) . w = 0``, ``s`` in ``cols``: row ``t`` gives the rank of each
+    ``u_s . w`` among all ``n`` keys on cell ``t``.  Rows are distinct and in
+    lexicographic order.
+
+    The order is constant on a cell, and each cell is read off a flag: an
+    event direction ``v`` on one of the hyperplanes, with ties broken by
+    ``t = +-a``, the unit normal of that hyperplane, and the rows left tied,
+    which coincide, by index.  It is the order at ``v + delta t`` for small
+    ``delta > 0``.  In the plane every cell is a sector with an event
+    direction on its boundary, so the ``4 m (n - 1)`` flags ``(+-v, +-a)``
+    reach all of them, at most ``2 m (n - 1)`` cells; at ``k = 1`` the flags
+    are ``w = +-1``.  Rows are compared by the differences
+    ``(u_s - u_j) . v`` and ``(u_s - u_j) . t``, those within ``_TIE``
+    counting as ties: the pair that defines ``v`` ties however it rounds,
+    rows on one line (several events at one angle) are read off one flag,
+    and a sector narrower than ``_TIE`` merges with a neighbour.  A tuple can
+    repeat a rank only where three rows' differences straddle ``_TIE``.
+    """
+    n, k = u.shape
+    diff = u[cols, None, :] - u  # (m, n, k): u_s - u_j
+    if k == 1:
+        flags = np.array([[[1.0]], [[-1.0]]])
+    else:
+        a = diff.reshape(-1, 2)
+        norm = np.hypot(a[:, 0], a[:, 1])
+        keep = norm > _TIE
+        a = a[keep] / norm[keep, None]
+        va = np.stack([a[:, ::-1] * [-1.0, 1.0], a], axis=1)
+        signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        flags = (signs[:, None, :, None] * va).reshape(-1, 2, 2)
+    below = np.arange(n) < np.asarray(cols)[:, None]
+    weight = 2.0 ** np.arange(k, 0, -1)[:, None, None]
+    step = max(1, _CHUNK // below.size)
+    parts = []
+    for lo in range(0, flags.shape[0], step):
+        f = flags[lo : lo + step, :, None, None, :]
+        key = sum(f[..., c] * diff[..., c] for c in range(k))  # (flags, k, m, n)
+        # Row j sorts below s when the first of its keys' signs that is not
+        # a tie is positive, or, all tied, when j < s.
+        sign = np.sign(key) * (np.abs(key) > _TIE)
+        parts.append(((sign * weight).sum(axis=1) + below > 0).sum(axis=2))
+    # Sort and drop repeats by a neighbour compare (np.unique would import
+    # numpy.ma, about 1 MB more resident).
+    ranks = np.concatenate(parts)
+    ranks = ranks[np.lexsort(ranks.T[::-1])]
+    new = np.ones(ranks.shape[0], dtype=bool)
+    new[1:] = (ranks[1:] != ranks[:-1]).any(axis=1)
+    return ranks[new]
 
 
 def _center_map(u: np.ndarray, samp: SamplingMatrix) -> np.ndarray:
@@ -324,12 +392,17 @@ def fptas_solve(
     Guarantees ``cost <= (1 + eps) * optimum``.  The weights are the
     cheapest point of the grids scanned around the candidates' centers; among
     equal-cost points the winner is the one met earliest in enumeration order
-    (candidate vector first, in the lexicographic order of
-    :func:`_assignments`, then row-major grid position), whatever order the
-    scan visits them in.
+    (candidate first, in the family's order, then row-major grid position),
+    whatever order the scan visits them in.
 
-    The candidate family has ``n!/(n-m)!`` members for ``m`` distinct sampled
-    rows.  The first pass keeps one float per candidate plus buffers of 8192
+    For ``m`` distinct sampled rows the candidate family holds, at ``k <= 2``,
+    one sorted matching per cell of the rows' arrangement, at most
+    ``2 m (n - 1)`` members in lexicographic rank-tuple order (see
+    :func:`_cell_family`), and at ``k >= 3`` the paper's ``n!/(n-m)!``
+    injective assignments in lexicographic order (see :func:`_assignments`).
+    Both hold the certificate, the candidate an optimal permutation induces,
+    so the cell family is a subset of the paper's that keeps the guarantee.
+    The first pass keeps one float per candidate plus buffers of 8192
     candidates.  The grids' spacing, their reach and the threshold above
     which a candidate's grid is skipped all follow the approximation
     constant ``c_post`` of the drawn sample alone (see :func:`_center_map`).
@@ -358,11 +431,24 @@ def fptas_solve(
         return Solution(w=np.zeros(inst.d), perm=m0.perm, cost=m0.cost)
 
     u = red.u
-    gmap = _center_map(u, row_sample(u))
+    samp = row_sample(u)
+    gmap = _center_map(u, samp)
     m = gmap.shape[0]
     y_sorted = np.sort(y)
 
-    n_cand = math.perm(n, m)
+    if k <= 2:
+        family = _cell_family(u, sampled_columns(samp))
+        n_cand = family.shape[0]
+
+        def responses(idx) -> np.ndarray:
+            return y_sorted[family[idx]]
+
+    else:
+        n_cand = math.perm(n, m)
+
+        def responses(idx) -> np.ndarray:
+            return y[_assignments(idx, n, m)]
+
     if n_cand > budget:
         raise BudgetExceededError(
             "candidate family has %d members, budget is %d" % (n_cand, budget)
@@ -375,10 +461,10 @@ def fptas_solve(
     # well, covers that many times over.
     c = float(np.linalg.norm(gmap, 2)) ** 2 * (1.0 + 1e-9)
 
-    def centers(ranks) -> np.ndarray:
-        return _rows_matmul(y[_assignments(ranks, n, m)], gmap)
+    def centers(idx) -> np.ndarray:
+        return _rows_matmul(responses(idx), gmap)
 
-    # Pass 1: center cost r_b for every candidate assignment b, by rank.
+    # Pass 1: center cost r_b for every candidate assignment b, by index.
     ut = u.T
     r_all = np.empty(n_cand)
     for lo in range(0, n_cand, _CHUNK):
@@ -391,8 +477,8 @@ def fptas_solve(
     # certificate, the candidate that the optimal permutation induces: its
     # center costs at most c_post * optimum <= c * r_min.  Skipping those
     # grids keeps the (1+eps) guarantee intact.
-    # Survivors are scanned in ascending r_b (ties by rank), so the first is
-    # the cheapest center, the one of smallest rank among equals.
+    # Survivors are scanned in ascending r_b (ties by index), so the first is
+    # the cheapest center, the one of smallest index among equals.
     keep_thr = c * r_min * (1.0 + 1e-9) + 1e-300
     survivors = np.flatnonzero(r_all <= keep_thr)
     survivors = survivors[np.argsort(r_all[survivors], kind="stable")]

@@ -21,6 +21,7 @@ from shuffle_regress import (
 from shuffle_regress import approx, cli
 from shuffle_regress.approx import (
     _assignments,
+    _cell_family,
     _center_map,
     _net_steps,
     orthonormalize,
@@ -32,9 +33,9 @@ from reference import apply, approx_factor, dense, exact_opt, solve_weighted_ls
 
 
 def candidate_targets(s, y):
-    """Right-hand sides of the family fptas_solve scans, in its order: the
-    sampled columns get the responses of one injective assignment, the
-    others zero."""
+    """Right-hand sides of the family fptas_solve scans at rank k >= 3, in
+    its order: the sampled columns get the responses of one injective
+    assignment, the others zero."""
     cols = sampled_columns(s)
     n, m = y.shape[0], len(cols)
     ranks = np.arange(math.perm(n, m))
@@ -336,6 +337,56 @@ class TestExactOpt:
             exact_opt(np.eye(5)[:, :4], np.zeros(5))
 
 
+def _rank_two_instances():
+    """Seeded small instances of rank 1 and 2: Gaussian, integer grids in
+    -2..2 (tied keys and responses), three equal rows, and a zero column."""
+    for n in range(2, 8):
+        for d in (1, 2):
+            for seed in range(4):
+                rng = np.random.default_rng([n, d, seed])
+                yield Instance(x=rng.normal(size=(n, d)), y=rng.normal(size=n))
+                yield _grid_instance(n, d, seed)
+                x = rng.normal(size=(n, d))
+                x[n // 2] = x[n - 1] = x[0]
+                yield Instance(x=x, y=rng.normal(size=n))
+                x = np.column_stack([rng.normal(size=(n, d)), np.zeros(n)])
+                yield Instance(x=x, y=rng.normal(size=n))
+
+
+class TestCellFamily:
+    def test_holds_the_certificate(self):
+        # The certificate is the candidate an optimal permutation induces:
+        # the sampled rows get the responses it pairs them with.  Where rows
+        # tie under the optimal weights, brute_force's tie-break is one of
+        # several optimal permutations, and the guarantee needs any one.
+        for inst in _rank_two_instances():
+            u = orthonormalize(inst.x).u
+            n, k = u.shape
+            if k == 0:
+                continue
+            cols = sampled_columns(row_sample(u))
+            family = _cell_family(u, cols)
+            assert family.shape[0] <= (2 * len(cols) * (n - 1) if k == 2 else 2)
+            members = {tuple(b) for b in np.sort(inst.y)[family]}
+            perms = np.array(list(itertools.permutations(range(n))))
+            paired = inst.y[np.argsort(perms, axis=1)]  # row p: response of each covariate row
+            resid = paired - (paired @ u) @ u.T
+            costs = np.einsum("ij,ij->i", resid, resid)
+            slack = 1e-9 * max(1.0, float(inst.y @ inst.y))
+            optimal = paired[costs <= brute_force(inst).cost + slack]
+            assert any(tuple(b[cols]) in members for b in optimal), (n, inst.x, inst.y)
+
+    def test_rows_on_one_line_make_two_cells(self):
+        # every hyperplane is the same line, so the two orders along it are
+        # the only cells; rounding in u must not split the line into slivers
+        t = np.array([2.0, -1.0, 5.0, 0.0, 1.0, 3.0])
+        u = orthonormalize(np.column_stack([np.ones_like(t), t])).u
+        cols = sampled_columns(row_sample(u))
+        up = np.argsort(np.argsort(t))[cols]
+        want = sorted([tuple(up), tuple(t.size - 1 - up)])
+        assert [tuple(b) for b in _cell_family(u, cols)] == want
+
+
 class TestApproxFactor:
     def test_value(self):
         assert approx_factor(4, 1) == pytest.approx(1.0 + 4.0 * (1.0 + 1.0) ** 2)
@@ -398,10 +449,21 @@ class TestFptasSolve:
             assert approx.cost <= 1.5 * exact.cost + 1e-9
 
     def test_budget_counts_injective_family(self):
-        inst, _ = gen_gaussian_noisy(np.array([0.3, 0.8]), 6, 0.5, 1)
+        # at k >= 3 the family is every injective assignment
+        inst, _ = gen_gaussian_noisy(np.array([0.3, 0.8, -0.5]), 6, 0.5, 1)
         m = len(sampled_columns(row_sample(orthonormalize(inst.x).u)))
         with pytest.raises(BudgetExceededError, match="has %d members" % math.perm(6, m)):
             fptas_solve(inst, 0.5, budget=math.perm(6, m) - 1)
+
+    def test_budget_counts_cell_family(self):
+        # at k = 2 the family holds one candidate per cell, at most 2 m (n - 1)
+        inst, _ = gen_gaussian_noisy(np.array([0.3, 0.8]), 6, 0.5, 1)
+        u = orthonormalize(inst.x).u
+        cols = sampled_columns(row_sample(u))
+        size = _cell_family(u, cols).shape[0]
+        assert size <= 2 * len(cols) * 5 < math.perm(6, len(cols))
+        with pytest.raises(BudgetExceededError, match="has %d members" % size):
+            fptas_solve(inst, 0.5, budget=size - 1)
 
     def test_budget_refusal(self):
         inst, _ = gen_gaussian_noisy(np.array([1.0, 1.0]) / math.sqrt(2), 7, 0.5, 2)
@@ -503,7 +565,8 @@ _FPTAS_LARGE = [(d, n, s) for d, n in ((2, 12), (2, 14), (2, 16), (3, 8), (3, 9)
 
 
 def _fptas_large(tmp_path, d, n, seed):
-    """An instance of the benchmark's fptas-large family, written by ``gen``."""
+    """An instance as the benchmark's fptas-large family draws them, written
+    by ``gen``."""
     path = tmp_path / ("d%d-n%d-s%d.json" % (d, n, seed))
     argv = ["gen", "--model", "gaussian", "--snr", "4", "--n", str(n), "--d", str(d)]
     assert cli.main(argv + ["--seed", str(seed), "-o", str(path)]) == 0
@@ -548,6 +611,14 @@ class TestNetScan:
     def test_fptas_large_within_guarantee(self, capsys, tmp_path, d, n, seed):
         # every op of the benchmark's fptas-large family, graded exactly
         inst = _fptas_large(tmp_path, d, n, seed)
+        capsys.readouterr()
+        assert fptas_solve(inst, 0.5).cost <= 1.5 * exact_opt(inst.x, inst.y)
+
+    @pytest.mark.parametrize("n", [24, 32])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_d2_frontier_within_guarantee(self, capsys, tmp_path, n, seed):
+        # at the default budget; the injective family would refuse 3 of these 6
+        inst = _fptas_large(tmp_path, 2, n, seed)
         capsys.readouterr()
         assert fptas_solve(inst, 0.5).cost <= 1.5 * exact_opt(inst.x, inst.y)
 

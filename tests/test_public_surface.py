@@ -2,7 +2,8 @@
 ``shuffle_regress.__all__`` holds exactly the documented names, and the
 settings a caller can pass (CLI options, function parameters) and the fields
 of the package's records are pinned, so one joins or leaves only with an edit
-here.  Importing the package loads no third-party module but numpy, every
+here.  Importing the package loads no third-party module but numpy, a rank-2
+solve loads no ``numpy.ma``, every
 function the benchmark's tracer wraps still exists under the name it looks
 up, every lattice span fires on a lattice solve and nests in the span that
 calls it, one traced benchmark
@@ -210,6 +211,22 @@ def test_import_loads_no_mpmath():
     out = subprocess.run(
         [sys.executable, "-c", "import sys, shuffle_regress.cli; print('mpmath' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_rank_two_solve_loads_no_numpy_ma():
+    # np.unique imports numpy.ma, about 1 MB more resident per process
+    src = str(Path(shuffle_regress.__file__).resolve().parent.parent)
+    code = (
+        "import sys, numpy as np; from shuffle_regress import Instance, fptas_solve; "
+        "rng = np.random.default_rng(0); "
+        "fptas_solve(Instance(x=rng.normal(size=(8, 2)), y=rng.normal(size=8)), 0.5); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
 
