@@ -14,9 +14,10 @@ them, the certificate: the assignment that an optimal permutation induces.
 That permutation pairs ``u w*`` sorted with ``y`` sorted, so the certificate
 gives sampled row ``s`` the response ``y_sorted[rank of u_s . w*]``, a rank
 tuple that is constant on each cell of the central arrangement of the
-``m (n - 1)`` hyperplanes ``(u_s - u_j) . w = 0``.  At ``k <= 2`` the family
-is one such sorted matching per cell, at most ``2 m (n - 1)`` members (two at
-``k = 1``); at ``k >= 3`` it is the paper's, every one of the ``n!/(n-m)!``
+``N = m (n - 1)`` hyperplanes ``(u_s - u_j) . w = 0``.  At ``k <= 3`` the
+family is one such sorted matching per cell, at most ``2 N`` members at
+``k = 2`` (two at ``k = 1``) and ``2 (1 + (N - 1) + C(N - 1, 2))`` at
+``k = 3``; at ``k >= 4`` it is the paper's, every one of the ``n!/(n-m)!``
 injective assignments (the planted correspondence is a bijection, so it gives
 distinct rows distinct responses).  The cell family is a subset of the paper's
 that keeps the certificate.  Every grid has ``O((c sqrt(k/eps))**k)`` points,
@@ -27,7 +28,7 @@ barrier construction states does not bound every sample this one draws, and on
 the benchmark's fptas-large instances ``c_post`` is 2.6-11 where that factor
 is 14-24.  Candidates are generated from their index in batches of a fixed
 size (``_CHUNK``), so the first pass keeps one float per candidate (and at
-``k <= 2`` the family's rank tuples) plus buffers of that size.  The second
+``k <= 3`` the family's rank tuples) plus buffers of that size.  The second
 pass does not visit every grid point: it scans boxes of grid points coarse to
 fine and drops a box once the 1-Lipschitz bound on ``sqrt(cost)`` shows that
 none of its points can beat the incumbent, which only evaluated grid points
@@ -149,57 +150,110 @@ def _assignments(ranks, n: int, m: int) -> np.ndarray:
 _TIE = 1e-10
 
 
+def _distinct_rows(ranks: np.ndarray) -> np.ndarray:
+    """The distinct rows of ``ranks`` in lexicographic order, by a sort and a
+    neighbour compare (``np.unique`` would import ``numpy.ma``, about 1 MB
+    more resident)."""
+    ranks = ranks[np.lexsort(ranks.T[::-1])]
+    new = np.ones(ranks.shape[0], dtype=bool)
+    new[1:] = (ranks[1:] != ranks[:-1]).any(axis=1)
+    return ranks[new]
+
+
+def _frames(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Frames ``lo..hi`` of the unit normals ``a``, as ``(count, k, k)``
+    arrays of orthonormal rows: ``(a_i)`` at ``k = 1``; ``(v, a_i)`` at
+    ``k = 2``, ``v`` the normal turned a quarter, one per normal; and at
+    ``k = 3``, one per ordered pair ``i, j`` (frame ``i * len(a) + j``) of
+    planes that meet in a line, ``(v, a_i x v, a_i)`` with ``v = a_i x a_j``
+    normalized.  A cross product within ``_TIE`` counts as parallel
+    planes."""
+    if a.shape[1] == 1:
+        return a[lo:hi, None]
+    if a.shape[1] == 2:
+        a = a[lo:hi]
+        return np.stack([a[:, ::-1] * [-1.0, 1.0], a], axis=1)
+    i, j = np.divmod(np.arange(lo, hi), a.shape[0])
+    v = np.cross(a[i], a[j])
+    norm = np.hypot.reduce(v, axis=1)
+    keep = norm > _TIE
+    ai, v = a[i[keep]], v[keep] / norm[keep, None]
+    return np.stack([v, np.cross(ai, v), ai], axis=1)
+
+
 def _cell_family(u: np.ndarray, cols) -> np.ndarray:
-    """The rank tuples of the rows ``cols`` of ``u`` (``k <= 2`` columns), one
+    """The rank tuples of the rows ``cols`` of ``u`` (``k <= 3`` columns), one
     per cell of the central arrangement of the hyperplanes
     ``(u_s - u_j) . w = 0``, ``s`` in ``cols``: row ``t`` gives the rank of each
     ``u_s . w`` among all ``n`` keys on cell ``t``.  Rows are distinct and in
     lexicographic order.
 
     The order is constant on a cell, and each cell is read off a flag: an
-    event direction ``v`` on one of the hyperplanes, with ties broken by
-    ``t = +-a``, the unit normal of that hyperplane, and the rows left tied,
-    which coincide, by index.  It is the order at ``v + delta t`` for small
-    ``delta > 0``.  In the plane every cell is a sector with an event
-    direction on its boundary, so the ``4 m (n - 1)`` flags ``(+-v, +-a)``
-    reach all of them, at most ``2 m (n - 1)`` cells; at ``k = 1`` the flags
-    are ``w = +-1``.  Rows are compared by the differences
-    ``(u_s - u_j) . v`` and ``(u_s - u_j) . t``, those within ``_TIE``
+    orthonormal frame ``(f_1, ..., f_k)`` that sorts the rows by the keys
+    ``u_j . f_1``, then ``u_j . f_2`` and so on, and the rows left tied, which
+    coincide, by index.  It is the order at
+    ``f_1 + delta f_2 + ... + delta**(k-1) f_k`` for small ``delta > 0``.
+    The last vector of a frame is the unit normal ``a`` of a hyperplane,
+    taken with either sign to pick a side, and the others flip together:
+
+    - ``k = 1``: the flags are ``w = +-1``.
+    - ``k = 2``: every cell is a sector with an event direction ``v`` on its
+      boundary, so the flags ``(+-v, +-a)``, ``v`` on the hyperplane of
+      ``a``, reach all of them, at most ``2 m (n - 1)`` cells.
+    - ``k = 3``: every cell has a facet on some plane ``H`` of normal ``a``,
+      and that facet is a sector of the lines where the other planes cut
+      ``H``.  The sector starts at a ray ``v`` on ``H`` and another plane and
+      is entered along ``t = a x v``, so the flags ``(v, t, +-a)``, with ``v``
+      either way along each such line, reach every cell.  ``N = m (n - 1)``
+      planes make at most ``2 (1 + (N - 1) + C(N - 1, 2))`` cells
+      (Zaslavsky, 1975).
+
+    A hyperplane ``u_s - u_j`` with both rows sampled is taken once, as the
+    flags of ``a`` reach every cell that those of ``-a`` reach.  Rows are
+    compared by the differences ``(u_s - u_j) . f``, those within ``_TIE``
     counting as ties: the pair that defines ``v`` ties however it rounds,
-    rows on one line (several events at one angle) are read off one flag,
-    and a sector narrower than ``_TIE`` merges with a neighbour.  A tuple can
-    repeat a rank only where three rows' differences straddle ``_TIE``.
+    rows on one line or plane are read off one flag, and a sector narrower
+    than ``_TIE`` merges with a neighbour.  A tuple can repeat a rank only
+    where three rows' differences straddle ``_TIE``.  The frames go in
+    batches of about ``_CHUNK`` row differences, and their tuples are merged
+    into the family, repeats dropped, once they outnumber it, so about twice
+    the family is held at most.
     """
     n, k = u.shape
+    below = np.arange(n) < np.asarray(cols)[:, None]
     diff = u[cols, None, :] - u  # (m, n, k): u_s - u_j
     if k == 1:
-        flags = np.array([[[1.0]], [[-1.0]]])
+        a = np.ones((1, 1))
     else:
-        a = diff.reshape(-1, 2)
-        norm = np.hypot(a[:, 0], a[:, 1])
+        sampled = np.zeros(n, dtype=bool)
+        sampled[cols] = True
+        a = diff[~(below & sampled)]
+        norm = np.hypot.reduce(a, axis=1)
         keep = norm > _TIE
         a = a[keep] / norm[keep, None]
-        va = np.stack([a[:, ::-1] * [-1.0, 1.0], a], axis=1)
-        signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-        flags = (signs[:, None, :, None] * va).reshape(-1, 2, 2)
-    below = np.arange(n) < np.asarray(cols)[:, None]
-    weight = 2.0 ** np.arange(k, 0, -1)[:, None, None]
+    count = a.shape[0] ** max(1, k - 1)
+    # Row j sorts below s when the first of its keys' signs that is not a tie
+    # is positive, or, all tied, when j < s: each flag of a frame weighs key c
+    # by +-2**(k - c), the sign the flag gives the frame's vector c.
+    signs = np.array([[s] * (k - 1) + [t] for s in (1.0, -1.0) for t in (1.0, -1.0)])
+    weigh = signs * 2.0 ** np.arange(k, 0, -1)
     step = max(1, _CHUNK // below.size)
+    family = np.empty((0, below.shape[0]), dtype=np.intp)
     parts = []
-    for lo in range(0, flags.shape[0], step):
-        f = flags[lo : lo + step, :, None, None, :]
-        key = sum(f[..., c] * diff[..., c] for c in range(k))  # (flags, k, m, n)
-        # Row j sorts below s when the first of its keys' signs that is not
-        # a tie is positive, or, all tied, when j < s.
+    held = 0
+    for lo in range(0, count, step):
+        f = _frames(a, lo, min(lo + step, count))[:, :, None, None, :]
+        key = sum(f[..., c] * diff[..., c] for c in range(k))  # (frames, k, m, n)
         sign = np.sign(key) * (np.abs(key) > _TIE)
-        parts.append(((sign * weight).sum(axis=1) + below > 0).sum(axis=2))
-    # Sort and drop repeats by a neighbour compare (np.unique would import
-    # numpy.ma, about 1 MB more resident).
-    ranks = np.concatenate(parts)
-    ranks = ranks[np.lexsort(ranks.T[::-1])]
-    new = np.ones(ranks.shape[0], dtype=bool)
-    new[1:] = (ranks[1:] != ranks[:-1]).any(axis=1)
-    return ranks[new]
+        order = weigh @ sign.reshape(-1, k, below.size)  # (frames, flags, m n)
+        order += below.reshape(-1)
+        parts.append((order.reshape(-1, *below.shape) > 0).sum(axis=2))
+        held += parts[-1].shape[0]
+        # Merge once the batches hold more tuples than the family so far, so
+        # at most about twice the family is held.
+        if held > family.shape[0] + _CHUNK:
+            family, parts, held = _distinct_rows(np.concatenate([family, *parts])), [], 0
+    return _distinct_rows(np.concatenate([family, *parts]))
 
 
 def _center_map(u: np.ndarray, samp: SamplingMatrix) -> np.ndarray:
@@ -395,10 +449,11 @@ def fptas_solve(
     (candidate first, in the family's order, then row-major grid position),
     whatever order the scan visits them in.
 
-    For ``m`` distinct sampled rows the candidate family holds, at ``k <= 2``,
-    one sorted matching per cell of the rows' arrangement, at most
-    ``2 m (n - 1)`` members in lexicographic rank-tuple order (see
-    :func:`_cell_family`), and at ``k >= 3`` the paper's ``n!/(n-m)!``
+    For ``m`` distinct sampled rows the candidate family holds, at ``k <= 3``,
+    one sorted matching per cell of the rows' arrangement of ``N = m (n - 1)``
+    hyperplanes, in lexicographic rank-tuple order: at most ``2 N`` members
+    at ``k = 2`` and ``2 (1 + (N - 1) + C(N - 1, 2))`` at ``k = 3`` (see
+    :func:`_cell_family`).  At ``k >= 4`` it holds the paper's ``n!/(n-m)!``
     injective assignments in lexicographic order (see :func:`_assignments`).
     Both hold the certificate, the candidate an optimal permutation induces,
     so the cell family is a subset of the paper's that keeps the guarantee.
@@ -436,7 +491,7 @@ def fptas_solve(
     m = gmap.shape[0]
     y_sorted = np.sort(y)
 
-    if k <= 2:
+    if k <= 3:
         family = _cell_family(u, sampled_columns(samp))
         n_cand = family.shape[0]
 

@@ -29,11 +29,11 @@ from shuffle_regress.approx import (
 )
 from shuffle_regress.model import read_instance_record
 
-from reference import apply, approx_factor, dense, exact_opt, solve_weighted_ls
+from reference import approx_factor, dense, exact_opt, solve_weighted_ls
 
 
 def candidate_targets(s, y):
-    """Right-hand sides of the family fptas_solve scans at rank k >= 3, in
+    """Right-hand sides of the family fptas_solve scans at rank k >= 4, in
     its order: the sampled columns get the responses of one injective
     assignment, the others zero."""
     cols = sampled_columns(s)
@@ -353,20 +353,44 @@ def _rank_two_instances():
                 yield Instance(x=x, y=rng.normal(size=n))
 
 
+def _rank_three_instances():
+    """Seeded small instances of rank 3: Gaussian, integer grids in -2..2,
+    three equal rows, and rows on an affine plane, Gaussian or on the grid,
+    whose differences span only a plane (a rank-2 arrangement)."""
+    for n in range(4, 8):
+        for seed in range(10):
+            rng = np.random.default_rng([n, 3, seed])
+            yield Instance(x=rng.normal(size=(n, 3)), y=rng.normal(size=n))
+            yield _grid_instance(n, 3, seed)
+            x = rng.normal(size=(n, 3))
+            x[n // 2] = x[n - 1] = x[0]
+            yield Instance(x=x, y=rng.normal(size=n))
+            x = np.column_stack([rng.normal(size=(n, 2)), np.ones(n)])
+            yield Instance(x=x, y=rng.normal(size=n))
+            x = np.column_stack([rng.integers(-2, 3, size=(n, 2)), np.ones(n)]).astype(float)
+            yield Instance(x=x, y=rng.integers(-2, 3, size=n).astype(float))
+
+
+def _cell_bound(planes: int, k: int) -> int:
+    """The most cells a central arrangement of ``planes`` hyperplanes in R^k
+    can have, ``2 * sum_{i<k} C(planes - 1, i)`` (Zaslavsky, 1975)."""
+    return 2 * sum(math.comb(planes - 1, i) for i in range(k))
+
+
 class TestCellFamily:
     def test_holds_the_certificate(self):
         # The certificate is the candidate an optimal permutation induces:
         # the sampled rows get the responses it pairs them with.  Where rows
         # tie under the optimal weights, brute_force's tie-break is one of
         # several optimal permutations, and the guarantee needs any one.
-        for inst in _rank_two_instances():
+        for inst in itertools.chain(_rank_two_instances(), _rank_three_instances()):
             u = orthonormalize(inst.x).u
             n, k = u.shape
             if k == 0:
                 continue
             cols = sampled_columns(row_sample(u))
             family = _cell_family(u, cols)
-            assert family.shape[0] <= (2 * len(cols) * (n - 1) if k == 2 else 2)
+            assert family.shape[0] <= _cell_bound(len(cols) * (n - 1), k)
             members = {tuple(b) for b in np.sort(inst.y)[family]}
             perms = np.array(list(itertools.permutations(range(n))))
             paired = inst.y[np.argsort(perms, axis=1)]  # row p: response of each covariate row
@@ -449,21 +473,23 @@ class TestFptasSolve:
             assert approx.cost <= 1.5 * exact.cost + 1e-9
 
     def test_budget_counts_injective_family(self):
-        # at k >= 3 the family is every injective assignment
-        inst, _ = gen_gaussian_noisy(np.array([0.3, 0.8, -0.5]), 6, 0.5, 1)
+        # at k >= 4 the family is every injective assignment
+        inst, _ = gen_gaussian_noisy(np.array([0.3, 0.8, -0.5, 0.2]), 6, 0.5, 1)
         m = len(sampled_columns(row_sample(orthonormalize(inst.x).u)))
         with pytest.raises(BudgetExceededError, match="has %d members" % math.perm(6, m)):
             fptas_solve(inst, 0.5, budget=math.perm(6, m) - 1)
 
     def test_budget_counts_cell_family(self):
-        # at k = 2 the family holds one candidate per cell, at most 2 m (n - 1)
-        inst, _ = gen_gaussian_noisy(np.array([0.3, 0.8]), 6, 0.5, 1)
-        u = orthonormalize(inst.x).u
-        cols = sampled_columns(row_sample(u))
-        size = _cell_family(u, cols).shape[0]
-        assert size <= 2 * len(cols) * 5 < math.perm(6, len(cols))
-        with pytest.raises(BudgetExceededError, match="has %d members" % size):
-            fptas_solve(inst, 0.5, budget=size - 1)
+        # at k <= 3 the family holds one candidate per cell, within the
+        # bound on the number of cells
+        for w_bar, n in (((0.3, 0.8), 6), ((0.3, 0.8, -0.5), 8)):
+            inst, _ = gen_gaussian_noisy(np.array(w_bar), n, 0.5, 1)
+            u = orthonormalize(inst.x).u
+            cols = sampled_columns(row_sample(u))
+            size = _cell_family(u, cols).shape[0]
+            assert size <= _cell_bound(len(cols) * (n - 1), len(w_bar)) < math.perm(n, len(cols))
+            with pytest.raises(BudgetExceededError, match="has %d members" % size):
+                fptas_solve(inst, 0.5, budget=size - 1)
 
     def test_budget_refusal(self):
         inst, _ = gen_gaussian_noisy(np.array([1.0, 1.0]) / math.sqrt(2), 7, 0.5, 2)
@@ -497,6 +523,18 @@ class TestFptasSolve:
             with pytest.raises(ValueError, match="optimal weights overflow float64"):
                 fptas_solve(inst, 0.5)
 
+    @pytest.mark.xfail(
+        strict=True, reason="weights near 1e12 lose a zero cost to rounding (ROADMAP Known defects)"
+    )
+    def test_zero_cost_beside_a_tiny_entry(self):
+        # rank 2; y = 1 fits exactly on the third row, w = (0, 1/3, 0), and on
+        # the first, w = (0, -1e12, 1e12).  Brute force returns the former
+        # (cost 1e-31), fptas_solve the latter, whose cost rounds to 9.5e-7
+        x = np.array([[0.0, 0.0, 1e-12], [0.0, 0.0, 0.0], [0.0, 3.0, 3.0]])
+        inst = Instance(x=x, y=np.array([0.0, 0.0, 1.0]))
+        cost = fptas_solve(inst, 0.25).cost
+        assert cost <= 1.25 * brute_force(inst).cost + 1e-9 * float(inst.y @ inst.y)
+
     @given(inst=hostile_instances(), eps=st.sampled_from([0.25, 0.5, 0.9]))
     @settings(max_examples=500, deadline=None, derandomize=True)
     def test_ratio_versus_brute_hostile(self, inst, eps):
@@ -523,19 +561,21 @@ class TestFptasSolve:
         assert approx.cost <= (1.0 + eps) * opt + 1e-9 * float(inst.y @ inst.y)
 
     def test_cost_at_most_best_center(self):
-        # the returned cost never exceeds any candidate center's cost, in
-        # particular the orthonormal-coordinates sampled-LS ones
-        inst, _ = gen_gaussian_noisy(np.array([0.4]), 4, 0.8, 5)
-        red = orthonormalize(inst.x)
-        samp = row_sample(red.u)
-        best_center = math.inf
-        for b in candidate_targets(samp, inst.y):
-            w_r, *_ = np.linalg.lstsq(
-                dense(samp) @ red.u, apply(samp, b), rcond=None
-            )
-            best_center = min(best_center, sort_match(red.u @ w_r, inst.y).cost)
-        sol = fptas_solve(inst, 0.5)
-        assert sol.cost <= best_center * (1 + 1e-12) + 1e-12
+        # the returned cost never exceeds the cost of any center of the
+        # family it scans, the cell family at k <= 3, each center the
+        # sampled least-squares fit in orthonormal coordinates
+        for d, n, seed in itertools.product((1, 2, 3), (4, 5, 6), range(60)):
+            inst, _ = gen_gaussian_noisy(np.ones(d) / math.sqrt(d), n, 0.8, seed)
+            u = orthonormalize(inst.x).u
+            samp = row_sample(u)
+            cols = sampled_columns(samp)
+            family = _cell_family(u, cols)
+            b = np.zeros((n, family.shape[0]))
+            b[cols] = np.sort(inst.y)[family].T
+            w_r, *_ = np.linalg.lstsq(dense(samp) @ u, dense(samp) @ b, rcond=None)
+            best_center = min(sort_match(u @ w, inst.y).cost for w in w_r.T)
+            sol = fptas_solve(inst, 0.5)
+            assert sol.cost <= best_center * (1 + 1e-12) + 1e-12, (d, n, seed)
 
 
 def _flat_scan_nets(ut, y_sorted, ranks, wt, spacing, halves, best):
@@ -598,7 +638,7 @@ class TestNetScan:
     @pytest.mark.parametrize(
         "d, n, seed, want",
         # the net minima
-        [(3, 8, 0, 0.185676), (3, 8, 1, 0.0197197), (3, 9, 2, 0.131735)],
+        [(3, 8, 0, 0.189741), (3, 8, 1, 0.0197197), (3, 9, 2, 0.131735)],
     )
     def test_fptas_large_net_minimum(self, capsys, tmp_path, d, n, seed, want):
         inst = _fptas_large(tmp_path, d, n, seed)
@@ -619,6 +659,14 @@ class TestNetScan:
     def test_d2_frontier_within_guarantee(self, capsys, tmp_path, n, seed):
         # at the default budget; the injective family would refuse 3 of these 6
         inst = _fptas_large(tmp_path, 2, n, seed)
+        capsys.readouterr()
+        assert fptas_solve(inst, 0.5).cost <= 1.5 * exact_opt(inst.x, inst.y)
+
+    @pytest.mark.parametrize("n", [12, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_d3_frontier_within_guarantee(self, capsys, tmp_path, n, seed):
+        # at the default budget; the injective family would refuse 3 of these 6
+        inst = _fptas_large(tmp_path, 3, n, seed)
         capsys.readouterr()
         assert fptas_solve(inst, 0.5).cost <= 1.5 * exact_opt(inst.x, inst.y)
 
@@ -649,7 +697,7 @@ class TestNetScan:
         assert counts[0] == counts[1]
         evals, net_points = counts[0]
         assert 0 < evals < net_points
-        assert (evals, net_points) == (788, 2444)
+        assert (evals, net_points) == (432, 1415)
 
     def test_peak_memory_bounded_by_batch(self):
         # the nets hold about 4x the points at eps = 0.25; peak memory follows
