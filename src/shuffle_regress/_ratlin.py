@@ -1,21 +1,28 @@
-"""Exact linear algebra over Fraction for the exact recovery path.
+"""Exact linear algebra in integers for the exact recovery path.
 
-It holds what ``lattice`` calls.  ``solve`` serves ``lattice.build_sources``
-(the Gram system of a guess's other ``n`` covariates, read off the
-instance's power sums), ``lattice.find_permutation`` (the least value of its
+It holds what ``lattice`` calls.  Rationals enter over one cleared
+denominator: each row of a rational system, multiplied by the least common
+multiple of its denominators, is a row of integers with the same solutions,
+and the elimination ``_echelon`` is fraction-free (Bareiss, 1968), so no
+``Fraction`` is formed and no gcd is taken while it runs.
+
+``solve_int`` serves ``lattice.find_permutation`` (the least value of its
 quadratic form) and ``lattice.recover`` (its one verification of a guess: all
 ``n + 1`` equations, solved for ``w`` or refused as inconsistent);
 ``find_permutation`` also reads ``_echelon`` for the two linear power-sum
 rows, and ``recover`` reads the pivot count of ``_echelon`` on the ``d x d``
-Gram matrix of its covariates as their rank.  ``dot`` serves
+Gram matrix of its covariates as their rank.  ``solve`` is the same solve for
+rational entries, with a rational answer; it serves ``lattice.build_sources``
+(the Gram system of a guess's other ``n`` covariates).  ``dot`` serves
 ``lll_reduce``, ``build_sources`` and ``find_permutation``, and ``matvec``
 the last of them.
-Matrices are lists of row lists.  ``solve`` reads the echelon form
-``_echelon``; it serves full-column-rank systems only and refuses dependent
-columns rather than pick one of many solutions.
+Matrices are lists of row lists.  Both solves serve full-column-rank systems
+only and refuse dependent columns rather than pick one of many solutions.
 """
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,31 +36,50 @@ def mat(rows) -> Matrix:
 
 
 def dot(u: Sequence, v: Sequence):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def matvec(a: Matrix, v: Sequence) -> list:
     return [dot(row, v) for row in a]
 
 
+def _cleared(row) -> list:
+    """The rationals ``row`` times the least common multiple of their
+    denominators: integers in the same ratios."""
+    den = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row]
+
+
 def _echelon(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Row echelon form (in place on a copy) and the list of pivot columns."""
-    m = [row[:] for row in a]
+    """Fraction-free reduced row echelon form of the integer matrix ``a`` (on
+    a copy) and the list of its pivot columns.
+
+    Gauss-Jordan elimination in which each step multiplies every other row by
+    the new pivot, subtracts the multiple of the pivot row that clears the
+    pivot column, and divides by the previous pivot.  Every entry is then a
+    minor of ``a``, so each division is exact (Bareiss, 1968).  At the end
+    every pivot row holds the same value, the last pivot, at its own pivot
+    column and 0 at the others; dividing the rows by it gives the reduced row
+    echelon form over the rationals.
+    """
+    m = [list(row) for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
+    prev = 1
     r = 0
     for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
+        top = m[r]
+        p = top[c]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
+            if i != r:
                 f = m[i][c]
-                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
+                m[i] = [(p * v - f * t) // prev for v, t in zip(m[i], top)]
+        prev = p
         pivots.append(c)
         r += 1
         if r == rows:
@@ -61,16 +87,17 @@ def _echelon(a: Matrix) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
-def solve(a: Matrix, b: Sequence) -> Optional[list]:
-    """The solution of ``a x = b`` for ``a`` with independent columns.
+def solve_int(a: Matrix, b: Sequence) -> Optional[tuple[list, int]]:
+    """Integers ``(u, den)``, ``den > 0``, with ``a u = den b``: the solution
+    ``u / den`` of ``a x = b`` for integer ``a`` with independent columns and
+    integer ``b``.
 
     Raises :class:`RankDeficiencyError` when the columns of ``a`` are
     dependent, whatever ``b`` is.  Returns ``None`` when ``a`` has full column
     rank but the system is inconsistent (possible only for more rows than
     columns).
     """
-    aug = [row[:] + [Fraction(v)] for row, v in zip(mat(a), b)]
-    red, pivots = _echelon(aug)
+    red, pivots = _echelon([[*row, v] for row, v in zip(a, b)])
     ncols = len(a[0])
     # the rank test comes first: a dependent column followed by a pivot in
     # the augmented column is rank deficiency, not inconsistency
@@ -78,5 +105,19 @@ def solve(a: Matrix, b: Sequence) -> Optional[list]:
         raise RankDeficiencyError("matrix columns are linearly dependent")
     if ncols in pivots:
         return None  # pivot in the augmented column: inconsistent
-    return [red[c][-1] for c in range(ncols)]
+    den = red[0][0]  # every pivot row holds the last pivot
+    u = [red[c][-1] for c in range(ncols)]
+    return (u, den) if den > 0 else ([-v for v in u], -den)
 
+
+def solve(a: Matrix, b: Sequence) -> Optional[list]:
+    """The rational solution of ``a x = b`` for rational ``a`` with
+    independent columns: :func:`solve_int` of the rows of ``[a | b]``, each
+    cleared of its denominators.  Raises and refuses as :func:`solve_int`
+    does."""
+    rows = [_cleared(row) for row in mat([*row, v] for row, v in zip(a, b))]
+    res = solve_int([row[:-1] for row in rows], [row[-1] for row in rows])
+    if res is None:
+        return None
+    u, den = res
+    return [Fraction(v, den) for v in u]

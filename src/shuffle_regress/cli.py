@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -444,14 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--unanchored", action="store_true", help="noiseless only: shuffle the anchor row too")
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--output", "-o", required=True)
-    g.set_defaults(func=cmd_gen)
 
     s = sub.add_parser("solve", help="solve one instance file")
     s.add_argument("--instance", required=True)
     s.add_argument("--solver", choices=("fptas", "brute", "lattice"), required=True)
     s.add_argument("--eps", type=float, help="fptas only: accuracy (default 0.5)")
     s.add_argument("--budget", type=int, help="fptas only: evaluation budget")
-    s.set_defaults(func=cmd_solve)
 
     w = sub.add_parser("sweep-snr", help="Monte-Carlo sweep over an SNR grid, CSV output")
     w.add_argument("--model", choices=("gaussian", "uniform", "noiseless"), required=True)
@@ -465,14 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--seed", type=int, required=True)
     w.add_argument("--jobs", type=int, default=1, help="parallel cells (default 1)")
     w.add_argument("--output", "-o", required=True)
-    w.set_defaults(func=cmd_sweep)
 
     o = sub.add_parser("check-order-stats", help="order-statistics sanity report")
     o.add_argument("--n", type=int, default=10)
     o.add_argument("--trials", type=int, default=100000)
     o.add_argument("--seed", type=int, default=0)
     o.add_argument("--tol", type=float, help="fail (exit 3) if the pair statistic misses by more")
-    o.set_defaults(func=cmd_check_order_stats)
 
     c = sub.add_parser("check-w2", help="sorted-projection distance decay check")
     c.add_argument("--n-grid", default="100,1000,10000")
@@ -480,20 +477,33 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--trials", type=int, default=50)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--output", "-o", required=True)
-    c.set_defaults(func=cmd_check_w2)
 
     r = sub.add_parser("reduce", help="3-partition to permuted-linear-system instance")
     r.add_argument("--z", required=True, help="comma separated values, 3k of them; k and c follow")
     r.add_argument("--output", "-o", required=True)
-    r.set_defaults(func=cmd_reduce)
 
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parsing leaves it unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so the command functions can be replaced
+    commands = {
+        "gen": cmd_gen,
+        "solve": cmd_solve,
+        "sweep-snr": cmd_sweep,
+        "check-order-stats": cmd_check_order_stats,
+        "check-w2": cmd_check_w2,
+        "reduce": cmd_reduce,
+    }
     try:
-        return int(args.func(args) or 0)
+        return int(commands[args.command](args) or 0)
     except (BudgetExceededError, ValueError, OSError) as e:
         # ParseError, SchemaError, CapExceededError, RankDeficiencyError and
         # DegenerateInstanceError are ValueErrors

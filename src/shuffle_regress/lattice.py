@@ -10,17 +10,21 @@ and ``sum_i y_i^2 = w^T (sum_j x_j x_j^T) w`` (the power-sum identity of
 Tsakiris et al., "An algebraic-geometric approach for linear regression
 without correspondences", 2020).  These sums do not depend on the guess, so
 the instance computes them once (:attr:`AnchoredInstance.power_sums`) and
-every guess reads them in ``O(d^2)``.  With the anchor equation
+every guess reads them in ``O(d^2)``.  They are sums of the instance cleared
+of its denominators (:attr:`AnchoredInstance.cleared`): the covariates times
+their least common denominator and the responses times theirs, which leaves
+the permutation unchanged and scales ``w``.  With the anchor equation
 ``<w, x_a> = y0`` they are two linear rows and one quadratic in ``w``.  One
-exact echelon of the rows writes ``w`` as a particular solution plus a free
-coordinate per free column, and the quadratic becomes one form
-``z^T A z + 2 b.z + c`` in those coordinates; a guess whose least value of
-the form exceeds 0 is refused.
+fraction-free echelon of the rows writes ``w``, over one cleared
+denominator, as a particular solution plus a free coordinate per free
+column, and the quadratic becomes one form ``z^T A z + 2 b.z + c`` in those
+coordinates; a guess whose least value of the form exceeds 0 is refused.
 Where the rows leave at most one free direction (``d <= 2``, or ``d = 3``
 with ``x_a`` and ``sum_j x_j`` independent), the form is solved exactly:
 ``w`` is pinned, or is one of the at most two rational roots of the
 quadratic on a line, and the permutation pairs equal values ``<w, x_j>``
-and ``y_i``, one ``O(n)`` match per candidate.  No lattice is built there;
+and ``y_i``, one ``O(n)`` match per candidate.  All of it is integers over
+one cleared denominator; no ``Fraction`` is formed for a guess.  No lattice is built there;
 this departs from the paper's algorithm, which takes every guess to subset
 sum.
 
@@ -52,10 +56,12 @@ on the lattice route when its other ``n`` covariates lack rank ``d``.
 covariates of rank below ``d``) once, before it tries any guess, and no guess
 of an instance it admits raises.
 
-All arithmetic on both routes is exact: the :class:`AnchoredInstance` they
-take holds rationals, and the reduction works on arbitrary-size integers.
-Floating point would void the recovered certificate, which one exact solve of
-all ``n + 1`` equations in :func:`recover` checks before anything is returned.
+All arithmetic on both routes is exact: the power-sum route and the check
+of every answer run on integers over one cleared denominator, the sources of
+the lattice route are rationals, and the reduction works on arbitrary-size
+integers.  Floating point would void the recovered certificate, which one
+exact solve of all ``n + 1`` equations in :func:`recover` checks before
+anything is returned; only the returned ``w`` is made ``Fraction`` again.
 """
 from __future__ import annotations
 
@@ -255,12 +261,14 @@ def build_sources(inst: AnchoredInstance, a: int, slots) -> Optional[list]:
 
     ``G`` is the Gram matrix of :attr:`AnchoredInstance.power_sums`, so
     ``G - x_a x_a^T`` is the Gram matrix of the other ``n`` covariates, and
-    it is singular exactly when they lack rank ``d``.  For exact data
+    it is singular exactly when they lack rank ``d``.  Those sums are of the
+    cleared covariates ``dx x_j``, which leaves each ``p_j`` as it is: the
+    Gram matrix scales by ``dx^2`` and ``x_a`` and ``x_j`` by ``dx``.  For exact data
     ``y_i = <w, x_{pi(i)}>`` the sources ``c_ij = y_i p_j`` summed over the
     matched pairs ``(i, pi(i))`` give ``w^T (G - x_a x_a^T) (G - x_a
     x_a^T)^{-1} x_a = <w, x_a> = y0``.
     """
-    xs = (inst.x0, *inst.x)
+    xs = inst.cleared[2]  # the p_j do not change when x is scaled
     x_a = xs[a]
     _, _, g, _ = inst.power_sums
     try:  # the Gram system of the other n covariates
@@ -279,18 +287,6 @@ def epsilon_bound(y, p, y0) -> Fraction:
     misses it by at least ``1 / D`` (Lagarias and Odlyzko, 1985).
     """
     return Fraction(1, math.lcm(y0.denominator, *((u * v).denominator for u in y for v in p)))
-
-
-def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    """The square root of ``q >= 0`` when it is rational, else ``None``.
-
-    ``q`` is in lowest terms, so its root is rational exactly when its
-    numerator and its denominator are both perfect squares.
-    """
-    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
 
 
 def _match(values: dict, y) -> Optional[list]:
@@ -318,32 +314,46 @@ def find_permutation(inst: AnchoredInstance, a: int) -> Optional[Permutation]:
     ``inst``, assuming ``y0`` pairs with covariate ``a`` (covariate 0 is
     ``x0``, covariate ``j >= 1`` is ``x_j``).
 
+    Everything up to the lattice route is integers over one cleared
+    denominator: it reads the :attr:`AnchoredInstance.cleared` covariates
+    ``x_j`` and responses ``y_i``, and the :attr:`AnchoredInstance.power_sums`
+    ``s``, ``y1``, ``g`` and ``y2`` over all ``n + 1`` of them, the same for
+    every guess.  They pair as the instance's own values do, with ``w``
+    scaled (see :attr:`AnchoredInstance.cleared`).
+
     Noiseless responses are the values ``<w, x_j>`` in some order, so every
     ``w`` that verifies meets the anchor equation ``<w, x_a> = y0``, the first
-    power sum ``<w, s> = y1`` and the second, ``w^T g w = y2``, with ``s``,
-    ``y1``, ``g`` and ``y2`` the :attr:`AnchoredInstance.power_sums` over all
-    ``n + 1`` pairs, the same for every guess.  One exact echelon of the two
-    linear rows ``[x_a | y0]`` and ``[s | y1]`` comes first; a pivot in their
-    right-hand column refuses the guess (``None``).  Otherwise the rows hold
-    exactly at ``w = w_p + sum_f z_f v_f``: ``w_p`` is the right-hand side at
-    the pivot columns and 0 elsewhere, and free column ``f`` has ``v_f[f] =
-    1`` and ``v_f[pc] = -row[f]`` at each row's pivot column ``pc``.  The
-    second power sum is then one quadratic form in the free coordinates,
-    ``z^T A z + 2 b.z + c = 0`` with ``A_fh = v_f^T g v_h``, ``b_f = w_p^T g
-    v_f`` and ``c = w_p^T g w_p - y2``.  Since ``<x_a, v_f> = 0`` and ``<x_a,
-    w_p> = y0``, these are also the sums over the other ``n`` pairs alone.
+    power sum ``<w, s> = y1`` and the second, ``w^T g w = y2``.  One
+    fraction-free echelon (see ``_ratlin._echelon``) of the two linear rows
+    ``[x_a | y0]`` and ``[s | y1]`` comes first; a pivot in their right-hand
+    column refuses the guess (``None``).  Otherwise every pivot row holds the
+    same pivot ``den``, and the rows hold exactly at ``den w = w_p + sum_f z_f
+    v_f``: ``w_p`` is the right-hand side at the pivot columns and 0
+    elsewhere, and free column ``f`` has ``v_f[f] = den`` and ``v_f[pc] =
+    -row[f]`` at each row's pivot column ``pc``.  The second power sum is
+    then one quadratic form in the free coordinates, ``z^T A z + 2 b.z + c =
+    0`` with ``A_fh = v_f^T g v_h``, ``b_f = w_p^T g v_f`` and ``c = w_p^T g
+    w_p - y2 den^2``, all integers.  Since ``<x_a, v_f> = 0`` and ``<x_a,
+    w_p> = y0 den``, these are also the sums over the other ``n`` pairs
+    alone.
 
     With no free column the form is the constant ``c``, and the guess is
-    refused unless ``c = 0``; ``w = w_p``.  Otherwise the least value of the
-    form, ``c - b.A^-1 b`` (one exact solve), must not exceed 0, or the guess
-    is refused; with one free column the candidates are then the rational
-    roots of the quadratic in ``z`` (at most two, in ascending order).  Either
-    way no lattice is built: the first candidate whose values ``<w, x_j>``
-    over the other ``n`` covariates equal the unanchored responses as
-    multisets gives the map, else ``None``.  Those covariates sit in slot
-    order, ``1, ..., n`` with covariate 0 in slot ``a``, and ties go in that
-    order (see :func:`_match`).  A verified ``w`` is rational, so this
-    refuses only guesses :func:`recover` would reject anyway.
+    refused unless ``c = 0``, that is ``w_p^T g w_p = y2 den^2``; ``w =
+    w_p / den``.  Otherwise the least value of the form, ``c - b.A^-1 b``,
+    must not exceed 0, or the guess is refused; it is decided in integers
+    from one fraction-free solve ``A u = a_den b``, as ``b.u - c a_den >=
+    0``.  With one free column that number is ``b^2 - A c``, and the
+    candidates are the rational roots ``z = (-b -+ r) / A`` of the quadratic
+    (at most two, in ascending order), which exist exactly when ``math.isqrt``
+    finds ``r^2 = b^2 - A c``; the candidate ``A w_p + (-b -+ r) v`` is
+    ``w`` over the denominator ``A den``.  Either way no lattice is built:
+    the first candidate whose values ``<w, x_j>`` over the other ``n``
+    covariates equal the unanchored responses as multisets (compared as
+    ``<A w_p + ..., x_j>`` against ``y_i`` times the denominator) gives the
+    map, else ``None``.  Those covariates sit in slot order, ``1, ..., n``
+    with covariate 0 in slot ``a``, and ties go in that order (see
+    :func:`_match`).  A verified ``w`` is rational, so this refuses only
+    guesses :func:`recover` would reject anyway.
 
     With two or more free columns, a guess that the least value admits
     takes the projections ``p_j`` of its other ``n`` covariates, in slot
@@ -372,36 +382,45 @@ def find_permutation(inst: AnchoredInstance, a: int) -> Optional[Permutation]:
     singular.
     """
     d = inst.d
+    _, _, xs, ys = inst.cleared
     s, y1, g, y2 = inst.power_sums
-    red, pivots = _ratlin._echelon([[*(inst.x[a - 1] if a else inst.x0), inst.y0], [*s, y1]])
+    red, pivots = _ratlin._echelon([[*xs[a], ys[0]], [*s, y1]])
     if d in pivots:  # the anchor equation and the first power sum contradict
         return None
     rows = red[: len(pivots)]
-    w_p = [Fraction(0)] * d
+    den = rows[0][pivots[0]] if pivots else 1  # every pivot row holds it
+    # den w = w_p + sum_f z_f v_f
+    w_p = [0] * d
     for row, pc in zip(rows, pivots):
         w_p[pc] = row[d]
     vs = []
     for f in (c for c in range(d) if c not in pivots):
-        v = [Fraction(0)] * d
-        v[f] = Fraction(1)
+        v = [0] * d
+        v[f] = den
         for row, pc in zip(rows, pivots):
             v[pc] = -row[f]
         vs.append(v)
-    # (w_p + sum_f z_f v_f)^T g (w_p + sum_f z_f v_f) = y2, that is z^T a_mat z + 2 b.z + c = 0
+    # (w_p + sum_f z_f v_f)^T g (w_p + sum_f z_f v_f) = y2 den^2, that is z^T a_mat z + 2 b.z + c = 0
     gv = [_ratlin.matvec(g, v) for v in vs]
     a_mat = [[_ratlin.dot(v, gh) for gh in gv] for v in vs]
     b = [_ratlin.dot(w_p, gh) for gh in gv]
-    c = _ratlin.dot(w_p, _ratlin.matvec(g, w_p)) - y2
-    slack = (_ratlin.dot(b, _ratlin.solve(a_mat, b)) if vs else 0) - c  # minus the least value
-    if slack < 0 or not vs and slack:  # with no free column the form is the constant c
+    c = _ratlin.dot(w_p, _ratlin.matvec(g, w_p)) - y2 * den * den
+    if vs:  # a_mat u = a_den b; the least value is c - b.u / a_den
+        u, a_den = _ratlin.solve_int(a_mat, b)
+        slack = _ratlin.dot(b, u) - c * a_den  # a_den times minus the least value
+    else:  # with no free column the form is the constant c
+        slack = -c
+    if slack < 0 or not vs and slack:
         return None
     ws = [w_p]
     if len(vs) == 1:
-        a1, b1 = a_mat[0][0], b[0]
-        root = _rational_sqrt(a1 * slack)  # a1 * slack = b1^2 - a1 c
-        if root is None:
+        # a_den = a1 and slack = b1^2 - a1 c, so z = (-b1 -+ root) / a1
+        root = math.isqrt(slack)
+        if root * root != slack:
             return None
-        ws = [[p + t * q for p, q in zip(w_p, vs[0])] for t in sorted({(-b1 - root) / a1, (-b1 + root) / a1})]
+        a1, b1 = a_den, b[0]
+        ws = [[a1 * p + t * q for p, q in zip(w_p, vs[0])] for t in sorted({-b1 - root, -b1 + root})]
+        den *= a1
     # only now, with the guess admitted, is anything of size n built
     n = inst.n
     slots = [0 if j == a else j for j in range(1, n + 1)]  # covariate 0 takes slot a
@@ -414,9 +433,9 @@ def find_permutation(inst: AnchoredInstance, a: int) -> Optional[Permutation]:
             if z != 0 and col[-1] == 0 and all(v in (0, z) for v in col[1:-1]):
                 return Permutation((a, *(slots[t % n] for t, v in enumerate(col[1:-1]) if v)))
         return None
-    xs = (inst.x0, *inst.x)
+    targets = [v * den for v in ys[1:]]  # <w, x_j> = y_i as <den w, x_j> = den y_i
     for w in ws:
-        pairs = _match({j: _ratlin.dot(w, xs[j]) for j in slots}, inst.y)
+        pairs = _match({j: _ratlin.dot(w, xs[j]) for j in slots}, targets)
         if pairs is not None:
             return Permutation((a, *pairs))
     return None
@@ -444,18 +463,21 @@ class RecoveryResult:
 
 def recover(inst: AnchoredInstance) -> Optional[RecoveryResult]:
     """Exact weights and correspondence from ``n + 1`` noiseless measurements,
-    read as the exact rationals ``inst`` holds.
+    read as the exact rationals ``inst`` holds and worked on as integers over
+    one cleared denominator.
 
     Tries every anchor guess ``a`` in ascending order: :func:`find_permutation`
     proposes the whole correspondence with ``y0`` on covariate ``a``, from
     the power sums or the lattice.  Every guess reads the same
     :attr:`AnchoredInstance.power_sums`, computed once, so no guess rebuilds
-    the instance.  The guess is verified by one exact solve over the
-    rationals of all ``n + 1`` equations it induces, the anchor's included:
-    the ``n + 1`` covariates have rank ``d`` (decided before any guess), so
-    the solve returns ``None`` exactly when some equation fails.  The first
-    guess that verifies wins; its result satisfies ``y_i = <w, x_{perm(i)}>``
-    exactly for every measurement including the anchor.
+    the instance.  The guess is verified by one exact solve of all ``n + 1``
+    equations it induces, the anchor's included, by fraction-free elimination
+    of the :attr:`AnchoredInstance.cleared` integers: the ``n + 1``
+    covariates have rank ``d`` (decided before any guess), so the solve
+    returns ``None`` exactly when some equation fails.  The first guess that
+    verifies wins; its ``w`` is turned back into ``Fraction`` values of the
+    instance's own scale, and satisfies ``y_i = <w, x_{perm(i)}>`` exactly
+    for every measurement including the anchor.
 
     A guess on the lattice route embeds its subset sum with the ``beta``
     that its own exact margin needs (see :func:`subset_sum_basis`), so any
@@ -477,12 +499,13 @@ def recover(inst: AnchoredInstance) -> Optional[RecoveryResult]:
         raise DegenerateInstanceError("all responses zero")
     if len(_ratlin._echelon(g)[1]) < inst.d:  # rank < d: some v != 0 has X v = 0
         raise RankDeficiencyError("covariates do not have full column rank")
-    xs, ys = [inst.x0, *inst.x], [inst.y0, *inst.y]
+    dx, dy, xs, ys = inst.cleared
     for a in range(inst.n + 1):
         perm = find_permutation(inst, a)
         if perm is None:
             continue
-        w = _ratlin.solve([xs[j] for j in perm.map], ys)  # all n + 1 equations
-        if w is not None:
-            return RecoveryResult(perm=perm, w=tuple(w))
+        sol = _ratlin.solve_int([xs[j] for j in perm.map], ys)  # all n + 1 equations
+        if sol is not None:  # <u / den, X_j> = Y_i, so w = u dx / (den dy)
+            u, den = sol
+            return RecoveryResult(perm=perm, w=tuple(Fraction(v * dx, den * dy) for v in u))
     return None

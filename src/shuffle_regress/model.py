@@ -37,6 +37,7 @@ import functools
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -71,11 +72,11 @@ def _is_int(v) -> bool:
 def _rational(v) -> Fraction:
     """The rational ``v`` denotes: ints, Fractions and numpy integers as they
     are, floats and numpy floats exactly (never rounded)."""
-    if not isinstance(v, numbers.Rational):
-        if not math.isfinite(v):
-            raise ValueError("non-finite entries")
-        v = Fraction(*v.as_integer_ratio())
-    return Fraction(v)
+    if isinstance(v, numbers.Rational):
+        return Fraction(v)
+    if not math.isfinite(v):
+        raise ValueError("non-finite entries")
+    return Fraction(*v.as_integer_ratio())
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -194,18 +195,42 @@ class AnchoredInstance:
         return len(self.x0)
 
     @functools.cached_property
+    def cleared(self) -> tuple:
+        """``(dx, dy, xs, ys)``: the instance over integers.
+
+        ``dx`` is the least common denominator of the covariates, ``x0``
+        included, and ``dy`` that of the responses, ``y0`` included; ``xs``
+        holds the ``n + 1`` covariates times ``dx`` and ``ys`` the ``n + 1``
+        responses times ``dy``, as ints, ``x0`` and ``y0`` first.  Since
+        ``<w, x_j> = y_i`` exactly when ``<w dy / dx, dx x_j> = dy y_i``, the
+        same pairings fit the cleared instance, with ``w`` scaled by
+        ``dy / dx``.
+        """
+        xs, ys = (self.x0, *self.x), (self.y0, *self.y)
+        dx = math.lcm(*(v.denominator for row in xs for v in row))
+        dy = math.lcm(*(v.denominator for v in ys))
+        return (
+            dx,
+            dy,
+            tuple(tuple(v.numerator * (dx // v.denominator) for v in row) for row in xs),
+            tuple(v.numerator * (dy // v.denominator) for v in ys),
+        )
+
+    @functools.cached_property
     def power_sums(self) -> tuple:
-        """``(s, y1, g, y2)`` over all ``n + 1`` pairs, the anchor's included:
-        ``s = sum_j x_j``, ``y1 = sum_i y_i``, the Gram matrix
-        ``g = sum_j x_j x_j^T`` and ``y2 = sum_i y_i^2``.
+        """``(s, y1, g, y2)`` of the :attr:`cleared` instance, as ints, over
+        all ``n + 1`` pairs, the anchor's included: ``s = sum_j x_j``, ``y1 =
+        sum_i y_i``, the Gram matrix ``g = sum_j x_j x_j^T`` and ``y2 = sum_i
+        y_i^2``.
 
         They do not depend on which covariate ``y0`` pairs with, so
         :func:`lattice.recover` computes them once and every anchor guess
         reads them.
         """
-        xs, ys = (self.x0, *self.x), (self.y0, *self.y)
-        g = tuple(tuple(sum(row[i] * row[k] for row in xs) for k in range(self.d)) for i in range(self.d))
-        return tuple(map(sum, zip(*xs))), sum(ys), g, sum(v * v for v in ys)
+        _, _, xs, ys = self.cleared
+        cols = list(zip(*xs))
+        g = tuple(tuple(sum(map(operator.mul, ci, ck)) for ck in cols) for ci in cols)
+        return tuple(map(sum, cols)), sum(ys), g, sum(v * v for v in ys)
 
 
 def _streams(seed: int):

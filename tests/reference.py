@@ -464,17 +464,18 @@ def check_3partition_brute(tp: ThreePartitionInstance) -> bool:
 def left_nullspace_int(a) -> list[list[int]]:
     """Integer basis of ``{v : v a = 0}`` (row vectors), possibly empty."""
     at = transpose(_ratlin.mat(a))
-    red, pivots = _ratlin._echelon(at)
+    red, pivots = _ratlin._echelon([_ratlin._cleared(row) for row in at])
+    den = red[0][pivots[0]] if pivots else 1  # every pivot row holds it
     nrows = len(a)
     free = [c for c in range(nrows) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * nrows
-        v[fc] = Fraction(1)
+        v = [0] * nrows
+        v[fc] = den
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
-        scale = math.lcm(*(x.denominator for x in v)) if v else 1
-        basis.append([int(x * scale) for x in v])
+        scale = math.gcd(*v) * (1 if den > 0 else -1)  # primitive, entry fc > 0
+        basis.append([x // scale for x in v])
     return basis
 
 

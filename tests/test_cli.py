@@ -798,6 +798,43 @@ class TestTopLevel:
             main([])
         assert exc.value.code == 2
 
+    def test_parser_built_once(self, monkeypatch, tmp_path, capsys):
+        built = []
+        real = cli.build_parser
+
+        def counted():
+            built.append(None)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        for seed in ("1", "2"):
+            assert run(capsys, "reduce", "--z", "4,4,7,7,4,4", "-o", str(tmp_path / seed))[0] == 0
+        assert len(built) == 1
+
+    def test_reused_parser_keeps_no_state(self, tmp_path, capsys):
+        # main parses every call with the one parser it built, so each call
+        # must read as if the parser were new: a flag given once does not
+        # stay set, and a refused call leaves nothing behind
+        inst = tmp_path / "inst.json"
+        gen = ("gen", "--model", "gaussian", "--n", "5", "--d", "2", "--snr", "inf", "--seed", "3")
+        assert run(capsys, *gen, "-o", str(inst))[0] == 0
+        solve = ("solve", "--instance", str(inst), "--solver", "fptas")
+        code, stdout, _ = run(capsys, *solve, "--eps", "0.25")
+        assert code == 0 and json.loads(stdout)["eps"] == 0.25
+        code, fresh, _ = run(capsys, *solve)
+        assert code == 0 and json.loads(fresh)["eps"] == 0.5
+        with pytest.raises(SystemExit) as exc:
+            main([*solve, "--frobnicate"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *solve) == (0, fresh, "")
+        # a value another subcommand took is not read back either
+        assert run(capsys, *gen, "--unanchored", "-o", str(tmp_path / "x.json"))[0] == 2
+        capsys.readouterr()
+        assert run(capsys, *gen, "-o", str(tmp_path / "y.json"))[0] == 0
+        assert (tmp_path / "y.json").read_bytes() == inst.read_bytes()
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

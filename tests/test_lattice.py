@@ -2,7 +2,9 @@ import hashlib
 import itertools
 import json
 import math
+import fractions
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -552,12 +554,13 @@ class TestRecover:
                 wv * xv for wv, xv in zip(res.w, xs[res.perm(i)])
             )
 
-    @pytest.mark.parametrize("d, n", [(2, 60), (3, 30), (2, 1000), (3, 500)])
+    @pytest.mark.parametrize("d, n", [(2, 60), (3, 30), (2, 1000), (3, 500), (3, 5000)])
     def test_power_sums_recover_far_above_the_lattice(self, d, n):
         # unanchored p = 16, seeds 0-2: the power sums solve every guess at
         # d <= 3, so n is not walled off where LLL stops (n = 9).  Every
-        # guess reads the sums the instance computes once, so n = 1000 takes
-        # well under a second.  Ties on the grid can allow several maps, so
+        # guess reads the integer sums the instance computes once, so n = 1000
+        # takes well under a second and d = 3, n = 5000 about a second with
+        # the instances drawn.  Ties on the grid can allow several maps, so
         # only the equations and w count
         for seed in range(3):
             self.assert_recovered(*self.run_case(d, n, seed, anchored=False))
@@ -750,6 +753,81 @@ class TestRecover:
         assert res is not None
         assert res.w == w_q
 
+    @staticmethod
+    def scaled(q, sx, sy, kind=F):
+        """``q`` with every covariate times ``sx`` and every response times
+        ``sy``, each value passed as ``kind``."""
+        return AnchoredInstance(
+            x0=tuple(kind(v * sx) for v in q.x0),
+            y0=kind(q.y0 * sy),
+            x=tuple(tuple(kind(v * sx) for v in row) for row in q.x),
+            y=tuple(kind(v * sy) for v in q.y),
+        )
+
+    def quantized_cases(self):
+        # denominators 2^16 for the covariates and 2^32 for the responses
+        for d in (1, 2, 3):
+            for seed in range(2):
+                yield self.run_case(d, 12, seed, anchored=False)[0]
+
+    def scaling_cases(self):
+        # the quantized draws, and a hand instance with non-dyadic, mixed
+        # denominators and a non-dyadic w
+        yield from self.quantized_cases()
+        rng = random.Random(5)
+        xs = [tuple(F(rng.randint(-9, 9), rng.choice((1, 3, 5, 11, 2**20))) for _ in range(3)) for _ in range(9)]
+        w = (F(2, 3), F(-5, 7), F(1, 2**40))
+        pi = rng.sample(range(9), 9)
+        ys = [sum(a * b for a, b in zip(w, xs[pi[i]])) for i in range(9)]
+        yield AnchoredInstance(x0=xs[0], y0=ys[0], x=tuple(xs[1:]), y=tuple(ys[1:]))
+
+    @pytest.mark.parametrize(
+        "sx, sy",
+        [(2**600, 1), (F(1, 2**600), 2**600), (1, F(1, 2**600)), (F(1, 3), F(1, 7)), (F(5, 3), F(7, 11))],
+    )
+    def test_scaling_moves_w_not_the_map(self, sx, sy):
+        # recover clears the covariates' and the responses' denominators once
+        # per instance, each set by its own least common multiple: with x
+        # scaled by sx and y by sy, the map is the same and w is w sy / sx
+        for q in self.scaling_cases():
+            res = recover(q)
+            got = recover(self.scaled(q, sx, sy))
+            assert res is not None and got is not None
+            assert got.perm == res.perm
+            assert got.w == tuple(v * sy / sx for v in res.w)
+
+    def test_subnormal_doubles(self):
+        # every value a subnormal double, k * 2^-1074: the instance reads them
+        # as the rationals they denote, with denominators up to 2^1074
+        for q in self.quantized_cases():
+            sub = self.scaled(q, F(1, 2**1058), F(1, 2**1042), float)
+            assert sub.cleared[0] == 2**1074
+            values = [*sub.x0, sub.y0, *itertools.chain(*sub.x), *sub.y]
+            assert all(abs(v) < 2.0**-1022 for v in values)
+            res, got = recover(q), recover(sub)
+            assert got.perm == res.perm and got.w == tuple(v * 2**16 for v in res.w)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_guess_loop_forms_no_fraction(self, d):
+        # the guesses read the instance over integers: once its cleared view
+        # and power sums exist, no code of the fractions module runs, so no
+        # Fraction is built or operated on, in any of the n + 1 guesses
+        q, truth, _ = self.run_case(d, 200, 0, anchored=False)
+        q.cleared, q.power_sums
+        ran = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                ran.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            found = [find_permutation(q, a) for a in range(q.n + 1)]
+        finally:
+            sys.setprofile(None)
+        assert ran == []
+        assert found[truth.pi_bar(0)] is not None
+
 
 _POOLS = ((0, 1), (-1, 0, 1), (-2, -1, 0, 1, 2), (F(1, 2), 1, 3))
 
@@ -935,7 +1013,8 @@ def _lattice_find_permutation(inst):
 def _free_directions(inst):
     """How many directions of w the anchor equation and the first power sum
     leave free: d less the rank of the rows x0 and sum_j x_j."""
-    _, pivots = rl._echelon([list(inst.x0), [sum(col) for col in zip(*inst.x)]])
+    rows = [inst.x0, [sum(col) for col in zip(*inst.x)]]
+    _, pivots = rl._echelon([rl._cleared(row) for row in rows])
     return inst.d - len(pivots)
 
 
