@@ -1,38 +1,31 @@
 """Exact linear algebra in integers for the exact recovery path.
 
-It holds what ``lattice`` calls.  Rationals enter over one cleared
-denominator: each row of a rational system, multiplied by the least common
-multiple of its denominators, is a row of integers with the same solutions,
-and the elimination ``_echelon`` is fraction-free (Bareiss, 1968), so no
-``Fraction`` is formed and no gcd is taken while it runs.
+It holds what ``lattice`` calls.  Every system it solves is already integer:
+``lattice`` works on the instance cleared of its denominators, and the
+elimination ``_echelon`` is fraction-free (Bareiss, 1968), so no gcd is
+taken while it runs and no ``Fraction`` is formed anywhere.
 
 ``solve_int`` serves ``lattice.find_permutation`` (the least value of its
-quadratic form) and ``lattice.recover`` (its one verification of a guess: all
-``n + 1`` equations, solved for ``w`` or refused as inconsistent);
-``find_permutation`` also reads ``_echelon`` for the two linear power-sum
-rows, and ``recover`` reads the pivot count of ``_echelon`` on the ``d x d``
-Gram matrix of its covariates as their rank.  ``solve`` is the same solve for
-rational entries, with a rational answer; it serves ``lattice.build_sources``
-(the Gram system of a guess's other ``n`` covariates).  ``dot`` serves
-``lll_reduce``, ``build_sources`` and ``find_permutation``, and ``matvec``
-the last of them.
-Matrices are lists of row lists.  Both solves serve full-column-rank systems
-only and refuse dependent columns rather than pick one of many solutions.
+quadratic form), ``lattice.build_sources`` (the Gram system of a guess's
+other ``n`` covariates) and ``lattice.recover`` (its one verification of a
+guess: all ``n + 1`` equations, solved for ``w`` or refused as
+inconsistent); ``find_permutation`` also reads ``_echelon`` for the two
+linear power-sum rows, and ``recover`` reads the pivot count of ``_echelon``
+on the ``d x d`` Gram matrix of its covariates as their rank.  ``dot``
+serves ``lll_reduce``, ``build_sources`` and ``find_permutation``, and
+``matvec`` the last of them.
+Matrices are lists of row lists.  ``solve_int`` serves full-column-rank
+systems only and refuses dependent columns rather than pick one of many
+solutions.
 """
 from __future__ import annotations
 
-import math
 import operator
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import RankDeficiencyError
 
 Matrix = list
-
-
-def mat(rows) -> Matrix:
-    return [[Fraction(v) for v in row] for row in rows]
 
 
 def dot(u: Sequence, v: Sequence):
@@ -41,13 +34,6 @@ def dot(u: Sequence, v: Sequence):
 
 def matvec(a: Matrix, v: Sequence) -> list:
     return [dot(row, v) for row in a]
-
-
-def _cleared(row) -> list:
-    """The rationals ``row`` times the least common multiple of their
-    denominators: integers in the same ratios."""
-    den = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (den // v.denominator) for v in row]
 
 
 def _echelon(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -108,16 +94,3 @@ def solve_int(a: Matrix, b: Sequence) -> Optional[tuple[list, int]]:
     den = red[0][0]  # every pivot row holds the last pivot
     u = [red[c][-1] for c in range(ncols)]
     return (u, den) if den > 0 else ([-v for v in u], -den)
-
-
-def solve(a: Matrix, b: Sequence) -> Optional[list]:
-    """The rational solution of ``a x = b`` for rational ``a`` with
-    independent columns: :func:`solve_int` of the rows of ``[a | b]``, each
-    cleared of its denominators.  Raises and refuses as :func:`solve_int`
-    does."""
-    rows = [_cleared(row) for row in mat([*row, v] for row, v in zip(a, b))]
-    res = solve_int([row[:-1] for row in rows], [row[-1] for row in rows])
-    if res is None:
-        return None
-    u, den = res
-    return [Fraction(v, den) for v in u]

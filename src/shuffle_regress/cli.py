@@ -89,6 +89,8 @@ def cmd_gen(args) -> int:
     if args.model == "noiseless":
         if args.snr is not None:
             raise ValueError("--snr does not apply to the noiseless model")
+        if args.p is not None and args.p < 1:
+            raise ValueError("--p must be >= 1")
     else:
         if args.unanchored:
             raise ValueError("--unanchored applies to the noiseless model only")
@@ -110,8 +112,6 @@ def cmd_gen(args) -> int:
         inst, truth = gen_noiseless_anchored(w_bar, args.n, args.seed, anchored=not args.unanchored)
 
     if args.p is not None:
-        if args.p < 1:
-            raise ValueError("--p must be >= 1")
         # regenerate on the grid so the exact identity survives quantization;
         # w_q is a double rounded to the grid, so it is a double again
         inst, w_q = quantize_noiseless(inst, truth, args.p)

@@ -24,9 +24,8 @@ with ``x_a`` and ``sum_j x_j`` independent), the form is solved exactly:
 ``w`` is pinned, or is one of the at most two rational roots of the
 quadratic on a line, and the permutation pairs equal values ``<w, x_j>``
 and ``y_i``, one ``O(n)`` match per candidate.  All of it is integers over
-one cleared denominator; no ``Fraction`` is formed for a guess.  No lattice is built there;
-this departs from the paper's algorithm, which takes every guess to subset
-sum.
+one cleared denominator.  No lattice is built there; this departs from the
+paper's algorithm, which takes every guess to subset sum.
 
 Where two or more directions stay free (``d >= 4``, or dependent rows), a
 guess that the least value admits takes the paper's route.  The
@@ -39,9 +38,13 @@ of the responses and the projections, and the correct correspondence is a
 subset of them summing exactly to ``y0``.  Low-density subset sums of this
 kind are solved by lattice basis reduction: embed the instance in an integer
 lattice whose target row is scaled by ``beta`` and look for a reduced vector
-of the pattern ``z * (1, indicator, 0)``.  All sums are rationals over one common denominator
-``D``, so a wrong subset misses the target by at least ``1 / D``; ``beta`` is
-derived from that exact margin.
+of the pattern ``z * (1, indicator, 0)``.  The route reads the same cleared
+integers: the projections come from one fraction-free solve as integers
+over a denominator ``den``, so the target and every source are integers
+over ``lam = dy den``.  Every subset sum is then a multiple of ``1 / D``,
+with ``D`` the least common denominator of the target and the sources, so a
+wrong subset misses the target by at least ``1 / D``; ``beta`` is derived
+from that exact margin.
 
 The wanted subset is a permutation support, so its indicator has every row sum
 and every column sum equal to 1.  :func:`subset_sum_basis` therefore builds,
@@ -56,12 +59,13 @@ on the lattice route when its other ``n`` covariates lack rank ``d``.
 covariates of rank below ``d``) once, before it tries any guess, and no guess
 of an instance it admits raises.
 
-All arithmetic on both routes is exact: the power-sum route and the check
-of every answer run on integers over one cleared denominator, the sources of
-the lattice route are rationals, and the reduction works on arbitrary-size
-integers.  Floating point would void the recovered certificate, which one
-exact solve of all ``n + 1`` equations in :func:`recover` checks before
-anything is returned; only the returned ``w`` is made ``Fraction`` again.
+All arithmetic on both routes is exact: the power-sum route, the sources
+and basis of the lattice route and the check of every answer run on
+integers over one cleared denominator, and the reduction works on
+arbitrary-size integers.  No ``Fraction`` is formed for a guess.  Floating
+point would void the recovered certificate, which one exact solve of all
+``n + 1`` equations in :func:`recover` checks before anything is returned;
+only the returned ``w`` is made ``Fraction`` again.
 """
 from __future__ import annotations
 
@@ -91,11 +95,10 @@ __all__ = [
 class LatticeBasis:
     """Lattice basis given as integer columns, all of one ambient dimension.
 
-    Builders clear rational entries to integers before constructing it
-    (:func:`subset_sum_basis` scales its bottom row by a multiple of the
-    common denominator), so the reduction only ever sees integers.  An entry
-    that is not an integer (``operator.index`` refuses it) raises
-    ``ValueError``.
+    Builders hand it integers (:func:`subset_sum_basis` divides its bottom
+    row exactly, by a divisor of the sources' common denominator), so the
+    reduction only ever sees integers.  An entry that is not an integer
+    (``operator.index`` refuses it) raises ``ValueError``.
     """
 
     columns: tuple[tuple[int, ...], ...]
@@ -124,9 +127,10 @@ def _round_div(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
-# Lovasz parameter: the first reduced column of a rank-k basis is then at most
-# 2**((k-1)/2) times the shortest nonzero lattice vector.
-_DELTA = Fraction(3, 4)
+# Lovasz parameter delta = 3/4, as numerator and denominator: the first
+# reduced column of a rank-k basis is then at most 2**((k-1)/2) times the
+# shortest nonzero lattice vector.
+_DELTA_NUM, _DELTA_DEN = 3, 4
 
 
 def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
@@ -143,7 +147,6 @@ def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
     basis size: a single column skips the main loop and comes back unchanged
     (or is refused if zero).
     """
-    p, q = _DELTA.numerator, _DELTA.denominator
     cols = [list(c) for c in basis.columns]
     m = len(cols)
 
@@ -179,7 +182,7 @@ def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
                     if u == 0:
                         raise ValueError("columns not linearly independent")
         red(k, k - 1)
-        if q * (dvec[k] * dvec[k - 2] + lam[k][k - 1] ** 2) < p * dvec[k - 1] ** 2:
+        if _DELTA_DEN * (dvec[k] * dvec[k - 2] + lam[k][k - 1] ** 2) < _DELTA_NUM * dvec[k - 1] ** 2:
             # Lovasz condition fails: swap columns k-1, k and fix bookkeeping
             cols[k - 1], cols[k - 2] = cols[k - 2], cols[k - 1]
             for j in range(1, k - 1):
@@ -200,10 +203,12 @@ def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
     return LatticeBasis(columns=tuple(tuple(c) for c in cols))
 
 
-def subset_sum_basis(y, p, y0) -> LatticeBasis:
+def subset_sum_basis(y, p, target, lam) -> LatticeBasis:
     """The permutation sublattice of the Lagarias-Odlyzko embedding of the
-    ``n^2`` sources ``c_ij = y_i p_j`` with target ``y0``, for the ``n``
-    responses ``y`` and the ``n`` projections ``p`` of :func:`build_sources`.
+    ``n^2`` sources ``c_ij = y_i p_j / lam`` with target ``target / lam``,
+    for the ``n`` cleared responses ``y`` and the ``n`` integer projections
+    ``p`` of :func:`build_sources`; ``target`` and ``lam > 0`` are integers
+    too, so every value is an integer over the one denominator ``lam``.
 
     The coordinates are those of the embedding: coordinate 0 is the target
     multiplier ``z``, coordinate ``1 + i n + j`` the indicator of the pair
@@ -211,17 +216,17 @@ def subset_sum_basis(y, p, y0) -> LatticeBasis:
     target less the chosen sources.  Entries ``(i, j)`` with ``i, j >= 1``
     are free; row 0 and column 0 of the indicator block are fixed by asking
     every row sum and every column sum to equal ``z``.  With ``y_0`` and
-    ``p_0`` the first entries of ``y`` and ``p`` (the target is ``y0``), the
+    ``p_0`` the first entries of ``y`` and ``p``, and ``t = target``, the
     columns are
 
     - the target column (``z = 1``, every free entry 0): entry ``2 - n`` at
       ``(0, 0)``, 1 at ``(i, 0)`` and ``(0, j)`` for ``i, j >= 1``, and last
-      entry ``beta * (y0 - sum_{i>=1} c_i0 - sum_{j>=1} c_0j - (2 - n)
-      c_00)``, that is ``beta * (y0 - p_0 sum_i y_i - y_0 sum_j p_j + n y_0
-      p_0)``, and
+      entry ``beta * (t - sum_{i>=1} c_i0 - sum_{j>=1} c_0j - (2 - n)
+      c_00)``, that is ``beta * (t - p_0 sum_i y_i - y_0 sum_j p_j + n y_0
+      p_0) / lam``, and
     - for each free ``(i, j)``: 1 at ``(i, j)`` and ``(0, 0)``, -1 at
       ``(i, 0)`` and ``(0, j)``, and last entry ``-beta * (c_ij - c_i0 -
-      c_0j + c_00) = -beta * (y_i - y_0) (p_j - p_0)``,
+      c_0j + c_00) = -beta * (y_i - y_0) (p_j - p_0) / lam``,
 
     stably sorted by the magnitude of their last entry.  The rank is
     ``(n - 1)^2 + 1`` in ambient dimension ``n^2 + 2``.  A permutation
@@ -230,63 +235,73 @@ def subset_sum_basis(y, p, y0) -> LatticeBasis:
     of squared length ``n + 1``.
 
     ``beta = 2**(n^2) * D``, with ``1 / D`` the exact margin of
-    :func:`epsilon_bound`, so every last entry is an integer.  LLL's first
-    reduced vector is at most ``2**((n - 1)^2 / 2) * sqrt(n + 1)`` long; a
-    vector whose subset misses the target misses it by at least ``1 / D``,
-    so its last entry is at least ``2**(n^2)``, longer than that bound for
-    every ``n >= 1``.
+    :func:`epsilon_bound`, so every last entry is ``2**(n^2)`` times an
+    integer numerator over ``lam / D``, which that numerator is a multiple
+    of: an exact integer division.  LLL's first reduced vector is at most
+    ``2**((n - 1)^2 / 2) * sqrt(n + 1)`` long; a vector whose subset misses
+    the target misses it by at least ``1 / D``, so its last entry is at
+    least ``2**(n^2)``, longer than that bound for every ``n >= 1``.
     """
     n = len(y)
-    beta = 2 ** (n * n) * epsilon_bound(y, p, y0).denominator
-    target = [1, 2 - n] + [0] * (n * n)
+    scale = 2 ** (n * n)
+    g = lam // epsilon_bound(y, p, target, lam)  # g = lam / D, so beta / lam = scale / g
+    col0 = [1, 2 - n] + [0] * (n * n)
     for k in range(1, n):
-        target[1 + k * n] = target[1 + k] = 1  # (k, 0) and (0, k)
-    target[-1] = int(beta * (y0 - p[0] * sum(y) - y[0] * sum(p) + n * y[0] * p[0]))
-    columns = [tuple(target)]
+        col0[1 + k * n] = col0[1 + k] = 1  # (k, 0) and (0, k)
+    col0[-1] = scale * ((target - p[0] * sum(y) - y[0] * sum(p) + n * y[0] * p[0]) // g)
+    columns = [tuple(col0)]
     for i in range(1, n):
         for j in range(1, n):
             col = [0] * (n * n + 2)
             col[1 + i * n + j] = col[1] = 1
             col[1 + i * n] = col[1 + j] = -1
-            col[-1] = int(-beta * (y[i] - y[0]) * (p[j] - p[0]))
+            col[-1] = -scale * ((y[i] - y[0]) * (p[j] - p[0]) // g)
             columns.append(tuple(col))
     return LatticeBasis(columns=tuple(sorted(columns, key=lambda col: abs(col[-1]))))
 
 
-def build_sources(inst: AnchoredInstance, a: int, slots) -> Optional[list]:
+def build_sources(inst: AnchoredInstance, a: int, slots) -> Optional[tuple[list, int]]:
     """The projections ``p_j = <x_j, (G - x_a x_a^T)^{-1} x_a>`` of the
     covariates ``x_j``, ``j`` in ``slots``, in that order, for the guess that
-    pairs ``y0`` with covariate ``a``; ``None`` when ``G - x_a x_a^T`` is
-    singular.
+    pairs ``y0`` with covariate ``a``, as integers ``(P, den)``, ``den > 0``,
+    with ``p_j = P_j / den``; ``None`` when ``G - x_a x_a^T`` is singular.
 
     ``G`` is the Gram matrix of :attr:`AnchoredInstance.power_sums`, so
     ``G - x_a x_a^T`` is the Gram matrix of the other ``n`` covariates, and
     it is singular exactly when they lack rank ``d``.  Those sums are of the
     cleared covariates ``dx x_j``, which leaves each ``p_j`` as it is: the
-    Gram matrix scales by ``dx^2`` and ``x_a`` and ``x_j`` by ``dx``.  For exact data
-    ``y_i = <w, x_{pi(i)}>`` the sources ``c_ij = y_i p_j`` summed over the
-    matched pairs ``(i, pi(i))`` give ``w^T (G - x_a x_a^T) (G - x_a
-    x_a^T)^{-1} x_a = <w, x_a> = y0``.
+    Gram matrix scales by ``dx^2`` and ``x_a`` and ``x_j`` by ``dx``.  The
+    system is integer, so one fraction-free solve gives ``(G - x_a x_a^T) u
+    = den x_a`` and ``P_j = <x_j, u>``.  For exact data ``y_i = <w,
+    x_{pi(i)}>`` the sources ``c_ij = y_i p_j`` summed over the matched pairs
+    ``(i, pi(i))`` give ``w^T (G - x_a x_a^T) (G - x_a x_a^T)^{-1} x_a =
+    <w, x_a> = y0``.
     """
     xs = inst.cleared[2]  # the p_j do not change when x is scaled
     x_a = xs[a]
     _, _, g, _ = inst.power_sums
+    gram = [[gk - xi * v for gk, v in zip(row, x_a)] for row, xi in zip(g, x_a)]
     try:  # the Gram system of the other n covariates
-        z = _ratlin.solve([[gk - u * v for gk, v in zip(row, x_a)] for row, u in zip(g, x_a)], x_a)
+        u, den = _ratlin.solve_int(gram, x_a)
     except RankDeficiencyError:
         return None
-    return [_ratlin.dot(xs[j], z) for j in slots]
+    return [_ratlin.dot(xs[j], u) for j in slots], den
 
 
-def epsilon_bound(y, p, y0) -> Fraction:
-    """Exact separation margin ``1 / D`` for wrong-subset sums of the sources
-    ``c_ij = y_i p_j`` against the target ``y0``.
+def epsilon_bound(y, p, target, lam) -> int:
+    """The denominator ``D`` of the exact separation margin ``1 / D`` for
+    wrong-subset sums of the sources ``c_ij = y_i p_j / lam`` against the
+    target ``target / lam``, for integers ``y``, ``p``, ``target`` and ``lam >
+    0``.
 
     ``D`` is the least common denominator of the target and every source, so
     every subset sum lies on the ``1 / D`` grid and one that misses the target
-    misses it by at least ``1 / D`` (Lagarias and Odlyzko, 1985).
+    misses it by at least ``1 / D`` (Lagarias and Odlyzko, 1985).  Every value
+    is an integer over ``lam``, so ``D = lam / gcd(lam, target, every y_i
+    p_j)``, and the gcd of the products is ``gcd(y) gcd(p)``: ``O(n)`` gcds,
+    and no product of two values is formed.
     """
-    return Fraction(1, math.lcm(y0.denominator, *((u * v).denominator for u in y for v in p)))
+    return lam // math.gcd(lam, target, math.gcd(*y) * math.gcd(*p))
 
 
 def _match(values: dict, y) -> Optional[list]:
@@ -314,7 +329,7 @@ def find_permutation(inst: AnchoredInstance, a: int) -> Optional[Permutation]:
     ``inst``, assuming ``y0`` pairs with covariate ``a`` (covariate 0 is
     ``x0``, covariate ``j >= 1`` is ``x_j``).
 
-    Everything up to the lattice route is integers over one cleared
+    Everything, the lattice route included, is integers over one cleared
     denominator: it reads the :attr:`AnchoredInstance.cleared` covariates
     ``x_j`` and responses ``y_i``, and the :attr:`AnchoredInstance.power_sums`
     ``s``, ``y1``, ``g`` and ``y2`` over all ``n + 1`` of them, the same for
@@ -358,9 +373,12 @@ def find_permutation(inst: AnchoredInstance, a: int) -> Optional[Permutation]:
     With two or more free columns, a guess that the least value admits
     takes the projections ``p_j`` of its other ``n`` covariates, in slot
     order, from the Gram matrix ``g - x_a x_a^T`` (see :func:`build_sources`),
-    builds the permutation sublattice of the embedding of the ``n^2``
-    sources ``y_i p_j`` (see :func:`subset_sum_basis`, which derives
-    ``beta`` from the sources' exact margin), of rank ``(n - 1)^2 + 1``,
+    as integers ``P_j`` over a denominator ``p_den``.  With the cleared
+    responses ``Y_i`` over ``dy``, the sources ``y_i p_j`` are ``Y_i P_j``
+    and the target ``y0`` is ``Y_0 p_den``, all over ``dy p_den``.  It
+    builds the permutation sublattice of the embedding of those ``n^2``
+    sources (see :func:`subset_sum_basis`, which derives ``beta`` from the
+    sources' exact margin), of rank ``(n - 1)^2 + 1``,
     reduces it, and reads the map off the first reduced column of the
     pattern ``z * (1, indicator, 0)``: ``z != 0``, last coordinate 0, every
     indicator entry 0 or ``z``; coordinate ``1 + t`` pairs response ``t //
@@ -382,7 +400,7 @@ def find_permutation(inst: AnchoredInstance, a: int) -> Optional[Permutation]:
     singular.
     """
     d = inst.d
-    _, _, xs, ys = inst.cleared
+    _, dy, xs, ys = inst.cleared
     s, y1, g, y2 = inst.power_sums
     red, pivots = _ratlin._echelon([[*xs[a], ys[0]], [*s, y1]])
     if d in pivots:  # the anchor equation and the first power sum contradict
@@ -425,10 +443,11 @@ def find_permutation(inst: AnchoredInstance, a: int) -> Optional[Permutation]:
     n = inst.n
     slots = [0 if j == a else j for j in range(1, n + 1)]  # covariate 0 takes slot a
     if len(vs) > 1:
-        p = build_sources(inst, a, slots)
-        if p is None or inst.y0 == 0 and (not any(inst.y) or not any(p)):
+        sources = build_sources(inst, a, slots)
+        if sources is None or ys[0] == 0 and (not any(ys[1:]) or not any(sources[0])):
             return None
-        for col in lll_reduce(subset_sum_basis(inst.y, p, inst.y0)).columns:
+        p, p_den = sources  # y_i p_j = Y_i P_j / (dy p_den) and y0 = Y_0 p_den / (dy p_den)
+        for col in lll_reduce(subset_sum_basis(ys[1:], p, ys[0] * p_den, dy * p_den)).columns:
             z = col[0]
             if z != 0 and col[-1] == 0 and all(v in (0, z) for v in col[1:-1]):
                 return Permutation((a, *(slots[t % n] for t, v in enumerate(col[1:-1]) if v)))

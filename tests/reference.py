@@ -15,6 +15,14 @@ the package to; nothing in ``shuffle_regress`` imports it.
   ``n`` covariates themselves, where the package reads that matrix off the
   instance's power sums and keeps the sources as the rank-one product
   ``y_i p_j``.  ``transpose`` serves it and the exact determinant checks.
+* ``epsilon_bound`` is the reference of the lattice route's margin: the least
+  common multiple of the reduced denominators of the rational target and
+  sources, where the package takes gcds of integer numerators over one
+  denominator.  ``guess_embedding`` gives the integers that
+  ``find_permutation`` hands ``subset_sum_basis`` for one guess.
+* ``solve`` is an exact rational solve, the fraction-free integer solve of
+  the package run on each row of a rational system cleared of its
+  denominators (``_cleared``); ``mat`` reads a matrix as ``Fraction``s.
 * ``solve_weighted_ls``, ``dense`` and ``apply`` read a ``SamplingMatrix``
   as the ``r x n`` matrix it encodes, and ``approx_factor`` is the
   approximation factor the barrier construction states for it.
@@ -50,7 +58,7 @@ from shuffle_regress import _ratlin
 from shuffle_regress.approx import orthonormalize
 from shuffle_regress.errors import CapExceededError
 from shuffle_regress.hardness import ThreePartitionInstance
-from shuffle_regress.lattice import LatticeBasis, lll_reduce
+from shuffle_regress.lattice import LatticeBasis, build_sources as _build_sources, lll_reduce
 from shuffle_regress.model import AnchoredInstance, Instance, Permutation
 from shuffle_regress.perm1d import MatchResult
 from shuffle_regress.rowsample import SamplingMatrix
@@ -59,6 +67,32 @@ from shuffle_regress.rowsample import SamplingMatrix
 def transpose(a) -> list:
     """The transpose of a matrix given as row lists."""
     return [list(col) for col in zip(*a)]
+
+
+def mat(rows) -> list:
+    """The matrix ``rows`` with every entry as a ``Fraction``."""
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+def _cleared(row) -> list:
+    """The rationals ``row`` times the least common multiple of their
+    denominators: integers in the same ratios."""
+    den = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row]
+
+
+def solve(a, b) -> Optional[list]:
+    """The rational solution of ``a x = b`` for rational ``a`` with
+    independent columns: ``_ratlin.solve_int`` of the rows of ``[a | b]``,
+    each cleared of its denominators.  Raises ``RankDeficiencyError`` on
+    dependent columns and returns ``None`` on an inconsistent system, as
+    ``solve_int`` does."""
+    rows = [_cleared(row) for row in mat([*row, v] for row, v in zip(a, b))]
+    res = _ratlin.solve_int([row[:-1] for row in rows], [row[-1] for row in rows])
+    if res is None:
+        return None
+    u, den = res
+    return [Fraction(v, den) for v in u]
 
 
 @dataclass(frozen=True)
@@ -90,7 +124,7 @@ def build_sources(x0, x, y, y0) -> SubsetSumInstance:
 
     Raises :class:`RankDeficiencyError` when ``x`` lacks full column rank.
     """
-    xm = _ratlin.mat(x)
+    xm = mat(x)
     n = len(xm)
     d = len(xm[0])
     if n < d:
@@ -100,10 +134,32 @@ def build_sources(x0, x, y, y0) -> SubsetSumInstance:
     if len(x0) != d or len(y) != n:
         raise ValueError("shape mismatch")
     xt = transpose(xm)
-    z = _ratlin.solve([_ratlin.matvec(xt, col) for col in xt], x0)  # x^T x z = x0
+    z = solve([_ratlin.matvec(xt, col) for col in xt], x0)  # x^T x z = x0
     proj = _ratlin.matvec(xm, z)
     sources = {(i, j): y[i] * proj[j] for i in range(n) for j in range(n)}
     return SubsetSumInstance(sources=sources, target=Fraction(y0))
+
+
+def epsilon_bound(y, p, y0) -> Fraction:
+    """Exact separation margin ``1 / D`` for wrong-subset sums of the
+    rational sources ``c_ij = y_i p_j`` against the rational target ``y0``:
+    ``D`` is the least common multiple of the reduced denominators of the
+    target and of every source."""
+    return Fraction(1, math.lcm(y0.denominator, *((u * v).denominator for u in y for v in p)))
+
+
+def guess_embedding(q: AnchoredInstance, a: int, slots) -> Optional[tuple]:
+    """``(y, p, target, lam)``, the integers ``find_permutation`` hands
+    ``subset_sum_basis`` for guess ``a`` of ``q`` with its other covariates
+    in ``slots``: the cleared responses ``Y_i``, the projections ``P_j`` of
+    ``build_sources``, the target ``Y_0 den`` and the common denominator
+    ``dy den``; ``None`` where ``build_sources`` refuses the guess."""
+    sources = _build_sources(q, a, slots)
+    if sources is None:
+        return None
+    p, den = sources
+    _, dy, _, ys = q.cleared
+    return ys[1:], p, ys[0] * den, dy * den
 
 
 @dataclass(frozen=True)
@@ -247,7 +303,7 @@ def gen_yes_instance(k: int, c: int, seed: int) -> ThreePartitionInstance:
 
 def det(a) -> Fraction:
     """Exact determinant of a square matrix given as row lists."""
-    m = _ratlin.mat(a)
+    m = mat(a)
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("det needs a square matrix")
@@ -275,7 +331,7 @@ def exact_fit(q: AnchoredInstance) -> list:
 
     The map sends measurement ``i`` (0 the anchor pair, ``1 + i`` the
     unanchored ones) to covariate ``map[i]`` in the same numbering.  Each of
-    the ``(n + 1)!`` pairings is checked by one exact ``_ratlin.solve`` of
+    the ``(n + 1)!`` pairings is checked by one exact ``solve`` of
     all ``n + 1`` equations, so ``n + 1 <= 6``.  Raises
     ``RankDeficiencyError`` when the covariates lack rank ``d``.
     """
@@ -285,7 +341,7 @@ def exact_fit(q: AnchoredInstance) -> list:
         raise ValueError("exact_fit enumerates (n + 1)! pairings: n + 1 <= 6")
     fits = []
     for pm in itertools.permutations(range(len(xs))):
-        w = _ratlin.solve([xs[j] for j in pm], ys)
+        w = solve([xs[j] for j in pm], ys)
         if w is not None:
             fits.append((Permutation(pm), tuple(w)))
     return fits
@@ -463,8 +519,8 @@ def check_3partition_brute(tp: ThreePartitionInstance) -> bool:
 
 def left_nullspace_int(a) -> list[list[int]]:
     """Integer basis of ``{v : v a = 0}`` (row vectors), possibly empty."""
-    at = transpose(_ratlin.mat(a))
-    red, pivots = _ratlin._echelon([_ratlin._cleared(row) for row in at])
+    at = transpose(mat(a))
+    red, pivots = _ratlin._echelon([_cleared(row) for row in at])
     den = red[0][pivots[0]] if pivots else 1  # every pivot row holds it
     nrows = len(a)
     free = [c for c in range(nrows) if c not in pivots]

@@ -25,7 +25,7 @@ from shuffle_regress import (
     sort_match,
     LatticeBasis,
 )
-from shuffle_regress.lattice import build_sources, subset_sum_basis
+from shuffle_regress.lattice import subset_sum_basis
 from shuffle_regress.model import random_unit_vector
 from shuffle_regress.oracle import ols_given_perm
 from shuffle_regress.cli import order_stats_report, w2_report
@@ -37,9 +37,12 @@ from reference import (
     dense,
     det,
     gen_yes_instance,
+    guess_embedding,
     lagarias_odlyzko,
+    mat,
     perm_match_brute,
     pls_feasible_brute,
+    solve,
     solve_weighted_ls,
     subset_sum_brute,
     transpose,
@@ -161,12 +164,10 @@ def _shortest_nonzero_sq(reduced, original):
     ``|z_i| <= R * |row i of B^-1|``; every nonzero ``z`` in that box is
     tried.  The bounds are exact rationals, floored.
     """
-    from shuffle_regress import _ratlin as rl
-
     m = len(reduced)
     r_sq = min(sum(v * v for v in c) for c in original)
-    b = transpose(rl.mat(reduced))
-    inv_cols = [rl.solve(b, [F(int(i == j)) for i in range(m)]) for j in range(m)]
+    b = transpose(mat(reduced))
+    inv_cols = [solve(b, [F(int(i == j)) for i in range(m)]) for j in range(m)]
     bounds = [
         math.isqrt(math.floor(r_sq * sum(col[i] ** 2 for col in inv_cols))) for i in range(m)
     ]
@@ -188,8 +189,6 @@ def test_first_minimum_reference_is_exact(seed, dim, want):
 
 def test_criterion_04_lll_defect_bound(capsys):
     """||b_1|| <= 2^((k-1)/2) lambda_1 and unimodular change of basis; 50 bases."""
-    from shuffle_regress import _ratlin as rl
-
     t0 = time.monotonic()
     total = 0
     good = 0
@@ -204,17 +203,17 @@ def test_criterion_04_lll_defect_bound(capsys):
             continue  # dependent draw, take another
         total += 1
         b1_sq = sum(v * v for v in red.columns[0])
-        orig = transpose(rl.mat(cols))
+        orig = transpose(mat(cols))
         t_cols = []
         unimodular_ok = True
         for c in red.columns:
-            coeffs = rl.solve(orig, [F(v) for v in c])
+            coeffs = solve(orig, [F(v) for v in c])
             if coeffs is None or any(v.denominator != 1 for v in coeffs):
                 unimodular_ok = False
                 break
             t_cols.append([int(v) for v in coeffs])
         if unimodular_ok:
-            unimodular_ok = det(rl.mat(transpose(t_cols))) in (1, -1)
+            unimodular_ok = det(mat(transpose(t_cols))) in (1, -1)
         # the first minimum is enumerated over the reduced basis, which spans
         # the original lattice only when the change of basis is unimodular
         if unimodular_ok and b1_sq <= 2 ** (dim - 1) * _shortest_nonzero_sq(red.columns, cols):
@@ -318,7 +317,7 @@ def test_criterion_07_planted_vector_membership(capsys, recovery_runs):
         n, d = q.n, q.d
         a_star = truth.pi_bar(0)
         slots = [0 if j == a_star else j for j in range(1, n + 1)]  # x0 in slot a_star
-        basis = subset_sum_basis(q.y, build_sources(q, a_star, slots), q.y0)
+        basis = subset_sum_basis(*guess_embedding(q, a_star, slots))
         (v,) = [list(col) for col in basis.columns if col[0] != 0]
         free = {}
         for col in basis.columns:

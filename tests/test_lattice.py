@@ -35,15 +35,20 @@ from shuffle_regress.model import random_unit_vector
 
 from reference import (
     SubsetSumInstance,
+    _cleared,
     _indicator_subset,
     det,
     exact_fit,
     full_embedding,
+    guess_embedding,
     lagarias_odlyzko,
+    mat,
+    solve,
     subset_sum_brute,
     transpose,
 )
 from reference import build_sources as reference_sources
+from reference import epsilon_bound as reference_margin
 
 F = Fraction
 
@@ -132,14 +137,14 @@ class TestLllReduce:
     def test_unimodular_change_of_basis(self):
         cols = ((3, 1, 0), (1, 4, 2), (0, 5, 7))
         red = lll_reduce(LatticeBasis(columns=cols))
-        orig = transpose(rl.mat(cols))  # dim x ncols, columns as given
+        orig = transpose(mat(cols))  # dim x ncols, columns as given
         t_cols = []
         for c in red.columns:
-            coeffs = rl.solve(orig, [F(v) for v in c])
+            coeffs = solve(orig, [F(v) for v in c])
             assert coeffs is not None
             assert all(v.denominator == 1 for v in coeffs)
             t_cols.append([int(v) for v in coeffs])
-        assert det(rl.mat(transpose(t_cols))) in (1, -1)
+        assert det(mat(transpose(t_cols))) in (1, -1)
 
     def test_dependent_columns_rejected(self):
         with pytest.raises(ValueError):
@@ -251,6 +256,13 @@ def _anchored(d, n, seed, p=16):
     return quantize_noiseless(inst, truth, p)[0], truth
 
 
+def projections(q, a, slots):
+    """The projections of :func:`build_sources` as the rationals ``P_j /
+    den``, or ``None`` where it refuses the guess."""
+    sources = build_sources(q, a, slots)
+    return None if sources is None else [F(v, sources[1]) for v in sources[0]]
+
+
 def rank_one(q, p):
     """The sources ``y_i p_j``, keyed ``(i, j)`` as the reference keys them."""
     return {(i, j): yi * pj for i, yi in enumerate(q.y) for j, pj in enumerate(p)}
@@ -258,19 +270,20 @@ def rank_one(q, p):
 
 class TestBuildSources:
     # build_sources returns the projections p_j of guess 0's covariates in
-    # slots 1..n; the sources are their rank-one product with the responses,
-    # held to the reference, which solves the covariates' own Gram system
+    # slots 1..n, as integers over one denominator; the sources are their
+    # rank-one product with the responses, held to the reference, which
+    # solves the covariates' own Gram system
 
     def test_scalar_formula(self):
         q = AnchoredInstance(x0=(F(3),), y0=F(15), x=((F(2),),), y=(F(10),))
-        p = build_sources(q, 0, [1])
+        p = projections(q, 0, [1])
         assert p == [F(3, 2)]  # <x_1, (13 - 9)^-1 x0> = 2 * 3 / 4
         assert rank_one(q, p) == reference_sources(q.x0, q.x, q.y, q.y0).sources == {(0, 0): F(15)}
 
     def test_correct_subset_sums_to_anchor(self):
         inst, truth = gen_noiseless_anchored(np.array([0.75, -0.5]), 3, 13)
         q, _ = quantize_noiseless(inst, truth, 10)
-        p = build_sources(q, 0, [1, 2, 3])
+        p = projections(q, 0, [1, 2, 3])
         # pi_bar fixes the anchor, so unanchored truth is i -> pi_bar(i+1)-1
         assert sum(q.y[i] * p[truth.pi_bar(i + 1) - 1] for i in range(3)) == q.y0
 
@@ -297,15 +310,15 @@ class TestBuildSources:
         # p = x (x^T x)^{-1} x0, so x^T p = x0 and p lies in the column space
         inst, truth = gen_noiseless_anchored(np.linspace(1, 2, d), n, seed)
         q, _ = quantize_noiseless(inst, truth, 10)
-        p = build_sources(q, 0, range(1, n + 1))
+        p = projections(q, 0, range(1, n + 1))
         assert rl.matvec(transpose(q.x), p) == list(q.x0)
-        assert rl.solve(q.x, p) is not None
+        assert solve(q.x, p) is not None
 
     def test_count_is_n_squared(self):
         q = AnchoredInstance(
             x0=(F(1), F(0)), y0=F(4), x=((F(1), F(0)), (F(0), F(1)), (F(1), F(1))), y=(F(1), F(2), F(3))
         )
-        p = build_sources(q, 0, [1, 2, 3])
+        p = projections(q, 0, [1, 2, 3])
         assert len(p) == 3
         assert rank_one(q, p) == reference_sources(q.x0, q.x, q.y, q.y0).sources
         assert len(rank_one(q, p)) == 9
@@ -325,7 +338,7 @@ class TestBuildSources:
                             q, _ = quantize_noiseless(inst, truth, p)
                             for a, sub in anchor_guesses(q):
                                 ref = reference_sources(sub.x0, sub.x, sub.y, sub.y0)
-                                assert rank_one(q, build_sources(q, a, _slots(n, a))) == ref.sources
+                                assert rank_one(q, projections(q, a, _slots(n, a))) == ref.sources
                                 checked += 1
         assert checked == 320
 
@@ -333,10 +346,11 @@ class TestBuildSources:
 class TestEpsilonBound:
     @pytest.mark.parametrize("target, want", [(F(1, 6), F(1, 6)), (F(1, 4), F(1, 12))])
     def test_hand_value(self, target, want):
-        # y = (1, 1) and p = (1/2, 1/3) give the sources 1/2, 1/3, 1/2, 1/3,
-        # whose subset sums miss 1/6 by 1/6 at best and 1/4 by 1/12 at best:
-        # the margin is attained, and the target's denominator counts
-        assert epsilon_bound((F(1), F(1)), (F(1, 2), F(1, 3)), target) == want
+        # y = (1, 1) and p = (6, 4) over 12 give the sources 1/2, 1/3, 1/2,
+        # 1/3, whose subset sums miss 1/6 by 1/6 at best and 1/4 by 1/12 at
+        # best: the margin is attained, and the target's numerator over 12
+        # counts
+        assert F(1, epsilon_bound((1, 1), (6, 4), int(target * 12), 12)) == want
 
     def test_wrong_sums_miss_by_at_least_the_margin(self):
         # brute force over every subset of small grid instances: a subset sum
@@ -347,13 +361,13 @@ class TestEpsilonBound:
                 for p in (4, 8, 16):
                     for seed in range(3):
                         q, _ = _anchored(d, n, seed, p)
-                        proj = build_sources(q, 0, range(1, n + 1))
+                        proj = projections(q, 0, range(1, n + 1))
                         if proj is None:
                             continue
                         vals = list(rank_one(q, proj).values())
                         if not any(vals):
                             continue
-                        eps = epsilon_bound(q.y, proj, q.y0)
+                        eps = F(1, epsilon_bound(*guess_embedding(q, 0, range(1, n + 1))))
                         misses = [
                             abs(sum(v for v, bit in zip(vals, bits) if bit) - q.y0)
                             for bits in itertools.product((0, 1), repeat=len(vals))
@@ -369,9 +383,10 @@ def embedded(d, n, seed):
     and target, the row-major keys and the permutation sublattice
     find_permutation reduces."""
     q, truth = _anchored(d, n, seed)
-    p = build_sources(q, 0, range(1, n + 1))
+    slots = range(1, n + 1)
     keys = [(i, j) for i in range(n) for j in range(n)]
-    return truth, SubsetSumInstance(rank_one(q, p), q.y0), keys, subset_sum_basis(q.y, p, q.y0)
+    ssi = SubsetSumInstance(rank_one(q, projections(q, 0, slots)), q.y0)
+    return truth, ssi, keys, subset_sum_basis(*guess_embedding(q, 0, slots))
 
 
 class TestPermutationSublattice:
@@ -473,10 +488,11 @@ class TestFindPermutation:
         real = lattice.build_sources
 
         def spy(*args):
-            sources.append(real(*args))
-            return sources[-1]
+            res = real(*args)
+            sources.append(res[0])  # the integer projections
+            return res
 
-        def built(y, p, y0):
+        def built(y, p, target, lam):
             raise AssertionError("lattice built")
 
         monkeypatch.setattr(lattice, "build_sources", spy)
@@ -488,10 +504,11 @@ class TestFindPermutation:
 
     def test_beta_derived_from_margin(self, monkeypatch):
         # beta = 2**(n^2) * D comes from the exact margin 1 / D of the
-        # instance it embeds.  Every entry of the last row is then a multiple
-        # of at least 2**(n^2), so a vector that misses the target is longer
-        # than the LLL bound 2**((n - 1)^2 / 2) * sqrt(n + 1) on the first
-        # reduced vector of the rank-((n - 1)^2 + 1) sublattice.
+        # instance it embeds, whose values are integers over lam.  Every
+        # entry of the last row is then a multiple of at least 2**(n^2), so
+        # a vector that misses the target is longer than the LLL bound
+        # 2**((n - 1)^2 / 2) * sqrt(n + 1) on the first reduced vector of the
+        # rank-((n - 1)^2 + 1) sublattice.
         # d = 4: the anchor equation and the first power sum leave two free
         # directions, so the guess reaches the lattice
         n = 4
@@ -506,11 +523,12 @@ class TestFindPermutation:
         monkeypatch.setattr(lattice, "subset_sum_basis", spy)
         find_permutation(q, 0)
         assert len(seen) == 1
-        (y, p, y0), basis = seen[0]
-        beta = 2 ** (n * n) / epsilon_bound(y, p, y0)
+        (y, p, target, lam), basis = seen[0]
+        beta = F(2 ** (n * n) * epsilon_bound(y, p, target, lam), lam)  # acts on numerators
         assert math.gcd(*(col[-1] for col in basis.columns)) >= 2 ** (n * n)
         # beta * D is an integer, so the bottom row is beta times the data,
-        # with nothing left to clear; coordinate 1 + i n + j is the pair (i, j)
+        # divided exactly, with nothing left to clear; coordinate 1 + i n + j
+        # is the pair (i, j)
         free = 0
         for col in basis.columns:
             if col[0] == 0:
@@ -807,18 +825,23 @@ class TestRecover:
             res, got = recover(q), recover(sub)
             assert got.perm == res.perm and got.w == tuple(v * 2**16 for v in res.w)
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_guess_loop_forms_no_fraction(self, d):
         # the guesses read the instance over integers: once its cleared view
         # and power sums exist, no code of the fractions module runs, so no
-        # Fraction is built or operated on, in any of the n + 1 guesses
-        q, truth, _ = self.run_case(d, 200, 0, anchored=False)
+        # Fraction is built or operated on, in any of the n + 1 guesses.  At
+        # d = 4 every guess has two free directions, and the lattice route,
+        # LLL included, runs on the same integers
+        q, truth, _ = self.run_case(d, 200 if d <= 3 else 5, 0, anchored=False)
         q.cleared, q.power_sums
         ran = []
+        reduced = []
 
         def profile(frame, event, arg):
             if event == "call" and frame.f_code.co_filename == fractions.__file__:
                 ran.append(frame.f_code.co_name)
+            elif event == "call" and frame.f_code is lll_reduce.__code__:
+                reduced.append(True)
 
         sys.setprofile(profile)
         try:
@@ -826,6 +849,7 @@ class TestRecover:
         finally:
             sys.setprofile(None)
         assert ran == []
+        assert bool(reduced) == (d == 4)
         assert found[truth.pi_bar(0)] is not None
 
 
@@ -833,12 +857,13 @@ _POOLS = ((0, 1), (-1, 0, 1), (-2, -1, 0, 1, 2), (F(1, 2), 1, 3))
 
 
 @st.composite
-def hostile_exact_instances(draw):
-    """Exact instances with a planted fit: d <= 3, n <= 5 (n < d included),
-    covariate entries from one small pool, one covariate row duplicated 30 %
-    of the time, weights in {-2..3}/{1, 2} and a uniform pairing."""
-    d = draw(st.integers(min_value=1, max_value=3))
-    n = draw(st.integers(min_value=1, max_value=5))
+def hostile_exact_instances(draw, min_d=1, max_d=3, min_n=1):
+    """Exact instances with a planted fit: ``min_d <= d <= max_d``, ``min_n
+    <= n <= 5`` (by default d <= 3, and n < d included), covariate entries
+    from one small pool, one covariate row duplicated 30 % of the time,
+    weights in {-2..3}/{1, 2} and a uniform pairing."""
+    d = draw(st.integers(min_value=min_d, max_value=max_d))
+    n = draw(st.integers(min_value=min_n, max_value=5))
     pool = draw(st.sampled_from(_POOLS))
     entry = st.sampled_from(pool).map(F)
     xs = [tuple(draw(entry) for _ in range(d)) for _ in range(n + 1)]
@@ -866,6 +891,21 @@ class TestRecoverHostile:
         # equation and first power sum leave two or more free directions,
         # where only the lattice searches.  Anything returned satisfies all
         # n + 1 equations exactly.
+        self.check(inst)
+
+    @given(inst=hostile_exact_instances(min_d=4, max_d=4, min_n=4))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_refusals_in_order_and_answers_exact_at_d4(self, inst):
+        # the same refusals and exact answers at d = 4 and n in {4, 5} (n < d
+        # is covered above), where every guess leaves two or more free
+        # directions and so every admitted guess takes the lattice route; the
+        # pools with 1/2 and 3 give sources and targets with common factors,
+        # which the margin's gcd must handle.  A decline there is always
+        # allowed, so completeness is not checked
+        self.check(inst)
+
+    @staticmethod
+    def check(inst):
         xs, ys = [inst.x0, *inst.x], [inst.y0, *inst.y]
         if inst.n < inst.d:
             want = ValueError
@@ -882,9 +922,10 @@ class TestRecoverHostile:
             return
         assert want is None
         if res is None:
-            guesses = dict(anchor_guesses(inst))
-            for pi, _ in exact_fit(inst):
-                assert _free_directions(guesses[pi(0)]) >= 2
+            if inst.d <= 3:
+                guesses = dict(anchor_guesses(inst))
+                for pi, _ in exact_fit(inst):
+                    assert _free_directions(guesses[pi(0)]) >= 2
             return
         assert res.perm(0) == res.anchor
         for i in range(inst.n + 1):
@@ -999,11 +1040,14 @@ def _lattice_find_permutation(inst):
     embedding of their sources, LLL, and the first reduced column that is a
     permutation support."""
     n = inst.n
-    p = build_sources(inst, 0, range(1, n + 1))
-    if p is None or inst.y0 == 0 and (not any(inst.y) or not any(p)):
+    args = guess_embedding(inst, 0, range(1, n + 1))
+    if args is None:
+        return None
+    y, p, target, _ = args
+    if target == 0 and (not any(y) or not any(p)):
         return None
     keys = [(i, j) for i in range(n) for j in range(n)]
-    for col in lll_reduce(subset_sum_basis(inst.y, p, inst.y0)).columns:
+    for col in lll_reduce(subset_sum_basis(*args)).columns:
         pi = _as_permutation(_indicator_subset(col, keys), n)
         if pi is not None:
             return pi
@@ -1014,7 +1058,7 @@ def _free_directions(inst):
     """How many directions of w the anchor equation and the first power sum
     leave free: d less the rank of the rows x0 and sum_j x_j."""
     rows = [inst.x0, [sum(col) for col in zip(*inst.x)]]
-    _, pivots = rl._echelon([rl._cleared(row) for row in rows])
+    _, pivots = rl._echelon([_cleared(row) for row in rows])
     return inst.d - len(pivots)
 
 
@@ -1029,7 +1073,7 @@ class TestPermutationSumPrune:
         class Built(Exception):
             pass
 
-        def built(y, p, y0):
+        def built(y, p, target, lam):
             raise Built
 
         instances = true_kept = pruned = 0
@@ -1124,7 +1168,7 @@ def _admitted(monkeypatch, x0, x, y, y0) -> bool:
         pi = find_permutation(inst, 0)
     if pi is not None:
         xs = [inst.x0, *inst.x]
-        assert rl.solve([xs[j] for j in pi.map], [inst.y0, *inst.y]) is not None
+        assert solve([xs[j] for j in pi.map], [inst.y0, *inst.y]) is not None
     return pi is not None or bool(built)
 
 
@@ -1337,3 +1381,54 @@ def test_every_lattice_basis_pinned(monkeypatch):
     assert len(bases) == 426
     digest = hashlib.sha256(json.dumps(bases).encode()).hexdigest()
     assert digest == "616c594559fd6f9ed175371704a91aebdc489c77dd44ea15dbeb1a03a3ee1080"
+
+
+def test_margin_is_the_reference_on_every_lattice_guess(monkeypatch):
+    # the margin 1 / D that epsilon_bound takes from gcds of the integers
+    # over lam is the reference's least common multiple of the reduced
+    # denominators of the rational target and sources, on every guess that
+    # reaches the lattice on the cells of test_every_lattice_basis_pinned,
+    # and on d = 4, n = 8, p = 2, anchored, seed 0, guess 8: there the target
+    # and the sources share the factor 6 but lam only 2 of it, so a gcd taken
+    # without lam would triple beta and change the basis.  LLL is stubbed out
+    class Reduced(Exception):
+        pass
+
+    def stub(basis):
+        raise Reduced
+
+    seen = []
+    real = lattice.epsilon_bound
+
+    def spy(*args):
+        seen.append((*args, real(*args)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(lattice, "lll_reduce", stub)
+    monkeypatch.setattr(lattice, "epsilon_bound", spy)
+    cells = [
+        (d, n, p, anchored, seed, range(n + 1))
+        for d in (4, 5, 6)
+        for n in range(d, 8)
+        for p in (2, 16)
+        for anchored in (True, False)
+        for seed in range(2)
+    ]
+    cells.append((4, 8, 2, True, 0, [8]))
+    checked = 0
+    for d, n, p, anchored, seed, guesses in cells:
+        w = random_unit_vector(d, np.random.default_rng([seed, 99]))
+        inst, truth = gen_noiseless_anchored(w, n, seed, anchored=anchored)
+        q, _ = quantize_noiseless(inst, truth, p)
+        for a in guesses:
+            seen.clear()
+            try:
+                find_permutation(q, a)
+            except Reduced:
+                pass
+            for y, proj, target, lam, got in seen:
+                assert F(1, got) == reference_margin(q.y, projections(q, a, _slots(n, a)), q.y0)
+                checked += 1
+    assert checked == 426 + 1
+    y, proj, target, lam, got = seen[-1]
+    assert math.gcd(target, math.gcd(*y) * math.gcd(*proj)) == 6 and lam // got == 2

