@@ -99,6 +99,11 @@ def hostile_instances(draw, min_n=2, max_n=6, max_d=2):
 
 
 class TestOrthonormalize:
+    @pytest.mark.parametrize("x", [np.ones(3), np.ones((2, 2, 2))], ids=["1-d", "3-d"])
+    def test_refuses_non_matrix(self, x):
+        with pytest.raises(ValueError, match="x must be 2-d"):
+            orthonormalize(x)
+
     def test_duplicate_column_drops_rank(self):
         rng = np.random.default_rng(0)
         base = rng.normal(size=(6, 2))
@@ -472,6 +477,22 @@ class TestFptasSolve:
             exact = brute_force(inst)
             assert approx.cost <= 1.5 * exact.cost + 1e-9
 
+    @pytest.mark.parametrize("kind", ["gaussian", "grid"])
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_ratio_versus_brute_rank_four_and_five(self, d, kind):
+        # at rank k >= 4 the candidates are the injective assignments of the
+        # sampled rows; grid entries in -2..2 make ties and exact fits
+        for n, seed in itertools.product(range(d, 9), range(3)):
+            if kind == "gaussian":
+                inst, _ = gen_gaussian_noisy(np.ones(d) / math.sqrt(d), n, 0.5, seed)
+            else:
+                inst = _grid_instance(n, d, seed)
+            assert orthonormalize(inst.x).k == d
+            exact = brute_force(inst).cost
+            for eps in (0.25, 0.5):
+                sol = fptas_solve(inst, eps)
+                assert sol.cost <= (1.0 + eps) * exact + 1e-9 * float(inst.y @ inst.y), (n, seed, eps)
+
     def test_budget_counts_injective_family(self):
         # at k >= 4 the family is every injective assignment
         inst, _ = gen_gaussian_noisy(np.array([0.3, 0.8, -0.5, 0.2]), 6, 0.5, 1)
@@ -504,8 +525,14 @@ class TestFptasSolve:
             fptas_solve(inst, 0.5, budget=budget)
 
     def test_chunk_independence(self, monkeypatch):
-        for w_bar, seed in (((0.5, -0.9), 4), ((0.6, -0.3, 0.8), 1)):
-            inst, _ = gen_gaussian_noisy(np.array(w_bar), 5, 0.6, seed)
+        # ranks 2 and 3 scan the cell family, ranks 4 and 5 the assignments
+        for w_bar, n, seed in (
+            ((0.5, -0.9), 5, 4),
+            ((0.6, -0.3, 0.8), 5, 1),
+            ((0.5, -0.5, 0.5, -0.5), 6, 0),
+            ((0.4, -0.4, 0.4, -0.4, 0.4), 6, 0),
+        ):
+            inst, _ = gen_gaussian_noisy(np.array(w_bar), n, 0.6, seed)
             ref = fptas_solve(inst, 0.5)
             for chunk in (1, 7, 8192):
                 with monkeypatch.context() as m:

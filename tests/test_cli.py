@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -613,6 +614,40 @@ class TestSweep:
         )
         assert code == 2
 
+    def test_empty_grid_string(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys,
+            "sweep-snr", "--model", "gaussian", "--n", "4", "--d", "1",
+            "--snr-grid", ",", "--trials", "2", "--solver", "fptas",
+            "--seed", "1", "-o", str(out),
+        )
+        assert code == 2
+        assert err == "error: empty grid ','\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, err",
+        [
+            ({"model": "poisson"}, "unknown model 'poisson'"),
+            ({"solver": "ols"}, "unknown solver 'ols'"),
+            ({"n": 0}, "n, d, trials and jobs must be >= 1"),
+            ({"d": 0}, "n, d, trials and jobs must be >= 1"),
+            ({"trials": 0}, "n, d, trials and jobs must be >= 1"),
+            ({"jobs": 0}, "n, d, trials and jobs must be >= 1"),
+            ({"snr_grid": (1.0, 0.0)}, "snr grid values must be > 0"),
+            ({"snr_grid": (-2.0,)}, "snr grid values must be > 0"),
+        ],
+        ids=["model", "solver", "n", "d", "trials", "jobs", "snr-zero", "snr-negative"],
+    )
+    def test_run_sweep_refusals(self, change, err):
+        cfg = SweepConfig(
+            model="gaussian", n=3, d=1, snr_grid=(1.0,), trials=1,
+            solver="fptas", eps=0.5, seed=0, jobs=1, budget=DEFAULT_BUDGET,
+        )
+        with pytest.raises(ValueError, match=err):
+            run_sweep(dataclasses.replace(cfg, **change))
+
 
 class TestCheckOrderStats:
     def test_report_values(self):
@@ -633,41 +668,27 @@ class TestCheckOrderStats:
         assert first["exact"] == pytest.approx(-1.0 / 6.0)
 
     def test_cli_json_and_tol(self, capsys):
-        code, stdout, _ = run(
-            capsys,
-            "check-order-stats", "--n", "10", "--trials", "5000", "--seed", "0",
-        )
+        # the n = 10 report at 100000 trials, seed 0, within the 1 % bound
+        code, stdout, err = run(capsys, "check-order-stats")
         assert code == 0
-        assert json.loads(stdout) == order_stats_report(10, 5000, 0)
+        assert err == ""
+        assert json.loads(stdout) == order_stats_report(10, 100000, 0)
 
-    def test_cli_tol_failure(self, capsys):
-        code, _, err = run(
-            capsys,
-            "check-order-stats", "--n", "10", "--trials", "50",
-            "--seed", "0", "--tol", "1e-9",
-        )
-        assert code == 3
-
-    @pytest.mark.parametrize("tol", ["nan", "-1"])
-    def test_cli_tol_refused(self, capsys, tol):
-        # rel_err > nan is always false, so a NaN tolerance would pass the
-        # report that --tol 1e-9 fails above
-        code, stdout, err = run(
-            capsys,
-            "check-order-stats", "--n", "10", "--trials", "50",
-            "--seed", "0", "--tol", tol,
-        )
-        assert code == 2
-        assert stdout == ""
-        assert err == "error: --tol must be >= 0\n"
-
-    def test_cli_tol_inf_passes(self, capsys):
-        code, _, _ = run(
-            capsys,
-            "check-order-stats", "--n", "10", "--trials", "50",
-            "--seed", "0", "--tol", "inf",
-        )
-        assert code == 0
+    @pytest.mark.parametrize(
+        "rel_err, code, err",
+        [
+            (0.011, 3, "failure: pair statistic off by 0.011 (tol 0.01)\n"),
+            (0.009, 0, ""),
+        ],
+        ids=["over", "under"],
+    )
+    def test_cli_failure_rule(self, capsys, monkeypatch, rel_err, code, err):
+        rep = {"n": 10, "pair_sum_sq": {"rel_err": rel_err}}
+        monkeypatch.setattr(cli, "order_stats_report", lambda *args: rep)
+        got, stdout, got_err = run(capsys, "check-order-stats")
+        assert got == code
+        assert got_err == err
+        assert json.loads(stdout) == rep
 
     def test_n_validation(self):
         with pytest.raises(ValueError):
@@ -693,17 +714,10 @@ class TestCheckW2:
         with pytest.raises(ValueError, match="strictly ascending"):
             w2_report(grid, 5, 5, 0)
 
-    def test_cli_descending_grid_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "w2.csv"
-        code, stdout, err = run(
-            capsys,
-            "check-w2", "--n-grid", "400,100", "--d", "5",
-            "--trials", "10", "--seed", "0", "-o", str(out),
-        )
-        assert code == 2
-        assert stdout == ""
-        assert err == "error: the n grid must be strictly ascending, with entries >= 3\n"
-        assert not out.exists()
+    @pytest.mark.parametrize("d, grid", [(0, (10, 40)), (5, ())], ids=["d0", "empty-grid"])
+    def test_d_and_grid_nonempty(self, d, grid):
+        with pytest.raises(ValueError, match="need d >= 1, trials >= 1 and a nonempty n grid"):
+            w2_report(grid, d, 5, 0)
 
     @pytest.mark.parametrize(
         "per_n, code, err",
@@ -724,15 +738,16 @@ class TestCheckW2:
         assert got_err == err
 
     def test_cli_writes_csv(self, tmp_path, capsys):
+        # the d = 20, 50-trial, seed-0 report on n = 100, 1000, 10000
         out = tmp_path / "w2.csv"
-        code, stdout, _ = run(
-            capsys,
-            "check-w2", "--n-grid", "10,40,160", "--d", "5",
-            "--trials", "10", "--seed", "0", "-o", str(out),
-        )
+        code, stdout, err = run(capsys, "check-w2", "-o", str(out))
         assert code == 0
+        assert err == ""
+        want = w2_report((100, 1000, 10000), 20, 50, 0)
         rows = list(csv.DictReader(out.open()))
-        assert [r["n"] for r in rows] == ["10", "40", "160"]
+        assert [{k: float(v) for k, v in r.items()} for r in rows] == want
+        ratio = want[0]["mean_sq_per_n"] / want[-1]["mean_sq_per_n"]
+        assert stdout == "wrote %s (3 rows)\nshrink factor n=100 -> n=10000: %.3f\n" % (out, ratio)
 
 
 class TestReduce:

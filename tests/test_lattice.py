@@ -93,6 +93,19 @@ class TestLatticeBasis:
         with pytest.raises(ValueError, match="integers"):
             LatticeBasis(columns=((1, 0), (0, bad)))
 
+    @pytest.mark.parametrize(
+        "cols, err",
+        [
+            ((), "empty basis"),
+            (((1, 0), (0,)), "ragged columns"),
+            (((1,), (2,)), "more columns than ambient dimension"),
+        ],
+        ids=["empty", "ragged", "too-many-columns"],
+    )
+    def test_shape_refused(self, cols, err):
+        with pytest.raises(ValueError, match=err):
+            LatticeBasis(columns=cols)
+
 
 class TestLllReduce:
     def test_identity_unchanged(self):

@@ -41,12 +41,34 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation(bad)
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty permutation"):
+            Permutation(())
+
 
 class TestInstanceValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_ground_truth_weights_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="w_bar must be finite"):
             GroundTruth(w_bar=[bad, 1.0], pi_bar=Permutation((0, 1)), sigma=0.0)
+
+    @pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan])
+    def test_ground_truth_sigma_refused(self, bad):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            GroundTruth(w_bar=[1.0], pi_bar=Permutation((0,)), sigma=bad)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [(np.zeros(3), np.zeros(3)), (np.zeros((3, 1)), np.zeros((3, 1)))],
+        ids=["1-d x", "2-d y"],
+    )
+    def test_wrong_ndim(self, x, y):
+        with pytest.raises(ValueError, match="x must be 2-d and y 1-d"):
+            Instance(x=x, y=y)
+
+    def test_no_rows_refused(self):
+        with pytest.raises(ValueError, match="empty instance"):
+            Instance(x=np.zeros((0, 2)), y=np.zeros(0))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -140,6 +162,10 @@ class TestGaussianGenerator:
         with pytest.raises(ValueError):
             gen_gaussian_noisy(np.array([1.0]), 3, -0.1, 0)
 
+    def test_n_below_one_refused(self):
+        with pytest.raises(ValueError, match="n and d must be >= 1"):
+            gen_gaussian_noisy(np.array([1.0]), 0, 0.1, 0)
+
 
 class TestUniformGenerator:
     def test_support_bound(self):
@@ -199,6 +225,10 @@ class TestNoiselessAnchored:
     def test_n_below_d_refused(self):
         with pytest.raises(ValueError):
             gen_noiseless_anchored(np.array([1.0, 1.0, 1.0]), 2, 0)
+
+    def test_d_below_one_refused(self):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            gen_noiseless_anchored(np.array([]), 3, 0)
 
 
 class TestRandomUnitVector:

@@ -40,6 +40,13 @@ class TestOlsGivenPerm:
         assert sol.cost <= 1e-18
         assert np.allclose(sol.w, w)
 
+    @pytest.mark.parametrize(
+        "n_perm, n_y", [(2, 3), (3, 2)], ids=["short permutation", "short responses"]
+    )
+    def test_size_mismatch_refused(self, n_perm, n_y):
+        with pytest.raises(ValueError, match="permutation and data sizes disagree"):
+            ols_given_perm(np.ones((3, 1)), np.ones(n_y), Permutation(range(n_perm)))
+
 
 def exhaustive_min(inst):
     best = None

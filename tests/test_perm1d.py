@@ -67,6 +67,13 @@ class TestSortMatch:
         with pytest.raises(ValueError):
             sort_match([], [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            sort_match([1.0, bad], [0.0, 1.0])
+        with pytest.raises(ValueError, match="non-finite entries"):
+            sort_match([0.0, 1.0], [bad, 1.0])
+
     @given(
         st.lists(st.floats(-50, 50), min_size=1, max_size=6),
         st.floats(-10, 10),

@@ -81,8 +81,8 @@ OPTIONS = {
         "--n", "--output", "--seed", "--snr-grid", "--solver",
         "--trials", "-h", "-o",
     },
-    "check-order-stats": {"--help", "--n", "--seed", "--tol", "--trials", "-h"},
-    "check-w2": {"--d", "--help", "--n-grid", "--output", "--seed", "--trials", "-h", "-o"},
+    "check-order-stats": {"--help", "-h"},
+    "check-w2": {"--help", "--output", "-h", "-o"},
     "reduce": {"--help", "--output", "--z", "-h", "-o"},
 }
 

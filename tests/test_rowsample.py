@@ -168,6 +168,15 @@ class TestRowSample:
         with pytest.raises(ValueError):
             row_sample(np.array([[1.0], [1.0]]))
 
+    def test_not_a_matrix_refused(self):
+        with pytest.raises(ValueError, match="u_mat must be 2-d"):
+            row_sample(np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("u", [np.eye(3)[:2], np.zeros((2, 0))], ids=["n<k", "k=0"])
+    def test_n_below_k_refused(self, u):
+        with pytest.raises(ValueError, match="need n >= k >= 1"):
+            row_sample(u)
+
     def test_deterministic(self):
         u = orthonormal(10, 2, 4)
         s1 = row_sample(u)
