@@ -25,8 +25,13 @@ so the overall work is ``(n/eps)**O(k)``.  The constant ``c`` is the one of
 the sample in hand, ``c_post = 1 + ||pinv(S u) S (I - u u^T)||_2**2``, read
 off the sample alone: the factor ``1 + 4 (1 + sqrt(n / 4k))**2`` that the
 barrier construction states does not bound every sample this one draws, and on
-the benchmark's fptas-large instances ``c_post`` is 2.6-11 where that factor
-is 14-24.  Candidates are generated from their index in batches of a fixed
+the benchmark's d = 2 fptas-large instances ``c_post`` is 2.6-11 where that
+factor is 21-24.  At ``k <= 3`` and ``n <= 4k`` the barrier sample would be no
+smaller than the data, so every row is sampled at weight 1 instead: then
+``c_post = 1``, every grid is its center alone and the result is the
+optimum, the least-squares fit of the best cell's sorted matching.  Here the
+package departs from the paper, which takes the barrier sample at every size.
+Candidates are generated from their index in batches of a fixed
 size (``_CHUNK``), so the first pass keeps one float per candidate (and at
 ``k <= 3`` the family's rank tuples) plus buffers of that size.  The second
 pass does not visit every grid point: it scans boxes of grid points coarse to
@@ -461,6 +466,9 @@ def fptas_solve(
     candidates.  The grids' spacing, their reach and the threshold above
     which a candidate's grid is skipped all follow the approximation
     constant ``c_post`` of the drawn sample alone (see :func:`_center_map`).
+    At ``k <= 3`` and ``n <= 4k`` every row is sampled at weight 1 in place
+    of the barrier sample, which departs from the paper: ``c_post = 1``, no
+    grid is scanned beyond its center and the result is the optimum.
     The second pass is a coarse-to-fine box scan of the grids (see
     :func:`_scan_nets`) that evaluates ``8192 >> k`` grid points at a time
     and skips the boxes that cannot hold a cheaper point.
@@ -486,7 +494,10 @@ def fptas_solve(
         return Solution(w=np.zeros(inst.d), perm=m0.perm, cost=m0.cost)
 
     u = red.u
-    samp = row_sample(u)
+    # With no more rows than the 4k the barrier sample draws, every row is
+    # sampled at weight 1: S = I, so Q = P (I - u u^T) = 0 and c_post = 1.
+    full = k <= 3 and n <= 4 * k
+    samp = SamplingMatrix(n, tuple((i, 1.0) for i in range(n))) if full else row_sample(u)
     gmap = _center_map(u, samp)
     m = gmap.shape[0]
     y_sorted = np.sort(y)
@@ -514,7 +525,7 @@ def fptas_solve(
     # rank and well conditioned, so pinv and the 2-norm's SVD are accurate to
     # about 1e-15 relative, and 1e-9, the slack keep_thr and reach allow as
     # well, covers that many times over.
-    c = float(np.linalg.norm(gmap, 2)) ** 2 * (1.0 + 1e-9)
+    c = 1.0 if full else float(np.linalg.norm(gmap, 2)) ** 2 * (1.0 + 1e-9)
 
     def centers(idx) -> np.ndarray:
         return _rows_matmul(responses(idx), gmap)
@@ -541,8 +552,9 @@ def fptas_solve(
 
     # Likewise the optimum lies within sqrt((c_post - 1) * optimum) of the
     # certificate's center, so grids only need radius sqrt((c - 1) * r_min),
-    # not sqrt(c * r_b); with n = k every row is sampled, c_post is 1 and the
-    # reach shrinks to the rounding slack.
+    # not sqrt(c * r_b).  Where every row is sampled at weight 1, c is 1 and
+    # the reach 0; where the barrier sample holds every row (n = k >= 4),
+    # c_post is 1 and the reach shrinks to the rounding slack.
     reach = math.sqrt((c - 1.0) * r_min) * (1.0 + 1e-9)
     surv_sp, halves = _net_steps(surv_r, reach, eps, c, k)
     total_evals = int(((2 * halves + 1) ** k).sum())

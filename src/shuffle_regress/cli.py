@@ -86,8 +86,9 @@ _W2 = ((100, 1000, 10000), 20, 50, 0)
 
 
 def _w_rng(entropy) -> np.random.Generator:
-    # child 3: children 0-2 belong to the instance generators
-    child = np.random.SeedSequence(entropy).spawn(4)[3]
+    # child 3: children 0-2 belong to the instance generators; built
+    # alone, it is the fourth child of SeedSequence(entropy).spawn(4)
+    child = np.random.SeedSequence(entropy, spawn_key=(3,))
     return np.random.Generator(np.random.Philox(child))
 
 

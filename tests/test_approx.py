@@ -388,22 +388,24 @@ class TestCellFamily:
         # the sampled rows get the responses it pairs them with.  Where rows
         # tie under the optimal weights, brute_force's tie-break is one of
         # several optimal permutations, and the guarantee needs any one.
+        # The rows are the barrier sample's and, as fptas_solve takes them
+        # at n <= 4k, every row.
         for inst in itertools.chain(_rank_two_instances(), _rank_three_instances()):
             u = orthonormalize(inst.x).u
             n, k = u.shape
             if k == 0:
                 continue
-            cols = sampled_columns(row_sample(u))
-            family = _cell_family(u, cols)
-            assert family.shape[0] <= _cell_bound(len(cols) * (n - 1), k)
-            members = {tuple(b) for b in np.sort(inst.y)[family]}
             perms = np.array(list(itertools.permutations(range(n))))
             paired = inst.y[np.argsort(perms, axis=1)]  # row p: response of each covariate row
             resid = paired - (paired @ u) @ u.T
             costs = np.einsum("ij,ij->i", resid, resid)
             slack = 1e-9 * max(1.0, float(inst.y @ inst.y))
             optimal = paired[costs <= brute_force(inst).cost + slack]
-            assert any(tuple(b[cols]) in members for b in optimal), (n, inst.x, inst.y)
+            for cols in (sampled_columns(row_sample(u)), list(range(n))):
+                family = _cell_family(u, cols)
+                assert family.shape[0] <= _cell_bound(len(cols) * (n - 1), k)
+                members = {tuple(b) for b in np.sort(inst.y)[family]}
+                assert any(tuple(b[cols]) in members for b in optimal), (n, cols, inst.x, inst.y)
 
     def test_rows_on_one_line_make_two_cells(self):
         # every hyperplane is the same line, so the two orders along it are
@@ -502,8 +504,8 @@ class TestFptasSolve:
 
     def test_budget_counts_cell_family(self):
         # at k <= 3 the family holds one candidate per cell, within the
-        # bound on the number of cells
-        for w_bar, n in (((0.3, 0.8), 6), ((0.3, 0.8, -0.5), 8)):
+        # bound on the number of cells; n > 4k keeps the barrier sample
+        for w_bar, n in (((0.3, 0.8), 9), ((0.3, 0.8, -0.5), 13)):
             inst, _ = gen_gaussian_noisy(np.array(w_bar), n, 0.5, 1)
             u = orthonormalize(inst.x).u
             cols = sampled_columns(row_sample(u))
@@ -513,7 +515,8 @@ class TestFptasSolve:
                 fptas_solve(inst, 0.5, budget=size - 1)
 
     def test_budget_refusal(self):
-        inst, _ = gen_gaussian_noisy(np.array([1.0, 1.0]) / math.sqrt(2), 7, 0.5, 2)
+        # n > 4k, so the barrier sample's nets are scanned
+        inst, _ = gen_gaussian_noisy(np.array([1.0, 1.0]) / math.sqrt(2), 9, 0.5, 2)
         with pytest.raises(BudgetExceededError):
             fptas_solve(inst, 0.25, budget=100)
 
@@ -550,17 +553,40 @@ class TestFptasSolve:
             with pytest.raises(ValueError, match="optimal weights overflow float64"):
                 fptas_solve(inst, 0.5)
 
+    def test_zero_cost_beside_a_tiny_entry(self):
+        # rank 2; y = 1 fits exactly on the third row, w = (0, 1/3, 0), and on
+        # the first, w = (0, -1e12, 1e12).  At n = 3 <= 4k every row is
+        # sampled, and the least-squares fit of the best matching is the
+        # former
+        x = np.array([[0.0, 0.0, 1e-12], [0.0, 0.0, 0.0], [0.0, 3.0, 3.0]])
+        inst = Instance(x=x, y=np.array([0.0, 0.0, 1.0]))
+        sol = fptas_solve(inst, 0.25)
+        assert sol.cost <= 1e-20
+        assert abs(sol.w[1] - 1.0 / 3.0) <= 1e-3
+
     @pytest.mark.xfail(
         strict=True, reason="weights near 1e12 lose a zero cost to rounding (ROADMAP Known defects)"
     )
-    def test_zero_cost_beside_a_tiny_entry(self):
-        # rank 2; y = 1 fits exactly on the third row, w = (0, 1/3, 0), and on
-        # the first, w = (0, -1e12, 1e12).  Brute force returns the former
-        # (cost 1e-31), fptas_solve the latter, whose cost rounds to 9.5e-7
-        x = np.array([[0.0, 0.0, 1e-12], [0.0, 0.0, 0.0], [0.0, 3.0, 3.0]])
-        inst = Instance(x=x, y=np.array([0.0, 0.0, 1.0]))
+    def test_zero_cost_beside_a_tiny_entry_barrier_sample(self):
+        # the same fits with six zero rows more, n = 9 > 4k: the barrier
+        # sample's nets return w = (0, -1e12, 1e12), whose cost rounds to
+        # 9.5e-7
+        x = np.zeros((9, 3))
+        x[0, 2], x[2, 1:] = 1e-12, 3.0
+        inst = Instance(x=x, y=np.eye(9)[2])
         cost = fptas_solve(inst, 0.25).cost
-        assert cost <= 1.25 * brute_force(inst).cost + 1e-9 * float(inst.y @ inst.y)
+        assert cost <= 1.25 * exact_opt(inst.x, inst.y) + 1e-9 * float(inst.y @ inst.y)
+
+    def test_full_sample_is_exact(self):
+        # at k <= 3 and n <= 4k every row is sampled, c_post = 1 and the
+        # answer is the optimum
+        for inst in itertools.chain(_rank_two_instances(), _rank_three_instances()):
+            k = orthonormalize(inst.x).k
+            if k == 0 or inst.n > 4 * k:
+                continue
+            opt = exact_opt(inst.x, inst.y)
+            cost = fptas_solve(inst, 0.5).cost
+            assert abs(cost - opt) <= 1e-9 * opt + 1e-12 * float(inst.y @ inst.y), (inst.x, inst.y)
 
     @given(inst=hostile_instances(), eps=st.sampled_from([0.25, 0.5, 0.9]))
     @settings(max_examples=500, deadline=None, derandomize=True)
@@ -647,8 +673,11 @@ class TestNetScan:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["gaussian", "grid"])
     def test_matches_flat_scan(self, monkeypatch, d, kind):
-        for n in range(3, 8):
-            for seed in range(10 if d < 3 else 4):
+        # at d = 2 and 3, only the sizes above n = 4k keep the barrier sample
+        # and scan nets around more than the centers
+        above = {1: (), 2: (9, 10, 11), 3: (13,)}[d]
+        for n in (*range(3, 8), *above):
+            for seed in range(10 if d < 3 else 4 if n < 8 else 2):
                 if kind == "grid":
                     inst = _grid_instance(n, d, seed)
                 else:
@@ -664,8 +693,8 @@ class TestNetScan:
 
     @pytest.mark.parametrize(
         "d, n, seed, want",
-        # the net minima
-        [(3, 8, 0, 0.189741), (3, 8, 1, 0.0197197), (3, 9, 2, 0.131735)],
+        # the optima (exact_opt): at n <= 4k every row is sampled
+        [(3, 8, 0, 0.182168), (3, 8, 1, 0.0194739), (3, 9, 2, 0.130103)],
     )
     def test_fptas_large_net_minimum(self, capsys, tmp_path, d, n, seed, want):
         inst = _fptas_large(tmp_path, d, n, seed)
@@ -698,8 +727,9 @@ class TestNetScan:
         assert fptas_solve(inst, 0.5).cost <= 1.5 * exact_opt(inst.x, inst.y)
 
     def test_evaluates_a_fraction_of_the_nets(self, monkeypatch):
-        # rows costed after the nets are sized belong to pass 2
-        inst, _ = gen_gaussian_noisy(np.ones(3) / math.sqrt(3), 7, 0.5, 0)
+        # rows costed after the nets are sized belong to pass 2; n > 4k keeps
+        # the barrier sample, whose nets are scanned
+        inst, _ = gen_gaussian_noisy(np.ones(3) / math.sqrt(3), 13, 0.5, 0)
         seen = {}
 
         def net_steps(*args):
@@ -724,12 +754,12 @@ class TestNetScan:
         assert counts[0] == counts[1]
         evals, net_points = counts[0]
         assert 0 < evals < net_points
-        assert (evals, net_points) == (432, 1415)
+        assert (evals, net_points) == (195979, 813933)
 
     def test_peak_memory_bounded_by_batch(self):
-        # the nets hold about 4x the points at eps = 0.25; peak memory follows
-        # the fixed batch size, not the net size
-        inst, _ = gen_gaussian_noisy(np.array([1.0, 1.0]) / math.sqrt(2), 7, 0.5, 1)
+        # the nets hold 1.7x the points at eps = 0.25; peak memory follows
+        # the fixed batch size, not the net size (n > 4k keeps the nets)
+        inst, _ = gen_gaussian_noisy(np.array([1.0, 1.0]) / math.sqrt(2), 9, 0.5, 1)
         peaks = []
         for eps in (0.5, 0.25):
             tracemalloc.start()

@@ -55,6 +55,15 @@ class TestGen:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("entropy", [0, 9, 2**70 + 1, [2, 1, 3], [5, 0, 19]])
+    def test_weight_stream_is_spawn_child_three(self, entropy):
+        # the weight vector's stream is child 3 of the seed, draw for draw
+        child = np.random.SeedSequence(entropy).spawn(4)[3]
+        want = np.random.Generator(np.random.Philox(child))
+        got = cli._w_rng(entropy)
+        assert np.array_equal(got.bit_generator.random_raw(64), want.bit_generator.random_raw(64))
+        assert np.array_equal(got.normal(size=16), want.normal(size=16))
+
     def test_noiseless_quantized(self, tmp_path, capsys):
         out = tmp_path / "q.json"
         code, _, _ = run(
