@@ -44,6 +44,7 @@ runaway instances into a hard error instead of an open-ended computation.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -155,35 +156,73 @@ def _assignments(ranks, n: int, m: int) -> np.ndarray:
 _TIE = 1e-10
 
 
-def _distinct_rows(ranks: np.ndarray) -> np.ndarray:
-    """The distinct rows of ``ranks`` in lexicographic order, by a sort and a
-    neighbour compare (``np.unique`` would import ``numpy.ma``, about 1 MB
-    more resident)."""
-    ranks = ranks[np.lexsort(ranks.T[::-1])]
-    new = np.ones(ranks.shape[0], dtype=bool)
-    new[1:] = (ranks[1:] != ranks[:-1]).any(axis=1)
-    return ranks[new]
+def _distinct_rows(ranks: np.ndarray, n: int) -> np.ndarray:
+    """The distinct rows of ``ranks`` (``intp`` entries in ``range(n)``), in
+    lexicographic order.
+
+    Each entry takes ``b = bit_length(n - 1)`` bits, and each run of
+    ``64 // b`` entries of a row is packed into one unsigned 64-bit key, the
+    first entry in the highest bits, so a row's keys compare as its entries
+    do; one key holds a row of up to ``64 // b`` entries.  The rows are
+    sorted by their keys as ``lexsort`` does, by the least significant key
+    first and then by each more significant one in a stable sort, but the
+    first sort, which has no earlier order to keep, is not a stable one.  A
+    row is kept where its keys differ from those of the row before it
+    (``np.unique`` would import ``numpy.ma``, about 1 MB more resident)."""
+    bits = max(1, (n - 1).bit_length())
+    per = 64 // bits
+    m = ranks.shape[1]
+    weight = np.zeros((m, -(-m // per)), dtype=np.uint64)
+    for c in range(m):
+        weight[c, c // per] = 1 << (bits * (per - 1 - c % per))
+    keys = ranks.view(np.uint64) @ weight
+    order = np.argsort(keys[:, -1])
+    for g in range(keys.shape[1] - 2, -1, -1):
+        order = order[np.argsort(keys[order, g], kind="stable")]
+    keys = keys[order]
+    new = np.ones(keys.shape[0], dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return ranks[order[new]]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """``np.hypot.reduce(v, axis=1)``, one ``hypot`` per column (the reduce
+    takes about three times as long)."""
+    return functools.reduce(np.hypot, v.T)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of the rows of the ``(count, 3)`` arrays ``a`` and ``b``:
+    the same products, subtracted in the same order, without its axis
+    moves."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
 
 
 def _frames(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Frames ``lo..hi`` of the unit normals ``a``, as ``(count, k, k)``
-    arrays of orthonormal rows: ``(a_i)`` at ``k = 1``; ``(v, a_i)`` at
+    """Frames ``lo..hi`` of the unit normals ``a``, as a ``(k, count, k)``
+    array whose ``[c, f]`` is vector ``c`` of frame ``f``; each frame's
+    vectors are orthonormal: ``(a_i)`` at ``k = 1``; ``(v, a_i)`` at
     ``k = 2``, ``v`` the normal turned a quarter, one per normal; and at
     ``k = 3``, one per ordered pair ``i, j`` (frame ``i * len(a) + j``) of
     planes that meet in a line, ``(v, a_i x v, a_i)`` with ``v = a_i x a_j``
     normalized.  A cross product within ``_TIE`` counts as parallel
     planes."""
     if a.shape[1] == 1:
-        return a[lo:hi, None]
+        return a[None, lo:hi]
     if a.shape[1] == 2:
         a = a[lo:hi]
-        return np.stack([a[:, ::-1] * [-1.0, 1.0], a], axis=1)
+        f = np.empty((2, *a.shape))
+        f[0, :, 0], f[0, :, 1], f[1] = -a[:, 1], a[:, 0], a
+        return f
+    # take: fancy indexing costs about three times as much at these sizes
     i, j = np.divmod(np.arange(lo, hi), a.shape[0])
-    v = np.cross(a[i], a[j])
-    norm = np.hypot.reduce(v, axis=1)
-    keep = norm > _TIE
-    ai, v = a[i[keep]], v[keep] / norm[keep, None]
-    return np.stack([v, np.cross(ai, v), ai], axis=1)
+    v = _cross(a.take(i, axis=0), a.take(j, axis=0))
+    norm = _norms(v)
+    keep = np.flatnonzero(norm > _TIE)
+    ai, v = a.take(i.take(keep), axis=0), v.take(keep, axis=0) / norm.take(keep)[:, None]
+    return np.stack([v, _cross(ai, v), ai])
 
 
 def _cell_family(u: np.ndarray, cols) -> np.ndarray:
@@ -219,46 +258,81 @@ def _cell_family(u: np.ndarray, cols) -> np.ndarray:
     counting as ties: the pair that defines ``v`` ties however it rounds,
     rows on one line or plane are read off one flag, and a sector narrower
     than ``_TIE`` merges with a neighbour.  A tuple can repeat a rank only
-    where three rows' differences straddle ``_TIE``.  The frames go in
-    batches of about ``_CHUNK`` row differences, and their tuples are merged
-    into the family, repeats dropped, once they outnumber it, so about twice
-    the family is held at most.
+    where three rows' differences straddle ``_TIE``.
+
+    Each unordered pair of rows is compared once, as ``(s, j)`` with ``s``
+    sampled and ``j`` unsampled or sampled after ``s`` in ``cols``: ``s``
+    gains 1 where ``j`` sorts below it, and a sampled ``j`` takes the
+    complement, 1 where it does not.  That is exact.  ``u_j - u_s`` rounds to
+    exactly ``-(u_s - u_j)``, so each key of ``(j, s)`` is the negation of
+    the same key of ``(s, j)``, ties included.  A flag weighs the keys' signs
+    by powers of two, so their weighted sum is 0, where the index decides, or
+    at least 1 in size, and then its sign decides; either way exactly one
+    of the two rows sorts below the other.  A batch's keys are one matrix
+    product, its signs ``int8`` and its ranks the product of the 0/1
+    outcomes with the pairs' incidence on the sampled rows.  The frames go
+    in batches of about ``_CHUNK`` (pair, frame) comparisons, and their
+    tuples are merged into the family, repeats dropped, once they outnumber
+    it, so about twice the family is held at most.
     """
     n, k = u.shape
-    below = np.arange(n) < np.asarray(cols)[:, None]
-    diff = u[cols, None, :] - u  # (m, n, k): u_s - u_j
+    cols = np.asarray(cols)
+    m = cols.size
+    place = np.arange(m)
+    # pos[j]: the place of row j in cols, m for a row not sampled
+    pos = np.full(n, m)
+    pos[cols] = place
+    si, j = np.nonzero(pos > place[:, None])  # the pairs (cols[si], j)
+    s = cols[si]
+    diff = u[s] - u[j]  # (pairs, k): u_s - u_j
+    below = (j < s).view(np.int8)  # the index tie-break: j sorts below s
+    # The rank of the sampled row at place p is the number of its pairs
+    # (s, j) where j sorts below it, plus the number of the p pairs (s', s)
+    # with the sampled rows before it where it does not sort below s': p
+    # plus the outcomes times inc, which adds each pair's outcome to s and
+    # takes it from a sampled j (row m of eye is zero).  The product is
+    # exact in float32 below 2**24 pairs, as its partial sums are integers
+    # no larger than the pair count.
+    eye = np.eye(m + 1, m, dtype=np.float32)
+    inc = eye[si] - eye[pos[j]]
     if k == 1:
         a = np.ones((1, 1))
     else:
-        sampled = np.zeros(n, dtype=bool)
-        sampled[cols] = True
-        a = diff[~(below & sampled)]
-        norm = np.hypot.reduce(a, axis=1)
+        norm = _norms(diff)
         keep = norm > _TIE
-        a = a[keep] / norm[keep, None]
+        a = diff[keep] / norm[keep, None]
     count = a.shape[0] ** max(1, k - 1)
-    # Row j sorts below s when the first of its keys' signs that is not a tie
-    # is positive, or, all tied, when j < s: each flag of a frame weighs key c
-    # by +-2**(k - c), the sign the flag gives the frame's vector c.
-    signs = np.array([[s] * (k - 1) + [t] for s in (1.0, -1.0) for t in (1.0, -1.0)])
-    weigh = signs * 2.0 ** np.arange(k, 0, -1)
-    step = max(1, _CHUNK // below.size)
-    family = np.empty((0, below.shape[0]), dtype=np.intp)
+    step = max(1, _CHUNK // max(1, j.size))
+    diff_t = np.ascontiguousarray(diff.T)  # the product reads it about a third faster
+    family = np.empty((0, m), dtype=np.intp)
     parts = []
     held = 0
     for lo in range(0, count, step):
-        f = _frames(a, lo, min(lo + step, count))[:, :, None, None, :]
-        key = sum(f[..., c] * diff[..., c] for c in range(k))  # (frames, k, m, n)
-        sign = np.sign(key) * (np.abs(key) > _TIE)
-        order = weigh @ sign.reshape(-1, k, below.size)  # (frames, flags, m n)
-        order += below.reshape(-1)
-        parts.append((order.reshape(-1, *below.shape) > 0).sum(axis=2))
-        held += parts[-1].shape[0]
+        f = _frames(a, lo, min(lo + step, count))
+        key = f @ diff_t  # (k, frames, pairs)
+        sign = (key > _TIE).view(np.int8) - (key < -_TIE).view(np.int8)
+        # Under the flag that gives the frame's vectors the signs (x, ...,
+        # x, y), j sorts below s when x head + y sign[-1] + below > 0: head
+        # weighs sign[c], c < k - 1, by 2**(k - 1 - c), so the first sign
+        # that is not a tie decides, and below decides where all tie.
+        head = 0
+        for c in range(k - 1):
+            head = 2 * (head + sign[c])
+        plus, minus = head + sign[-1], head - sign[-1]
+        outcome = np.empty((4, *plus.shape), dtype=np.float32)
+        np.greater(plus, -below, out=outcome[0])  # x = y = 1
+        np.greater(minus, -below, out=outcome[1])  # x = 1, y = -1
+        np.less(minus, below, out=outcome[2])  # x = -1, y = 1
+        np.less(plus, below, out=outcome[3])  # x = y = -1
+        ranks = (outcome.reshape(4 * len(plus), j.size) @ inc).astype(np.intp)
+        ranks += place
+        parts.append(ranks)
+        held += ranks.shape[0]
         # Merge once the batches hold more tuples than the family so far, so
         # at most about twice the family is held.
         if held > family.shape[0] + _CHUNK:
-            family, parts, held = _distinct_rows(np.concatenate([family, *parts])), [], 0
-    return _distinct_rows(np.concatenate([family, *parts]))
+            family, parts, held = _distinct_rows(np.concatenate([family, *parts]), n), [], 0
+    return _distinct_rows(np.concatenate([family, *parts]), n)
 
 
 def _center_map(u: np.ndarray, samp: SamplingMatrix) -> np.ndarray:

@@ -33,6 +33,12 @@ the package to; nothing in ``shuffle_regress`` imports it.
   decline.
 * ``exact_opt`` is the least cost of an instance of rank at most 3, the
   reference that grades ``fptas_solve`` where ``brute_force`` cannot run.
+* ``cell_family_flags`` is the earlier builder of the cell family at rank
+  ``k <= 3``, the reference that ``approx._cell_family`` must match byte for
+  byte.  It reads the same flags under the same tie rule, but compares every
+  flag with all ``m n`` (sampled row, row) pairs, crosses the normals with
+  ``np.cross`` and sorts the rank tuples with a ``lexsort`` over their
+  columns.
 * ``perm_match_brute`` and ``subset_sum_brute`` are exhaustive searches, the
   references for ``sort_match`` and the lattice's subset-sum stage.
 * ``check_3partition_brute`` and ``pls_feasible_brute`` decide both ends of
@@ -434,6 +440,91 @@ def exact_opt(x, y) -> float:
         resid = y_pi - (y_pi @ u) @ u.T
         best = min(best, float(np.einsum("ij,ij->i", resid, resid).min()))
     return best
+
+
+# The tie rule and batch size of ``approx._cell_family``: key differences
+# within ``_FLAG_TIE`` count as ties.
+_FLAG_TIE = 1e-10
+_FLAG_CHUNK = 8192
+
+
+def _flag_distinct_rows(ranks: np.ndarray) -> np.ndarray:
+    """The distinct rows of ``ranks`` in lexicographic order, by a sort and a
+    neighbour compare."""
+    ranks = ranks[np.lexsort(ranks.T[::-1])]
+    new = np.ones(ranks.shape[0], dtype=bool)
+    new[1:] = (ranks[1:] != ranks[:-1]).any(axis=1)
+    return ranks[new]
+
+
+def _flag_frames(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Frames ``lo..hi`` of the unit normals ``a``, as ``(count, k, k)``
+    arrays of orthonormal rows: ``(a_i)`` at ``k = 1``; ``(v, a_i)`` at
+    ``k = 2``, ``v`` the normal turned a quarter, one per normal; and at
+    ``k = 3``, one per ordered pair ``i, j`` (frame ``i * len(a) + j``) of
+    planes that meet in a line, ``(v, a_i x v, a_i)`` with ``v = a_i x a_j``
+    normalized.  A cross product within ``_FLAG_TIE`` counts as parallel
+    planes."""
+    if a.shape[1] == 1:
+        return a[lo:hi, None]
+    if a.shape[1] == 2:
+        a = a[lo:hi]
+        return np.stack([a[:, ::-1] * [-1.0, 1.0], a], axis=1)
+    i, j = np.divmod(np.arange(lo, hi), a.shape[0])
+    v = np.cross(a[i], a[j])
+    norm = np.hypot.reduce(v, axis=1)
+    keep = norm > _FLAG_TIE
+    ai, v = a[i[keep]], v[keep] / norm[keep, None]
+    return np.stack([v, np.cross(ai, v), ai], axis=1)
+
+
+def cell_family_flags(u: np.ndarray, cols) -> np.ndarray:
+    """The rank tuples of the rows ``cols`` of ``u`` (``k <= 3`` columns), one
+    per cell of the central arrangement of the hyperplanes
+    ``(u_s - u_j) . w = 0``, ``s`` in ``cols``, distinct and in lexicographic
+    order: the family ``approx._cell_family`` builds, read off the same flags.
+
+    Each flag of a frame ``(f_1, ..., f_k)`` sorts the rows by the keys
+    ``u_j . f_1``, then ``u_j . f_2`` and so on, and the rows left tied by
+    index.  Every flag is compared with all ``m n`` pairs ``(s, j)``, by the
+    differences ``(u_s - u_j) . f``, those within ``_FLAG_TIE`` counting as
+    ties, so a pair of sampled rows is compared both ways.
+    """
+    n, k = u.shape
+    below = np.arange(n) < np.asarray(cols)[:, None]
+    diff = u[cols, None, :] - u  # (m, n, k): u_s - u_j
+    if k == 1:
+        a = np.ones((1, 1))
+    else:
+        sampled = np.zeros(n, dtype=bool)
+        sampled[cols] = True
+        a = diff[~(below & sampled)]
+        norm = np.hypot.reduce(a, axis=1)
+        keep = norm > _FLAG_TIE
+        a = a[keep] / norm[keep, None]
+    count = a.shape[0] ** max(1, k - 1)
+    # Row j sorts below s when the first of its keys' signs that is not a tie
+    # is positive, or, all tied, when j < s: each flag of a frame weighs key c
+    # by +-2**(k - c), the sign the flag gives the frame's vector c.
+    signs = np.array([[s] * (k - 1) + [t] for s in (1.0, -1.0) for t in (1.0, -1.0)])
+    weigh = signs * 2.0 ** np.arange(k, 0, -1)
+    step = max(1, _FLAG_CHUNK // below.size)
+    family = np.empty((0, below.shape[0]), dtype=np.intp)
+    parts = []
+    held = 0
+    for lo in range(0, count, step):
+        f = _flag_frames(a, lo, min(lo + step, count))[:, :, None, None, :]
+        key = sum(f[..., c] * diff[..., c] for c in range(k))  # (frames, k, m, n)
+        sign = np.sign(key) * (np.abs(key) > _FLAG_TIE)
+        order = weigh @ sign.reshape(-1, k, below.size)  # (frames, flags, m n)
+        order += below.reshape(-1)
+        parts.append((order.reshape(-1, *below.shape) > 0).sum(axis=2))
+        held += parts[-1].shape[0]
+        # Merge once the batches hold more tuples than the family so far, so
+        # at most about twice the family is held.
+        if held > family.shape[0] + _FLAG_CHUNK:
+            family, parts, held = _flag_distinct_rows(np.concatenate([family, *parts])), [], 0
+    return _flag_distinct_rows(np.concatenate([family, *parts]))
 
 
 def perm_match_brute(a, b) -> MatchResult:

@@ -23,13 +23,14 @@ from shuffle_regress.approx import (
     _assignments,
     _cell_family,
     _center_map,
+    _distinct_rows,
     _net_steps,
     orthonormalize,
     sampled_columns,
 )
 from shuffle_regress.model import read_instance_record
 
-from reference import approx_factor, dense, exact_opt, solve_weighted_ls
+from reference import approx_factor, cell_family_flags, dense, exact_opt, solve_weighted_ls
 
 
 def candidate_targets(s, y):
@@ -416,6 +417,125 @@ class TestCellFamily:
         up = np.argsort(np.argsort(t))[cols]
         want = sorted([tuple(up), tuple(t.size - 1 - up)])
         assert [tuple(b) for b in _cell_family(u, cols)] == want
+
+    @staticmethod
+    def _assert_matches_flags(u, cols):
+        got, want = _cell_family(u, cols), cell_family_flags(u, cols)
+        assert got.dtype == want.dtype == np.intp
+        assert np.array_equal(got, want), (u, cols)
+
+    def test_matches_the_flag_reference(self, capsys, tmp_path):
+        # byte for byte, on the barrier sample's rows and on every row
+        insts = itertools.chain(
+            _rank_two_instances(),
+            _rank_three_instances(),
+            (_fptas_large(tmp_path, d, n, seed) for d, n, seed in _FPTAS_LARGE),
+        )
+        for inst in insts:
+            u = orthonormalize(inst.x).u
+            if u.shape[1] == 0:
+                continue
+            for cols in (sampled_columns(row_sample(u)), list(range(inst.n))):
+                self._assert_matches_flags(u, cols)
+        capsys.readouterr()
+
+    @given(inst=hostile_instances(min_n=2, max_n=11, max_d=3))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_matches_the_flag_reference_hostile(self, inst):
+        u = orthonormalize(inst.x).u
+        assume(u.shape[1] > 0)
+        for cols in (sampled_columns(row_sample(u)), list(range(inst.n))):
+            self._assert_matches_flags(u, cols)
+
+    def test_chunk_independence(self, monkeypatch):
+        # _CHUNK sets the frames per batch and when tuples merge; 1 and 7
+        # merge after nearly every batch
+        cases = [
+            ((0.7,), 6, "full"),
+            ((0.5, -0.9), 11, "barrier"),
+            ((0.6, -0.3, 0.8), 9, "full"),
+            ((0.6, -0.3, 0.8), 13, "barrier"),
+        ]
+        for w_bar, n, kind in cases:
+            inst, _ = gen_gaussian_noisy(np.array(w_bar), n, 0.5, 0)
+            u = orthonormalize(inst.x).u
+            cols = list(range(n)) if kind == "full" else sampled_columns(row_sample(u))
+            assert len(cols) < n or kind == "full"
+            want = _cell_family(u, cols)
+            for chunk in (1, 7, 8192):
+                with monkeypatch.context() as m:
+                    m.setattr(approx, "_CHUNK", chunk)
+                    assert np.array_equal(_cell_family(u, cols), want), (n, kind, chunk)
+
+    @pytest.mark.parametrize(
+        "u, cols, want",
+        [
+            # one row, no pairs
+            ([[1.0]], [0], [[0]]),
+            ([[-1.0]], [0], [[0]]),
+            # u = I_k, every row sampled: every order of the k rows
+            (np.eye(2), [0, 1], [[0, 1], [1, 0]]),
+            (np.eye(3), [0, 1, 2], [list(p) for p in itertools.permutations(range(3))]),
+            # repeated rows tie on every flag and go by index
+            ([[2.0], [1.0], [2.0], [-1.0]], [0, 1, 2, 3], [[0, 2, 1, 3], [2, 1, 3, 0]]),
+            ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0, 1, 2], [[0, 1, 2], [1, 2, 0]]),
+            ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1], [[1], [2]]),
+            (
+                [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                [0, 1, 2, 3],
+                [[0, 2, 1, 3], [0, 3, 1, 2], [1, 0, 2, 3],
+                 [1, 3, 2, 0], [2, 0, 3, 1], [2, 1, 3, 0]],
+            ),
+            (
+                [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                [2, 3],
+                [[1, 2], [1, 3], [2, 0], [2, 3], [3, 0], [3, 1]],
+            ),
+        ],
+    )
+    def test_pinned_small_families(self, u, cols, want):
+        # the flag reference's families where the pair set is empty, has
+        # no unsampled row, or holds zero differences
+        got = _cell_family(np.array(u), cols)
+        assert got.dtype == np.intp
+        assert got.tolist() == want
+
+    def test_full_sample_rows_are_permutations(self):
+        # with nothing tied, each flag orders all n rows, so every tuple of
+        # the full sample is a permutation; a wrong complement repeats ranks.
+        # n = 17 packs each tuple into two sort keys (5 bits a rank)
+        cases = itertools.chain(
+            itertools.product((1, 2, 3), range(3, 10), range(3)), ((d, 17, 0) for d in (1, 2, 3))
+        )
+        for d, n, seed in cases:
+            inst, _ = gen_gaussian_noisy(np.ones(d) / math.sqrt(d), n, 0.5, seed)
+            family = _cell_family(orthonormalize(inst.x).u, list(range(n)))
+            assert family.shape[0] >= 2
+            assert (np.sort(family, axis=1) == np.arange(n)).all(), (d, n, seed)
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize(
+        "n, m, rows",
+        # one packed key, then two: 64 // 20 = 3 entries a key at n = 2**20,
+        # 64 // 7 = 9 at n = 100; n = 2 packs 64 entries a key
+        [(9, 9, 2000), (2**20, 5, 3000), (100, 10, 3000), (2, 70, 500), (5, 3, 1), (5, 3, 0)],
+    )
+    def test_matches_lexsort(self, n, m, rows):
+        # rows drawn from a pool, so that most repeat; the pool holds the
+        # rows of all zeros and all n - 1
+        rng = np.random.default_rng([n, m, rows])
+        pool = rng.integers(0, n, size=(rows // 4 + 2, m))
+        pool[:2] = [[0], [n - 1]]
+        ranks = pool[rng.integers(0, pool.shape[0], size=rows)]
+        want = ranks[np.lexsort(ranks.T[::-1])]
+        new = np.ones(want.shape[0], dtype=bool)
+        new[1:] = (want[1:] != want[:-1]).any(axis=1)
+        want = want[new]
+        got = _distinct_rows(ranks, n)
+        assert got.dtype == np.intp
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestApproxFactor:
