@@ -9,8 +9,9 @@ weighted least-squares center, and an axis-aligned grid around each center is
 scanned with the exact one-dimensional matcher.
 
 Cost model: with ``k`` the covariate rank, the candidates assign responses to
-the ``m <= 4k`` distinct sampled rows, and the guarantee needs only one of
-them, the certificate: the assignment that an optimal permutation induces.
+the ``m`` distinct sampled rows (``m <= 4k`` for the barrier sample), and the
+guarantee needs only one of them, the certificate: the assignment that an
+optimal permutation induces.
 That permutation pairs ``u w*`` sorted with ``y`` sorted, so the certificate
 gives sampled row ``s`` the response ``y_sorted[rank of u_s . w*]``, a rank
 tuple that is constant on each cell of the central arrangement of the
@@ -25,9 +26,12 @@ so the overall work is ``(n/eps)**O(k)``.  The constant ``c`` is the one of
 the sample in hand, ``c_post = 1 + ||pinv(S u) S (I - u u^T)||_2**2``, read
 off the sample alone: the factor ``1 + 4 (1 + sqrt(n / 4k))**2`` that the
 barrier construction states does not bound every sample this one draws, and on
-the benchmark's d = 2 fptas-large instances ``c_post`` is 2.6-11 where that
-factor is 21-24.  At ``k <= 3`` and ``n <= 4k`` the barrier sample would be no
-smaller than the data, so every row is sampled at weight 1 instead: then
+d = 2 instances drawn as the benchmark's fptas-large draws them, at n = 24 and
+32, ``c_post`` is 12-23 where that factor is 31-37.  At ``k <= 3`` and
+``n <= 8k`` every row is sampled at weight 1 instead (``_ALL_ROWS_PER_RANK``):
+there ``C(n, 2) <= 4k (n - 1)``, so the full arrangement has no more
+hyperplanes than the ``N`` that the cell bound counts for a ``4k``-row
+sample.  With ``S = I``, ``pinv(u) = u^T``, so the centers are ``u^T b``,
 ``c_post = 1``, every grid is its center alone and the result is the
 optimum, the least-squares fit of the best cell's sorted matching.  Here the
 package departs from the paper, which takes the barrier sample at every size.
@@ -67,6 +71,12 @@ DEFAULT_BUDGET = 50_000_000
 # Candidates per pass-1 buffer; pass 2 evaluates `_CHUNK >> k` boxes a step,
 # whose children number at most `_CHUNK`.
 _CHUNK = 8192
+
+# At k <= 3 every row is sampled while n <= _ALL_ROWS_PER_RANK * k: there
+# C(n, 2) <= 4k (n - 1), so the full arrangement has no more hyperplanes than
+# the N = m (n - 1) that the cell bound counts for the barrier sample's
+# m <= 4k rows.
+_ALL_ROWS_PER_RANK = 8
 
 
 @dataclass(frozen=True)
@@ -540,8 +550,11 @@ def fptas_solve(
     candidates.  The grids' spacing, their reach and the threshold above
     which a candidate's grid is skipped all follow the approximation
     constant ``c_post`` of the drawn sample alone (see :func:`_center_map`).
-    At ``k <= 3`` and ``n <= 4k`` every row is sampled at weight 1 in place
-    of the barrier sample, which departs from the paper: ``c_post = 1``, no
+    At ``k <= 3`` and ``n <= 8k`` every row is sampled at weight 1 in place
+    of the barrier sample, which departs from the paper.  There
+    ``C(n, 2) <= 4k (n - 1)``: the full arrangement has no more hyperplanes
+    than the cell bound counts for a ``4k``-row sample.  With ``S = I`` the
+    centers are ``u^T b`` (no row sample, no ``pinv``), ``c_post = 1``, no
     grid is scanned beyond its center and the result is the optimum.
     The second pass is a coarse-to-fine box scan of the grids (see
     :func:`_scan_nets`) that evaluates ``8192 >> k`` grid points at a time
@@ -568,16 +581,26 @@ def fptas_solve(
         return Solution(w=np.zeros(inst.d), perm=m0.perm, cost=m0.cost)
 
     u = red.u
-    # With no more rows than the 4k the barrier sample draws, every row is
-    # sampled at weight 1: S = I, so Q = P (I - u u^T) = 0 and c_post = 1.
-    full = k <= 3 and n <= 4 * k
-    samp = SamplingMatrix(n, tuple((i, 1.0) for i in range(n))) if full else row_sample(u)
-    gmap = _center_map(u, samp)
+    if k <= 3 and n <= _ALL_ROWS_PER_RANK * k:
+        # Every row at weight 1, S = I: P = pinv(u) = u^T as u^T u = I, so
+        # the center map is u itself, Q = P (I - u u^T) = 0 and c_post = 1.
+        cols, gmap, c = range(n), u, 1.0
+    else:
+        samp = row_sample(u)
+        cols = sampled_columns(samp)
+        gmap = _center_map(u, samp)
+        # c is the constant of this sample, c_post = ||gmap||^2 (see
+        # _center_map).  The slack covers float64 rounding: the lower
+        # barrier keeps S u of full rank and well conditioned, so pinv and
+        # the 2-norm's SVD are accurate to about 1e-15 relative, and 1e-9,
+        # the slack keep_thr and reach allow as well, covers that many
+        # times over.
+        c = float(np.linalg.norm(gmap, 2)) ** 2 * (1.0 + 1e-9)
     m = gmap.shape[0]
     y_sorted = np.sort(y)
 
     if k <= 3:
-        family = _cell_family(u, sampled_columns(samp))
+        family = _cell_family(u, cols)
         n_cand = family.shape[0]
 
         def responses(idx) -> np.ndarray:
@@ -593,13 +616,6 @@ def fptas_solve(
         raise BudgetExceededError(
             "candidate family has %d members, budget is %d" % (n_cand, budget)
         )
-
-    # c is the constant of this sample, c_post = ||gmap||^2 (see _center_map).
-    # The slack covers float64 rounding: the lower barrier keeps S u of full
-    # rank and well conditioned, so pinv and the 2-norm's SVD are accurate to
-    # about 1e-15 relative, and 1e-9, the slack keep_thr and reach allow as
-    # well, covers that many times over.
-    c = 1.0 if full else float(np.linalg.norm(gmap, 2)) ** 2 * (1.0 + 1e-9)
 
     def centers(idx) -> np.ndarray:
         return _rows_matmul(responses(idx), gmap)

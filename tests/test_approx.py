@@ -377,6 +377,24 @@ def _rank_three_instances():
             yield Instance(x=x, y=rng.integers(-2, 3, size=n).astype(float))
 
 
+def _wide_full_sample_instances():
+    """Seeded instances of rank 2 at n = 9..16 and of rank 3 at n = 13..16,
+    above 4k and at most 8k: Gaussian, integer grids in -2..2, and, at rank 2,
+    three equal rows."""
+    for n in range(9, 17):
+        for seed in range(2):
+            rng = np.random.default_rng([n, 2, seed])
+            yield Instance(x=rng.normal(size=(n, 2)), y=rng.normal(size=n))
+            yield _grid_instance(n, 2, seed)
+            x = rng.normal(size=(n, 2))
+            x[n // 2] = x[n - 1] = x[0]
+            yield Instance(x=x, y=rng.normal(size=n))
+    for n in range(13, 17):
+        rng = np.random.default_rng([n, 3, 0])
+        yield Instance(x=rng.normal(size=(n, 3)), y=rng.normal(size=n))
+        yield _grid_instance(n, 3, 0)
+
+
 def _cell_bound(planes: int, k: int) -> int:
     """The most cells a central arrangement of ``planes`` hyperplanes in R^k
     can have, ``2 * sum_{i<k} C(planes - 1, i)`` (Zaslavsky, 1975)."""
@@ -622,10 +640,14 @@ class TestFptasSolve:
         with pytest.raises(BudgetExceededError, match="has %d members" % math.perm(6, m)):
             fptas_solve(inst, 0.5, budget=math.perm(6, m) - 1)
 
-    def test_budget_counts_cell_family(self):
+    def test_budget_counts_cell_family(self, monkeypatch):
         # at k <= 3 the family holds one candidate per cell, within the
-        # bound on the number of cells; n > 4k keeps the barrier sample
-        for w_bar, n in (((0.3, 0.8), 9), ((0.3, 0.8, -0.5), 13)):
+        # bound on the number of cells.  Both sizes keep the barrier sample:
+        # d = 2, n = 17 is above 8k, and the full sample is set back to
+        # n <= 4k, as at d = 3 the barrier sample's nets above 24 rows take
+        # seconds
+        monkeypatch.setattr(approx, "_ALL_ROWS_PER_RANK", 4)
+        for w_bar, n in (((0.3, 0.8), 17), ((0.3, 0.8, -0.5), 13)):
             inst, _ = gen_gaussian_noisy(np.array(w_bar), n, 0.5, 1)
             u = orthonormalize(inst.x).u
             cols = sampled_columns(row_sample(u))
@@ -635,10 +657,11 @@ class TestFptasSolve:
                 fptas_solve(inst, 0.5, budget=size - 1)
 
     def test_budget_refusal(self):
-        # n > 4k, so the barrier sample's nets are scanned
-        inst, _ = gen_gaussian_noisy(np.array([1.0, 1.0]) / math.sqrt(2), 9, 0.5, 2)
-        with pytest.raises(BudgetExceededError):
-            fptas_solve(inst, 0.25, budget=100)
+        # n > 8k, so the barrier sample's nets are scanned; its family has
+        # 108 members
+        inst, _ = gen_gaussian_noisy(np.array([1.0, 1.0]) / math.sqrt(2), 17, 0.5, 2)
+        with pytest.raises(BudgetExceededError, match="net enumeration"):
+            fptas_solve(inst, 0.25, budget=1000)
 
     @pytest.mark.parametrize("budget", [None, 0, -1, True, 1.5])
     def test_budget_must_be_a_positive_int(self, budget):
@@ -688,25 +711,40 @@ class TestFptasSolve:
         strict=True, reason="weights near 1e12 lose a zero cost to rounding (ROADMAP Known defects)"
     )
     def test_zero_cost_beside_a_tiny_entry_barrier_sample(self):
-        # the same fits with six zero rows more, n = 9 > 4k: the barrier
+        # the same fits with 14 zero rows more, n = 17 > 8k: the barrier
         # sample's nets return w = (0, -1e12, 1e12), whose cost rounds to
         # 9.5e-7
-        x = np.zeros((9, 3))
+        x = np.zeros((17, 3))
         x[0, 2], x[2, 1:] = 1e-12, 3.0
-        inst = Instance(x=x, y=np.eye(9)[2])
+        inst = Instance(x=x, y=np.eye(17)[2])
         cost = fptas_solve(inst, 0.25).cost
         assert cost <= 1.25 * exact_opt(inst.x, inst.y) + 1e-9 * float(inst.y @ inst.y)
 
     def test_full_sample_is_exact(self):
-        # at k <= 3 and n <= 4k every row is sampled, c_post = 1 and the
+        # at k <= 3 and n <= 8k every row is sampled, c_post = 1 and the
         # answer is the optimum
-        for inst in itertools.chain(_rank_two_instances(), _rank_three_instances()):
+        insts = itertools.chain(
+            _rank_two_instances(), _rank_three_instances(), _wide_full_sample_instances()
+        )
+        for inst in insts:
             k = orthonormalize(inst.x).k
-            if k == 0 or inst.n > 4 * k:
+            if k == 0 or inst.n > 8 * k:
                 continue
             opt = exact_opt(inst.x, inst.y)
             cost = fptas_solve(inst, 0.5).cost
             assert abs(cost - opt) <= 1e-9 * opt + 1e-12 * float(inst.y @ inst.y), (inst.x, inst.y)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_row_sample_only_above_8k(self, monkeypatch, d):
+        # up to n = 8k every row is sampled and row_sample is not called;
+        # one row more takes the barrier sample
+        sizes = []
+        real = approx.row_sample
+        monkeypatch.setattr(approx, "row_sample", lambda u: sizes.append(u.shape[0]) or real(u))
+        for n in (8 * d, 8 * d + 1):
+            inst, _ = gen_gaussian_noisy(np.ones(d) / math.sqrt(d), n, 0.5, 0)
+            fptas_solve(inst, 0.5)
+        assert sizes == [8 * d + 1]
 
     @given(inst=hostile_instances(), eps=st.sampled_from([0.25, 0.5, 0.9]))
     @settings(max_examples=500, deadline=None, derandomize=True)
@@ -730,6 +768,18 @@ class TestFptasSolve:
             approx = fptas_solve(inst, eps, budget=500_000)
         except BudgetExceededError:
             assume(False)
+        opt = exact_opt(inst.x, inst.y)
+        assert approx.cost <= (1.0 + eps) * opt + 1e-9 * float(inst.y @ inst.y)
+
+    @given(
+        inst=hostile_instances(min_n=9, max_n=19, max_d=2),
+        eps=st.sampled_from([0.25, 0.5, 0.9]),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_ratio_versus_exact_hostile_barrier_sample(self, inst, eps):
+        # hostile draws that reach the barrier sample: rank 1 above n = 8,
+        # rank 2 above n = 16
+        approx = fptas_solve(inst, eps)
         opt = exact_opt(inst.x, inst.y)
         assert approx.cost <= (1.0 + eps) * opt + 1e-9 * float(inst.y @ inst.y)
 
@@ -759,7 +809,7 @@ def _flat_scan_nets(ut, y_sorted, ranks, wt, spacing, halves, best):
     k = ut.shape[0]
     for i in range(ranks.size):
         pts = wt[:, i] + spacing[i] * _offsets(int(halves[i]), k)
-        costs = approx._min_perm_costs(pts @ ut, y_sorted)
+        costs = approx._min_perm_costs(approx._rows_matmul(pts, ut), y_sorted)
         j = int(costs.argmin())  # first minimum: smallest row-major index
         key = (int(ranks[i]), j)
         if costs[j] < best_cost or (costs[j] == best_cost and key < best_key):
@@ -793,9 +843,13 @@ class TestNetScan:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["gaussian", "grid"])
     def test_matches_flat_scan(self, monkeypatch, d, kind):
-        # at d = 2 and 3, only the sizes above n = 4k keep the barrier sample
-        # and scan nets around more than the centers
-        above = {1: (), 2: (9, 10, 11), 3: (13,)}[d]
+        # at d = 2 and 3, only the sizes above n = 8k keep the barrier sample
+        # and scan nets around more than the centers.  At d = 3 the full
+        # sample is set back to n <= 4k, as above 24 rows the barrier
+        # sample's nets hold millions of points
+        if d == 3:
+            monkeypatch.setattr(approx, "_ALL_ROWS_PER_RANK", 4)
+        above = {1: (), 2: (17, 18, 19), 3: (13,)}[d]
         for n in (*range(3, 8), *above):
             for seed in range(10 if d < 3 else 4 if n < 8 else 2):
                 if kind == "grid":
@@ -813,8 +867,13 @@ class TestNetScan:
 
     @pytest.mark.parametrize(
         "d, n, seed, want",
-        # the optima (exact_opt): at n <= 4k every row is sampled
-        [(3, 8, 0, 0.182168), (3, 8, 1, 0.0194739), (3, 9, 2, 0.130103)],
+        # the optima (exact_opt): at n <= 8k every row is sampled
+        [
+            (2, 12, 0, 0.393474), (2, 12, 1, 0.22071), (2, 12, 2, 1.79885),
+            (2, 14, 0, 0.416408), (2, 14, 1, 0.206574), (2, 14, 2, 0.749118),
+            (2, 16, 0, 1.17547), (2, 16, 1, 0.173381), (2, 16, 2, 2.99339),
+            (3, 8, 0, 0.182168), (3, 8, 1, 0.0194739), (3, 9, 2, 0.130103),
+        ],
     )
     def test_fptas_large_net_minimum(self, capsys, tmp_path, d, n, seed, want):
         inst = _fptas_large(tmp_path, d, n, seed)
@@ -841,14 +900,17 @@ class TestNetScan:
     @pytest.mark.parametrize("n", [12, 16])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_d3_frontier_within_guarantee(self, capsys, tmp_path, n, seed):
-        # at the default budget; the injective family would refuse 3 of these 6
+        # at the default budget; the injective family would refuse 3 of these
+        # 6.  At n <= 8k every row is sampled and the answer is the optimum
         inst = _fptas_large(tmp_path, 3, n, seed)
         capsys.readouterr()
-        assert fptas_solve(inst, 0.5).cost <= 1.5 * exact_opt(inst.x, inst.y)
+        assert fptas_solve(inst, 0.5).cost == pytest.approx(exact_opt(inst.x, inst.y), rel=1e-9)
 
     def test_evaluates_a_fraction_of_the_nets(self, monkeypatch):
-        # rows costed after the nets are sized belong to pass 2; n > 4k keeps
-        # the barrier sample, whose nets are scanned
+        # rows costed after the nets are sized belong to pass 2; with the
+        # full sample set back to n <= 4k, n = 13 keeps the barrier sample,
+        # whose nets are scanned (at n > 8k = 24 they would take seconds)
+        monkeypatch.setattr(approx, "_ALL_ROWS_PER_RANK", 4)
         inst, _ = gen_gaussian_noisy(np.ones(3) / math.sqrt(3), 13, 0.5, 0)
         seen = {}
 
@@ -877,9 +939,9 @@ class TestNetScan:
         assert (evals, net_points) == (195979, 813933)
 
     def test_peak_memory_bounded_by_batch(self):
-        # the nets hold 1.7x the points at eps = 0.25; peak memory follows
-        # the fixed batch size, not the net size (n > 4k keeps the nets)
-        inst, _ = gen_gaussian_noisy(np.array([1.0, 1.0]) / math.sqrt(2), 9, 0.5, 1)
+        # the nets hold 1.9x the points at eps = 0.25; peak memory follows
+        # the fixed batch size, not the net size (n > 8k keeps the nets)
+        inst, _ = gen_gaussian_noisy(np.array([1.0, 1.0]) / math.sqrt(2), 17, 0.5, 1)
         peaks = []
         for eps in (0.5, 0.25):
             tracemalloc.start()
