@@ -40,7 +40,6 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +61,7 @@ from .model import (
 from .oracle import BRUTE_CAP, brute_force, ols_given_perm
 from .perm1d import sort_match
 
-__all__ = ["main", "run_sweep", "SweepConfig", "order_stats_report", "w2_report"]
+__all__ = ["main", "order_stats_report", "w2_report"]
 
 SWEEP_COLUMNS = (
     "snr",
@@ -182,30 +181,17 @@ def cmd_solve(args) -> int:
 # sweep-snr
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    model: str
-    n: int
-    d: int
-    snr_grid: tuple
-    trials: int
-    solver: str
-    eps: float
-    seed: int
-    jobs: int
-    budget: int
-
-
-def _sweep_cell(cfg: SweepConfig, snr_index: int, snr: float) -> list:
+def _sweep_cell(args, eps: float, budget: int, cell: tuple) -> list:
+    snr_index, snr = cell
     t0 = time.perf_counter()
     errs: list = []
     base_errs: list = []
     successes = 0
-    for trial in range(cfg.trials):
-        ent = [cfg.seed, snr_index, trial]
-        w_bar = random_unit_vector(cfg.d, _w_rng(ent))
-        if cfg.solver == "lattice":
-            inst, truth = gen_noiseless_anchored(w_bar, cfg.n, ent, anchored=False)
+    for trial in range(args.trials):
+        ent = [args.seed, snr_index, trial]
+        w_bar = random_unit_vector(args.d, _w_rng(ent))
+        if args.solver == "lattice":
+            inst, truth = gen_noiseless_anchored(w_bar, args.n, ent, anchored=False)
             q, w_q = quantize_noiseless(inst, truth, _SWEEP_P)
             res = lattice.recover(q)
             wq = np.array(w_q, dtype=float)
@@ -219,10 +205,10 @@ def _sweep_cell(cfg: SweepConfig, snr_index: int, snr: float) -> list:
             base_errs.append(float(np.linalg.norm(base.w - wq)))
         else:
             sigma = 1 / math.sqrt(snr)
-            gen = gen_gaussian_noisy if cfg.model == "gaussian" else gen_uniform_noisy
-            inst, truth = gen(w_bar, cfg.n, sigma, ent)
-            if cfg.solver == "fptas":
-                sol = fptas_solve(inst, cfg.eps, budget=cfg.budget)
+            gen = gen_gaussian_noisy if args.model == "gaussian" else gen_uniform_noisy
+            inst, truth = gen(w_bar, args.n, sigma, ent)
+            if args.solver == "fptas":
+                sol = fptas_solve(inst, eps, budget=budget)
             else:
                 sol = brute_force(inst)
             errs.append(float(np.linalg.norm(sol.w - w_bar)))
@@ -235,65 +221,40 @@ def _sweep_cell(cfg: SweepConfig, snr_index: int, snr: float) -> list:
     std = float(np.std(errs)) if errs else float("nan")
     return [
         snr,
-        cfg.n,
-        cfg.d,
+        args.n,
+        args.d,
         mean,
         std,
-        successes / cfg.trials,
+        successes / args.trials,
         float(np.mean(base_errs)),
         wall,
     ]
 
 
-def _cell_star(t):
-    return _sweep_cell(*t)
-
-
-def run_sweep(cfg: SweepConfig) -> list:
-    """All sweep rows, in grid order, as lists matching ``SWEEP_COLUMNS``."""
-    if cfg.model not in ("gaussian", "uniform", "noiseless"):
-        raise ValueError("unknown model %r" % cfg.model)
-    if cfg.solver not in ("fptas", "brute", "lattice"):
-        raise ValueError("unknown solver %r" % cfg.solver)
-    if (cfg.solver == "lattice") != (cfg.model == "noiseless"):
+def cmd_sweep(args) -> int:
+    eps, budget = _fptas_settings(args)
+    grid = _parse_grid(args.snr_grid, float)
+    if (args.solver == "lattice") != (args.model == "noiseless"):
         raise ValueError("the lattice solver pairs with the noiseless model only")
-    if cfg.n < 1 or cfg.d < 1 or cfg.trials < 1 or cfg.jobs < 1:
+    if args.n < 1 or args.d < 1 or args.trials < 1 or args.jobs < 1:
         raise ValueError("n, d, trials and jobs must be >= 1")
-    if cfg.model == "noiseless":
-        grid = (math.inf,)
-    else:
-        grid = tuple(float(s) for s in cfg.snr_grid)
-        if not grid or any(not s > 0 for s in grid):
-            raise ValueError("snr grid values must be > 0")
-    if cfg.solver == "brute" and cfg.n > BRUTE_CAP:
-        cells = ", ".join("(snr=%s, n=%d, d=%d)" % (s, cfg.n, cfg.d) for s in grid)
+    if args.model == "noiseless":
+        grid = [math.inf]
+    elif any(not s > 0 for s in grid):
+        raise ValueError("snr grid values must be > 0")
+    if args.solver == "brute" and args.n > BRUTE_CAP:
+        cells = ", ".join("(snr=%s, n=%d, d=%d)" % (s, args.n, args.d) for s in grid)
         raise CapExceededError(
             "brute solver capped at n <= %d; refused cells: %s" % (BRUTE_CAP, cells)
         )
-    tasks = [(cfg, i, s) for i, s in enumerate(grid)]
+    cell = functools.partial(_sweep_cell, args, eps, budget)
     # the pool starts every worker at once, so never more than there are cells
-    workers = min(cfg.jobs, len(tasks))
+    workers = min(args.jobs, len(grid))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(_cell_star, tasks))
-    return [_sweep_cell(*t) for t in tasks]
-
-
-def cmd_sweep(args) -> int:
-    eps, budget = _fptas_settings(args)
-    cfg = SweepConfig(
-        model=args.model,
-        n=args.n,
-        d=args.d,
-        snr_grid=tuple(_parse_grid(args.snr_grid, float)),
-        trials=args.trials,
-        solver=args.solver,
-        eps=eps,
-        seed=args.seed,
-        jobs=args.jobs,
-        budget=budget,
-    )
-    rows = run_sweep(cfg)
+            rows = list(ex.map(cell, enumerate(grid)))
+    else:
+        rows = list(map(cell, enumerate(grid)))
     with open(args.output, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(SWEEP_COLUMNS)
@@ -361,18 +322,15 @@ def cmd_check_order_stats(args) -> int:
 # check-w2
 
 
-def w2_report(n_grid, d: int, trials: int, seed: int) -> list:
+def w2_report() -> list:
     """Mean squared sorted-projection distance per sample size.
 
-    For each ``n``, draws Gaussian covariates and two independent unit
-    directions, and averages ``min_perm ||(Xu)_perm - Xv||^2`` (computed by
-    sorting) over trials.  Rows are dicts with ``n``, ``mean_sq`` and
-    ``mean_sq_per_n``.  The grid must be strictly ascending, from ``n >= 3``.
+    For each ``n`` of the ``_W2`` grid, draws Gaussian covariates and two
+    independent unit directions, and averages ``min_perm ||(Xu)_perm - Xv||^2``
+    (computed by sorting) over trials.  Rows are dicts with ``n``,
+    ``mean_sq`` and ``mean_sq_per_n``.
     """
-    if d < 1 or trials < 1 or not n_grid:
-        raise ValueError("need d >= 1, trials >= 1 and a nonempty n grid")
-    if n_grid[0] < 3 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("the n grid must be strictly ascending, with entries >= 3")
+    n_grid, d, trials, seed = _W2
     rows = []
     for ni, n in enumerate(n_grid):
         tot = 0.0
@@ -390,7 +348,7 @@ def w2_report(n_grid, d: int, trials: int, seed: int) -> list:
 
 
 def cmd_check_w2(args) -> int:
-    rows = w2_report(*_W2)
+    rows = w2_report()
     with open(args.output, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(("n", "mean_sq", "mean_sq_per_n"))

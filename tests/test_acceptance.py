@@ -431,7 +431,7 @@ def test_criterion_10_noise_floor(capsys):
 def test_criterion_11_w2_decay(capsys):
     """Sorted-projection mean squared distance per point shrinks >= 4x; < 2 min."""
     t0 = time.monotonic()
-    rows = w2_report((100, 1000, 10000), 20, 50, 0)
+    rows = w2_report()
     per_n = [r["mean_sq_per_n"] for r in rows]
     shrink = per_n[0] / per_n[-1]
     monotone = all(a >= b for a, b in zip(per_n, per_n[1:]))

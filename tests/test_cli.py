@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 import warnings
@@ -8,16 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shuffle_regress import brute_force, cli, errors, gen_gaussian_noisy
-from shuffle_regress.approx import DEFAULT_BUDGET
-from shuffle_regress.cli import (
-    SWEEP_COLUMNS,
-    SweepConfig,
-    main,
-    order_stats_report,
-    run_sweep,
-    w2_report,
+from shuffle_regress import (
+    brute_force,
+    cli,
+    errors,
+    fptas_solve,
+    gen_gaussian_noisy,
+    gen_uniform_noisy,
 )
+from shuffle_regress.cli import SWEEP_COLUMNS, main, order_stats_report, w2_report
 from shuffle_regress.model import random_unit_vector, read_instance_record, responses
 from shuffle_regress.oracle import ols_given_perm
 
@@ -494,22 +492,25 @@ class TestSweep:
         assert len(rows) == 1
         assert float(rows[0]["success_rate"]) == 1.0
 
-    def test_serial_parallel_identical(self, tmp_path):
-        cfg = SweepConfig(
-            model="gaussian", n=4, d=1, snr_grid=(1.0, 2.0), trials=3,
-            solver="fptas", eps=0.5, seed=7, jobs=1, budget=DEFAULT_BUDGET,
-        )
-        serial = run_sweep(cfg)
-        parallel = run_sweep(SweepConfig(
-            model="gaussian", n=4, d=1, snr_grid=(1.0, 2.0), trials=3,
-            solver="fptas", eps=0.5, seed=7, jobs=2, budget=DEFAULT_BUDGET,
-        ))
+    def test_serial_parallel_identical(self, tmp_path, capsys):
+        paths = []
+        for jobs in ("1", "2"):
+            paths.append(tmp_path / ("jobs%s.csv" % jobs))
+            code, _, _ = run(
+                capsys,
+                "sweep-snr", "--model", "gaussian", "--n", "4", "--d", "1",
+                "--snr-grid", "1,2", "--trials", "3", "--solver", "fptas",
+                "--seed", "7", "--jobs", jobs, "-o", str(paths[-1]),
+            )
+            assert code == 0
         wt = SWEEP_COLUMNS.index("wall_time_s")
 
-        def drop(rows):
-            return [[v for i, v in enumerate(r) if i != wt] for r in rows]
+        def drop(path):
+            return [[v for i, v in enumerate(r) if i != wt] for r in csv.reader(path.open())]
 
-        assert drop(serial) == drop(parallel)
+        serial, parallel = map(drop, paths)
+        assert len(serial) == 3
+        assert serial == parallel
 
     @pytest.mark.parametrize(
         "argv, pools",
@@ -547,14 +548,16 @@ class TestSweep:
         assert code == 0
         assert started == pools
 
-    def test_brute_sweep_is_brute_force(self, tmp_path, capsys):
-        # every column but wall_time_s, recomputed from brute_force on the
+    @pytest.mark.parametrize("model, solver", [("gaussian", "brute"), ("uniform", "fptas")])
+    def test_brute_sweep_is_brute_force(self, tmp_path, capsys, model, solver):
+        # every column but wall_time_s, recomputed from the solver on the
         # same per-trial entropy [seed, snr_index, trial_index]
-        out = tmp_path / "brute.csv"
+        gen = {"gaussian": gen_gaussian_noisy, "uniform": gen_uniform_noisy}[model]
+        out = tmp_path / "sweep.csv"
         code, _, _ = run(
             capsys,
-            "sweep-snr", "--model", "gaussian", "--n", "4", "--d", "2",
-            "--snr-grid", "0.5,2", "--trials", "3", "--solver", "brute",
+            "sweep-snr", "--model", model, "--n", "4", "--d", "2",
+            "--snr-grid", "0.5,2", "--trials", "3", "--solver", solver,
             "--seed", "2", "-o", str(out),
         )
         assert code == 0
@@ -564,8 +567,8 @@ class TestSweep:
             for trial in range(3):
                 ent = [2, i, trial]
                 w_bar = random_unit_vector(2, cli._w_rng(ent))
-                inst, truth = gen_gaussian_noisy(w_bar, 4, 1.0 / math.sqrt(snr), ent)
-                sol = brute_force(inst)
+                inst, truth = gen(w_bar, 4, 1.0 / math.sqrt(snr), ent)
+                sol = brute_force(inst) if solver == "brute" else fptas_solve(inst, 0.5)
                 errs.append(float(np.linalg.norm(sol.w - w_bar)))
                 successes += sol.perm.map == truth.pi_bar.map
                 base = ols_given_perm(inst.x, inst.y, truth.pi_bar)
@@ -638,24 +641,39 @@ class TestSweep:
     @pytest.mark.parametrize(
         "change, err",
         [
-            ({"model": "poisson"}, "unknown model 'poisson'"),
-            ({"solver": "ols"}, "unknown solver 'ols'"),
-            ({"n": 0}, "n, d, trials and jobs must be >= 1"),
-            ({"d": 0}, "n, d, trials and jobs must be >= 1"),
-            ({"trials": 0}, "n, d, trials and jobs must be >= 1"),
-            ({"jobs": 0}, "n, d, trials and jobs must be >= 1"),
-            ({"snr_grid": (1.0, 0.0)}, "snr grid values must be > 0"),
-            ({"snr_grid": (-2.0,)}, "snr grid values must be > 0"),
+            (("--n", "0"), "n, d, trials and jobs must be >= 1"),
+            (("--d", "0"), "n, d, trials and jobs must be >= 1"),
+            (("--trials", "0"), "n, d, trials and jobs must be >= 1"),
+            (("--jobs", "0"), "n, d, trials and jobs must be >= 1"),
+            (("--snr-grid", "1,0"), "snr grid values must be > 0"),
+            (("--snr-grid", "-2"), "snr grid values must be > 0"),
         ],
-        ids=["model", "solver", "n", "d", "trials", "jobs", "snr-zero", "snr-negative"],
+        ids=["n", "d", "trials", "jobs", "snr-zero", "snr-negative"],
     )
-    def test_run_sweep_refusals(self, change, err):
-        cfg = SweepConfig(
-            model="gaussian", n=3, d=1, snr_grid=(1.0,), trials=1,
-            solver="fptas", eps=0.5, seed=0, jobs=1, budget=DEFAULT_BUDGET,
+    def test_run_sweep_refusals(self, tmp_path, capsys, change, err):
+        # argparse keeps the last value of a repeated option
+        out = tmp_path / "x.csv"
+        code, _, got = run(
+            capsys,
+            "sweep-snr", "--model", "gaussian", "--n", "3", "--d", "1",
+            "--snr-grid", "1", "--trials", "1", "--solver", "fptas",
+            "--seed", "0", *change, "-o", str(out),
         )
-        with pytest.raises(ValueError, match=err):
-            run_sweep(dataclasses.replace(cfg, **change))
+        assert code == 2
+        assert got == "error: %s\n" % err
+        assert not out.exists()
+
+    def test_unknown_model_and_solver_usage_error(self, tmp_path, capsys):
+        # argparse's choices refuse them before any sweep code runs
+        for model, solver in (("poisson", "fptas"), ("gaussian", "ols")):
+            with pytest.raises(SystemExit) as exc:
+                main([
+                    "sweep-snr", "--model", model, "--n", "3", "--d", "1",
+                    "--solver", solver, "--seed", "0", "-o", str(tmp_path / "x.csv"),
+                ])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestCheckOrderStats:
@@ -705,29 +723,6 @@ class TestCheckOrderStats:
 
 
 class TestCheckW2:
-    def test_report_monotone(self):
-        rows = w2_report((10, 40, 160), 5, 10, 0)
-        per_n = [r["mean_sq_per_n"] for r in rows]
-        assert per_n[0] > per_n[-1]
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            w2_report((2, 10), 5, 5, 0)
-
-    @pytest.mark.parametrize(
-        "grid", [(40, 10), (10, 10), (10, 40, 20)], ids=["descending", "repeated", "late-drop"]
-    )
-    def test_grid_must_ascend(self, grid):
-        # a rise of the per-n mean along the grid is read as a failure, so a
-        # grid out of order would fail for its order alone
-        with pytest.raises(ValueError, match="strictly ascending"):
-            w2_report(grid, 5, 5, 0)
-
-    @pytest.mark.parametrize("d, grid", [(0, (10, 40)), (5, ())], ids=["d0", "empty-grid"])
-    def test_d_and_grid_nonempty(self, d, grid):
-        with pytest.raises(ValueError, match="need d >= 1, trials >= 1 and a nonempty n grid"):
-            w2_report(grid, d, 5, 0)
-
     @pytest.mark.parametrize(
         "per_n, code, err",
         [
@@ -752,7 +747,7 @@ class TestCheckW2:
         code, stdout, err = run(capsys, "check-w2", "-o", str(out))
         assert code == 0
         assert err == ""
-        want = w2_report((100, 1000, 10000), 20, 50, 0)
+        want = w2_report()
         rows = list(csv.DictReader(out.open()))
         assert [{k: float(v) for k, v in r.items()} for r in rows] == want
         ratio = want[0]["mean_sq_per_n"] / want[-1]["mean_sq_per_n"]

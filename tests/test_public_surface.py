@@ -26,7 +26,7 @@ from pathlib import Path
 
 import shuffle_regress
 from shuffle_regress import cli, lattice
-from shuffle_regress.cli import SweepConfig, build_parser
+from shuffle_regress.cli import build_parser
 from shuffle_regress.model import InstanceRecord
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -100,8 +100,8 @@ PARAMETERS = {
     "sort_match": ("a", "b"),
 }
 
-# The fields of every exported dataclass, of the instance file reader's
-# record and of the sweep configuration.
+# The fields of every exported dataclass and of the instance file
+# reader's record.
 FIELDS = {
     "AnchoredInstance": ("x0", "y0", "x", "y"),
     "GroundTruth": ("w_bar", "pi_bar", "sigma"),
@@ -113,9 +113,6 @@ FIELDS = {
     "RecoveryResult": ("perm", "w"),
     "SamplingMatrix": ("n", "rows"),
     "Solution": ("w", "perm", "cost"),
-    "SweepConfig": (
-        "model", "n", "d", "snr_grid", "trials", "solver", "eps", "seed", "jobs", "budget",
-    ),
     "ThreePartitionInstance": ("z",),
 }
 
@@ -199,7 +196,7 @@ def test_dataclass_fields_pinned():
     classes = [c for c in classes if dataclasses.is_dataclass(c)]
     got = {
         c.__name__: tuple(f.name for f in dataclasses.fields(c))
-        for c in (*classes, InstanceRecord, SweepConfig)
+        for c in (*classes, InstanceRecord)
     }
     assert got == FIELDS
 
